@@ -9,7 +9,6 @@ harness with CSV telemetry, and executable checks of the supporting
 bounds live in the submodules.
 """
 
-from ._kernels import backend
 from .core import (
     GroupRecord,
     HyperParams,
@@ -69,7 +68,6 @@ from .optimizers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "backend",
     "GroupRecord",
     "HyperParams",
     "OptimizerState",

@@ -1,98 +1,22 @@
 """Hot numeric kernels: fused moment/direction update and the norm-growth recursion.
 
-Two implementations live side by side: explicit-loop kernels compiled with
-numba, and vectorized numpy fallbacks. The active backend is numba whenever it
-imports cleanly, unless the environment variable PADAMP_NO_NUMBA is set to a
-non-empty value. Both paths compute the same float64 operations; results agree
-to the last couple of ulps (pow may differ between libm and numpy).
+Both kernels are vectorized numpy over float64 arrays. tests/test_kernels.py
+checks them against explicit per-element and per-step loops.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
+# perfbench/run.py reads HAS_NUMBA and backend() for its report; padamp uses no numba.
+HAS_NUMBA = False
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and not os.environ.get("PADAMP_NO_NUMBA")
-
-__all__ = [
-    "HAS_NUMBA",
-    "USE_NUMBA",
-    "backend",
-    "moment_direction",
-    "norm_growth_arrays",
-]
+__all__ = ["moment_direction", "norm_growth_arrays"]
 
 
 def backend() -> str:
-    """Name of the active kernel backend, 'numba' or 'numpy'."""
-    return "numba" if USE_NUMBA else "numpy"
-
-
-def _moment_direction_numpy(m, v, max_v, g, beta1t, beta2, bc1, bc2, eps, p,
-                            use_max, power_eps):
-    """Vectorized fallback; see moment_direction for the contract."""
-    m *= beta1t
-    m += (1.0 - beta1t) * g
-    v *= beta2
-    v += (1.0 - beta2) * (g * g)
-    if use_max:
-        np.maximum(max_v, v, out=max_v)
-        base = max_v.copy()
-    else:
-        base = v / bc2
-    if power_eps:
-        denom = (base + eps) ** p
-    else:
-        denom = base ** p + eps
-    return (m / bc1) / denom
-
-
-def _moment_direction_loop(m, v, max_v, g, beta1t, beta2, bc1, bc2, eps, p,
-                           use_max, power_eps):
-    n = m.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        m[i] = beta1t * m[i] + (1.0 - beta1t) * g[i]
-        v[i] = beta2 * v[i] + (1.0 - beta2) * (g[i] * g[i])
-        if use_max:
-            if v[i] > max_v[i]:
-                max_v[i] = v[i]
-            base = max_v[i]
-        else:
-            base = v[i] / bc2
-        if power_eps:
-            denom = (base + eps) ** p
-        else:
-            denom = base ** p + eps
-        out[i] = (m[i] / bc1) / denom
-    return out
-
-
-def _norm_growth_loop(u, beta, eta_sq, theta0_sq):
-    T = u.shape[0]
-    gd = np.empty(T + 1, dtype=np.float64)
-    gdm = np.empty(T + 1, dtype=np.float64)
-    gd[0] = theta0_sq
-    gdm[0] = theta0_sq
-    acc = 0.0  # beta-weighted sum of past update norms, O(1) per step
-    for t in range(T):
-        gd[t + 1] = gd[t] + eta_sq * u[t]
-        gdm[t + 1] = gdm[t] + eta_sq * u[t] + 2.0 * eta_sq * acc
-        acc = beta * (acc + u[t])
-    return gd, gdm
-
-
-if HAS_NUMBA:
-    _moment_direction_nb = njit(cache=True)(_moment_direction_loop)
-    _norm_growth_nb = njit(cache=True)(_norm_growth_loop)
+    """Name of the kernel backend, always 'numpy'."""
+    return "numpy"
 
 
 def moment_direction(m, v, max_v, g, beta1t, beta2, bc1, bc2, eps, p,
@@ -109,22 +33,45 @@ def moment_direction(m, v, max_v, g, beta1t, beta2, bc1, bc2, eps, p,
     with base = v / bc2, or the uncorrected max_v when use_max (max-tracking
     optimizers do not bias-correct the max buffer).
     """
-    if USE_NUMBA:
-        return _moment_direction_nb(m, v, max_v, g, beta1t, beta2, bc1, bc2,
-                                    eps, p, use_max, power_eps)
-    return _moment_direction_numpy(m, v, max_v, g, beta1t, beta2, bc1, bc2,
-                                   eps, p, use_max, power_eps)
+    m *= beta1t
+    m += (1.0 - beta1t) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    if use_max:
+        np.maximum(max_v, v, out=max_v)
+        base = max_v
+    else:
+        base = v / bc2
+    if power_eps:
+        denom = (base + eps) ** p
+    else:
+        denom = base ** p + eps
+    return (m / bc1) / denom
 
 
 def norm_growth_arrays(update_norms_sq, beta, eta, theta0_norm_sq):
     """Squared-norm trajectories for plain and momentum gradient descent.
 
     Plain descent grows by eta^2 u_t per step; the momentum variant adds the
-    accumulated cross term 2 eta^2 sum_{k<t} beta^(t-k) u_k, maintained as a
-    single running accumulator. Returns (gd, gdm), each of length T + 1 with
-    index 0 holding theta0_norm_sq.
+    accumulated cross term 2 eta^2 acc_t with acc_t = sum_{k<t} beta^(t-k) u_k.
+    Returns (gd, gdm), each of length T + 1 with index 0 holding
+    theta0_norm_sq.
     """
-    u = np.ascontiguousarray(update_norms_sq, dtype=np.float64)
-    if USE_NUMBA:
-        return _norm_growth_nb(u, float(beta), float(eta) ** 2, float(theta0_norm_sq))
-    return _norm_growth_loop(u, float(beta), float(eta) ** 2, float(theta0_norm_sq))
+    u = np.asarray(update_norms_sq, dtype=np.float64)
+    beta = float(beta)
+    eta_sq = float(eta) ** 2
+    start = np.array([float(theta0_norm_sq)])
+    # acc_{t+1} = beta * (acc_t + u_t) as a doubling scan: after the pass with
+    # stride k, acc[t] holds the beta-weighted sum of u over the last 2k steps.
+    # Stop once the stride covers every step or beta^k has underflowed to 0.
+    acc = beta * u
+    k, w = 1, beta
+    while k < u.size and w != 0.0:
+        acc[k:] = acc[k:] + w * acc[:-k]
+        k, w = 2 * k, w * w
+    cross = np.zeros_like(u)
+    cross[1:] = acc[:-1]
+    # cumsum adds in order, so gd equals the step-by-step sum bit for bit
+    gd = np.cumsum(np.concatenate((start, eta_sq * u)))
+    gdm = np.cumsum(np.concatenate((start, eta_sq * u + 2.0 * eta_sq * cross)))
+    return gd, gdm

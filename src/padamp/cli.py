@@ -285,7 +285,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.seed = 0
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

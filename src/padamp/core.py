@@ -84,13 +84,13 @@ class HyperParams:
             raise ValueError(f"beta2 must lie in (0, 1), got {self.beta2}")
         if not 0 < self.lam <= 1:
             raise ValueError(f"lam must lie in (0, 1], got {self.lam}")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError(f"delta must be non-negative, got {self.delta}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not 0 < self.p <= 0.5:
             raise ValueError(f"p must lie in (0, 1/2], got {self.p}")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")

@@ -88,10 +88,10 @@ class LRSchedule:
     def __post_init__(self):
         if self.family not in ("constant", "power", "piecewise"):
             raise ValueError(f"unknown schedule family {self.family!r}")
-        if self.eta0 <= 0:
+        if not self.eta0 > 0:
             raise ValueError(f"eta0 must be positive, got {self.eta0}")
-        if self.family == "power" and self.a <= 0:
-            raise ValueError(f"power-law exponent must be positive, got {self.a}")
+        if self.family == "power" and not self.a > 0:
+            raise ValueError(f"power-law exponent a must be positive, got {self.a}")
         if not 0 < self.factor <= 1:
             raise ValueError(f"decay factor must lie in (0, 1], got {self.factor}")
         if any(m <= 0 for m in self.milestones) or list(self.milestones) != sorted(
@@ -192,7 +192,7 @@ class ExperimentConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.eval_window < 1 or self.eval_every < 1 or self.steps_per_epoch < 1:
             raise ValueError("eval_window, eval_every, steps_per_epoch must be >= 1")
-        if self.init_scale <= 0:
+        if not self.init_scale > 0:
             raise ValueError(f"init_scale must be positive, got {self.init_scale}")
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "adam_step",
     "amsgrad_step",
     "sgdm_step",
-    "apply_weight_decay",
     "make_step",
 ]
 
@@ -65,31 +64,6 @@ class OptimizerKind(str, Enum):
 class StepOutput:
     new_params: List[ParamGroup]
     record: StepRecord
-
-
-def apply_weight_decay(
-    groups: Sequence[ParamGroup],
-    eta_t: float,
-    wd: float,
-    skip_projected_groups: bool = False,
-    projected_names: Sequence[str] = (),
-) -> List[ParamGroup]:
-    """Decoupled decay theta <- (1 - eta_t * wd) * theta.
-
-    Groups listed in projected_names are left untouched when
-    skip_projected_groups is set; decay on a projected step would reintroduce
-    exactly the radial component the projection removed.
-    """
-    if wd < 0:
-        raise ValueError(f"weight decay must be non-negative, got {wd}")
-    skip = set(projected_names) if skip_projected_groups else set()
-    out = []
-    for g in groups:
-        if wd == 0.0 or g.name in skip:
-            out.append(ParamGroup(g.name, g.values.copy()))
-        else:
-            out.append(ParamGroup(g.name, (1.0 - eta_t * wd) * g.values))
-    return out
 
 
 def _decide_projection(

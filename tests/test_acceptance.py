@@ -16,9 +16,7 @@ whose bias tr(Sigma)/(B*K) sits well under the 1e-3 threshold.
 import time
 
 import numpy as np
-import pytest
 
-from padamp import _kernels
 from padamp.core import HyperParams, ParamGroup, new_state, seeded_rng
 from padamp.diagnostics import momentum_norm_ratio_limit, simulate_norm_growth
 from padamp.geometry import project_tangent
@@ -42,14 +40,6 @@ from padamp.optimizers import OptimizerKind, make_step
 
 def _verdict(n: int, ok: bool, detail: str) -> None:
     print(f"CRITERION {n:2d} {'PASS' if ok else 'FAIL'}: {detail}")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels():
-    # compile/load the jitted kernels before anything is timed
-    _kernels.moment_direction(np.zeros(4), np.zeros(4), np.zeros(4), np.ones(4),
-                              0.9, 0.999, 0.1, 0.001, 1e-8, 0.25)
-    _kernels.norm_growth_arrays(np.ones(4), 0.5, 1.0, 0.0)
 
 
 def test_criterion_01_momentum_norm_growth_ratio():

@@ -171,6 +171,8 @@ def test_sweep_writes_summary_and_per_value_lines(tmp_path, capsys):
     ["run", "--config", "/nonexistent/path.cfg"],
     ["check", "--csv", "/nonexistent/telemetry.csv"],
     ["norm-sim", "--beta", ""],
+    ["run", "--set", "schedule.eta0=1e308", "--set", "run.init_scale=100",
+     "--steps", "3"],
 ])
 def test_bad_input_exits_2_with_error_line(argv, capsys):
     assert main(argv) == 2

@@ -31,10 +31,12 @@ def test_hyperparams_defaults_valid():
         {"lam": 0.0},
         {"lam": 1.5},
         {"delta": -0.1},
+        {"delta": float("nan")},
         {"epsilon": 0.0},
         {"p": 0.0},
         {"p": 0.6},
         {"weight_decay": -1e-4},
+        {"weight_decay": float("nan")},
         {"momentum": 1.0},
         {"beta1t_mode": "linear"},
         {"eps_mode": "inside"},
@@ -43,7 +45,8 @@ def test_hyperparams_defaults_valid():
     ],
 )
 def test_hyperparams_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    (field,) = kwargs
+    with pytest.raises(ValueError, match=f"^{field} must"):
         HyperParams(**kwargs)
 
 

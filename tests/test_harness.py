@@ -161,6 +161,16 @@ def test_config_rejects_bad_fields():
         _quad_config(optimizer="lion")
 
 
+@pytest.mark.parametrize("field, build", [
+    ("eta0", lambda: LRSchedule(eta0=float("nan"))),
+    ("exponent a", lambda: LRSchedule(family="power", a=float("nan"))),
+    ("init_scale", lambda: _quad_config(init_scale=float("nan"))),
+])
+def test_config_rejects_nan(field, build):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
 # --------------------------------------------------------------------- runs
 
 def test_run_counts_steps_and_epochs_analytic():

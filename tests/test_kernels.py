@@ -1,12 +1,43 @@
-"""Backend parity: the numba loop kernels must agree with the numpy paths."""
+"""The vectorized kernels against explicit per-element and per-step loops."""
 
 import numpy as np
 import pytest
 
 from padamp import _kernels
 
-needs_numba = pytest.mark.skipif(not _kernels.HAS_NUMBA,
-                                 reason="numba not importable")
+
+def _moment_direction_loop(m, v, max_v, g, beta1t, beta2, bc1, bc2, eps, p,
+                           use_max, power_eps):
+    out = np.empty(m.shape[0], dtype=np.float64)
+    for i in range(m.shape[0]):
+        m[i] = beta1t * m[i] + (1.0 - beta1t) * g[i]
+        v[i] = beta2 * v[i] + (1.0 - beta2) * (g[i] * g[i])
+        if use_max:
+            if v[i] > max_v[i]:
+                max_v[i] = v[i]
+            base = max_v[i]
+        else:
+            base = v[i] / bc2
+        if power_eps:
+            denom = (base + eps) ** p
+        else:
+            denom = base ** p + eps
+        out[i] = (m[i] / bc1) / denom
+    return out
+
+
+def _norm_growth_loop(u, beta, eta_sq, theta0_sq):
+    T = u.shape[0]
+    gd = np.empty(T + 1, dtype=np.float64)
+    gdm = np.empty(T + 1, dtype=np.float64)
+    gd[0] = theta0_sq
+    gdm[0] = theta0_sq
+    acc = 0.0
+    for t in range(T):
+        gd[t + 1] = gd[t] + eta_sq * u[t]
+        gdm[t + 1] = gdm[t] + eta_sq * u[t] + 2.0 * eta_sq * acc
+        acc = beta * (acc + u[t])
+    return gd, gdm
 
 
 def _random_inputs(dim, seed, t=3):
@@ -20,26 +51,24 @@ def _random_inputs(dim, seed, t=3):
     return m, v, max_v, g, bc1, bc2
 
 
-@needs_numba
 @pytest.mark.parametrize("dim", [1, 7, 1000])
 @pytest.mark.parametrize("use_max", [False, True])
 @pytest.mark.parametrize("power_eps", [False, True])
-def test_moment_direction_backend_parity(dim, use_max, power_eps):
+def test_moment_direction_matches_loop(dim, use_max, power_eps):
     m0, v0, max0, g, bc1, bc2 = _random_inputs(dim, seed=dim)
     args = (0.9, 0.999, bc1, bc2, 1e-8, 0.25, use_max, power_eps)
 
     m_a, v_a, max_a = m0.copy(), v0.copy(), max0.copy()
-    d_numpy = _kernels._moment_direction_numpy(m_a, v_a, max_a, g, *args)
+    d_kernel = _kernels.moment_direction(m_a, v_a, max_a, g, *args)
 
     m_b, v_b, max_b = m0.copy(), v0.copy(), max0.copy()
-    d_numba = _kernels._moment_direction_nb(m_b, v_b, max_b, g, *args)
+    d_loop = _moment_direction_loop(m_b, v_b, max_b, g, *args)
 
-    # the JIT may emit fused multiply-adds, so agreement is to rounding,
-    # not bitwise
+    # numpy's vectorized pow may differ from the scalar one in the last ulp
     np.testing.assert_allclose(m_a, m_b, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(v_a, v_b, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(max_a, max_b, rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(d_numpy, d_numba, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(d_kernel, d_loop, rtol=1e-13, atol=0.0)
 
 
 def test_moment_direction_updates_in_place():
@@ -71,13 +100,20 @@ def test_moment_direction_eps_modes_differ():
     assert not np.allclose(d_pow, d_post, rtol=1e-6)
 
 
-@needs_numba
-def test_norm_growth_backend_parity():
-    u = np.random.default_rng(2).standard_normal(4000) ** 2 / np.arange(1, 4001) ** 2
-    gd_a, gdm_a = _kernels._norm_growth_loop(u, 0.9, 1.0, 1.0)
-    gd_b, gdm_b = _kernels._norm_growth_nb(u, 0.9, 1.0, 1.0)
-    np.testing.assert_allclose(gd_a, gd_b, rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(gdm_a, gdm_b, rtol=1e-13, atol=0.0)
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 0.99, 0.999])
+def test_norm_growth_matches_loop(beta):
+    rng = np.random.default_rng(2)
+    for T in (1, 2, 3, 17, 1000, 100_000):
+        u = rng.standard_normal(T) ** 2 / np.arange(1, T + 1)
+        gd_a, gdm_a = _kernels.norm_growth_arrays(u, beta, 0.3, 1.5)
+        gd_b, gdm_b = _norm_growth_loop(u, beta, 0.3 ** 2, 1.5)
+        # cumsum adds in order, so plain descent matches bit for bit; the
+        # doubling scan regroups the momentum cross term's additions
+        np.testing.assert_array_equal(gd_a, gd_b)
+        if beta == 0.0:
+            np.testing.assert_array_equal(gdm_a, gdm_b)
+        else:
+            np.testing.assert_allclose(gdm_a, gdm_b, rtol=1e-12, atol=0.0)
 
 
 def test_norm_growth_shapes_and_start():
@@ -90,4 +126,4 @@ def test_norm_growth_shapes_and_start():
 
 
 def test_backend_reports_a_name():
-    assert _kernels.backend() in ("numba", "numpy")
+    assert _kernels.backend() == "numpy"

@@ -7,7 +7,6 @@ from padamp.optimizers import (
     adam_step,
     adamp_step,
     amsgrad_step,
-    apply_weight_decay,
     make_step,
     padam_step,
     padamp_step,
@@ -276,18 +275,6 @@ def test_lemma_telemetry_on_random_stream():
         assert out.record.lemma2_residual < 1e-10
         assert out.record.lemma3_margin >= 0.0
         params = out.new_params
-
-
-def test_apply_weight_decay():
-    groups = [ParamGroup("a", np.array([2.0])), ParamGroup("b", np.array([4.0]))]
-    out = apply_weight_decay(groups, eta_t=0.1, wd=0.5)
-    assert out[0].values[0] == pytest.approx(2.0 * 0.95)
-    out = apply_weight_decay(groups, 0.1, 0.5, skip_projected_groups=True,
-                             projected_names=("a",))
-    assert out[0].values[0] == 2.0
-    assert out[1].values[0] == pytest.approx(4.0 * 0.95)
-    with pytest.raises(ValueError):
-        apply_weight_decay(groups, 0.1, -0.1)
 
 
 def test_make_step_dispatch():
