@@ -76,22 +76,23 @@ class HyperParams:
     trigger_lr_mode: str = "scheduled"
 
     def __post_init__(self):
-        if not self.eta0 > 0:
-            raise ValueError(f"eta0 must be positive, got {self.eta0}")
+        if not 0 < self.eta0 < np.inf:
+            raise ValueError(f"eta0 must be positive and finite, got {self.eta0}")
         if not 0 < self.beta1 < 1:
             raise ValueError(f"beta1 must lie in (0, 1), got {self.beta1}")
         if not 0 < self.beta2 < 1:
             raise ValueError(f"beta2 must lie in (0, 1), got {self.beta2}")
         if not 0 < self.lam <= 1:
             raise ValueError(f"lam must lie in (0, 1], got {self.lam}")
-        if not self.delta >= 0:
-            raise ValueError(f"delta must be non-negative, got {self.delta}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 <= self.delta < np.inf:
+            raise ValueError(f"delta must be non-negative and finite, got {self.delta}")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0 < self.p <= 0.5:
             raise ValueError(f"p must lie in (0, 1/2], got {self.p}")
-        if not self.weight_decay >= 0:
-            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError(
+                f"weight_decay must be non-negative and finite, got {self.weight_decay}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.beta1t_mode not in ("constant", "geometric"):

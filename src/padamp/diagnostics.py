@@ -88,9 +88,10 @@ def check_lemma2(m_t: np.ndarray, m_prev: np.ndarray, g_t: np.ndarray,
     m_t = b m_prev + (1-b) g_t rearranges to
     -m_t = -g_t + b/(1-b) (m_t - m_prev); returns the norm of the difference
     between the two sides, which is pure rounding for consistent inputs.
+    b = 0 (a geometric beta1,t schedule after underflow) leaves m_t = g_t.
     """
-    if not 0 < beta1t < 1:
-        raise ValueError(f"beta1t must lie in (0, 1), got {beta1t}")
+    if not 0 <= beta1t < 1:
+        raise ValueError(f"beta1t must lie in [0, 1), got {beta1t}")
     m_t = np.asarray(m_t, dtype=np.float64)
     m_prev = np.asarray(m_prev, dtype=np.float64)
     g_t = np.asarray(g_t, dtype=np.float64)
@@ -148,9 +149,11 @@ _SLACK_KEYS = (
 class LemmaMonitor:
     """Tracks minimum bound slacks and the maximum moment-identity residual live.
 
-    Feed it once per optimizer step, after the state buffers were updated but
-    with the pre-step parameter vectors. Intended for run loops; the
-    standalone check_lemma3_4_5 replays a gradient history instead.
+    Feed it once per optimizer step with the step's StepOutput and the
+    pre-step parameter groups. The step already computed the lemma-2
+    residual and the gradients its moments saw; the monitor folds the former
+    and adds the lemma-3/4/5 slacks. Intended for run loops; the standalone
+    check_lemma3_4_5 replays a gradient history instead.
     """
 
     def __init__(self):
@@ -158,23 +161,19 @@ class LemmaMonitor:
         self.max_lemma2_residual = 0.0
         self.steps = 0
 
-    def update(self, state: OptimizerState, groups, grads, p_now: float,
-               beta1t: float) -> None:
+    def update(self, state: OptimizerState, groups, out) -> None:
         hp = state.hp
-        theta_by_name = {g.name: g.values for g in groups}
-        for name, m in state.m.items():
-            g = grads[name]
+        p_now = out.record.p_t_power
+        for grp in groups:
+            name = grp.name
             slacks = _bound_slacks(
-                m, state.m_prev[name], state.v[name], g,
-                state.c1[name], hp.epsilon, p_now, theta_by_name.get(name),
+                state.m[name], state.m_prev[name], state.v[name], out.grads[name],
+                state.c1[name], hp.epsilon, p_now, grp.values,
             )
             for k, s in slacks.items():
                 self.min_slacks[k] = min(self.min_slacks[k], s)
-            resid = check_lemma2(m, state.m_prev[name], g, beta1t)
-            self.max_lemma2_residual = max(
-                self.max_lemma2_residual,
-                resid / (1.0 + float(np.linalg.norm(m))),
-            )
+        self.max_lemma2_residual = max(self.max_lemma2_residual,
+                                       out.record.lemma2_residual)
         self.steps += 1
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import HyperParams, ParamGroup, StepRecord, beta1_at
+from .core import HyperParams, ParamGroup, StepRecord, new_state
 from .diagnostics import (
     ConvergenceTrace,
     DiagnosticsReport,
@@ -33,7 +33,6 @@ from .objectives import (
     tiny_mlp,
 )
 from .optimizers import OptimizerKind, make_step
-from .core import new_state
 
 __all__ = [
     "LRSchedule",
@@ -88,10 +87,11 @@ class LRSchedule:
     def __post_init__(self):
         if self.family not in ("constant", "power", "piecewise"):
             raise ValueError(f"unknown schedule family {self.family!r}")
-        if not self.eta0 > 0:
-            raise ValueError(f"eta0 must be positive, got {self.eta0}")
-        if self.family == "power" and not self.a > 0:
-            raise ValueError(f"power-law exponent a must be positive, got {self.a}")
+        if not 0 < self.eta0 < math.inf:
+            raise ValueError(f"eta0 must be positive and finite, got {self.eta0}")
+        if self.family == "power" and not 0 < self.a < math.inf:
+            raise ValueError(
+                f"power-law exponent a must be positive and finite, got {self.a}")
         if not 0 < self.factor <= 1:
             raise ValueError(f"decay factor must lie in (0, 1], got {self.factor}")
         if any(m <= 0 for m in self.milestones) or list(self.milestones) != sorted(
@@ -192,8 +192,8 @@ class ExperimentConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.eval_window < 1 or self.eval_every < 1 or self.steps_per_epoch < 1:
             raise ValueError("eval_window, eval_every, steps_per_epoch must be >= 1")
-        if not self.init_scale > 0:
-            raise ValueError(f"init_scale must be positive, got {self.init_scale}")
+        if not 0 < self.init_scale < math.inf:
+            raise ValueError(f"init_scale must be positive and finite, got {self.init_scale}")
 
 
 @dataclass
@@ -256,7 +256,9 @@ def run(config: ExperimentConfig) -> RunResult:
         else:
             batch = None
 
-        loss = objective.eval(params, batch)
+        # A diverging run overflows here; the finiteness check reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = objective.eval(params, batch)
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite loss {loss!r} at step {t}; aborting")
         grads = objective.grad(params, batch)
@@ -284,14 +286,7 @@ def run(config: ExperimentConfig) -> RunResult:
         records.append(out.record)
 
         if monitor is not None:
-            if config.hp.wd_mode == "coupled" and config.hp.weight_decay > 0:
-                wd = config.hp.weight_decay
-                grads_seen = {pg.name: grads[pg.name] + wd * pg.values
-                              for pg in params}
-            else:
-                grads_seen = grads
-            monitor.update(state, params, grads_seen, out.record.p_t_power,
-                           beta1_at(state.t, config.hp))
+            monitor.update(state, params, out)
         params = out.new_params
 
     trace = track_convergence(eval_estimates, eval_ts)
@@ -459,9 +454,18 @@ def read_telemetry(path: str) -> Dict[str, np.ndarray]:
     return {name: data[:, j] for j, name in enumerate(header)}
 
 
-_HP_FLOAT = ("eta0", "beta1", "beta2", "lam", "delta", "epsilon", "p",
-             "weight_decay", "momentum")
-_HP_STR = ("beta1t_mode", "eps_mode", "wd_mode", "trigger_lr_mode")
+def _parse_bool(s: str) -> bool:
+    low = s.lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {s!r}")
+
+
+# Every HyperParams field is the config key hp.<field>, parsed by its annotation.
+_HP_CAST = {f.name: {"float": float, "str": str, "bool": _parse_bool}[f.type]
+            for f in fields(HyperParams)}
 _OBJ_INT = ("dim", "d", "n", "d_in", "hidden", "classes", "data_seed")
 _OBJ_FLOAT = ("condition", "separation")
 _RUN_INT = ("steps", "epochs", "batch_size", "seed", "eval_window", "eval_every",
@@ -471,7 +475,7 @@ CONFIG_KEYS = (
     ["optimizer.kind", "objective.name", "schedule.family", "schedule.eta0",
      "schedule.a", "schedule.milestones", "schedule.factor",
      "p_schedule.decay_epoch", "p_schedule.new_p", "run.init_scale", "run.out"]
-    + [f"hp.{k}" for k in _HP_FLOAT + _HP_STR + ("wd_skip_projected",)]
+    + [f"hp.{k}" for k in _HP_CAST]
     + [f"objective.{k}" for k in _OBJ_INT + _OBJ_FLOAT]
     + [f"run.{k}" for k in _RUN_INT]
 )
@@ -492,15 +496,6 @@ def parse_config_file(path: str) -> Dict[str, str]:
     return mapping
 
 
-def _parse_bool(s: str) -> bool:
-    low = s.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {s!r}")
-
-
 def build_config(mapping: Dict[str, str],
                  overrides: Optional[Dict[str, str]] = None) -> ExperimentConfig:
     """ExperimentConfig from dotted string keys; overrides win over mapping."""
@@ -511,15 +506,8 @@ def build_config(mapping: Dict[str, str],
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
 
     kind = OptimizerKind(merged.pop("optimizer.kind", "padamp"))
-    hp_over = {}
-    for k in _HP_FLOAT:
-        if f"hp.{k}" in merged:
-            hp_over[k] = float(merged.pop(f"hp.{k}"))
-    for k in _HP_STR:
-        if f"hp.{k}" in merged:
-            hp_over[k] = merged.pop(f"hp.{k}")
-    if "hp.wd_skip_projected" in merged:
-        hp_over["wd_skip_projected"] = _parse_bool(merged.pop("hp.wd_skip_projected"))
+    hp_over = {k: cast(merged.pop(f"hp.{k}")) for k, cast in _HP_CAST.items()
+               if f"hp.{k}" in merged}
     hp = table1_defaults(kind, **hp_over)
 
     objective = merged.pop("objective.name", "quadratic")

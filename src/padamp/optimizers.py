@@ -1,15 +1,19 @@
 """Step rules for the projected partially adaptive optimizer and its baselines.
 
-All optimizers share one interface: step(state, groups, grads, eta_t, p_now)
--> StepOutput. The adaptive family runs through a single fused kernel; the
-variants differ in the adaptivity power, whether a max-tracked second moment
-is used, and whether/when the update direction is projected onto the tangent
-space of the weight vector.
+All six optimizers share one interface, step(state, groups, grads, eta_t,
+p_now) -> StepOutput, and one body, _step. The body differs between them in
+the direction only: sgdm takes its momentum buffer, the adaptive family the
+fused moment kernel with its adaptivity power and, for padam and amsgrad, the
+max-tracked second moment. padamp and adamp may then project the direction
+onto the tangent space of the weight vector.
 
-Update order within a step: moments and direction first, then the projection
-decision (using the raw gradient and the pre-step weights), then decoupled
-weight decay (skipped for projected groups by default), then the parameter
-update.
+Update order within a step: coupled weight decay folded into the gradient,
+moments and direction, the projection decision (using the raw gradient and
+the pre-step weights), decoupled weight decay (skipped for projected groups
+by default), then the parameter update. This module is the only one that
+applies either decay rule. The step also owns the per-step lemma
+bookkeeping: it records the lemma-2 residual and the lemma-3 margin (nan for
+sgdm) and returns the gradients the moments saw, which LemmaMonitor reads.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .core import (
     beta1_at,
     check_grads,
 )
+from .diagnostics import check_lemma2
 from .geometry import (
     ProjectionDecision,
     cosine_similarity,
@@ -62,14 +67,19 @@ class OptimizerKind(str, Enum):
 
 @dataclass
 class StepOutput:
+    """New parameter groups, the step's telemetry, and the gradients the
+    moments saw (coupled weight decay already folded in), keyed by group."""
+
     new_params: List[ParamGroup]
     record: StepRecord
+    grads: GradientSet
 
 
 def _decide_projection(
-    theta: np.ndarray, grad: np.ndarray, hp: HyperParams, eta_t: float, trigger: str
+    theta: np.ndarray, grad: np.ndarray, hp: HyperParams, eta_t: float,
+    trigger: Optional[str],
 ) -> ProjectionDecision:
-    if hp.delta == 0.0:
+    if trigger is None or hp.delta == 0.0:
         return ProjectionDecision(
             trigger_value=cosine_similarity(theta, grad), threshold=0.0, projected=False
         )
@@ -82,31 +92,28 @@ def _decide_projection(
     raise ValueError(f"unknown trigger mode {trigger!r}")
 
 
-def _lemma2_residual(m: np.ndarray, m_prev: np.ndarray, g: np.ndarray, beta1t: float) -> float:
-    # Rearranged first-moment recursion: -m_t = -g_t + b/(1-b) (m_t - m_{t-1}).
-    recon = g - (beta1t / (1.0 - beta1t)) * (m - m_prev)
-    return float(np.linalg.norm(m - recon)) / (1.0 + float(np.linalg.norm(m)))
-
-
-def _adaptive_family_step(
+def _step(
     state: OptimizerState,
     groups: Sequence[ParamGroup],
     grads: GradientSet,
     eta_t: float,
-    p_power: float,
-    use_max: bool,
-    trigger: Optional[str],
+    p_power: Optional[float],
+    use_max: bool = False,
+    trigger: Optional[str] = None,
 ) -> StepOutput:
-    """Shared body for the moment-based optimizers.
+    """Shared body of all six optimizers.
 
-    trigger is None for the never-projecting baselines, otherwise the trigger
-    threshold family ("padamp" or "adamp").
+    p_power is None for sgdm, whose direction is the momentum buffer and
+    whose lemma fields are nan; otherwise the direction comes from the moment
+    kernel. trigger is None for the never-projecting optimizers, otherwise
+    the trigger threshold family ("padamp" or "adamp").
     """
     groups = list(groups)
     check_grads(groups, grads)
     if eta_t <= 0:
         raise ValueError(f"eta_t must be positive, got {eta_t}")
-    if not 0 < p_power <= 0.5:
+    adaptive = p_power is not None
+    if adaptive and not 0 < p_power <= 0.5:
         raise ValueError(f"adaptivity power must lie in (0, 1/2], got {p_power}")
     hp = state.hp
     state.t += 1
@@ -118,9 +125,9 @@ def _adaptive_family_step(
 
     new_params: List[ParamGroup] = []
     group_records: Dict[str, GroupRecord] = {}
+    grads_seen: GradientSet = {}
     grad_norm_sq = 0.0
-    lemma2_max = 0.0
-    lemma3_min = np.inf
+    lemma2_max, lemma3_min = (0.0, np.inf) if adaptive else (np.nan, np.nan)
     for grp in groups:
         name = grp.name
         g_raw = np.asarray(grads[name], dtype=np.float64)
@@ -134,20 +141,27 @@ def _adaptive_family_step(
             g = g_raw + hp.weight_decay * theta
         else:
             g = g_raw
-        state.m_prev[name][:] = state.m[name]
+        grads_seen[name] = g
 
-        direction = moment_direction(
-            state.m[name], state.v[name], state.max_v[name], g,
-            b1t, hp.beta2, bc1, bc2, hp.epsilon, p_power,
-            use_max, power_eps,
-        )
-
-        if trigger is not None:
-            decision = _decide_projection(theta, g_raw, hp, eta_t, trigger)
-        else:
-            decision = ProjectionDecision(
-                trigger_value=cosine_similarity(theta, g_raw), threshold=0.0, projected=False
+        if adaptive:
+            m = state.m[name]
+            state.m_prev[name][:] = m
+            direction = moment_direction(
+                m, state.v[name], state.max_v[name], g,
+                b1t, hp.beta2, bc1, bc2, hp.epsilon, p_power,
+                use_max, power_eps,
             )
+            resid = check_lemma2(m, state.m_prev[name], g, b1t)
+            lemma2_max = max(lemma2_max, resid / (1.0 + float(np.linalg.norm(m))))
+            c1sq = state.c1[name] ** 2
+            lemma3_min = min(lemma3_min, float(c1sq - np.max(state.v[name])))
+        else:
+            # Undamped accumulation buf <- momentum * buf + g.
+            direction = state.momentum_buf[name]
+            direction *= hp.momentum
+            direction += g
+
+        decision = _decide_projection(theta, g_raw, hp, eta_t, trigger)
         if decision.projected:
             q = project_tangent(theta, direction)
         else:
@@ -156,8 +170,10 @@ def _adaptive_family_step(
         decay = hp.weight_decay > 0 and hp.wd_mode == "decoupled" and not (
             decision.projected and hp.wd_skip_projected
         )
-        base = (1.0 - eta_t * hp.weight_decay) * theta if decay else theta
-        new_values = base - eta_t * q
+        # A diverging step overflows here; the finiteness check reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = (1.0 - eta_t * hp.weight_decay) * theta if decay else theta
+            new_values = base - eta_t * q
         if not np.all(np.isfinite(new_values)):
             raise FloatingPointError(f"non-finite parameters after step in group {name!r}")
         new_params.append(ParamGroup(name, new_values))
@@ -168,21 +184,18 @@ def _adaptive_family_step(
             projected=decision.projected,
             effective_step_norm=float(np.linalg.norm(new_values - theta)),
         )
-        lemma2_max = max(lemma2_max, _lemma2_residual(state.m[name], state.m_prev[name], g, b1t))
-        c1sq = state.c1[name] ** 2
-        lemma3_min = min(lemma3_min, float(c1sq - np.max(state.v[name])))
 
     record = StepRecord(
         t=t,
         loss=float("nan"),
         grad_norm_sq=grad_norm_sq,
         eta_t=eta_t,
-        p_t_power=p_power,
+        p_t_power=p_power if adaptive else float("nan"),
         groups=group_records,
         lemma2_residual=lemma2_max,
         lemma3_margin=float(lemma3_min),
     )
-    return StepOutput(new_params=new_params, record=record)
+    return StepOutput(new_params=new_params, record=record, grads=grads_seen)
 
 
 def padamp_step(
@@ -199,8 +212,7 @@ def padamp_step(
     cos(theta, g) < delta * eta_t / sqrt(dim).
     """
     p = state.hp.p if p_now is None else p_now
-    return _adaptive_family_step(state, groups, grads, eta_t, p, use_max=False,
-                                 trigger="padamp")
+    return _step(state, groups, grads, eta_t, p, trigger="padamp")
 
 
 def adamp_step(
@@ -211,8 +223,7 @@ def adamp_step(
     p_now: Optional[float] = None,
 ) -> StepOutput:
     """Fully adaptive (p = 1/2) step with the learning-rate-free trigger delta / sqrt(dim)."""
-    return _adaptive_family_step(state, groups, grads, eta_t, 0.5, use_max=False,
-                                 trigger="adamp")
+    return _step(state, groups, grads, eta_t, 0.5, trigger="adamp")
 
 
 def padam_step(
@@ -224,8 +235,7 @@ def padam_step(
 ) -> StepOutput:
     """Partially adaptive step over the max-tracked second moment, no projection."""
     p = state.hp.p if p_now is None else p_now
-    return _adaptive_family_step(state, groups, grads, eta_t, p, use_max=True,
-                                 trigger=None)
+    return _step(state, groups, grads, eta_t, p, use_max=True)
 
 
 def adam_step(
@@ -236,8 +246,7 @@ def adam_step(
     p_now: Optional[float] = None,
 ) -> StepOutput:
     """Bias-corrected adaptive step, p = 1/2, no projection."""
-    return _adaptive_family_step(state, groups, grads, eta_t, 0.5, use_max=False,
-                                 trigger=None)
+    return _step(state, groups, grads, eta_t, 0.5)
 
 
 def amsgrad_step(
@@ -248,8 +257,7 @@ def amsgrad_step(
     p_now: Optional[float] = None,
 ) -> StepOutput:
     """Adaptive step over the max-tracked (uncorrected) second moment, p = 1/2."""
-    return _adaptive_family_step(state, groups, grads, eta_t, 0.5, use_max=True,
-                                 trigger=None)
+    return _step(state, groups, grads, eta_t, 0.5, use_max=True)
 
 
 def sgdm_step(
@@ -265,52 +273,7 @@ def sgdm_step(
     1 / (1 - momentum). Second-moment telemetry does not apply here; the
     lemma fields are recorded as nan.
     """
-    groups = list(groups)
-    check_grads(groups, grads)
-    if eta_t <= 0:
-        raise ValueError(f"eta_t must be positive, got {eta_t}")
-    hp = state.hp
-    state.t += 1
-    new_params: List[ParamGroup] = []
-    group_records: Dict[str, GroupRecord] = {}
-    grad_norm_sq = 0.0
-    for grp in groups:
-        name = grp.name
-        g = np.asarray(grads[name], dtype=np.float64)
-        theta = grp.values
-        gnorm = float(np.linalg.norm(g))
-        grad_norm_sq += gnorm * gnorm
-        state.c1[name] = max(state.c1[name], gnorm)
-        cos_raw = cosine_similarity(theta, g)
-        if hp.wd_mode == "coupled" and hp.weight_decay > 0:
-            g = g + hp.weight_decay * theta
-        buf = state.momentum_buf[name]
-        buf *= hp.momentum
-        buf += g
-        base = theta
-        if hp.wd_mode == "decoupled" and hp.weight_decay > 0:
-            base = (1.0 - eta_t * hp.weight_decay) * theta
-        new_values = base - eta_t * buf
-        if not np.all(np.isfinite(new_values)):
-            raise FloatingPointError(f"non-finite parameters after step in group {name!r}")
-        new_params.append(ParamGroup(name, new_values))
-        group_records[name] = GroupRecord(
-            param_norm=float(np.linalg.norm(theta)),
-            cos_sim=cos_raw,
-            projected=False,
-            effective_step_norm=float(np.linalg.norm(new_values - theta)),
-        )
-    record = StepRecord(
-        t=state.t,
-        loss=float("nan"),
-        grad_norm_sq=grad_norm_sq,
-        eta_t=eta_t,
-        p_t_power=float("nan"),
-        groups=group_records,
-        lemma2_residual=float("nan"),
-        lemma3_margin=float("nan"),
-    )
-    return StepOutput(new_params=new_params, record=record)
+    return _step(state, groups, grads, eta_t, None)
 
 
 _STEP_FNS: Dict[OptimizerKind, Callable] = {

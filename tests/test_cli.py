@@ -1,8 +1,12 @@
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import padamp
 from padamp.cli import main
 from padamp.harness import read_telemetry
 
@@ -178,3 +182,20 @@ def test_bad_input_exits_2_with_error_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("args", [
+    ["--set", "schedule.eta0=1e308", "--set", "run.init_scale=100", "--steps", "3"],
+    ["--set", "optimizer.kind=sgdm", "--set", "objective.name=rosenbrock",
+     "--set", "schedule.eta0=0.5"],
+])
+def test_diverging_run_prints_exactly_one_error_line(args, tmp_path):
+    # Overflow on the way to the abort must not add a RuntimeWarning to stderr.
+    src = os.path.dirname(os.path.dirname(padamp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "padamp.cli", "run", *args],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr

@@ -42,6 +42,10 @@ def test_hyperparams_defaults_valid():
         {"eps_mode": "inside"},
         {"wd_mode": "l2"},
         {"trigger_lr_mode": "warmup"},
+        {"eta0": float("inf")},
+        {"delta": float("inf")},
+        {"epsilon": float("inf")},
+        {"weight_decay": float("inf")},
     ],
 )
 def test_hyperparams_rejects_bad_values(kwargs):

@@ -105,7 +105,14 @@ def test_lemma2_detects_inconsistent_moment():
     assert check_lemma2(g, m_prev, g, beta1t=0.9) > 1.0
 
 
-@pytest.mark.parametrize("bad", [0.0, 1.0, 1.5, -0.2])
+def test_lemma2_beta_zero_is_plain_gradient():
+    # A geometric beta1,t schedule underflows to 0, where m_t = g_t.
+    g = np.array([2.0, -1.0])
+    assert check_lemma2(g, np.ones(2), g, beta1t=0.0) == 0.0
+    assert check_lemma2(np.zeros(2), np.ones(2), g, beta1t=0.0) > 1.0
+
+
+@pytest.mark.parametrize("bad", [1.0, 1.5, -0.2])
 def test_lemma2_rejects_degenerate_beta(bad):
     with pytest.raises(ValueError, match="beta1t"):
         check_lemma2(np.ones(2), np.zeros(2), np.ones(2), beta1t=bad)
@@ -168,8 +175,8 @@ def test_monitor_tracks_live_optimizer_steps():
     rng = seeded_rng(3)
     for t in range(1, 26):
         grads = {"theta": rng.standard_normal(8)}
-        step(state, groups, grads, eta_t=1e-3)
-        monitor.update(state, groups, grads, p_now=hp.p, beta1t=0.9)
+        out = step(state, groups, grads, eta_t=1e-3)
+        monitor.update(state, groups, out)
     assert monitor.steps == 25
     assert monitor.max_lemma2_residual < 1e-10
     for key, val in monitor.min_slacks.items():

@@ -165,6 +165,11 @@ def test_config_rejects_bad_fields():
     ("eta0", lambda: LRSchedule(eta0=float("nan"))),
     ("exponent a", lambda: LRSchedule(family="power", a=float("nan"))),
     ("init_scale", lambda: _quad_config(init_scale=float("nan"))),
+    pytest.param("eta0", lambda: LRSchedule(eta0=float("inf")), id="eta0-inf"),
+    pytest.param("exponent a", lambda: LRSchedule(family="power", a=float("inf")),
+                 id="exponent a-inf"),
+    pytest.param("init_scale", lambda: _quad_config(init_scale=float("inf")),
+                 id="init_scale-inf"),
 ])
 def test_config_rejects_nan(field, build):
     with pytest.raises(ValueError, match=field):
@@ -246,6 +251,25 @@ def test_run_reports_lemma_rows_only_for_adaptive_kinds():
     plain_names = [name for name, _, _ in plain.report.rows]
     assert "lemma2_max_scaled_residual" not in plain_names
     assert plain.report.all_passed
+
+
+def test_run_with_coupled_weight_decay_passes_every_check():
+    # The monitor's slacks use the gradients the moments saw, wd * theta included.
+    cfg = _quad_config(hp=table1_defaults("padamp", weight_decay=0.1, wd_mode="coupled"),
+                       steps=200)
+    result = run(cfg)
+    assert "lemma5_moment_diff_min" in [name for name, _, _ in result.report.rows]
+    assert result.report.all_passed, str(result.report)
+
+
+def test_geometric_beta1t_survives_underflow_to_zero():
+    # beta1 * 0.5**(t-1) underflows to 0.0 near t = 1075; the moment identity
+    # still holds there (m_t = g_t), so the run completes and passes.
+    cfg = build_config({}, {"hp.beta1t_mode": "geometric", "hp.lam": "0.5",
+                            "objective.dim": "5", "run.steps": "1100"})
+    result = run(cfg)
+    assert len(result.records) == 1100
+    assert result.report.all_passed, str(result.report)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -149,6 +149,19 @@ def test_coupled_weight_decay_feeds_moments():
     assert state.m["theta"][0] == pytest.approx(0.1 * (1.0 + 0.1 * 2.0), rel=1e-15)
 
 
+@pytest.mark.parametrize("fn", [padamp_step, sgdm_step])
+def test_step_reports_the_gradients_the_moments_saw(fn):
+    theta = np.array([2.0, -1.0])
+    g = np.array([0.5, 0.25])
+    coupled = HyperParams(weight_decay=0.1, wd_mode="coupled")
+    out = fn(new_state(_one_group(theta), coupled), _one_group(theta), _grads(g), 1e-3)
+    np.testing.assert_array_equal(out.grads["theta"], g + 0.1 * theta)
+
+    decoupled = coupled.with_(wd_mode="decoupled")
+    out = fn(new_state(_one_group(theta), decoupled), _one_group(theta), _grads(g), 1e-3)
+    np.testing.assert_array_equal(out.grads["theta"], g)
+
+
 def test_amsgrad_uses_max_buffer():
     hp = HyperParams(beta2=0.5, weight_decay=0.0)
     theta = np.array([1.0])
