@@ -23,7 +23,6 @@ from .diagnostics import (
     DiagnosticsReport,
     NormGrowthTrace,
     check_lemma2,
-    check_lemma3_4_5,
     momentum_norm_ratio_limit,
     simulate_norm_growth,
     track_convergence,
@@ -79,7 +78,6 @@ __all__ = [
     "DiagnosticsReport",
     "NormGrowthTrace",
     "check_lemma2",
-    "check_lemma3_4_5",
     "momentum_norm_ratio_limit",
     "simulate_norm_growth",
     "track_convergence",

@@ -128,55 +128,11 @@ def _cmd_norm_sim(args) -> int:
     return 0
 
 
-def _check_rows(cols: Dict[str, np.ndarray], limit: Optional[int]) -> DiagnosticsReport:
-    if limit is not None:
-        cols = {k: v[:limit] for k, v in cols.items()}
-    report = DiagnosticsReport()
-    t = cols["t"]
-    report.add("t_strictly_increasing", float(np.min(np.diff(t))) if t.size > 1 else 1.0,
-               t.size < 2 or bool(np.all(np.diff(t) > 0)))
-    epoch = cols["epoch"]
-    report.add("epoch_non_decreasing", 0.0,
-               epoch.size < 2 or bool(np.all(np.diff(epoch) >= 0)))
-    eta = cols["eta_t"]
-    rise = float(np.max(np.diff(eta))) if eta.size > 1 else 0.0
-    report.add("eta_max_increase", max(rise, 0.0), rise <= 0.0)
-    p = cols["p_now"][np.isfinite(cols["p_now"])]
-    p_rise = float(np.max(np.diff(p))) if p.size > 1 else 0.0
-    report.add("p_max_increase", max(p_rise, 0.0), p_rise <= 0.0)
-
-    must_be_finite = ["loss", "grad_norm_sq", "eta_t"]
-    must_be_finite += [c for c in cols
-                       if c.endswith("_param_norm") or c.endswith("_effective_step_norm")]
-    n_bad = sum(int(np.sum(~np.isfinite(cols[c]))) for c in must_be_finite)
-    report.add("non_finite_values", float(n_bad), n_bad == 0)
-
-    for c in cols:
-        if c.endswith("_projected"):
-            ok = bool(np.all(np.isin(cols[c], (0.0, 1.0))))
-            report.add(f"{c}_is_flag", 0.0 if ok else 1.0, ok)
-        if c.endswith("_cos_sim"):
-            vals = cols[c][np.isfinite(cols[c])]
-            ok = vals.size == 0 or bool(np.all((vals >= 0.0) & (vals <= 1.0)))
-            report.add(f"{c}_in_unit_interval", 0.0 if ok else 1.0, ok)
-
-    resid = cols["lemma2_residual"][np.isfinite(cols["lemma2_residual"])]
-    max_resid = float(resid.max()) if resid.size else 0.0
-    report.add("lemma2_max_scaled_residual", max_resid, max_resid < 1e-10)
-    margin = cols["lemma3_margin"][np.isfinite(cols["lemma3_margin"])]
-    min_margin = float(margin.min()) if margin.size else 0.0
-    report.add("lemma3_min_margin", min_margin, min_margin >= 0.0)
-
-    grad = cols["grad_norm_sq"]
-    running = np.minimum.accumulate(grad)
-    run_rise = float(np.max(np.diff(running))) if running.size > 1 else 0.0
-    report.add("running_min_max_increase", max(run_rise, 0.0), run_rise <= 0.0)
-    return report
-
-
 def _cmd_check(args) -> int:
     cols = harness.read_telemetry(args.csv)
-    report = _check_rows(cols, args.steps)
+    if args.steps is not None:
+        cols = {k: v[:args.steps] for k, v in cols.items()}
+    report = harness.check_telemetry(cols)
     print(report)
     if args.out:
         report.to_csv(args.out)

@@ -9,7 +9,7 @@ instance. Everything here is float64 end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "new_state",
     "beta1_at",
     "seeded_rng",
-    "spawn_rngs",
 ]
 
 # A gradient set is a mapping from group name to a dense vector shaped like
@@ -190,17 +189,6 @@ def beta1_at(t: int, hp: HyperParams) -> float:
 def seeded_rng(seed: int) -> np.random.Generator:
     """Deterministic generator; identical seed gives an identical stream."""
     return np.random.default_rng(np.random.SeedSequence(seed))
-
-
-def spawn_rngs(seed: int, n: int) -> List[np.random.Generator]:
-    """n independent child generators derived from one root seed.
-
-    Child streams are stable under n: extending the count does not change
-    earlier children, so run components (data, init, batching, eval) keep
-    their streams when new consumers are added.
-    """
-    children = np.random.SeedSequence(seed).spawn(n)
-    return [np.random.default_rng(c) for c in children]
 
 
 def check_grads(groups: Sequence[ParamGroup], grads: GradientSet) -> None:

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ._kernels import norm_growth_arrays
-from .core import HyperParams, OptimizerState, beta1_at
+from .core import OptimizerState
 
 __all__ = [
     "NormGrowthTrace",
@@ -24,7 +24,6 @@ __all__ = [
     "LemmaMonitor",
     "simulate_norm_growth",
     "check_lemma2",
-    "check_lemma3_4_5",
     "validate_schedule",
     "track_convergence",
     "momentum_norm_ratio_limit",
@@ -107,13 +106,15 @@ def _bound_slacks(
     c1: float,
     eps: float,
     p: float,
-    theta: Optional[np.ndarray],
+    theta: np.ndarray,
+    theta_norm: float,
 ) -> Dict[str, float]:
     """Per-step slacks of the second-moment/denominator/update bounds.
 
-    Uses the uncorrected buffers throughout. With theta absent, the radial
-    bound is checked against the norm of the preconditioned moment, which
-    dominates the inner product with any unit vector.
+    Uses the uncorrected buffers throughout. At theta = 0, which has no
+    radial direction, the radial bound is checked against the norm of the
+    preconditioned moment, which dominates the inner product with any unit
+    vector. The lemma-3 upper margin is the step's own record.
     """
     denom = (v + eps) ** p
     inv = 1.0 / denom
@@ -121,13 +122,12 @@ def _bound_slacks(
     hi = 1.0 / eps ** p
     slacks = {
         "lemma3_lower": float(np.min(v)),
-        "lemma3_upper": float(c1 * c1 - np.max(v)),
         "lemma4_lower": float(np.min(inv) - lo),
         "lemma4_upper": float(hi - np.max(inv)),
     }
     pre_m = m / denom
-    if theta is not None and np.linalg.norm(theta) > 0:
-        radial = float(theta @ pre_m) / float(np.linalg.norm(theta))
+    if theta_norm > 0:
+        radial = float(theta @ pre_m) / theta_norm
     else:
         radial = float(np.linalg.norm(pre_m))
     slacks["lemma5_radial"] = c1 / eps ** p - radial
@@ -141,24 +141,23 @@ def _bound_slacks(
 
 
 _SLACK_KEYS = (
-    "lemma3_lower", "lemma3_upper", "lemma4_lower", "lemma4_upper",
+    "lemma3_lower", "lemma4_lower", "lemma4_upper",
     "lemma5_radial", "lemma5_precond_sq", "lemma5_moment_diff",
 )
 
 
 class LemmaMonitor:
-    """Tracks minimum bound slacks and the maximum moment-identity residual live.
+    """Tracks the minimum lemma-3/4/5 bound slacks of a run live.
 
-    Feed it once per optimizer step with the step's StepOutput and the
-    pre-step parameter groups. The step already computed the lemma-2
-    residual and the gradients its moments saw; the monitor folds the former
-    and adds the lemma-3/4/5 slacks. Intended for run loops; the standalone
-    check_lemma3_4_5 replays a gradient history instead.
+    Feed it once per optimizer step with the pre-step parameter groups and
+    the step's StepOutput. The step records the lemma-2 residual and the
+    lemma-3 upper margin itself; the monitor adds the remaining slacks from
+    the post-step moments, the gradients the moments saw and the recorded
+    parameter norms.
     """
 
     def __init__(self):
         self.min_slacks: Dict[str, float] = {k: np.inf for k in _SLACK_KEYS}
-        self.max_lemma2_residual = 0.0
         self.steps = 0
 
     def update(self, state: OptimizerState, groups, out) -> None:
@@ -169,49 +168,11 @@ class LemmaMonitor:
             slacks = _bound_slacks(
                 state.m[name], state.m_prev[name], state.v[name], out.grads[name],
                 state.c1[name], hp.epsilon, p_now, grp.values,
+                out.record.groups[name].param_norm,
             )
             for k, s in slacks.items():
                 self.min_slacks[k] = min(self.min_slacks[k], s)
-        self.max_lemma2_residual = max(self.max_lemma2_residual,
-                                       out.record.lemma2_residual)
         self.steps += 1
-
-
-def check_lemma3_4_5(
-    state: OptimizerState,
-    grads_history: Sequence[Dict[str, np.ndarray]],
-    params_history: Optional[Sequence] = None,
-) -> Dict[str, float]:
-    """Replay a gradient history through fresh moment buffers; return min slacks.
-
-    The running bound constant C1 is the max gradient norm seen so far per
-    group. params_history (sequence of group lists) sharpens the radial bound
-    when available.
-    """
-    hp = state.hp
-    if not grads_history:
-        raise ValueError("empty gradient history")
-    names = list(grads_history[0].keys())
-    m = {n: np.zeros_like(grads_history[0][n]) for n in names}
-    v = {n: np.zeros_like(grads_history[0][n]) for n in names}
-    c1 = {n: 0.0 for n in names}
-    mins = {k: np.inf for k in _SLACK_KEYS}
-    for t, grads in enumerate(grads_history, start=1):
-        b1t = beta1_at(t, hp)
-        for n in names:
-            g = np.asarray(grads[n], dtype=np.float64)
-            c1[n] = max(c1[n], float(np.linalg.norm(g)))
-            m_prev = m[n].copy()
-            m[n] = b1t * m[n] + (1.0 - b1t) * g
-            v[n] = hp.beta2 * v[n] + (1.0 - hp.beta2) * g * g
-            theta = None
-            if params_history is not None:
-                theta = {pg.name: pg.values for pg in params_history[t - 1]}.get(n)
-            slacks = _bound_slacks(m[n], m_prev, v[n], g, c1[n], hp.epsilon,
-                                   hp.p, theta)
-            for k, s in slacks.items():
-                mins[k] = min(mins[k], s)
-    return {k: float(val) for k, val in mins.items()}
 
 
 @dataclass(frozen=True)

@@ -45,8 +45,10 @@ __all__ = [
     "schedule_p",
     "run",
     "sweep",
+    "telemetry_columns",
     "write_telemetry",
     "read_telemetry",
+    "check_telemetry",
     "parse_config_file",
     "build_config",
     "CONFIG_KEYS",
@@ -194,6 +196,9 @@ class ExperimentConfig:
             raise ValueError("eval_window, eval_every, steps_per_epoch must be >= 1")
         if not 0 < self.init_scale < math.inf:
             raise ValueError(f"init_scale must be positive and finite, got {self.init_scale}")
+        if self.p_schedule is not None and self.p_schedule.new_p > self.hp.p:
+            raise ValueError(f"p_schedule.new_p must not exceed hp.p (the schedule only "
+                             f"decays p), got {self.p_schedule.new_p} > {self.hp.p}")
 
 
 @dataclass
@@ -290,7 +295,7 @@ def run(config: ExperimentConfig) -> RunResult:
         params = out.new_params
 
     trace = track_convergence(eval_estimates, eval_ts)
-    report = _build_report(config, records, monitor, trace)
+    report = _build_report(config, telemetry_columns(records), monitor, trace)
     final_acc = objective.accuracy(params)
     summary = {
         "final_loss": records[-1].loss,
@@ -304,36 +309,19 @@ def run(config: ExperimentConfig) -> RunResult:
     return result
 
 
-def _build_report(config: ExperimentConfig, records: Sequence[StepRecord],
+def _build_report(config: ExperimentConfig, cols: Dict[str, np.ndarray],
                   monitor: Optional[LemmaMonitor],
                   trace: ConvergenceTrace) -> DiagnosticsReport:
-    report = DiagnosticsReport()
+    """check_telemetry's rows plus what the telemetry CSV cannot hold."""
+    report = check_telemetry(cols)
     verdict = validate_schedule(
         config.schedule.family, config.schedule.eta0,
         config.schedule.a if config.schedule.family == "power" else None)
     # Informational: theorem-mode schedules are flagged, not failed.
     report.add("schedule_theorem_assumptions",
                1.0 if verdict.satisfies_assumptions else 0.0, True)
-
-    etas = np.array([r.eta_t for r in records])
-    rises = np.diff(etas)
-    max_rise = float(rises.max()) if rises.size else 0.0
-    report.add("eta_max_increase", max(max_rise, 0.0), max_rise <= 0.0)
-
-    finite_fields = [r.loss for r in records] + [r.grad_norm_sq for r in records]
-    for r in records:
-        for gr in r.groups.values():
-            finite_fields.extend((gr.param_norm, gr.effective_step_norm))
-    n_bad = int(np.sum(~np.isfinite(np.asarray(finite_fields))))
-    report.add("non_finite_values", float(n_bad), n_bad == 0)
-
-    mins = np.diff(trace.running_min)
-    min_rise = float(mins.max()) if mins.size else 0.0
-    report.add("running_min_max_increase", max(min_rise, 0.0), min_rise <= 0.0)
-
+    _add_max_increase(report, "running_min_max_increase", trace.running_min)
     if monitor is not None:
-        report.add("lemma2_max_scaled_residual", monitor.max_lemma2_residual,
-                   monitor.max_lemma2_residual < 1e-10)
         for key, slack in monitor.min_slacks.items():
             report.add(f"{key}_min", slack, slack >= 0.0)
     return report
@@ -410,36 +398,43 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def telemetry_header(group_names: Sequence[str]) -> List[str]:
-    cols = ["t", "epoch", "eta_t", "p_now", "loss", "grad_norm_sq"]
-    for name in group_names:
-        cols += [f"{name}_param_norm", f"{name}_cos_sim", f"{name}_projected",
-                 f"{name}_effective_step_norm"]
-    cols += ["lemma2_residual", "lemma3_margin"]
-    return cols
+def telemetry_columns(records: Sequence[StepRecord]) -> Dict[str, np.ndarray]:
+    """The telemetry table as named columns, in CSV order.
+
+    t, epoch and the projected flags are int64, every other column float64;
+    read_telemetry gives the same names and values back, all as float64.
+    """
+    if not records:
+        raise ValueError("no records to tabulate")
+    cols = {
+        "t": [r.t for r in records],
+        "epoch": [r.epoch for r in records],
+        "eta_t": [r.eta_t for r in records],
+        "p_now": [r.p_t_power for r in records],
+        "loss": [r.loss for r in records],
+        "grad_norm_sq": [r.grad_norm_sq for r in records],
+    }
+    for name in records[0].groups:
+        grs = [r.groups[name] for r in records]
+        cols[f"{name}_param_norm"] = [gr.param_norm for gr in grs]
+        cols[f"{name}_cos_sim"] = [gr.cos_sim for gr in grs]
+        cols[f"{name}_projected"] = [gr.projected for gr in grs]
+        cols[f"{name}_effective_step_norm"] = [gr.effective_step_norm for gr in grs]
+    cols["lemma2_residual"] = [r.lemma2_residual for r in records]
+    cols["lemma3_margin"] = [r.lemma3_margin for r in records]
+    return {k: np.asarray(v, dtype=np.int64 if k in ("t", "epoch") or
+                          k.endswith("_projected") else np.float64)
+            for k, v in cols.items()}
 
 
 def write_telemetry(records: Sequence[StepRecord], path: str) -> None:
-    """Pinned per-step CSV schema; repr() floats so reruns are byte-identical."""
-    if not records:
-        raise ValueError("no records to write")
-
-    def f(x) -> str:
-        return repr(float(x))
-
-    group_names = list(records[0].groups.keys())
+    """Pinned per-step CSV schema; csv writes floats with repr(), so reruns
+    are byte-identical."""
+    cols = telemetry_columns(records)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(telemetry_header(group_names))
-        for r in records:
-            row = [r.t, r.epoch, f(r.eta_t), f(r.p_t_power), f(r.loss),
-                   f(r.grad_norm_sq)]
-            for name in group_names:
-                gr = r.groups[name]
-                row += [f(gr.param_norm), f(gr.cos_sim), int(gr.projected),
-                        f(gr.effective_step_norm)]
-            row += [f(r.lemma2_residual), f(r.lemma3_margin)]
-            w.writerow(row)
+        w.writerow(cols)
+        w.writerows(zip(*(v.tolist() for v in cols.values())))
 
 
 def read_telemetry(path: str) -> Dict[str, np.ndarray]:
@@ -452,6 +447,53 @@ def read_telemetry(path: str) -> Dict[str, np.ndarray]:
     if data.ndim != 2 or data.shape[1] != len(header):
         raise ValueError(f"malformed telemetry CSV {path}")
     return {name: data[:, j] for j, name in enumerate(header)}
+
+
+def _add_max_increase(report: DiagnosticsReport, name: str, x: np.ndarray) -> None:
+    """Row passing when x never rises; its value is the largest rise, or 0."""
+    rise = float(np.max(np.diff(x))) if x.size > 1 else 0.0
+    report.add(name, max(rise, 0.0), rise <= 0.0)
+
+
+def check_telemetry(cols: Dict[str, np.ndarray]) -> DiagnosticsReport:
+    """Every invariant a telemetry table can show, one report row each.
+
+    Takes telemetry_columns of a live run or read_telemetry of its CSV. The
+    lemma rows appear only when their column holds a finite value; sgdm
+    records nan there.
+    """
+    report = DiagnosticsReport()
+    t = cols["t"]
+    report.add("t_strictly_increasing", float(np.min(np.diff(t))) if t.size > 1 else 1.0,
+               t.size < 2 or bool(np.all(np.diff(t) > 0)))
+    epoch = cols["epoch"]
+    report.add("epoch_non_decreasing", 0.0,
+               epoch.size < 2 or bool(np.all(np.diff(epoch) >= 0)))
+    _add_max_increase(report, "eta_max_increase", cols["eta_t"])
+    _add_max_increase(report, "p_max_increase", cols["p_now"][np.isfinite(cols["p_now"])])
+
+    must_be_finite = ["loss", "grad_norm_sq", "eta_t"]
+    must_be_finite += [c for c in cols
+                       if c.endswith("_param_norm") or c.endswith("_effective_step_norm")]
+    n_bad = sum(int(np.sum(~np.isfinite(cols[c]))) for c in must_be_finite)
+    report.add("non_finite_values", float(n_bad), n_bad == 0)
+
+    for c in cols:
+        if c.endswith("_projected"):
+            ok = bool(np.all(np.isin(cols[c], (0.0, 1.0))))
+            report.add(f"{c}_is_flag", 0.0 if ok else 1.0, ok)
+        if c.endswith("_cos_sim"):
+            vals = cols[c][np.isfinite(cols[c])]
+            ok = vals.size == 0 or bool(np.all((vals >= 0.0) & (vals <= 1.0)))
+            report.add(f"{c}_in_unit_interval", 0.0 if ok else 1.0, ok)
+
+    resid = cols["lemma2_residual"][np.isfinite(cols["lemma2_residual"])]
+    if resid.size:
+        report.add("lemma2_max_scaled_residual", resid.max(), resid.max() < 1e-10)
+    margin = cols["lemma3_margin"][np.isfinite(cols["lemma3_margin"])]
+    if margin.size:
+        report.add("lemma3_upper_min", margin.min(), margin.min() >= 0.0)
+    return report
 
 
 def _parse_bool(s: str) -> bool:

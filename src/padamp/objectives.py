@@ -2,13 +2,12 @@
 
 Analytic objectives (quadratic, rosenbrock, scale-invariant) ignore batches.
 Dataset objectives (logistic blobs, tiny batch-normalized MLP) take an index
-array into their SyntheticDataset; full_grad evaluates the whole dataset. All
-gradients are returned as flat per-group vectors matching group_layout.
+array into their SyntheticDataset; without one they evaluate the whole dataset.
+All gradients are returned as flat per-group vectors matching group_layout.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence
 
@@ -59,29 +58,9 @@ class SyntheticDataset:
         """One uniform batch without replacement (for evaluation windows)."""
         return rng.choice(self.n, size=min(batch_size, self.n), replace=False)
 
-    def export_csv(self, path) -> None:
-        """Write feature columns then the label column."""
-        d = self.features.shape[1]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow([f"f{j}" for j in range(d)] + ["label"])
-            for x, y in zip(self.features, self.labels):
-                w.writerow([repr(float(v)) for v in x] + [int(y)])
-
-    @classmethod
-    def import_csv(cls, path) -> "SyntheticDataset":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if len(rows) < 2:
-            raise ValueError(f"no data rows in {path}")
-        body = rows[1:]
-        feats = np.array([[float(v) for v in r[:-1]] for r in body])
-        labels = np.array([int(r[-1]) for r in body])
-        return cls(features=feats, labels=labels)
-
 
 class Objective:
-    """Base interface: loss value, analytic per-group gradient, full-data gradient."""
+    """Base interface: loss value and analytic per-group gradient."""
 
     name: str = ""
     group_layout: Dict[str, int] = {}
@@ -93,11 +72,6 @@ class Objective:
 
     def grad(self, params: Sequence[ParamGroup], batch: Optional[np.ndarray] = None) -> GradientSet:
         raise NotImplementedError
-
-    def full_grad(self, params: Sequence[ParamGroup]) -> GradientSet:
-        if self.dataset is None:
-            return self.grad(params)
-        return self.grad(params, np.arange(self.dataset.n))
 
     def init_params(self, rng: np.random.Generator, scale: float = 1.0) -> List[ParamGroup]:
         return [

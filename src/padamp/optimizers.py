@@ -136,30 +136,33 @@ def _step(
         grad_norm_sq += gnorm * gnorm
         state.c1[name] = max(state.c1[name], gnorm)
         # Coupled decay folds wd * theta into the gradient seen by the
-        # moments; telemetry and the trigger keep the raw gradient.
-        if hp.wd_mode == "coupled" and hp.weight_decay > 0:
-            g = g_raw + hp.weight_decay * theta
-        else:
-            g = g_raw
-        grads_seen[name] = g
+        # moments; telemetry and the trigger keep the raw gradient. A step
+        # that diverges through it overflows here; the finiteness check on
+        # the new parameters reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if hp.wd_mode == "coupled" and hp.weight_decay > 0:
+                g = g_raw + hp.weight_decay * theta
+            else:
+                g = g_raw
+            grads_seen[name] = g
 
-        if adaptive:
-            m = state.m[name]
-            state.m_prev[name][:] = m
-            direction = moment_direction(
-                m, state.v[name], state.max_v[name], g,
-                b1t, hp.beta2, bc1, bc2, hp.epsilon, p_power,
-                use_max, power_eps,
-            )
-            resid = check_lemma2(m, state.m_prev[name], g, b1t)
-            lemma2_max = max(lemma2_max, resid / (1.0 + float(np.linalg.norm(m))))
-            c1sq = state.c1[name] ** 2
-            lemma3_min = min(lemma3_min, float(c1sq - np.max(state.v[name])))
-        else:
-            # Undamped accumulation buf <- momentum * buf + g.
-            direction = state.momentum_buf[name]
-            direction *= hp.momentum
-            direction += g
+            if adaptive:
+                m = state.m[name]
+                state.m_prev[name][:] = m
+                direction = moment_direction(
+                    m, state.v[name], state.max_v[name], g,
+                    b1t, hp.beta2, bc1, bc2, hp.epsilon, p_power,
+                    use_max, power_eps,
+                )
+                resid = check_lemma2(m, state.m_prev[name], g, b1t)
+                lemma2_max = max(lemma2_max, resid / (1.0 + float(np.linalg.norm(m))))
+                c1sq = state.c1[name] ** 2
+                lemma3_min = min(lemma3_min, float(c1sq - np.max(state.v[name])))
+            else:
+                # Undamped accumulation buf <- momentum * buf + g.
+                direction = state.momentum_buf[name]
+                direction *= hp.momentum
+                direction += g
 
         decision = _decide_projection(theta, g_raw, hp, eta_t, trigger)
         if decision.projected:

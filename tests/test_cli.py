@@ -69,18 +69,20 @@ def test_check_passes_on_fresh_telemetry(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def _tamper_loss(path, row_index, value="inf"):
+def _tamper(path, column, row_index, value):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    loss_col = rows[0].index("loss")
-    rows[1 + row_index][loss_col] = value
+    rows[1 + row_index][rows[0].index(column)] = value
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def test_check_fails_on_tampered_rows_and_limit_skips_them(tmp_path, capsys):
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("column", ["loss", "grad_norm_sq"])
+def test_check_fails_on_tampered_rows_and_limit_skips_them(column, value, tmp_path,
+                                                          capsys):
     out = _run_csv(tmp_path, steps="6")
-    _tamper_loss(out, row_index=4)
+    _tamper(out, column, row_index=4, value=value)
     assert main(["check", "--csv", str(out)]) == 1
     assert "FAIL" in capsys.readouterr().out
     # the bad row sits past the inspection window
@@ -177,6 +179,8 @@ def test_sweep_writes_summary_and_per_value_lines(tmp_path, capsys):
     ["norm-sim", "--beta", ""],
     ["run", "--set", "schedule.eta0=1e308", "--set", "run.init_scale=100",
      "--steps", "3"],
+    ["run", "--set", "p_schedule.decay_epoch=2", "--set", "p_schedule.new_p=0.5",
+     "--set", "run.steps_per_epoch=5", "--steps", "20"],
 ])
 def test_bad_input_exits_2_with_error_line(argv, capsys):
     assert main(argv) == 2
@@ -188,6 +192,8 @@ def test_bad_input_exits_2_with_error_line(argv, capsys):
     ["--set", "schedule.eta0=1e308", "--set", "run.init_scale=100", "--steps", "3"],
     ["--set", "optimizer.kind=sgdm", "--set", "objective.name=rosenbrock",
      "--set", "schedule.eta0=0.5"],
+    ["--set", "hp.wd_mode=coupled", "--set", "hp.weight_decay=1e307",
+     "--set", "run.init_scale=100", "--steps", "3"],
 ])
 def test_diverging_run_prints_exactly_one_error_line(args, tmp_path):
     # Overflow on the way to the abort must not add a RuntimeWarning to stderr.

@@ -8,7 +8,6 @@ from padamp.core import (
     check_grads,
     new_state,
     seeded_rng,
-    spawn_rngs,
 )
 
 
@@ -119,8 +118,3 @@ def test_rng_determinism():
     a = seeded_rng(7).standard_normal(4)
     b = seeded_rng(7).standard_normal(4)
     assert np.array_equal(a, b)
-
-    # spawned children are independent of how many siblings exist
-    first_of_two = spawn_rngs(3, 2)[0].standard_normal(4)
-    first_of_four = spawn_rngs(3, 4)[0].standard_normal(4)
-    assert np.array_equal(first_of_two, first_of_four)

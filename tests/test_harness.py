@@ -8,6 +8,7 @@ from padamp.harness import (
     PSchedule,
     build_config,
     build_objective,
+    check_telemetry,
     parse_config_file,
     read_telemetry,
     run,
@@ -15,7 +16,6 @@ from padamp.harness import (
     schedule_p,
     sweep,
     table1_defaults,
-    telemetry_header,
     write_telemetry,
 )
 from padamp.optimizers import OptimizerKind
@@ -253,6 +253,28 @@ def test_run_reports_lemma_rows_only_for_adaptive_kinds():
     assert plain.report.all_passed
 
 
+@pytest.mark.parametrize("over", [
+    {"objective.name": "tiny_mlp", "objective.n": "64", "run.batch_size": "16"},
+    {"optimizer.kind": "sgdm", "objective.name": "logistic", "objective.n": "64",
+     "run.batch_size": "16"},
+    {"objective.name": "scale_invariant", "objective.dim": "8"},
+], ids=["padamp_tiny_mlp", "sgdm_logistic", "padamp_scale_invariant"])
+def test_run_report_holds_the_rows_check_gives_its_csv(over, tmp_path):
+    path = tmp_path / "t.csv"
+    cfg = build_config({}, dict(over, **{"run.steps": "40", "run.out": str(path)}))
+    result = run(cfg)
+    live = {name: (value, passed) for name, value, passed in result.report.rows}
+    replayed = check_telemetry(read_telemetry(str(path))).rows
+    assert any(name == "non_finite_values" for name, _, _ in replayed)
+    for name, value, passed in replayed:
+        assert live[name] == (value, passed), name
+    lemma_rows = [name for name in live if name.startswith("lemma")]
+    if cfg.optimizer == OptimizerKind.SGDM:
+        assert lemma_rows == []
+    else:
+        assert {"lemma2_max_scaled_residual", "lemma3_upper_min"} <= set(lemma_rows)
+
+
 def test_run_with_coupled_weight_decay_passes_every_check():
     # The monitor's slacks use the gradients the moments saw, wd * theta included.
     cfg = _quad_config(hp=table1_defaults("padamp", weight_decay=0.1, wd_mode="coupled"),
@@ -291,7 +313,10 @@ def test_run_writes_and_reads_back_telemetry(tmp_path):
     path = tmp_path / "telemetry.csv"
     result = run(_quad_config(output_path=str(path)))
     cols = read_telemetry(str(path))
-    assert set(cols) == set(telemetry_header(["theta"]))
+    assert list(cols) == ["t", "epoch", "eta_t", "p_now", "loss", "grad_norm_sq",
+                          "theta_param_norm", "theta_cos_sim", "theta_projected",
+                          "theta_effective_step_norm", "lemma2_residual",
+                          "lemma3_margin"]
     np.testing.assert_array_equal(cols["t"], [r.t for r in result.records])
     np.testing.assert_array_equal(cols["loss"], [r.loss for r in result.records])
     np.testing.assert_array_equal(
@@ -443,6 +468,8 @@ def test_build_config_rejects_unknown_keys_and_half_p_schedule():
         build_config({"hp.gamma": "1.0"})
     with pytest.raises(ValueError, match="both decay_epoch and new_p"):
         build_config({"p_schedule.new_p": "0.125"})
+    with pytest.raises(ValueError, match="p_schedule.new_p must not exceed hp.p"):
+        build_config({"p_schedule.decay_epoch": "2", "p_schedule.new_p": "0.5"})
     with pytest.raises(ValueError, match="expected a boolean"):
         build_config({"hp.wd_skip_projected": "maybe"})
 

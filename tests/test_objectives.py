@@ -126,7 +126,7 @@ def test_logistic_labels_and_accuracy_along_separating_axis():
 def test_logistic_minibatch_grads_average_to_full_gradient():
     obj = logistic_regression(d=6, n=512, seed=2)
     th = _theta(seeded_rng(5).standard_normal(6) * 0.3)
-    full = obj.full_grad(th)["theta"]
+    full = obj.grad(th)["theta"]  # no batch: the whole dataset
     parts = []
     for batch in obj.dataset.epoch_batches(32, seeded_rng(9)):
         assert len(batch) == 32  # 512 splits evenly
@@ -151,15 +151,6 @@ def test_logistic_rejects_degenerate_sizes():
 
 # ------------------------------------------------------------------ dataset
 
-def test_dataset_csv_round_trip(tmp_path):
-    ds = logistic_regression(d=3, n=20, seed=4).dataset
-    path = tmp_path / "data.csv"
-    ds.export_csv(path)
-    back = SyntheticDataset.import_csv(path)
-    np.testing.assert_array_equal(back.features, ds.features)
-    np.testing.assert_array_equal(back.labels, ds.labels)
-
-
 def test_dataset_epoch_batches_partition_without_replacement():
     ds = SyntheticDataset(features=np.arange(14.0).reshape(7, 2),
                           labels=np.zeros(7, dtype=int))
@@ -177,13 +168,9 @@ def test_dataset_sample_is_without_replacement():
     assert len(ds.sample(50, seeded_rng(1))) == 10
 
 
-def test_dataset_rejects_shape_mismatch_and_empty_csv(tmp_path):
+def test_dataset_rejects_shape_mismatch_and_empty_csv():
     with pytest.raises(ValueError, match="one label per row"):
         SyntheticDataset(features=np.zeros((4, 2)), labels=np.zeros(3, dtype=int))
-    path = tmp_path / "empty.csv"
-    path.write_text("f0,label\n")
-    with pytest.raises(ValueError, match="no data rows"):
-        SyntheticDataset.import_csv(path)
 
 
 # ----------------------------------------------------------------- tiny MLP
