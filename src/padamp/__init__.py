@@ -9,109 +9,4 @@ harness with CSV telemetry, and executable checks of the supporting
 bounds live in the submodules.
 """
 
-from .core import (
-    GroupRecord,
-    HyperParams,
-    OptimizerState,
-    ParamGroup,
-    StepRecord,
-    beta1_at,
-    new_state,
-)
-from .diagnostics import (
-    ConvergenceTrace,
-    DiagnosticsReport,
-    NormGrowthTrace,
-    check_lemma2,
-    momentum_norm_ratio_limit,
-    simulate_norm_growth,
-    track_convergence,
-    validate_schedule,
-)
-from .geometry import cosine_similarity, project_tangent, projection_condition
-from .harness import (
-    ExperimentConfig,
-    LRSchedule,
-    PSchedule,
-    RunResult,
-    build_config,
-    build_objective,
-    run,
-    schedule_lr,
-    schedule_p,
-    sweep,
-    table1_defaults,
-)
-from .objectives import (
-    Objective,
-    SyntheticDataset,
-    finite_difference_grad,
-    logistic_regression,
-    quadratic,
-    rosenbrock,
-    scale_invariant_objective,
-    tiny_mlp,
-)
-from .optimizers import (
-    OptimizerKind,
-    StepOutput,
-    adam_step,
-    adamp_step,
-    amsgrad_step,
-    make_step,
-    padam_step,
-    padamp_step,
-    sgdm_step,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "GroupRecord",
-    "HyperParams",
-    "OptimizerState",
-    "ParamGroup",
-    "StepRecord",
-    "beta1_at",
-    "new_state",
-    "ConvergenceTrace",
-    "DiagnosticsReport",
-    "NormGrowthTrace",
-    "check_lemma2",
-    "momentum_norm_ratio_limit",
-    "simulate_norm_growth",
-    "track_convergence",
-    "validate_schedule",
-    "cosine_similarity",
-    "project_tangent",
-    "projection_condition",
-    "ExperimentConfig",
-    "LRSchedule",
-    "PSchedule",
-    "RunResult",
-    "build_config",
-    "build_objective",
-    "run",
-    "schedule_lr",
-    "schedule_p",
-    "sweep",
-    "table1_defaults",
-    "Objective",
-    "SyntheticDataset",
-    "finite_difference_grad",
-    "logistic_regression",
-    "quadratic",
-    "rosenbrock",
-    "scale_invariant_objective",
-    "tiny_mlp",
-    "OptimizerKind",
-    "StepOutput",
-    "adam_step",
-    "adamp_step",
-    "amsgrad_step",
-    "make_step",
-    "padam_step",
-    "padamp_step",
-    "sgdm_step",
-    "__version__",
-]

@@ -129,6 +129,8 @@ def _cmd_norm_sim(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.steps is not None and args.steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
     cols = harness.read_telemetry(args.csv)
     if args.steps is not None:
         cols = {k: v[:args.steps] for k, v in cols.items()}

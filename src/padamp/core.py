@@ -100,6 +100,9 @@ class HyperParams:
             raise ValueError(f"eps_mode must be 'power' or 'post', got {self.eps_mode!r}")
         if self.wd_mode not in ("decoupled", "coupled"):
             raise ValueError(f"wd_mode must be 'decoupled' or 'coupled', got {self.wd_mode!r}")
+        if not isinstance(self.wd_skip_projected, bool):
+            raise ValueError(
+                f"wd_skip_projected must be a bool, got {self.wd_skip_projected!r}")
         if self.trigger_lr_mode not in ("scheduled", "base"):
             raise ValueError(
                 f"trigger_lr_mode must be 'scheduled' or 'base', got {self.trigger_lr_mode!r}"

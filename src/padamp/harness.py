@@ -327,28 +327,43 @@ def _build_report(config: ExperimentConfig, cols: Dict[str, np.ndarray],
     return report
 
 
+# Sweep-axis shorthands for config keys. A sweep value is one scalar, so the
+# output path and the milestone tuple are not axes.
+_AXIS_ALIASES = {"p": "hp.p", "lr": "schedule.eta0", "optimizer": "optimizer.kind",
+                 "seed": "run.seed", "batch_size": "run.batch_size",
+                 "steps": "run.steps", "epochs": "run.epochs",
+                 "init_scale": "run.init_scale"}
+_NOT_AXES = ("run.out", "schedule.milestones")
+
+
 def _with_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    """Config copy with one swept parameter replaced."""
-    alias = {"p": "hp.p", "lr": "schedule.eta0"}
-    axis = alias.get(axis, axis)
-    if axis in ("optimizer", "optimizer.kind"):
+    """Config copy with one swept config key (or its alias) replaced."""
+    key = _AXIS_ALIASES.get(axis, axis)
+    if key not in CONFIG_KEYS or key in _NOT_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    section, _, name = key.partition(".")
+    if key == "optimizer.kind":
         kind = OptimizerKind(value)
         hp = table1_defaults(kind, p=config.hp.p,
                              beta1t_mode=config.hp.beta1t_mode, lam=config.hp.lam)
         return replace(config, optimizer=kind, hp=hp,
                        schedule=replace(config.schedule, eta0=hp.eta0))
-    if axis.startswith("hp."):
-        return replace(config, hp=config.hp.with_(**{axis[3:]: value}))
-    if axis.startswith("schedule."):
-        return replace(config, schedule=replace(config.schedule,
-                                                **{axis[9:]: value}))
-    if axis.startswith("objective."):
-        new_params = dict(config.objective_params)
-        new_params[axis[10:]] = value
-        return replace(config, objective_params=new_params)
-    if axis in ("seed", "batch_size", "steps", "epochs", "init_scale"):
-        return replace(config, **{axis: value})
-    raise ValueError(f"unknown sweep axis {axis!r}")
+    if key == "objective.name":
+        return replace(config, objective=value)
+    if section == "hp":
+        if isinstance(value, str):
+            value = _HP_CAST[name](value)
+        return replace(config, hp=config.hp.with_(**{name: value}))
+    if section == "schedule":
+        return replace(config, schedule=replace(config.schedule, **{name: value}))
+    if section == "p_schedule":
+        if config.p_schedule is None:
+            raise ValueError(f"sweep axis {axis!r} needs a p schedule in the base config")
+        return replace(config, p_schedule=replace(config.p_schedule, **{name: value}))
+    if section == "objective":
+        return replace(config, objective_params=dict(config.objective_params,
+                                                     **{name: value}))
+    return replace(config, **{name: value})
 
 
 def sweep(base_config: ExperimentConfig, axis: str, values: Sequence,
@@ -455,6 +470,11 @@ def _add_max_increase(report: DiagnosticsReport, name: str, x: np.ndarray) -> No
     report.add(name, max(rise, 0.0), rise <= 0.0)
 
 
+# The columns every telemetry table holds besides the per-group ones.
+_STEP_COLUMNS = ("t", "epoch", "eta_t", "p_now", "loss", "grad_norm_sq",
+                 "lemma2_residual", "lemma3_margin")
+
+
 def check_telemetry(cols: Dict[str, np.ndarray]) -> DiagnosticsReport:
     """Every invariant a telemetry table can show, one report row each.
 
@@ -462,6 +482,11 @@ def check_telemetry(cols: Dict[str, np.ndarray]) -> DiagnosticsReport:
     lemma rows appear only when their column holds a finite value; sgdm
     records nan there.
     """
+    missing = [c for c in _STEP_COLUMNS if c not in cols]
+    if missing:
+        raise ValueError(f"not a telemetry table: missing columns {', '.join(missing)}")
+    if cols["t"].size == 0:
+        raise ValueError("telemetry table has no rows to check")
     report = DiagnosticsReport()
     t = cols["t"]
     report.add("t_strictly_increasing", float(np.min(np.diff(t))) if t.size > 1 else 1.0,

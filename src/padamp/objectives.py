@@ -8,6 +8,7 @@ All gradients are returned as flat per-group vectors matching group_layout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence
 
@@ -125,6 +126,8 @@ def quadratic(dim: int, a_diag=None, b=None, condition: float = 1.0) -> Objectiv
     ``condition`` so the condition number is explicit.
     """
     if a_diag is None:
+        if not 0 < condition < math.inf:
+            raise ValueError(f"condition must be positive and finite, got {condition}")
         a_diag = np.geomspace(1.0, float(condition), dim) if condition != 1.0 else np.ones(dim)
     if b is None:
         b = np.zeros(dim)
@@ -225,6 +228,8 @@ class _Logistic(Objective):
             raise ValueError(f"need d >= 1, got {d}")
         if n < 2:
             raise ValueError(f"need at least 2 examples, got {n}")
+        if not 0 <= separation < math.inf:
+            raise ValueError(f"separation must be non-negative and finite, got {separation}")
         feats, labels, axis = _two_blobs(d, n, separation, seeded_rng(seed))
         self.name = "logistic"
         self.dataset = SyntheticDataset(features=feats, labels=labels)
@@ -291,6 +296,8 @@ class _TinyMLP(Objective):
             raise ValueError("d_in, hidden and classes must all be >= 2")
         if n < 2:
             raise ValueError(f"need at least 2 examples, got {n}")
+        if not 0 <= separation < math.inf:
+            raise ValueError(f"separation must be non-negative and finite, got {separation}")
         rng = seeded_rng(seed)
         centers = _class_centers(d_in, classes, separation, rng)
         labels = np.arange(n) % classes

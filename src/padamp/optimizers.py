@@ -39,6 +39,7 @@ from .diagnostics import check_lemma2
 from .geometry import (
     ProjectionDecision,
     cosine_similarity,
+    norm,
     project_tangent,
     projection_condition,
 )
@@ -75,23 +76,6 @@ class StepOutput:
     grads: GradientSet
 
 
-def _decide_projection(
-    theta: np.ndarray, grad: np.ndarray, hp: HyperParams, eta_t: float,
-    trigger: Optional[str],
-) -> ProjectionDecision:
-    if trigger is None or hp.delta == 0.0:
-        return ProjectionDecision(
-            trigger_value=cosine_similarity(theta, grad), threshold=0.0, projected=False
-        )
-    if trigger == "padamp":
-        eta_for_trigger = eta_t if hp.trigger_lr_mode == "scheduled" else hp.eta0
-        return projection_condition(theta, grad, hp.delta, eta_for_trigger)
-    if trigger == "adamp":
-        # Same condition without the learning-rate factor.
-        return projection_condition(theta, grad, hp.delta, 1.0)
-    raise ValueError(f"unknown trigger mode {trigger!r}")
-
-
 def _step(
     state: OptimizerState,
     groups: Sequence[ParamGroup],
@@ -122,6 +106,14 @@ def _step(
     bc1 = 1.0 - hp.beta1 ** t
     bc2 = 1.0 - hp.beta2 ** t
     power_eps = hp.eps_mode == "power"
+    # The trigger's learning rate; None when the step never projects.
+    if trigger is None or hp.delta == 0.0:
+        trigger_eta = None
+    elif trigger == "adamp":
+        # Same condition without the learning-rate factor.
+        trigger_eta = 1.0
+    else:
+        trigger_eta = eta_t if hp.trigger_lr_mode == "scheduled" else hp.eta0
 
     new_params: List[ParamGroup] = []
     group_records: Dict[str, GroupRecord] = {}
@@ -132,7 +124,9 @@ def _step(
         name = grp.name
         g_raw = np.asarray(grads[name], dtype=np.float64)
         theta = grp.values
-        gnorm = float(np.linalg.norm(g_raw))
+        # The record, c1, the trigger and the projection share these two.
+        theta_norm = norm(theta)
+        gnorm = norm(g_raw)
         grad_norm_sq += gnorm * gnorm
         state.c1[name] = max(state.c1[name], gnorm)
         # Coupled decay folds wd * theta into the gradient seen by the
@@ -155,7 +149,7 @@ def _step(
                     use_max, power_eps,
                 )
                 resid = check_lemma2(m, state.m_prev[name], g, b1t)
-                lemma2_max = max(lemma2_max, resid / (1.0 + float(np.linalg.norm(m))))
+                lemma2_max = max(lemma2_max, resid / (1.0 + norm(m)))
                 c1sq = state.c1[name] ** 2
                 lemma3_min = min(lemma3_min, float(c1sq - np.max(state.v[name])))
             else:
@@ -164,9 +158,15 @@ def _step(
                 direction *= hp.momentum
                 direction += g
 
-        decision = _decide_projection(theta, g_raw, hp, eta_t, trigger)
+        if trigger_eta is None:
+            cos = cosine_similarity(theta, g_raw, a_norm=theta_norm, b_norm=gnorm)
+            decision = ProjectionDecision(trigger_value=cos, threshold=0.0,
+                                          projected=False)
+        else:
+            decision = projection_condition(theta, g_raw, hp.delta, trigger_eta,
+                                            theta_norm=theta_norm, grad_norm=gnorm)
         if decision.projected:
-            q = project_tangent(theta, direction)
+            q = project_tangent(theta, direction, theta_norm=theta_norm)
         else:
             q = direction
 
@@ -182,10 +182,10 @@ def _step(
         new_params.append(ParamGroup(name, new_values))
 
         group_records[name] = GroupRecord(
-            param_norm=float(np.linalg.norm(theta)),
+            param_norm=theta_norm,
             cos_sim=decision.trigger_value,
             projected=decision.projected,
-            effective_step_norm=float(np.linalg.norm(new_values - theta)),
+            effective_step_norm=norm(new_values - theta),
         )
 
     record = StepRecord(

@@ -169,6 +169,27 @@ def test_sweep_writes_summary_and_per_value_lines(tmp_path, capsys):
     assert (out / "run_000.csv").exists() and (out / "run_001.csv").exists()
 
 
+def test_sweep_parses_bool_axis_values(tmp_path, capsys):
+    # Decoupled decay on projected groups changes the scale-invariant run.
+    out = tmp_path / "sweepdir"
+    assert main(["sweep", "--axis", "hp.wd_skip_projected", "--values", "true,false",
+                 "--steps", "5", "--set", "objective.name=scale_invariant",
+                 "--out", str(out)]) == 0
+    skip, decay = (read_telemetry(str(out / f"run_00{i}.csv")) for i in (0, 1))
+    assert np.all(skip["theta_projected"] == 1)
+    assert decay["theta_param_norm"][-1] < skip["theta_param_norm"][-1]
+
+
+def test_sweep_accepts_run_config_keys(tmp_path, capsys):
+    out = tmp_path / "sweepdir"
+    assert main(["sweep", "--axis", "run.steps", "--values", "2,3",
+                 "--set", "objective.dim=2", "--out", str(out)]) == 0
+    assert [len(read_telemetry(str(out / f"run_00{i}.csv"))["t"]) for i in (0, 1)] == [2, 3]
+    assert main(["sweep", "--axis", "run.seed", "--values", "1,2", "--steps", "2",
+                 "--set", "objective.dim=2", "--out", str(out)]) == 0
+    assert "run.seed=1:" in capsys.readouterr().out
+
+
 # ------------------------------------------------------------------ errors
 
 @pytest.mark.parametrize("argv", [
@@ -181,11 +202,33 @@ def test_sweep_writes_summary_and_per_value_lines(tmp_path, capsys):
      "--steps", "3"],
     ["run", "--set", "p_schedule.decay_epoch=2", "--set", "p_schedule.new_p=0.5",
      "--set", "run.steps_per_epoch=5", "--steps", "20"],
+    ["check", "--csv", "{sweep}/summary.csv"],
+    ["check", "--csv", "{run}", "--steps", "0"],
+    ["check", "--csv", "{run}", "--steps", "-2"],
+    ["sweep", "--axis", "hp.bogus", "--values", "1", "--steps", "2", "--out", "{tmp}"],
+    ["sweep", "--axis", "schedule.bogus", "--values", "1", "--steps", "2",
+     "--out", "{tmp}"],
+    ["run", "--set", "objective.condition=nan", "--steps", "2", "--out", "{run}"],
+    ["run", "--set", "objective.condition=inf", "--steps", "2", "--out", "{run}"],
+    ["run", "--set", "objective.condition=-5", "--steps", "2", "--out", "{run}"],
+    ["run", "--set", "objective.name=logistic", "--set", "objective.separation=nan",
+     "--steps", "2", "--out", "{run}"],
+    ["run", "--set", "objective.name=tiny_mlp", "--set", "objective.separation=inf",
+     "--steps", "2", "--out", "{run}"],
 ])
-def test_bad_input_exits_2_with_error_line(argv, capsys):
-    assert main(argv) == 2
+def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
+    # {run} is a fresh run's telemetry CSV, {sweep} a fresh sweep directory.
+    paths = dict(tmp=tmp_path, run=tmp_path / "run.csv", sweep=tmp_path / "sweepdir")
+    if "{run}" in argv and argv[0] == "check":
+        _run_csv(tmp_path)
+    if any("{sweep}" in a for a in argv):
+        assert main(["sweep", "--axis", "p", "--values", "0.25,0.5", "--steps", "2",
+                     "--set", "objective.dim=2", "--out", str(paths["sweep"])]) == 0
+    capsys.readouterr()
+    assert main([a.format(**paths) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1, captured.err
 
 
 @pytest.mark.parametrize("args", [
@@ -197,11 +240,30 @@ def test_bad_input_exits_2_with_error_line(argv, capsys):
 ])
 def test_diverging_run_prints_exactly_one_error_line(args, tmp_path):
     # Overflow on the way to the abort must not add a RuntimeWarning to stderr.
-    src = os.path.dirname(os.path.dirname(padamp.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "padamp.cli", "run", *args],
-                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    proc = _cli_run(args, tmp_path)
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+def _cli_run(args, cwd):
+    """`python -m padamp.cli run *args` in a subprocess, so stderr holds any warning."""
+    src = os.path.dirname(os.path.dirname(padamp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "padamp.cli", "run", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def test_huge_weights_keep_finite_norms_and_pass_every_check(tmp_path):
+    # eta0 = 1e300 drives the weights far past 1e154, where theta . theta
+    # overflows a float.
+    proc = _cli_run(["--set", "objective.name=logistic", "--set", "schedule.eta0=1e300",
+                     "--steps", "5"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "FAIL" not in proc.stdout and "PASS" in proc.stdout
+    cols = read_telemetry(str(tmp_path / "run.csv"))
+    assert cols["theta_param_norm"].max() > 1e299
+    for c in ("theta_param_norm", "theta_effective_step_norm"):
+        assert np.all(np.isfinite(cols[c])), c

@@ -45,6 +45,7 @@ def test_hyperparams_defaults_valid():
         {"delta": float("inf")},
         {"epsilon": float("inf")},
         {"weight_decay": float("inf")},
+        {"wd_skip_projected": "false"},
     ],
 )
 def test_hyperparams_rejects_bad_values(kwargs):

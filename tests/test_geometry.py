@@ -1,7 +1,20 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from padamp.geometry import cosine_similarity, project_tangent, projection_condition
+from padamp.geometry import (
+    cosine_similarity,
+    norm,
+    project_tangent,
+    projection_condition,
+)
+
+TINY = float(np.finfo(np.float64).tiny)
 
 
 def test_cosine_known_value():
@@ -99,3 +112,73 @@ def test_threshold_tightens_with_dim_and_lr():
     assert t100 < t9
     later = projection_condition(theta9, theta9, 0.1, 1e-4).threshold
     assert later < t9
+
+
+def test_precomputed_norms_give_the_same_results():
+    rng = np.random.default_rng(2)
+    theta, g = rng.standard_normal(12), rng.standard_normal(12)
+    tn, gn = norm(theta), norm(g)
+    assert cosine_similarity(theta, g, a_norm=tn, b_norm=gn) == cosine_similarity(theta, g)
+    assert projection_condition(theta, g, 0.1, 1.0, theta_norm=tn, grad_norm=gn) == (
+        projection_condition(theta, g, 0.1, 1.0))
+    np.testing.assert_array_equal(project_tangent(theta, g, theta_norm=tn),
+                                  project_tangent(theta, g))
+
+
+def test_norm_edge_cases():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert norm(np.zeros(3)) == 0.0
+        assert norm(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
+        assert norm(np.array([3e-200, 4e-200])) == pytest.approx(5e-200, rel=1e-15)
+        assert norm(np.array([1.0, np.inf])) == math.inf
+        assert math.isnan(norm(np.array([1.0, np.nan])))
+        # Finite elements whose norm exceeds the largest float.
+        assert norm(np.full(4, 1.5e308)) == math.inf
+
+
+@pytest.mark.parametrize("sa, sb", [(1e200, 1e200), (1e-200, 1e-200), (1e300, 1e-300),
+                                     (1e307, 1e10)])
+def test_cosine_is_the_same_at_every_scale(sa, sb):
+    rng = np.random.default_rng(3)
+    a, b = rng.uniform(-1, 1, 32), rng.uniform(-1, 1, 32)
+    b += a
+    assert cosine_similarity(sa * a, sb * b) == pytest.approx(
+        cosine_similarity(a, b), rel=1e-14, abs=0.0)
+
+
+# Vectors of up to 64 elements in [-1, 1]; the scaled tests multiply them.
+_unit_vectors = hnp.arrays(np.float64, st.integers(1, 64),
+                           elements=st.floats(-1.0, 1.0, allow_subnormal=False))
+_scales = st.one_of(st.floats(1e-300, 1e300), st.floats(1.6e308, 1.7976e308))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(hnp.arrays(np.float64, st.integers(1, 64),
+                  elements=st.floats(-1e160, 1e160, allow_subnormal=False)))
+def test_norm_is_linalg_norm_in_the_normal_range(x):
+    sq = float(np.vdot(x, x))
+    if TINY <= sq < math.inf:
+        assert norm(x) == np.linalg.norm(x)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_unit_vectors, _scales)
+def test_norm_matches_hypot_at_every_scale(v, scale):
+    big = np.max(np.abs(v))
+    x = v / big * scale if big > 0 else v
+    expected = math.hypot(*x)
+    got = norm(x)
+    if math.isinf(expected):
+        assert got == math.inf
+    else:
+        assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_unit_vectors, _scales, _scales, st.data())
+def test_cosine_stays_in_unit_interval_at_every_scale(v, sa, sb, data):
+    w = data.draw(hnp.arrays(np.float64, v.shape,
+                             elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+    cos = cosine_similarity(v * sa, w * sb)
+    assert 0.0 <= cos <= 1.0

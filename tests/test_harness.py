@@ -376,8 +376,19 @@ def test_sweep_optimizer_axis_rebuilds_defaults():
 def test_sweep_rejects_empty_values_and_unknown_axis():
     with pytest.raises(ValueError, match="at least one value"):
         sweep(_quad_config(), "p", [])
-    with pytest.raises(ValueError, match="unknown sweep axis"):
-        sweep(_quad_config(), "banana", [1])
+    # Only scalar config keys are axes.
+    for axis in ("banana", "hp.bogus", "schedule.bogus", "run.out", "schedule.milestones"):
+        with pytest.raises(ValueError, match="unknown sweep axis"):
+            sweep(_quad_config(), axis, [1])
+
+
+def test_sweep_parses_hp_strings_and_sets_the_objective():
+    results = sweep(_quad_config(steps=2), "hp.wd_skip_projected", ["true", "false"])
+    assert [r.config.hp.wd_skip_projected for r in results] == [True, False]
+    results = sweep(_quad_config(steps=2), "hp.eps_mode", ["post"])
+    assert results[0].config.hp.eps_mode == "post"
+    results = sweep(_quad_config(steps=2), "objective.name", ["logistic"])
+    assert results[0].config.objective == "logistic"
 
 
 # ------------------------------------------------------------ telemetry I/O

@@ -57,6 +57,12 @@ def test_quadratic_rejects_bad_inputs():
         obj.eval([ParamGroup("w", np.ones(3))])
 
 
+@pytest.mark.parametrize("condition", [float("nan"), float("inf"), -5.0, 0.0])
+def test_quadratic_rejects_bad_condition(condition):
+    with pytest.raises(ValueError, match="^condition must be positive and finite"):
+        quadratic(3, condition=condition)
+
+
 def test_quadratic_accuracy_is_none():
     assert quadratic(2).accuracy(_theta([0.0, 0.0])) is None
 
@@ -147,6 +153,16 @@ def test_logistic_rejects_degenerate_sizes():
         logistic_regression(d=0, n=8, seed=0)
     with pytest.raises(ValueError, match="2 examples"):
         logistic_regression(d=3, n=1, seed=0)
+
+
+@pytest.mark.parametrize("separation", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("build", [
+    lambda sep: logistic_regression(d=3, n=8, seed=0, separation=sep),
+    lambda sep: tiny_mlp(d_in=3, hidden=4, classes=2, n=8, seed=0, separation=sep),
+], ids=["logistic", "tiny_mlp"])
+def test_dataset_objectives_reject_bad_separation(build, separation):
+    with pytest.raises(ValueError, match="^separation must be non-negative and finite"):
+        build(separation)
 
 
 # ------------------------------------------------------------------ dataset

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -308,3 +310,19 @@ def test_multi_group_step_records_each_group():
     assert out.record.groups["w1"].projected
     assert not out.record.groups["w2"].projected
     assert out.record.grad_norm_sq == pytest.approx(1.0 + 0.25)
+
+
+@pytest.mark.parametrize("fn", [padamp_step, adam_step, sgdm_step])
+def test_step_norms_and_cosine_stay_exact_at_large_scale(fn):
+    # Past about 1e154 the squared norm of theta overflows a float.
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal(16)
+    theta = base * 1e200
+    g = 0.3 * base / np.linalg.norm(base) + rng.standard_normal(16)
+    state = new_state(_one_group(theta), HyperParams(weight_decay=0.0))
+    rec = fn(state, _one_group(theta), _grads(g), 1e-3).record.groups["theta"]
+    assert rec.param_norm == pytest.approx(math.hypot(*theta), rel=1e-14, abs=0.0)
+    small = theta * 2.0 ** -664
+    expected = abs(small @ g) / (np.linalg.norm(small) * np.linalg.norm(g))
+    assert rec.cos_sim == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert math.isfinite(rec.effective_step_norm)
