@@ -77,8 +77,9 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray, *, a_norm: Optional[float] =
     nb = norm(b) if b_norm is None else b_norm
     if na == 0.0 or nb == 0.0:
         return 0.0
-    if _TINY <= na * nb < math.inf:
-        cos = abs(float(np.vdot(a, b))) / (na * nb)
+    den = na * nb
+    if _TINY <= den < math.inf:
+        cos = abs(float(np.vdot(a, b))) / den
     else:
         cos = abs(float(np.vdot(a / na, b / nb)))
     # Rounding can push the quotient a hair above 1 for parallel vectors.
