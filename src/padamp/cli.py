@@ -72,18 +72,10 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_value(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
-    values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
+    # Strings: the sweep parses each with its axis key's --set parser.
+    values = [v.strip() for v in args.values.split(",") if v.strip()]
     out_dir = _default_out("sweep", args.out)
     results = harness.sweep(config, args.axis, values, out_dir=out_dir)
     for value, result in zip(values, results):

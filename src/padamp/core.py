@@ -18,8 +18,6 @@ __all__ = [
     "GradientSet",
     "HyperParams",
     "OptimizerState",
-    "StepRecord",
-    "GroupRecord",
     "new_state",
     "beta1_at",
     "seeded_rng",
@@ -133,31 +131,6 @@ class OptimizerState:
     momentum_buf: Dict[str, np.ndarray] = field(default_factory=dict)
     c1: Dict[str, float] = field(default_factory=dict)
     m_prev: Dict[str, np.ndarray] = field(default_factory=dict)
-
-
-@dataclass
-class GroupRecord:
-    """Per-group slice of one step's telemetry."""
-
-    param_norm: float
-    cos_sim: float
-    projected: bool
-    effective_step_norm: float
-
-
-@dataclass
-class StepRecord:
-    """Telemetry for a single optimizer step."""
-
-    t: int
-    loss: float
-    grad_norm_sq: float
-    eta_t: float
-    p_t_power: float
-    groups: Dict[str, GroupRecord]
-    lemma2_residual: float
-    lemma3_margin: float
-    epoch: int = 0
 
 
 def new_state(groups: Sequence[ParamGroup], hp: HyperParams) -> OptimizerState:

@@ -152,8 +152,8 @@ class LemmaMonitor:
     Feed it once per optimizer step with the pre-step parameter groups and
     the step's StepOutput. The step records the lemma-2 residual and the
     lemma-3 upper margin itself; the monitor adds the remaining slacks from
-    the post-step moments, the gradients the moments saw and the recorded
-    parameter norms.
+    the post-step moments, the gradients the moments saw and the row's
+    ``p_now`` and ``<group>_param_norm`` columns.
     """
 
     def __init__(self):
@@ -162,13 +162,13 @@ class LemmaMonitor:
 
     def update(self, state: OptimizerState, groups, out) -> None:
         hp = state.hp
-        p_now = out.record.p_t_power
+        p_now = out.record["p_now"]
         for grp in groups:
             name = grp.name
             slacks = _bound_slacks(
                 state.m[name], state.m_prev[name], state.v[name], out.grads[name],
                 state.c1[name], hp.epsilon, p_now, grp.values,
-                out.record.groups[name].param_norm,
+                out.record[f"{name}_param_norm"],
             )
             for k, s in slacks.items():
                 self.min_slacks[k] = min(self.min_slacks[k], s)

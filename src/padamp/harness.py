@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import HyperParams, ParamGroup, StepRecord, new_state
+from .core import HyperParams, ParamGroup, new_state
 from .diagnostics import (
     ConvergenceTrace,
     DiagnosticsReport,
@@ -204,7 +205,7 @@ class ExperimentConfig:
 @dataclass
 class RunResult:
     config: ExperimentConfig
-    records: List[StepRecord]
+    records: List[Dict[str, float]]
     report: DiagnosticsReport
     convergence: ConvergenceTrace
     summary: Dict[str, float]
@@ -241,7 +242,7 @@ def run(config: ExperimentConfig) -> RunResult:
     budget = config.steps if config.steps is not None else config.epochs * epoch_len
 
     monitor = LemmaMonitor() if is_adaptive else None
-    records: List[StepRecord] = []
+    records: List[Dict[str, float]] = []
     eval_ts: List[int] = []
     eval_estimates: List[float] = []
     batch_iter = iter(())
@@ -286,8 +287,8 @@ def run(config: ExperimentConfig) -> RunResult:
             eval_estimates.append(estimate)
 
         out = step_fn(state, params, grads, eta_t, p_now)
-        out.record.loss = loss
-        out.record.epoch = epoch
+        out.record["loss"] = loss
+        out.record["epoch"] = epoch
         records.append(out.record)
 
         if monitor is not None:
@@ -295,17 +296,18 @@ def run(config: ExperimentConfig) -> RunResult:
         params = out.new_params
 
     trace = track_convergence(eval_estimates, eval_ts)
-    report = _build_report(config, telemetry_columns(records), monitor, trace)
+    cols = telemetry_columns(records)
+    report = _build_report(config, cols, monitor, trace)
     final_acc = objective.accuracy(params)
     summary = {
-        "final_loss": records[-1].loss,
+        "final_loss": records[-1]["loss"],
         "final_accuracy": float("nan") if final_acc is None else final_acc,
         "min_grad_norm_sq": trace.final_min,
         "wall_time_s": time.perf_counter() - started,
     }
     result = RunResult(config, records, report, trace, summary, params)
     if config.output_path is not None:
-        write_telemetry(records, config.output_path)
+        write_telemetry(cols, config.output_path)
     return result
 
 
@@ -337,10 +339,13 @@ _NOT_AXES = ("run.out", "schedule.milestones")
 
 
 def _with_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    """Config copy with one swept config key (or its alias) replaced."""
+    """Config copy with one swept config key (or its alias) replaced; a
+    string value is parsed as build_config parses that key."""
     key = _AXIS_ALIASES.get(axis, axis)
-    if key not in CONFIG_KEYS or key in _NOT_AXES:
+    if key not in _PARSERS or key in _NOT_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
+    if isinstance(value, str):
+        value = _PARSERS[key](value)
     section, _, name = key.partition(".")
     if key == "optimizer.kind":
         kind = OptimizerKind(value)
@@ -351,8 +356,6 @@ def _with_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     if key == "objective.name":
         return replace(config, objective=value)
     if section == "hp":
-        if isinstance(value, str):
-            value = _HP_CAST[name](value)
         return replace(config, hp=config.hp.with_(**{name: value}))
     if section == "schedule":
         return replace(config, schedule=replace(config.schedule, **{name: value}))
@@ -413,39 +416,23 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def telemetry_columns(records: Sequence[StepRecord]) -> Dict[str, np.ndarray]:
-    """The telemetry table as named columns, in CSV order.
+def telemetry_columns(records: Sequence[Dict[str, float]]) -> Dict[str, np.ndarray]:
+    """The step rows as named columns, in CSV order.
 
     t, epoch and the projected flags are int64, every other column float64;
     read_telemetry gives the same names and values back, all as float64.
     """
     if not records:
         raise ValueError("no records to tabulate")
-    cols = {
-        "t": [r.t for r in records],
-        "epoch": [r.epoch for r in records],
-        "eta_t": [r.eta_t for r in records],
-        "p_now": [r.p_t_power for r in records],
-        "loss": [r.loss for r in records],
-        "grad_norm_sq": [r.grad_norm_sq for r in records],
-    }
-    for name in records[0].groups:
-        grs = [r.groups[name] for r in records]
-        cols[f"{name}_param_norm"] = [gr.param_norm for gr in grs]
-        cols[f"{name}_cos_sim"] = [gr.cos_sim for gr in grs]
-        cols[f"{name}_projected"] = [gr.projected for gr in grs]
-        cols[f"{name}_effective_step_norm"] = [gr.effective_step_norm for gr in grs]
-    cols["lemma2_residual"] = [r.lemma2_residual for r in records]
-    cols["lemma3_margin"] = [r.lemma3_margin for r in records]
-    return {k: np.asarray(v, dtype=np.int64 if k in ("t", "epoch") or
+    return {k: np.asarray([r[k] for r in records],
+                          dtype=np.int64 if k in ("t", "epoch") or
                           k.endswith("_projected") else np.float64)
-            for k, v in cols.items()}
+            for k in records[0]}
 
 
-def write_telemetry(records: Sequence[StepRecord], path: str) -> None:
-    """Pinned per-step CSV schema; csv writes floats with repr(), so reruns
-    are byte-identical."""
-    cols = telemetry_columns(records)
+def write_telemetry(cols: Dict[str, np.ndarray], path: str) -> None:
+    """telemetry_columns' table as CSV; csv writes floats with repr(), so
+    reruns are byte-identical."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(cols)
@@ -530,22 +517,26 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
-# Every HyperParams field is the config key hp.<field>, parsed by its annotation.
-_HP_CAST = {f.name: {"float": float, "str": str, "bool": _parse_bool}[f.type]
-            for f in fields(HyperParams)}
-_OBJ_INT = ("dim", "d", "n", "d_in", "hidden", "classes", "data_seed")
-_OBJ_FLOAT = ("condition", "separation")
-_RUN_INT = ("steps", "epochs", "batch_size", "seed", "eval_window", "eval_every",
-            "steps_per_epoch")
+def _parse_ints(s: str) -> Tuple[int, ...]:
+    return tuple(int(x) for x in s.split(",") if x.strip())
 
-CONFIG_KEYS = (
-    ["optimizer.kind", "objective.name", "schedule.family", "schedule.eta0",
-     "schedule.a", "schedule.milestones", "schedule.factor",
-     "p_schedule.decay_epoch", "p_schedule.new_p", "run.init_scale", "run.out"]
-    + [f"hp.{k}" for k in _HP_CAST]
-    + [f"objective.{k}" for k in _OBJ_INT + _OBJ_FLOAT]
-    + [f"run.{k}" for k in _RUN_INT]
-)
+
+# Every config key and the parser of its string value. Every HyperParams
+# field is the key hp.<field>, parsed by its annotation.
+_PARSERS = {
+    "optimizer.kind": OptimizerKind, "objective.name": str, "schedule.family": str,
+    "schedule.eta0": float, "schedule.a": float, "schedule.milestones": _parse_ints,
+    "schedule.factor": float, "p_schedule.decay_epoch": int,
+    "p_schedule.new_p": float, "run.init_scale": float, "run.out": str,
+    **{f"hp.{f.name}": {"float": float, "str": str, "bool": _parse_bool}[f.type]
+       for f in fields(HyperParams)},
+    **{f"objective.{k}": int
+       for k in ("dim", "d", "n", "d_in", "hidden", "classes", "data_seed")},
+    "objective.condition": float, "objective.separation": float,
+    **{f"run.{k}": int for k in ("steps", "epochs", "batch_size", "seed",
+                                 "eval_window", "eval_every", "steps_per_epoch")},
+}
+CONFIG_KEYS = list(_PARSERS)
 
 
 def parse_config_file(path: str) -> Dict[str, str]:
@@ -572,46 +563,27 @@ def build_config(mapping: Dict[str, str],
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
 
-    kind = OptimizerKind(merged.pop("optimizer.kind", "padamp"))
-    hp_over = {k: cast(merged.pop(f"hp.{k}")) for k, cast in _HP_CAST.items()
-               if f"hp.{k}" in merged}
-    hp = table1_defaults(kind, **hp_over)
+    sections: Dict[str, Dict] = defaultdict(dict)
+    for key, text in merged.items():
+        section, _, name = key.partition(".")
+        sections[section][name] = _PARSERS[key](text)
 
-    objective = merged.pop("objective.name", "quadratic")
-    obj_params: Dict = {}
-    for k in _OBJ_INT:
-        if f"objective.{k}" in merged:
-            obj_params[k] = int(merged.pop(f"objective.{k}"))
-    for k in _OBJ_FLOAT:
-        if f"objective.{k}" in merged:
-            obj_params[k] = float(merged.pop(f"objective.{k}"))
+    kind = sections["optimizer"].get("kind", OptimizerKind.PADAMP)
+    hp = table1_defaults(kind, **sections["hp"])
+    obj_params = sections["objective"]
+    objective = obj_params.pop("name", "quadratic")
+    schedule = LRSchedule(**{"eta0": hp.eta0, **sections["schedule"]})
 
-    sched_kw: Dict = {"eta0": hp.eta0}
-    if "schedule.family" in merged:
-        sched_kw["family"] = merged.pop("schedule.family")
-    for k, cast in (("eta0", float), ("a", float), ("factor", float)):
-        if f"schedule.{k}" in merged:
-            sched_kw[k] = cast(merged.pop(f"schedule.{k}"))
-    if "schedule.milestones" in merged:
-        sched_kw["milestones"] = tuple(
-            int(x) for x in merged.pop("schedule.milestones").split(",") if x.strip())
-    schedule = LRSchedule(**sched_kw)
-
+    p_kw = sections["p_schedule"]
     p_schedule = None
-    if "p_schedule.decay_epoch" in merged or "p_schedule.new_p" in merged:
-        if not ("p_schedule.decay_epoch" in merged and "p_schedule.new_p" in merged):
+    if p_kw:
+        if len(p_kw) != 2:
             raise ValueError("p_schedule needs both decay_epoch and new_p")
-        p_schedule = PSchedule(int(merged.pop("p_schedule.decay_epoch")),
-                               float(merged.pop("p_schedule.new_p")))
+        p_schedule = PSchedule(**p_kw)
 
-    run_kw: Dict = {}
-    for k in _RUN_INT:
-        if f"run.{k}" in merged:
-            run_kw[k] = int(merged.pop(f"run.{k}"))
-    if "run.init_scale" in merged:
-        run_kw["init_scale"] = float(merged.pop("run.init_scale"))
-    if "run.out" in merged:
-        run_kw["output_path"] = merged.pop("run.out")
+    run_kw = sections["run"]
+    if "out" in run_kw:
+        run_kw["output_path"] = run_kw.pop("out")
     if "steps" not in run_kw and "epochs" not in run_kw:
         run_kw["steps"] = 1000
 

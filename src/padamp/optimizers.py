@@ -14,24 +14,27 @@ by default), then the parameter update. This module is the only one that
 applies either decay rule. The step also owns the per-step lemma
 bookkeeping: it records the lemma-2 residual and the lemma-3 margin (nan for
 sgdm) and returns the gradients the moments saw, which LemmaMonitor reads.
+
+A step's record is its telemetry CSV row, built by _step: a dict from
+column name to value, in CSV order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._kernels import moment_direction
 from .core import (
     GradientSet,
-    GroupRecord,
     HyperParams,
     OptimizerState,
     ParamGroup,
-    StepRecord,
     beta1_at,
     check_grads,
 )
@@ -68,12 +71,20 @@ class OptimizerKind(str, Enum):
 
 @dataclass
 class StepOutput:
-    """New parameter groups, the step's telemetry, and the gradients the
-    moments saw (coupled weight decay already folded in), keyed by group."""
+    """New parameter groups, the step's telemetry row keyed by CSV column,
+    and the gradients the moments saw (coupled weight decay already folded
+    in), keyed by group."""
 
     new_params: List[ParamGroup]
-    record: StepRecord
+    record: Dict[str, float]
     grads: GradientSet
+
+
+@lru_cache(maxsize=64)
+def _group_columns(name: str) -> Tuple[str, str, str, str]:
+    """A group's four telemetry columns; built once, so rows share the keys."""
+    return (f"{name}_param_norm", f"{name}_cos_sim", f"{name}_projected",
+            f"{name}_effective_step_norm")
 
 
 def _step(
@@ -116,9 +127,11 @@ def _step(
         trigger_eta = eta_t if hp.trigger_lr_mode == "scheduled" else hp.eta0
 
     new_params: List[ParamGroup] = []
-    group_records: Dict[str, GroupRecord] = {}
+    # epoch and loss are placeholders the run loop fills in.
+    record: Dict[str, float] = {"t": t, "epoch": 0, "eta_t": eta_t,
+                                "p_now": p_power if adaptive else float("nan"),
+                                "loss": float("nan"), "grad_norm_sq": 0.0}
     grads_seen: GradientSet = {}
-    grad_norm_sq = 0.0
     lemma2_max, lemma3_min = (0.0, np.inf) if adaptive else (np.nan, np.nan)
     for grp in groups:
         name = grp.name
@@ -127,7 +140,13 @@ def _step(
         # The record, c1, the trigger and the projection share these two.
         theta_norm = norm(theta)
         gnorm = norm(g_raw)
-        grad_norm_sq += gnorm * gnorm
+        gnorm_sq = gnorm * gnorm
+        # The lemma-3 margin needs C1**2. sgdm has no margin: its record
+        # keeps the inf, and a diverging run aborts at the next loss.
+        if adaptive and not math.isfinite(gnorm_sq):
+            raise FloatingPointError(
+                f"squared gradient norm of group {name!r} overflows (norm {gnorm!r})")
+        record["grad_norm_sq"] += gnorm_sq
         state.c1[name] = max(state.c1[name], gnorm)
         # Coupled decay folds wd * theta into the gradient seen by the
         # moments; telemetry and the trigger keep the raw gradient. A step
@@ -181,23 +200,12 @@ def _step(
             raise FloatingPointError(f"non-finite parameters after step in group {name!r}")
         new_params.append(ParamGroup(name, new_values))
 
-        group_records[name] = GroupRecord(
-            param_norm=theta_norm,
-            cos_sim=decision.trigger_value,
-            projected=decision.projected,
-            effective_step_norm=norm(new_values - theta),
-        )
+        record.update(zip(_group_columns(name), (
+            theta_norm, decision.trigger_value, decision.projected,
+            norm(new_values - theta))))
 
-    record = StepRecord(
-        t=t,
-        loss=float("nan"),
-        grad_norm_sq=grad_norm_sq,
-        eta_t=eta_t,
-        p_t_power=p_power if adaptive else float("nan"),
-        groups=group_records,
-        lemma2_residual=lemma2_max,
-        lemma3_margin=float(lemma3_min),
-    )
+    record["lemma2_residual"] = lemma2_max
+    record["lemma3_margin"] = float(lemma3_min)
     return StepOutput(new_params=new_params, record=record, grads=grads_seen)
 
 

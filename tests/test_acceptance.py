@@ -76,7 +76,7 @@ def test_criterion_02_moment_identity_residual_over_mlp_run():
         )
         result = run(cfg)
         rows = {name: value for name, value, _ in result.report.rows}
-        per_record = max(r.lemma2_residual for r in result.records)
+        per_record = max(r["lemma2_residual"] for r in result.records)
         residuals[mode] = max(rows["lemma2_max_scaled_residual"], per_record)
     elapsed = time.perf_counter() - started
     worst = max(residuals.values())
@@ -119,7 +119,7 @@ def test_criterion_03_bound_slacks_nonnegative_across_optimizers():
                     value, passed = rows[row]
                     worst_slack = min(worst_slack, value)
                     assert passed and value >= 0.0, (kind, objective, row, value)
-                margins = [r.lemma3_margin for r in result.records]
+                margins = [r["lemma3_margin"] for r in result.records]
                 assert min(margins) >= 0.0, (kind, objective)
     _verdict(3, True, f"min slack {worst_slack:.3e} over {n_runs} runs "
                       f"(6 optimizers x 3 objectives, 300 steps each)")

@@ -171,13 +171,17 @@ def test_sweep_writes_summary_and_per_value_lines(tmp_path, capsys):
 
 def test_sweep_parses_bool_axis_values(tmp_path, capsys):
     # Decoupled decay on projected groups changes the scale-invariant run.
-    out = tmp_path / "sweepdir"
-    assert main(["sweep", "--axis", "hp.wd_skip_projected", "--values", "true,false",
-                 "--steps", "5", "--set", "objective.name=scale_invariant",
-                 "--out", str(out)]) == 0
-    skip, decay = (read_telemetry(str(out / f"run_00{i}.csv")) for i in (0, 1))
-    assert np.all(skip["theta_projected"] == 1)
-    assert decay["theta_param_norm"][-1] < skip["theta_param_norm"][-1]
+    # Every bool spelling --set accepts is an axis value, 1 and 0 included.
+    for values in ("true,false", "1,0"):
+        out = tmp_path / values.replace(",", "_")
+        assert main(["sweep", "--axis", "hp.wd_skip_projected", "--values", values,
+                     "--steps", "5", "--set", "objective.name=scale_invariant",
+                     "--out", str(out)]) == 0
+        skip, decay = (read_telemetry(str(out / f"run_00{i}.csv")) for i in (0, 1))
+        assert np.all(skip["theta_projected"] == 1)
+        assert decay["theta_param_norm"][-1] < skip["theta_param_norm"][-1]
+        summary = (out / "summary.csv").read_text().splitlines()[1:]
+        assert sorted(row.split(",")[0] for row in summary) == sorted(values.split(","))
 
 
 def test_sweep_accepts_run_config_keys(tmp_path, capsys):

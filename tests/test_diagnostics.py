@@ -127,7 +127,7 @@ def test_replay_constant_gradient_upper_slack_decays_like_beta2_power():
     margins = []
     for _ in range(steps):
         out = step(state, groups, {"theta": np.ones(1)}, eta_t=1e-3)
-        margins.append(out.record.lemma3_margin)
+        margins.append(out.record["lemma3_margin"])
         groups = out.new_params
     # v_T = 1 - beta2^T and C1 = 1, so the tightest upper margin is beta2^T
     assert min(margins) == pytest.approx(0.999 ** steps, rel=1e-10)
@@ -144,7 +144,7 @@ def test_monitor_tracks_live_optimizer_steps():
         grads = {"theta": rng.standard_normal(8)}
         out = step(state, groups, grads, eta_t=1e-3)
         monitor.update(state, groups, out)
-        assert out.record.lemma2_residual < 1e-10
+        assert out.record["lemma2_residual"] < 1e-10
     assert monitor.steps == 25
     for key, val in monitor.min_slacks.items():
         assert np.isfinite(val) and val >= 0.0, key
