@@ -10,7 +10,6 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -40,16 +39,16 @@ def _parse_sets(pairs: List[str]) -> Dict[str, str]:
     return mapping
 
 
-def _load_config(args) -> harness.ExperimentConfig:
+def _load_mapping(args) -> Dict[str, str]:
+    """Dotted config keys: the config file, then --set, --seed and --steps."""
     mapping = harness.parse_config_file(args.config) if args.config else {}
-    overrides = _parse_sets(args.set or [])
+    mapping.update(_parse_sets(args.set or []))
     if args.seed is not None:
-        overrides["run.seed"] = str(args.seed)
+        mapping["run.seed"] = str(args.seed)
     if args.steps is not None:
-        overrides["run.steps"] = str(args.steps)
+        mapping["run.steps"] = str(args.steps)
         mapping.pop("run.epochs", None)
-        overrides.pop("run.epochs", None)
-    return harness.build_config(mapping, overrides)
+    return mapping
 
 
 def _print_run(result: harness.RunResult) -> None:
@@ -62,10 +61,10 @@ def _print_run(result: harness.RunResult) -> None:
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args)
-    out = _default_out("run.csv", args.out)
-    if config.output_path is None or args.out:
-        config = replace(config, output_path=out)
+    mapping = _load_mapping(args)
+    if args.out or "run.out" not in mapping:
+        mapping["run.out"] = _default_out("run.csv", args.out)
+    config = harness.build_config(mapping)
     result = harness.run(config)
     _print_run(result)
     print(f"telemetry: {config.output_path}")
@@ -73,11 +72,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _load_config(args)
-    # Strings: the sweep parses each with its axis key's --set parser.
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     out_dir = _default_out("sweep", args.out)
-    results = harness.sweep(config, args.axis, values, out_dir=out_dir)
+    results = harness.sweep(_load_mapping(args), args.axis, values, out_dir=out_dir)
     for value, result in zip(values, results):
         s = result.summary
         print(f"{args.axis}={value}: final_loss={s['final_loss']:.6g} "

@@ -8,7 +8,7 @@ instance. Everything here is float64 end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
 import numpy as np
@@ -51,9 +51,9 @@ class HyperParams:
 
     ``p`` is the partial-adaptivity power in (0, 1/2]; ``delta`` scales the
     projection trigger threshold (0 disables the trigger outright, since the
-    comparison is strict); ``lam`` is the geometric decay factor for
-    the step-dependent first-moment coefficient beta1 * lam**(t-1) used when
-    ``beta1t_mode == "geometric"``. ``eps_mode`` selects the denominator form:
+    comparison is strict); ``lam`` alone sets the first-moment coefficient
+    beta1_t = beta1 * lam**(t-1), so lam = 1 keeps it at beta1 on every
+    step. ``eps_mode`` selects the denominator form:
     "power" gives (v_hat + eps)**p, "post" gives v_hat**p + eps.
     """
 
@@ -66,7 +66,6 @@ class HyperParams:
     p: float = 0.25
     weight_decay: float = 0.0
     momentum: float = 0.9
-    beta1t_mode: str = "constant"
     eps_mode: str = "power"
     wd_mode: str = "decoupled"
     wd_skip_projected: bool = True
@@ -92,8 +91,6 @@ class HyperParams:
                 f"weight_decay must be non-negative and finite, got {self.weight_decay}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.beta1t_mode not in ("constant", "geometric"):
-            raise ValueError(f"beta1t_mode must be 'constant' or 'geometric', got {self.beta1t_mode!r}")
         if self.eps_mode not in ("power", "post"):
             raise ValueError(f"eps_mode must be 'power' or 'post', got {self.eps_mode!r}")
         if self.wd_mode not in ("decoupled", "coupled"):
@@ -105,10 +102,6 @@ class HyperParams:
             raise ValueError(
                 f"trigger_lr_mode must be 'scheduled' or 'base', got {self.trigger_lr_mode!r}"
             )
-
-    def with_(self, **kwargs) -> "HyperParams":
-        """Copy with replacements (validation reruns)."""
-        return replace(self, **kwargs)
 
 
 @dataclass
@@ -154,11 +147,9 @@ def new_state(groups: Sequence[ParamGroup], hp: HyperParams) -> OptimizerState:
 
 
 def beta1_at(t: int, hp: HyperParams) -> float:
-    """First-moment coefficient at step t: beta1 (constant mode) or beta1 * lam**(t-1)."""
+    """First-moment coefficient at step t: beta1 * lam**(t-1), exactly beta1 at lam = 1."""
     if t < 1:
         raise ValueError(f"step index must be >= 1, got {t}")
-    if hp.beta1t_mode == "constant":
-        return hp.beta1
     return hp.beta1 * hp.lam ** (t - 1)
 
 

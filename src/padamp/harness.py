@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -92,7 +93,7 @@ class LRSchedule:
             raise ValueError(f"unknown schedule family {self.family!r}")
         if not 0 < self.eta0 < math.inf:
             raise ValueError(f"eta0 must be positive and finite, got {self.eta0}")
-        if self.family == "power" and not 0 < self.a < math.inf:
+        if not 0 < self.a < math.inf:
             raise ValueError(
                 f"power-law exponent a must be positive and finite, got {self.a}")
         if not 0 < self.factor <= 1:
@@ -124,9 +125,9 @@ class PSchedule:
 
     def __post_init__(self):
         if self.decay_epoch < 1:
-            raise ValueError(f"decay epoch must be >= 1, got {self.decay_epoch}")
+            raise ValueError(f"decay_epoch must be >= 1, got {self.decay_epoch}")
         if not 0 < self.new_p <= 0.5:
-            raise ValueError(f"new p must lie in (0, 1/2], got {self.new_p}")
+            raise ValueError(f"new_p must lie in (0, 1/2], got {self.new_p}")
 
 
 def schedule_p(epoch: int, p_schedule: Optional[PSchedule], base_p: float) -> float:
@@ -140,25 +141,32 @@ _OBJECTIVE_NAMES = ("quadratic", "rosenbrock", "scale_invariant", "logistic", "t
 
 
 def build_objective(name: str, params: Dict, data_seed: int) -> Objective:
-    """Instantiate an objective by name; dataset objectives get data_seed."""
+    """The named objective (dataset ones get data_seed); an unknown parameter is an error."""
     p = dict(params)
     p.pop("name", None)
-    seed = int(p.pop("data_seed", data_seed))
     if name == "quadratic":
-        return quadratic(dim=int(p.pop("dim", 20)),
-                         condition=float(p.pop("condition", 1.0)))
-    if name == "rosenbrock":
-        return rosenbrock(dim=int(p.pop("dim", 2)))
-    if name == "scale_invariant":
-        return scale_invariant_objective(dim=int(p.pop("dim", 64)))
-    if name == "logistic":
-        return logistic_regression(d=int(p.pop("d", 10)), n=int(p.pop("n", 512)),
-                                   seed=seed, separation=float(p.pop("separation", 4.0)))
-    if name == "tiny_mlp":
-        return tiny_mlp(d_in=int(p.pop("d_in", 10)), hidden=int(p.pop("hidden", 16)),
-                        classes=int(p.pop("classes", 2)), n=int(p.pop("n", 512)),
-                        seed=seed, separation=float(p.pop("separation", 4.0)))
-    raise ValueError(f"unknown objective {name!r}; known: {_OBJECTIVE_NAMES}")
+        objective = quadratic(dim=int(p.pop("dim", 20)),
+                              condition=float(p.pop("condition", 1.0)))
+    elif name == "rosenbrock":
+        objective = rosenbrock(dim=int(p.pop("dim", 2)))
+    elif name == "scale_invariant":
+        objective = scale_invariant_objective(dim=int(p.pop("dim", 64)))
+    elif name == "logistic":
+        objective = logistic_regression(
+            d=int(p.pop("d", 10)), n=int(p.pop("n", 512)),
+            seed=int(p.pop("data_seed", data_seed)),
+            separation=float(p.pop("separation", 4.0)))
+    elif name == "tiny_mlp":
+        objective = tiny_mlp(
+            d_in=int(p.pop("d_in", 10)), hidden=int(p.pop("hidden", 16)),
+            classes=int(p.pop("classes", 2)), n=int(p.pop("n", 512)),
+            seed=int(p.pop("data_seed", data_seed)),
+            separation=float(p.pop("separation", 4.0)))
+    else:
+        raise ValueError(f"unknown objective {name!r}; known: {_OBJECTIVE_NAMES}")
+    if p:
+        raise ValueError(f"objective {name!r} takes no parameter {', '.join(sorted(p))}")
+    return objective
 
 
 @dataclass(frozen=True)
@@ -338,62 +346,33 @@ _AXIS_ALIASES = {"p": "hp.p", "lr": "schedule.eta0", "optimizer": "optimizer.kin
 _NOT_AXES = ("run.out", "schedule.milestones")
 
 
-def _with_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    """Config copy with one swept config key (or its alias) replaced; a
-    string value is parsed as build_config parses that key."""
+def sweep(mapping: Dict[str, str], axis: str, values: Sequence,
+          out_dir: Optional[str] = None) -> List[RunResult]:
+    """One run per value, each built by build_config(mapping, {axis key: value}),
+    which is what `padamp run --set key=value` runs. Every config is built
+    before the first run. Results are returned in value order; the summary CSV
+    is sorted by final loss (stable, so ties keep value order)."""
     key = _AXIS_ALIASES.get(axis, axis)
     if key not in _PARSERS or key in _NOT_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
-    if isinstance(value, str):
-        value = _PARSERS[key](value)
-    section, _, name = key.partition(".")
-    if key == "optimizer.kind":
-        kind = OptimizerKind(value)
-        hp = table1_defaults(kind, p=config.hp.p,
-                             beta1t_mode=config.hp.beta1t_mode, lam=config.hp.lam)
-        return replace(config, optimizer=kind, hp=hp,
-                       schedule=replace(config.schedule, eta0=hp.eta0))
-    if key == "objective.name":
-        return replace(config, objective=value)
-    if section == "hp":
-        return replace(config, hp=config.hp.with_(**{name: value}))
-    if section == "schedule":
-        return replace(config, schedule=replace(config.schedule, **{name: value}))
-    if section == "p_schedule":
-        if config.p_schedule is None:
-            raise ValueError(f"sweep axis {axis!r} needs a p schedule in the base config")
-        return replace(config, p_schedule=replace(config.p_schedule, **{name: value}))
-    if section == "objective":
-        return replace(config, objective_params=dict(config.objective_params,
-                                                     **{name: value}))
-    return replace(config, **{name: value})
-
-
-def sweep(base_config: ExperimentConfig, axis: str, values: Sequence,
-          out_dir: Optional[str] = None) -> List[RunResult]:
-    """One run per value. Results are returned in value order; the summary CSV
-    is sorted by final loss (stable, so ties keep value order)."""
-    values = list(values)
-    if not values:
+    texts = [str(v) for v in values]
+    if not texts:
         raise ValueError("sweep needs at least one value")
-    results = []
-    for i, value in enumerate(values):
-        cfg = _with_axis(base_config, axis, value)
+    configs = []
+    for i, text in enumerate(texts):
+        overrides = {key: text}
         if out_dir is not None:
-            import os
-
-            os.makedirs(out_dir, exist_ok=True)
-            cfg = replace(cfg, output_path=os.path.join(out_dir, f"run_{i:03d}.csv"))
-        results.append(run(cfg))
+            overrides["run.out"] = os.path.join(out_dir, f"run_{i:03d}.csv")
+        configs.append(build_config(mapping, overrides))
     if out_dir is not None:
-        import os
-
-        write_sweep_summary(axis, values, results,
-                            os.path.join(out_dir, "summary.csv"))
+        os.makedirs(out_dir, exist_ok=True)
+    results = [run(cfg) for cfg in configs]
+    if out_dir is not None:
+        write_sweep_summary(axis, texts, results, os.path.join(out_dir, "summary.csv"))
     return results
 
 
-def write_sweep_summary(axis: str, values: Sequence, results: Sequence[RunResult],
+def write_sweep_summary(axis: str, values: Sequence[str], results: Sequence[RunResult],
                         path: str) -> None:
     order = sorted(range(len(results)),
                    key=lambda i: (results[i].summary["final_loss"], i))
@@ -404,7 +383,7 @@ def write_sweep_summary(axis: str, values: Sequence, results: Sequence[RunResult
         for i in order:
             s = results[i].summary
             w.writerow([
-                _fmt(values[i]),
+                values[i],
                 repr(s["final_loss"]),
                 repr(s["final_accuracy"]),
                 repr(s["min_grad_norm_sq"]),
@@ -412,21 +391,18 @@ def write_sweep_summary(axis: str, values: Sequence, results: Sequence[RunResult
             ])
 
 
-def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+def _is_int_column(name: str) -> bool:
+    """t, epoch and the projected flags are int64; every other column is float64."""
+    return name in ("t", "epoch") or name.endswith("_projected")
 
 
 def telemetry_columns(records: Sequence[Dict[str, float]]) -> Dict[str, np.ndarray]:
-    """The step rows as named columns, in CSV order.
-
-    t, epoch and the projected flags are int64, every other column float64;
-    read_telemetry gives the same names and values back, all as float64.
-    """
+    """The step rows as named columns, in CSV order; read_telemetry gives the
+    same names, dtypes and values back."""
     if not records:
         raise ValueError("no records to tabulate")
     return {k: np.asarray([r[k] for r in records],
-                          dtype=np.int64 if k in ("t", "epoch") or
-                          k.endswith("_projected") else np.float64)
+                          dtype=np.int64 if _is_int_column(k) else np.float64)
             for k in records[0]}
 
 
@@ -440,7 +416,8 @@ def write_telemetry(cols: Dict[str, np.ndarray], path: str) -> None:
 
 
 def read_telemetry(path: str) -> Dict[str, np.ndarray]:
-    """Telemetry CSV back as named float columns (projected flags as 0/1)."""
+    """Telemetry CSV back as telemetry_columns' table; a non-whole value in an
+    int64 column is an error naming the column and the data row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -448,7 +425,15 @@ def read_telemetry(path: str) -> Dict[str, np.ndarray]:
     data = np.asarray(rows, dtype=np.float64)
     if data.ndim != 2 or data.shape[1] != len(header):
         raise ValueError(f"malformed telemetry CSV {path}")
-    return {name: data[:, j] for j, name in enumerate(header)}
+    cols = {name: data[:, j] for j, name in enumerate(header)}
+    for name in filter(_is_int_column, cols):
+        x = cols[name]
+        bad = np.flatnonzero((x != np.trunc(x)) | ~(np.abs(x) < 2.0 ** 63))
+        if bad.size:
+            raise ValueError(f"telemetry column {name!r}, data row {bad[0] + 1}: "
+                             f"{float(x[bad[0]])!r} is not a whole int64 value")
+        cols[name] = x.astype(np.int64)
+    return cols
 
 
 def _add_max_increase(report: DiagnosticsReport, name: str, x: np.ndarray) -> None:

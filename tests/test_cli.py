@@ -194,6 +194,38 @@ def test_sweep_accepts_run_config_keys(tmp_path, capsys):
     assert "run.seed=1:" in capsys.readouterr().out
 
 
+def test_optimizer_sweep_runs_what_run_runs_for_each_value(tmp_path, capsys):
+    flags = ["--set", "objective.name=tiny_mlp", "--set", "hp.wd_mode=coupled",
+             "--set", "schedule.eta0=0.01", "--steps", "20"]
+    values = ["padamp", "adamp"]
+    assert main(["sweep", "--axis", "optimizer", "--values", ",".join(values),
+                 "--out", str(tmp_path / "sweep"), *flags]) == 0
+    for i, value in enumerate(values):
+        alone = tmp_path / f"{value}.csv"
+        assert main(["run", "--set", f"optimizer.kind={value}", "--out", str(alone),
+                     *flags]) == 0
+        assert (tmp_path / "sweep" / f"run_00{i}.csv").read_bytes() == alone.read_bytes()
+
+
+def test_sweep_over_a_p_schedule_key_gets_its_partner_from_set(tmp_path, capsys):
+    out = tmp_path / "sweepdir"
+    assert main(["sweep", "--axis", "p_schedule.decay_epoch", "--values", "2,3",
+                 "--set", "p_schedule.new_p=0.125", "--set", "run.steps_per_epoch=5",
+                 "--set", "objective.dim=2", "--steps", "12", "--out", str(out)]) == 0
+    for i, first_decayed in ((0, 5), (1, 10)):
+        p_now = read_telemetry(str(out / f"run_00{i}.csv"))["p_now"]
+        assert np.all(p_now[:first_decayed] == 0.25)
+        assert np.all(p_now[first_decayed:] == 0.125)
+
+
+def test_sweep_with_a_bad_value_writes_no_run(tmp_path, capsys):
+    out = tmp_path / "sweepdir"
+    assert main(["sweep", "--axis", "p", "--values", "0.25,0.7", "--steps", "2",
+                 "--set", "objective.dim=2", "--out", str(out)]) == 2
+    assert "error: p must" in capsys.readouterr().err
+    assert not (out / "run_000.csv").exists()
+
+
 # ------------------------------------------------------------------ errors
 
 @pytest.mark.parametrize("argv", [
@@ -219,12 +251,19 @@ def test_sweep_accepts_run_config_keys(tmp_path, capsys):
      "--steps", "2", "--out", "{run}"],
     ["run", "--set", "objective.name=tiny_mlp", "--set", "objective.separation=inf",
      "--steps", "2", "--out", "{run}"],
+    ["check", "--csv", "{half}"],
+    ["run", "--set", "objective.hidden=8", "--steps", "2", "--out", "{run}"],
 ])
 def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
-    # {run} is a fresh run's telemetry CSV, {sweep} a fresh sweep directory.
-    paths = dict(tmp=tmp_path, run=tmp_path / "run.csv", sweep=tmp_path / "sweepdir")
+    # {run} is a fresh run's telemetry CSV, {sweep} a fresh sweep directory,
+    # {half} a telemetry CSV whose projected flag reads 0.5.
+    paths = dict(tmp=tmp_path, run=tmp_path / "run.csv", sweep=tmp_path / "sweepdir",
+                 half=tmp_path / "half.csv")
     if "{run}" in argv and argv[0] == "check":
         _run_csv(tmp_path)
+    if "{half}" in argv:
+        text = _run_csv(tmp_path).read_text()
+        paths["half"].write_text(text.replace(",0,", ",0.5,", 1))
     if any("{sweep}" in a for a in argv):
         assert main(["sweep", "--axis", "p", "--values", "0.25,0.5", "--steps", "2",
                      "--set", "objective.dim=2", "--out", str(paths["sweep"])]) == 0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ def test_hyperparams_defaults_valid():
         {"weight_decay": -1e-4},
         {"weight_decay": float("nan")},
         {"momentum": 1.0},
-        {"beta1t_mode": "linear"},
+        {"lam": float("nan")},
         {"eps_mode": "inside"},
         {"wd_mode": "l2"},
         {"trigger_lr_mode": "warmup"},
@@ -61,11 +63,11 @@ def test_hyperparams_delta_zero_is_allowed():
 
 def test_with_copies_and_revalidates():
     hp = HyperParams()
-    hp2 = hp.with_(p=0.5)
+    hp2 = replace(hp, p=0.5)
     assert hp2.p == 0.5
     assert hp.p == 0.25
     with pytest.raises(ValueError):
-        hp.with_(p=2.0)
+        replace(hp, p=2.0)
 
 
 def test_beta1_at_constant_and_geometric():
@@ -73,7 +75,7 @@ def test_beta1_at_constant_and_geometric():
     assert beta1_at(1, hp) == 0.9
     assert beta1_at(1000, hp) == 0.9
 
-    geo = HyperParams(beta1=0.9, lam=0.5, beta1t_mode="geometric")
+    geo = HyperParams(beta1=0.9, lam=0.5)
     assert beta1_at(1, geo) == 0.9
     assert beta1_at(3, geo) == pytest.approx(0.225, rel=1e-15)
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from padamp.harness import (
+    _PARSERS,
     CONFIG_KEYS,
     ExperimentConfig,
     LRSchedule,
@@ -19,6 +20,7 @@ from padamp.harness import (
     sweep,
     table1_defaults,
     telemetry_columns,
+    write_telemetry,
 )
 from padamp.optimizers import OptimizerKind
 
@@ -37,6 +39,14 @@ def _quad_config(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def _quad_keys(steps="6"):
+    """_quad_config() as dotted config keys (its schedule is the default one)."""
+    return {"optimizer.kind": "padamp", "hp.weight_decay": "0.0",
+            "objective.name": "quadratic", "objective.dim": "4",
+            "run.steps": steps, "run.init_scale": "0.5",
+            "run.steps_per_epoch": "3", "run.seed": "1"}
 
 
 # ----------------------------------------------------------------- defaults
@@ -110,9 +120,9 @@ def test_p_schedule_switches_at_decay_epoch():
     assert schedule_p(100, ps, base_p=0.25) == 0.125
     assert schedule_p(500, ps, base_p=0.25) == 0.125
     assert schedule_p(7, None, base_p=0.25) == 0.25
-    with pytest.raises(ValueError, match="decay epoch"):
+    with pytest.raises(ValueError, match="decay_epoch"):
         PSchedule(decay_epoch=0, new_p=0.25)
-    with pytest.raises(ValueError, match="new p"):
+    with pytest.raises(ValueError, match="new_p"):
         PSchedule(decay_epoch=10, new_p=0.6)
 
 
@@ -176,6 +186,23 @@ def test_config_rejects_bad_fields():
 def test_config_rejects_nan(field, build):
     with pytest.raises(ValueError, match=field):
         build()
+
+
+# Keys a float key needs beside it for its value to reach its check.
+_PARTNER_KEYS = {"p_schedule.new_p": {"p_schedule.decay_epoch": "2"},
+                 "objective.separation": {"objective.name": "logistic"}}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", [k for k, parse in _PARSERS.items() if parse is float])
+def test_every_float_key_rejects_non_finite_values(key, value, monkeypatch):
+    def first_step(*args):
+        raise AssertionError(f"{key}={value} reached the run loop")
+
+    monkeypatch.setattr("padamp.harness.new_state", first_step)
+    field = key.partition(".")[2]
+    with pytest.raises(ValueError, match=rf"\b{field} must"):
+        run(build_config(dict(_PARTNER_KEYS.get(key, {}), **{key: value})))
 
 
 # --------------------------------------------------------------------- runs
@@ -289,8 +316,7 @@ def test_run_with_coupled_weight_decay_passes_every_check():
 def test_geometric_beta1t_survives_underflow_to_zero():
     # beta1 * 0.5**(t-1) underflows to 0.0 near t = 1075; the moment identity
     # still holds there (m_t = g_t), so the run completes and passes.
-    cfg = build_config({}, {"hp.beta1t_mode": "geometric", "hp.lam": "0.5",
-                            "objective.dim": "5", "run.steps": "1100"})
+    cfg = build_config({}, {"hp.lam": "0.5", "objective.dim": "5", "run.steps": "1100"})
     result = run(cfg)
     assert len(result.records) == 1100
     assert result.report.all_passed, str(result.report)
@@ -319,9 +345,10 @@ def test_run_writes_and_reads_back_telemetry(tmp_path):
                           "theta_param_norm", "theta_cos_sim", "theta_projected",
                           "theta_effective_step_norm", "lemma2_residual",
                           "lemma3_margin"]
-    # Bit for bit, nan payloads and signed zeros included.
+    # Bit for bit, nan payloads and signed zeros included, in the same dtypes.
     for name, col in telemetry_columns(result.records).items():
-        assert cols[name].tobytes() == col.astype(np.float64).tobytes(), name
+        assert cols[name].dtype == col.dtype, name
+        assert cols[name].tobytes() == col.tobytes(), name
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -362,6 +389,15 @@ def test_telemetry_bytes_match_pinned_digests(tmp_path, name):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name", list(_PINNED_TELEMETRY))
+def test_telemetry_read_back_writes_the_same_bytes(tmp_path, name):
+    keys, _ = _PINNED_TELEMETRY[name]
+    p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+    run(build_config(keys, {"run.steps": "200", "run.seed": "3", "run.out": str(p)}))
+    write_telemetry(read_telemetry(str(p)), str(q))
+    assert q.read_bytes() == p.read_bytes()
+
+
 def test_different_seeds_change_the_run(tmp_path):
     r1 = run(_quad_config(seed=0))
     r2 = run(_quad_config(seed=1))
@@ -372,7 +408,7 @@ def test_different_seeds_change_the_run(tmp_path):
 
 def test_sweep_over_p_returns_value_order_and_sorted_summary(tmp_path):
     out = tmp_path / "sweep"
-    results = sweep(_quad_config(), "p", [0.25, 0.5, 0.125], out_dir=str(out))
+    results = sweep(_quad_keys(), "p", [0.25, 0.5, 0.125], out_dir=str(out))
     assert [r.config.hp.p for r in results] == [0.25, 0.5, 0.125]
     assert sorted(f.name for f in out.iterdir()) == [
         "run_000.csv", "run_001.csv", "run_002.csv", "summary.csv"]
@@ -383,18 +419,18 @@ def test_sweep_over_p_returns_value_order_and_sorted_summary(tmp_path):
 
 
 def test_sweep_axis_aliases_and_dotted_paths():
-    results = sweep(_quad_config(steps=2), "lr", [1e-3, 1e-2])
+    results = sweep(_quad_keys(steps="2"), "lr", [1e-3, 1e-2])
     assert [r.config.schedule.eta0 for r in results] == [1e-3, 1e-2]
-    results = sweep(_quad_config(steps=2), "hp.delta", [0.1, 0.2])
+    results = sweep(_quad_keys(steps="2"), "hp.delta", [0.1, 0.2])
     assert [r.config.hp.delta for r in results] == [0.1, 0.2]
-    results = sweep(_quad_config(steps=2), "objective.dim", [2, 3])
+    results = sweep(_quad_keys(steps="2"), "objective.dim", [2, 3])
     assert [len(r.final_params[0].values) for r in results] == [2, 3]
-    results = sweep(_quad_config(steps=2), "seed", [0, 1])
+    results = sweep(_quad_keys(steps="2"), "seed", [0, 1])
     assert [r.config.seed for r in results] == [0, 1]
 
 
 def test_sweep_optimizer_axis_rebuilds_defaults():
-    base = _quad_config(steps=2, hp=table1_defaults("padamp", p=0.125))
+    base = dict(_quad_keys(steps="2"), **{"hp.p": "0.125"})
     results = sweep(base, "optimizer", ["adam", "sgdm"])
     adam_cfg, sgdm_cfg = results[0].config, results[1].config
     assert adam_cfg.optimizer == OptimizerKind.ADAM
@@ -406,24 +442,26 @@ def test_sweep_optimizer_axis_rebuilds_defaults():
 
 def test_sweep_rejects_empty_values_and_unknown_axis():
     with pytest.raises(ValueError, match="at least one value"):
-        sweep(_quad_config(), "p", [])
+        sweep(_quad_keys(), "p", [])
     # Only scalar config keys are axes.
     for axis in ("banana", "hp.bogus", "schedule.bogus", "run.out", "schedule.milestones"):
         with pytest.raises(ValueError, match="unknown sweep axis"):
-            sweep(_quad_config(), axis, [1])
+            sweep(_quad_keys(), axis, [1])
 
 
 def test_sweep_parses_hp_strings_and_sets_the_objective():
-    results = sweep(_quad_config(steps=2), "hp.wd_skip_projected", ["true", "false"])
+    results = sweep(_quad_keys(steps="2"), "hp.wd_skip_projected", ["true", "false"])
     assert [r.config.hp.wd_skip_projected for r in results] == [True, False]
-    results = sweep(_quad_config(steps=2), "hp.eps_mode", ["post"])
+    results = sweep(_quad_keys(steps="2"), "hp.eps_mode", ["post"])
     assert results[0].config.hp.eps_mode == "post"
-    results = sweep(_quad_config(steps=2), "objective.name", ["logistic"])
+    base = _quad_keys(steps="2")
+    del base["objective.dim"]  # logistic takes no dim
+    results = sweep(base, "objective.name", ["logistic"])
     assert results[0].config.objective == "logistic"
     # Every section parses its strings, not only hp.*.
-    results = sweep(_quad_config(steps=2), "lr", ["1e-3"])
+    results = sweep(_quad_keys(steps="2"), "lr", ["1e-3"])
     assert results[0].config.schedule.eta0 == 1e-3
-    results = sweep(_quad_config(steps=2), "objective.dim", ["3"])
+    results = sweep(_quad_keys(steps="2"), "objective.dim", ["3"])
     assert results[0].config.objective_params["dim"] == 3
 
 
@@ -432,6 +470,14 @@ def test_sweep_parses_hp_strings_and_sets_the_objective():
 def test_telemetry_columns_rejects_empty_records():
     with pytest.raises(ValueError, match="no records"):
         telemetry_columns([])
+
+
+@pytest.mark.parametrize("value", ["0.5", "nan", "inf", "1e19"])
+def test_read_telemetry_rejects_non_whole_int_columns(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t,loss,theta_projected\n1,2.0,0\n2,1.5,{value}\n")
+    with pytest.raises(ValueError, match="'theta_projected', data row 2"):
+        read_telemetry(str(path))
 
 
 def test_read_telemetry_rejects_ragged_rows(tmp_path):

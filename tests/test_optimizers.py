@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ def test_trigger_lr_mode_base_uses_eta0():
     out = padamp_step(state, _one_group(theta), _grads(g), eta_t=1e-4)
     assert out.record["theta_projected"]
 
-    hp2 = hp.with_(trigger_lr_mode="scheduled")
+    hp2 = replace(hp, trigger_lr_mode="scheduled")
     state2 = new_state(_one_group(theta), hp2)
     out2 = padamp_step(state2, _one_group(theta), _grads(g), eta_t=1e-4)
     assert not out2.record["theta_projected"]
@@ -136,7 +137,7 @@ def test_weight_decay_skipped_for_projected_groups():
     # no decay: radial coordinate unchanged
     assert out.new_params[0].values[0] == 1.0
 
-    hp2 = hp.with_(wd_skip_projected=False)
+    hp2 = replace(hp, wd_skip_projected=False)
     state2 = new_state(_one_group(theta), hp2)
     out2 = padamp_step(state2, _one_group(theta), _grads(g), eta_t=1e-3)
     assert out2.new_params[0].values[0] == pytest.approx(1.0 - 1e-3 * 0.5)
@@ -159,7 +160,7 @@ def test_step_reports_the_gradients_the_moments_saw(fn):
     out = fn(new_state(_one_group(theta), coupled), _one_group(theta), _grads(g), 1e-3)
     np.testing.assert_array_equal(out.grads["theta"], g + 0.1 * theta)
 
-    decoupled = coupled.with_(wd_mode="decoupled")
+    decoupled = replace(coupled, wd_mode="decoupled")
     out = fn(new_state(_one_group(theta), decoupled), _one_group(theta), _grads(g), 1e-3)
     np.testing.assert_array_equal(out.grads["theta"], g)
 
@@ -203,8 +204,7 @@ def test_p_now_overrides_hyperparameter():
 
 
 def test_geometric_beta1t_keeps_base_bias_correction():
-    hp = HyperParams(beta1=0.9, lam=0.5, beta1t_mode="geometric",
-                     weight_decay=0.0, p=0.5)
+    hp = HyperParams(beta1=0.9, lam=0.5, weight_decay=0.0, p=0.5)
     state = new_state(_one_group([1.0]), hp)
     params = _one_group([1.0])
     g1, g2 = 1.0, 2.0
