@@ -213,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad = subs.add_parser("grad-check",
                              help="finite-difference audit of an objective")
     p_grad.add_argument("--objective", required=True,
-                        help="objective name (quadratic, rosenbrock, "
-                             "scale_invariant, logistic, tiny_mlp)")
+                        help=f"objective name ({', '.join(harness.OBJECTIVES)})")
     p_grad.add_argument("--param", action="append", metavar="KEY=VALUE",
                         help="objective parameter (repeatable)")
     p_grad.add_argument("--tol", type=float, default=None,

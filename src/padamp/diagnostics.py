@@ -118,8 +118,9 @@ def _bound_slacks(
     """
     denom = (v + eps) ** p
     inv = 1.0 / denom
-    lo = 1.0 / (c1 * c1 + eps) ** p
-    hi = 1.0 / eps ** p
+    # The same array power as inv's: once v + eps rounds to eps, max(inv)
+    # equals hi exactly, where a scalar power can differ from it by an ulp.
+    lo, hi = 1.0 / np.array([c1 * c1 + eps, eps]) ** p
     slacks = {
         "lemma3_lower": float(np.min(v)),
         "lemma4_lower": float(np.min(inv) - lo),

@@ -14,7 +14,7 @@ import os
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "ExperimentConfig",
     "RunResult",
     "table1_defaults",
+    "OBJECTIVES",
     "build_objective",
     "schedule_lr",
     "schedule_p",
@@ -137,36 +138,41 @@ def schedule_p(epoch: int, p_schedule: Optional[PSchedule], base_p: float) -> fl
     return p_schedule.new_p
 
 
-_OBJECTIVE_NAMES = ("quadratic", "rosenbrock", "scale_invariant", "logistic", "tiny_mlp")
+# Each objective's factory and its config keys, objective.<key>, with their
+# defaults; a key's value is parsed by its default's type. data_seed is the
+# factory's seed; its 0 here only gives the type, since it defaults to the
+# run's data seed.
+OBJECTIVES: Dict[str, Tuple[Callable[..., Objective], Dict[str, object]]] = {
+    "quadratic": (quadratic, {"dim": 20, "condition": 1.0}),
+    "rosenbrock": (rosenbrock, {"dim": 2}),
+    "scale_invariant": (scale_invariant_objective, {"dim": 64}),
+    "logistic": (logistic_regression,
+                 {"d": 10, "n": 512, "data_seed": 0, "separation": 4.0}),
+    "tiny_mlp": (tiny_mlp, {"d_in": 10, "hidden": 16, "classes": 2, "n": 512,
+                            "data_seed": 0, "separation": 4.0}),
+}
+
+
+def _objective_defaults(name: str, params: Dict) -> Dict[str, object]:
+    """The named objective's key defaults; an unknown name or key is an error."""
+    if name not in OBJECTIVES:
+        raise ValueError(f"unknown objective {name!r}; known: {tuple(OBJECTIVES)}")
+    defaults = OBJECTIVES[name][1]
+    unknown = sorted(set(params) - set(defaults) - {"name"})
+    if unknown:
+        raise ValueError(f"objective {name!r} takes no parameter {', '.join(unknown)}")
+    return defaults
 
 
 def build_objective(name: str, params: Dict, data_seed: int) -> Objective:
-    """The named objective (dataset ones get data_seed); an unknown parameter is an error."""
-    p = dict(params)
-    p.pop("name", None)
-    if name == "quadratic":
-        objective = quadratic(dim=int(p.pop("dim", 20)),
-                              condition=float(p.pop("condition", 1.0)))
-    elif name == "rosenbrock":
-        objective = rosenbrock(dim=int(p.pop("dim", 2)))
-    elif name == "scale_invariant":
-        objective = scale_invariant_objective(dim=int(p.pop("dim", 64)))
-    elif name == "logistic":
-        objective = logistic_regression(
-            d=int(p.pop("d", 10)), n=int(p.pop("n", 512)),
-            seed=int(p.pop("data_seed", data_seed)),
-            separation=float(p.pop("separation", 4.0)))
-    elif name == "tiny_mlp":
-        objective = tiny_mlp(
-            d_in=int(p.pop("d_in", 10)), hidden=int(p.pop("hidden", 16)),
-            classes=int(p.pop("classes", 2)), n=int(p.pop("n", 512)),
-            seed=int(p.pop("data_seed", data_seed)),
-            separation=float(p.pop("separation", 4.0)))
-    else:
-        raise ValueError(f"unknown objective {name!r}; known: {_OBJECTIVE_NAMES}")
-    if p:
-        raise ValueError(f"objective {name!r} takes no parameter {', '.join(sorted(p))}")
-    return objective
+    """The named objective: its key defaults, with data_seed as the dataset
+    seed, overridden by params (values are cast to the default's type)."""
+    defaults = _objective_defaults(name, params)
+    kw = {k: type(d)(params.get(k, data_seed if k == "data_seed" else d))
+          for k, d in defaults.items()}
+    if "data_seed" in kw:
+        kw["seed"] = kw.pop("data_seed")
+    return OBJECTIVES[name][0](**kw)
 
 
 @dataclass(frozen=True)
@@ -191,9 +197,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         OptimizerKind(self.optimizer)
-        if self.objective not in _OBJECTIVE_NAMES:
-            raise ValueError(
-                f"unknown objective {self.objective!r}; known: {_OBJECTIVE_NAMES}")
+        _objective_defaults(self.objective, self.objective_params)
         if (self.steps is None) == (self.epochs is None):
             raise ValueError("exactly one of steps or epochs must set the budget")
         for label, value in (("steps", self.steps), ("epochs", self.epochs)):
@@ -422,7 +426,7 @@ def read_telemetry(path: str) -> Dict[str, np.ndarray]:
         reader = csv.reader(fh)
         header = next(reader)
         rows = [[float(x) for x in row] for row in reader]
-    data = np.asarray(rows, dtype=np.float64)
+    data = np.asarray(rows, dtype=np.float64) if rows else np.empty((0, len(header)))
     if data.ndim != 2 or data.shape[1] != len(header):
         raise ValueError(f"malformed telemetry CSV {path}")
     cols = {name: data[:, j] for j, name in enumerate(header)}
@@ -454,11 +458,11 @@ def check_telemetry(cols: Dict[str, np.ndarray]) -> DiagnosticsReport:
     lemma rows appear only when their column holds a finite value; sgdm
     records nan there.
     """
+    if all(v.size == 0 for v in cols.values()):
+        raise ValueError("telemetry table has no rows to check")
     missing = [c for c in _STEP_COLUMNS if c not in cols]
     if missing:
         raise ValueError(f"not a telemetry table: missing columns {', '.join(missing)}")
-    if cols["t"].size == 0:
-        raise ValueError("telemetry table has no rows to check")
     report = DiagnosticsReport()
     t = cols["t"]
     report.add("t_strictly_increasing", float(np.min(np.diff(t))) if t.size > 1 else 1.0,
@@ -507,7 +511,8 @@ def _parse_ints(s: str) -> Tuple[int, ...]:
 
 
 # Every config key and the parser of its string value. Every HyperParams
-# field is the key hp.<field>, parsed by its annotation.
+# field is the key hp.<field>, parsed by its annotation; every objective key
+# is objective.<key>, parsed as OBJECTIVES gives it.
 _PARSERS = {
     "optimizer.kind": OptimizerKind, "objective.name": str, "schedule.family": str,
     "schedule.eta0": float, "schedule.a": float, "schedule.milestones": _parse_ints,
@@ -515,9 +520,8 @@ _PARSERS = {
     "p_schedule.new_p": float, "run.init_scale": float, "run.out": str,
     **{f"hp.{f.name}": {"float": float, "str": str, "bool": _parse_bool}[f.type]
        for f in fields(HyperParams)},
-    **{f"objective.{k}": int
-       for k in ("dim", "d", "n", "d_in", "hidden", "classes", "data_seed")},
-    "objective.condition": float, "objective.separation": float,
+    **{f"objective.{k}": type(d)
+       for _, defaults in OBJECTIVES.values() for k, d in defaults.items()},
     **{f"run.{k}": int for k in ("steps", "epochs", "batch_size", "seed",
                                  "eval_window", "eval_every", "steps_per_epoch")},
 }
@@ -554,6 +558,9 @@ def build_config(mapping: Dict[str, str],
         sections[section][name] = _PARSERS[key](text)
 
     kind = sections["optimizer"].get("kind", OptimizerKind.PADAMP)
+    # One base rate: a given schedule.eta0 is also the base trigger's hp.eta0.
+    if "eta0" in sections["schedule"]:
+        sections["hp"].setdefault("eta0", sections["schedule"]["eta0"])
     hp = table1_defaults(kind, **sections["hp"])
     obj_params = sections["objective"]
     objective = obj_params.pop("name", "quadratic")

@@ -1,11 +1,12 @@
 """Step rules for the projected partially adaptive optimizer and its baselines.
 
-All six optimizers share one interface, step(state, groups, grads, eta_t,
-p_now) -> StepOutput, and one body, _step. The body differs between them in
-the direction only: sgdm takes its momentum buffer, the adaptive family the
-fused moment kernel with its adaptivity power and, for padam and amsgrad, the
-max-tracked second moment. padamp and adamp may then project the direction
-onto the tangent space of the weight vector.
+The six optimizers are one rule with three settings, listed per kind in the
+_KINDS table: the adaptivity power, max tracking of the second moment, and
+the projection trigger. make_step(kind) returns the kind's step function,
+step(state, groups, grads, eta_t, p_now=None) -> StepOutput, which calls the
+one body, _step, with those settings. sgdm takes its momentum buffer as the
+direction, the adaptive family the fused moment kernel; padamp and adamp may
+then project the direction onto the tangent space of the weight vector.
 
 Update order within a step: coupled weight decay folded into the gradient,
 moments and direction, the projection decision (using the raw gradient and
@@ -50,12 +51,6 @@ from .geometry import (
 __all__ = [
     "OptimizerKind",
     "StepOutput",
-    "padamp_step",
-    "adamp_step",
-    "padam_step",
-    "adam_step",
-    "amsgrad_step",
-    "sgdm_step",
     "make_step",
 ]
 
@@ -209,94 +204,41 @@ def _step(
     return StepOutput(new_params=new_params, record=record, grads=grads_seen)
 
 
-def padamp_step(
-    state: OptimizerState,
-    groups: Sequence[ParamGroup],
-    grads: GradientSet,
-    eta_t: float,
-    p_now: Optional[float] = None,
-) -> StepOutput:
-    """Partially adaptive moment step with conditional tangent projection.
-
-    Direction is m_hat / (v_hat + eps)**p (see HyperParams.eps_mode for the
-    alternative placement); a group's step is projected when
-    cos(theta, g) < delta * eta_t / sqrt(dim).
-    """
-    p = state.hp.p if p_now is None else p_now
-    return _step(state, groups, grads, eta_t, p, trigger="padamp")
-
-
-def adamp_step(
-    state: OptimizerState,
-    groups: Sequence[ParamGroup],
-    grads: GradientSet,
-    eta_t: float,
-    p_now: Optional[float] = None,
-) -> StepOutput:
-    """Fully adaptive (p = 1/2) step with the learning-rate-free trigger delta / sqrt(dim)."""
-    return _step(state, groups, grads, eta_t, 0.5, trigger="adamp")
-
-
-def padam_step(
-    state: OptimizerState,
-    groups: Sequence[ParamGroup],
-    grads: GradientSet,
-    eta_t: float,
-    p_now: Optional[float] = None,
-) -> StepOutput:
-    """Partially adaptive step over the max-tracked second moment, no projection."""
-    p = state.hp.p if p_now is None else p_now
-    return _step(state, groups, grads, eta_t, p, use_max=True)
-
-
-def adam_step(
-    state: OptimizerState,
-    groups: Sequence[ParamGroup],
-    grads: GradientSet,
-    eta_t: float,
-    p_now: Optional[float] = None,
-) -> StepOutput:
-    """Bias-corrected adaptive step, p = 1/2, no projection."""
-    return _step(state, groups, grads, eta_t, 0.5)
-
-
-def amsgrad_step(
-    state: OptimizerState,
-    groups: Sequence[ParamGroup],
-    grads: GradientSet,
-    eta_t: float,
-    p_now: Optional[float] = None,
-) -> StepOutput:
-    """Adaptive step over the max-tracked (uncorrected) second moment, p = 1/2."""
-    return _step(state, groups, grads, eta_t, 0.5, use_max=True)
-
-
-def sgdm_step(
-    state: OptimizerState,
-    groups: Sequence[ParamGroup],
-    grads: GradientSet,
-    eta_t: float,
-    p_now: Optional[float] = None,
-) -> StepOutput:
-    """Momentum step with undamped accumulation buf <- momentum * buf + g.
-
-    With a constant unit gradient the buffer norm converges to
-    1 / (1 - momentum). Second-moment telemetry does not apply here; the
-    lemma fields are recorded as nan.
-    """
-    return _step(state, groups, grads, eta_t, None)
-
-
-_STEP_FNS: Dict[OptimizerKind, Callable] = {
-    OptimizerKind.PADAMP: padamp_step,
-    OptimizerKind.ADAMP: adamp_step,
-    OptimizerKind.PADAM: padam_step,
-    OptimizerKind.ADAM: adam_step,
-    OptimizerKind.AMSGRAD: amsgrad_step,
-    OptimizerKind.SGDM: sgdm_step,
+# Each kind's settings for _step, (power, use_max, trigger). power "p" is
+# p_now, else hp.p; a number is fixed; None is sgdm's momentum direction.
+#   padamp:  m_hat / (v_hat + eps)**p, projected when cos(theta, g) < delta * eta / sqrt(dim)
+#   adamp:   p = 1/2, projected under the learning-rate-free trigger delta / sqrt(dim)
+#   padam:   partially adaptive over the max-tracked second moment, no projection
+#   adam:    bias-corrected adaptive step, p = 1/2, no projection
+#   amsgrad: p = 1/2 over the max-tracked (uncorrected) second moment
+#   sgdm:    undamped buf <- momentum * buf + g, whose norm under a constant
+#            unit gradient converges to 1 / (1 - momentum); lemma fields are nan
+_KINDS: Dict[OptimizerKind, Tuple[object, bool, Optional[str]]] = {
+    OptimizerKind.PADAMP: ("p", False, "padamp"),
+    OptimizerKind.ADAMP: (0.5, False, "adamp"),
+    OptimizerKind.PADAM: ("p", True, None),
+    OptimizerKind.ADAM: (0.5, False, None),
+    OptimizerKind.AMSGRAD: (0.5, True, None),
+    OptimizerKind.SGDM: (None, False, None),
 }
 
 
+def _bind(kind: OptimizerKind, power, use_max: bool, trigger: Optional[str]) -> Callable:
+    def step(state: OptimizerState, groups: Sequence[ParamGroup], grads: GradientSet,
+             eta_t: float, p_now: Optional[float] = None) -> StepOutput:
+        if power != "p":
+            p = power
+        else:
+            p = state.hp.p if p_now is None else p_now
+        return _step(state, groups, grads, eta_t, p, use_max, trigger)
+    step.__name__ = step.__qualname__ = f"{kind.value}_step"
+    return step
+
+
+_STEP_FNS = {kind: _bind(kind, *settings) for kind, settings in _KINDS.items()}
+
+
 def make_step(kind: OptimizerKind) -> Callable:
-    """Step function for the given optimizer kind."""
+    """The step function step(state, groups, grads, eta_t, p_now=None) of the
+    given optimizer kind; the same object on every call."""
     return _STEP_FNS[OptimizerKind(kind)]

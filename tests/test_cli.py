@@ -224,6 +224,11 @@ def test_sweep_with_a_bad_value_writes_no_run(tmp_path, capsys):
                  "--set", "objective.dim=2", "--out", str(out)]) == 2
     assert "error: p must" in capsys.readouterr().err
     assert not (out / "run_000.csv").exists()
+    # logistic takes no dim: the second value is a bad config as well.
+    assert main(["sweep", "--axis", "objective.name", "--values", "quadratic,logistic",
+                 "--set", "objective.dim=3", "--steps", "2", "--out", str(out)]) == 2
+    assert "takes no parameter dim" in capsys.readouterr().err
+    assert not (out / "run_000.csv").exists()
 
 
 # ------------------------------------------------------------------ errors
@@ -253,12 +258,15 @@ def test_sweep_with_a_bad_value_writes_no_run(tmp_path, capsys):
      "--steps", "2", "--out", "{run}"],
     ["check", "--csv", "{half}"],
     ["run", "--set", "objective.hidden=8", "--steps", "2", "--out", "{run}"],
+    ["check", "--csv", "{header}"],
 ])
 def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
     # {run} is a fresh run's telemetry CSV, {sweep} a fresh sweep directory,
-    # {half} a telemetry CSV whose projected flag reads 0.5.
+    # {half} a telemetry CSV whose projected flag reads 0.5, {header} a CSV
+    # holding a header and no rows.
     paths = dict(tmp=tmp_path, run=tmp_path / "run.csv", sweep=tmp_path / "sweepdir",
-                 half=tmp_path / "half.csv")
+                 half=tmp_path / "half.csv", header=tmp_path / "header.csv")
+    paths["header"].write_text("t,epoch\n")
     if "{run}" in argv and argv[0] == "check":
         _run_csv(tmp_path)
     if "{half}" in argv:
@@ -272,6 +280,8 @@ def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert len(captured.err.splitlines()) == 1, captured.err
+    if "{header}" in argv:
+        assert "telemetry table has no rows to check" in captured.err
 
 
 @pytest.mark.parametrize("args", [

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padamp.core import HyperParams, ParamGroup, new_state, seeded_rng
 from padamp.diagnostics import (
     DiagnosticsReport,
     LemmaMonitor,
+    _bound_slacks,
     check_lemma2,
     momentum_norm_ratio_limit,
     simulate_norm_growth,
     track_convergence,
     validate_schedule,
 )
+from padamp.harness import build_config, run
 from padamp.optimizers import make_step
 
 
@@ -148,6 +152,27 @@ def test_monitor_tracks_live_optimizer_steps():
     assert monitor.steps == 25
     for key, val in monitor.min_slacks.items():
         assert np.isfinite(val) and val >= 0.0, key
+
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.floats(1e-16, 1e-2), st.floats(0.0, 0.5, exclude_min=True),
+       st.integers(1, 64), st.floats(0.0, 2.0 ** -54))
+def test_lemma4_upper_slack_holds_once_v_underflows_eps(eps, p, dim, tiny):
+    # v + eps rounds to eps below eps * 2**-53, so max(inv) is the bound itself.
+    rng = seeded_rng(dim)
+    v = rng.uniform(0.0, 1.0, dim)
+    v[rng.integers(dim)] = tiny * eps
+    m, m_prev, g, theta = rng.standard_normal((4, dim))
+    slacks = _bound_slacks(m, m_prev, v, g, 1.0, eps, p, theta, float(np.linalg.norm(theta)))
+    assert slacks["lemma4_upper"] >= 0.0
+
+
+def test_converged_run_passes_the_lemma4_upper_bound():
+    # The loss reaches about 1e-140 and some v falls below eps * 2**-53.
+    result = run(build_config({"hp.p": "0.05", "hp.beta2": "0.5",
+                               "schedule.eta0": "0.1", "run.steps": "3000"}))
+    assert result.report.all_passed, result.report
 
 
 # -------------------------------------------------------- schedule verdicts

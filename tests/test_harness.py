@@ -163,6 +163,8 @@ def test_config_budget_must_be_exactly_one():
 def test_config_rejects_bad_fields():
     with pytest.raises(ValueError, match="unknown objective"):
         _quad_config(objective="cifar")
+    with pytest.raises(ValueError, match="takes no parameter dim"):
+        ExperimentConfig(objective="logistic", objective_params={"dim": 3}, steps=2)
     with pytest.raises(ValueError, match="batch_size"):
         _quad_config(batch_size=0)
     with pytest.raises(ValueError):
@@ -549,6 +551,13 @@ def test_build_config_explicit_schedule_eta0_wins():
     cfg = build_config({"hp.eta0": "0.01", "schedule.eta0": "0.5"})
     assert cfg.hp.eta0 == 0.01
     assert cfg.schedule.eta0 == 0.5
+
+
+def test_schedule_eta0_is_the_base_trigger_rate():
+    keys = {"objective.name": "tiny_mlp", "hp.trigger_lr_mode": "base", "run.steps": "40"}
+    by_schedule = build_config(keys, {"schedule.eta0": "5"})
+    assert by_schedule == build_config(keys, {"hp.eta0": "5"})
+    assert by_schedule.hp.eta0 == 5.0
 
 
 def test_build_config_overrides_win_over_file_mapping():

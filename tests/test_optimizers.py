@@ -3,18 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padamp.core import HyperParams, ParamGroup, new_state
-from padamp.optimizers import (
-    OptimizerKind,
-    adam_step,
-    adamp_step,
-    amsgrad_step,
-    make_step,
-    padam_step,
-    padamp_step,
-    sgdm_step,
-)
+from padamp.optimizers import OptimizerKind, make_step
+
+padamp_step, adamp_step, padam_step, adam_step, amsgrad_step, sgdm_step = (
+    make_step(k) for k in ("padamp", "adamp", "padam", "adam", "amsgrad", "sgdm"))
 
 
 def _one_group(values):
@@ -59,6 +55,33 @@ def test_padamp_with_trigger_disabled_matches_adam_bitwise():
         pa = padamp_step(pa_state, pa, _grads(g), 1e-3, p_now=0.5).new_params
         ad = adam_step(ad_state, ad, _grads(g), 1e-3).new_params
         assert np.array_equal(pa[0].values, ad[0].values)
+
+
+_unit_open = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.builds(
+    HyperParams, beta1=_unit_open, beta2=_unit_open,
+    lam=st.floats(0.0, 1.0, exclude_min=True), epsilon=st.floats(1e-12, 1e-2),
+    p=st.floats(0.0, 0.5, exclude_min=True), weight_decay=st.floats(0.0, 0.5),
+    eps_mode=st.sampled_from(["power", "post"]),
+    wd_mode=st.sampled_from(["decoupled", "coupled"]),
+    trigger_lr_mode=st.sampled_from(["scheduled", "base"]), delta=st.just(0.0)),
+    st.integers(0, 2 ** 32 - 1))
+def test_padamp_at_half_power_without_trigger_is_adam_bitwise(hp, seed):
+    # The p = 1/2 reduction: with delta = 0 padamp never projects.
+    rng = np.random.default_rng(seed)
+    theta0 = rng.standard_normal(6)
+    states = [new_state(_one_group(theta0), hp) for _ in range(2)]
+    pa = ad = _one_group(theta0)
+    for _ in range(5):
+        grads = _grads(rng.standard_normal(6))
+        out_pa = padamp_step(states[0], pa, grads, 1e-2, p_now=0.5)
+        out_ad = adam_step(states[1], ad, grads, 1e-2)
+        pa, ad = out_pa.new_params, out_ad.new_params
+        assert np.array_equal(pa[0].values, ad[0].values)
+        assert repr(out_pa.record) == repr(out_ad.record)
 
 
 def test_projection_triggers_on_orthogonal_gradient():
