@@ -1,7 +1,8 @@
 """Command-line interface: run, sweep, norm-sim, check, grad-check.
 
 Every subcommand accepts --seed, --steps, and --out. When --out is omitted,
-files land in $PADAMP_OUT_DIR (default: current directory).
+files land in $PADAMP_OUT_DIR (default: current directory). Exit code: 0 when
+every report row passes, 1 when one fails, 2 on bad input or divergence.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _cmd_run(args) -> int:
     result = harness.run(config)
     _print_run(result)
     print(f"telemetry: {config.output_path}")
-    return 0
+    return 0 if result.report.all_passed else 1
 
 
 def _cmd_sweep(args) -> int:
@@ -80,7 +81,7 @@ def _cmd_sweep(args) -> int:
         print(f"{args.axis}={value}: final_loss={s['final_loss']:.6g} "
               f"diagnostics={'pass' if result.report.all_passed else 'FAIL'}")
     print(f"summary: {os.path.join(out_dir, 'summary.csv')}")
-    return 0
+    return 0 if all(r.report.all_passed for r in results) else 1
 
 
 def _make_updates(pattern: str, steps: int, cutoff: int, seed: int) -> np.ndarray:

@@ -3,7 +3,8 @@
 Covers: the norm-growth gap between plain and momentum descent, the
 first-moment rearrangement identity, the second-moment and denominator
 bounds (with the empirical running gradient bound C1), learning-rate
-schedule assumptions, and the running-min convergence tracker.
+schedule assumptions, and the running-min convergence tracker. The optimizer
+step calls the lemma checks; LemmaMonitor folds their slacks into run minima.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ._kernels import norm_growth_arrays
-from .core import OptimizerState
 
 __all__ = [
     "NormGrowthTrace",
@@ -114,9 +114,11 @@ def _bound_slacks(
     Uses the uncorrected buffers throughout. At theta = 0, which has no
     radial direction, the radial bound is checked against the norm of the
     preconditioned moment, which dominates the inner product with any unit
-    vector. The lemma-3 upper margin is the step's own record.
+    vector. The lemma-3 upper margin is the step's own record. Two buffers
+    hold every full-size temporary; the comments give the out-of-place form.
     """
-    denom = (v + eps) ** p
+    denom = v + eps
+    denom **= p  # (v + eps) ** p
     inv = 1.0 / denom
     # The same array power as inv's: once v + eps rounds to eps, max(inv)
     # equals hi exactly, where a scalar power can differ from it by an ulp.
@@ -126,53 +128,37 @@ def _bound_slacks(
         "lemma4_lower": float(np.min(inv) - lo),
         "lemma4_upper": float(hi - np.max(inv)),
     }
-    pre_m = m / denom
+    pre_m = np.divide(m, denom, out=denom)
     if theta_norm > 0:
         radial = float(theta @ pre_m) / theta_norm
     else:
         radial = float(np.linalg.norm(pre_m))
     slacks["lemma5_radial"] = c1 / eps ** p - radial
-    slacks["lemma5_precond_sq"] = (c1 * c1) / eps ** (2 * p) - float(
-        np.sum((g * inv) ** 2)
-    )
-    slacks["lemma5_moment_diff"] = 2.0 * c1 * c1 / eps ** p - float(
-        g @ ((m - m_prev) * inv)
-    )
+    buf = np.multiply(g, inv, out=pre_m)
+    buf **= 2  # (g * inv) ** 2
+    slacks["lemma5_precond_sq"] = (c1 * c1) / eps ** (2 * p) - float(np.sum(buf))
+    np.subtract(m, m_prev, out=buf)
+    buf *= inv  # (m - m_prev) * inv
+    slacks["lemma5_moment_diff"] = 2.0 * c1 * c1 / eps ** p - float(g @ buf)
     return slacks
-
-
-_SLACK_KEYS = (
-    "lemma3_lower", "lemma4_lower", "lemma4_upper",
-    "lemma5_radial", "lemma5_precond_sq", "lemma5_moment_diff",
-)
 
 
 class LemmaMonitor:
     """Tracks the minimum lemma-3/4/5 bound slacks of a run live.
 
-    Feed it once per optimizer step with the pre-step parameter groups and
-    the step's StepOutput. The step records the lemma-2 residual and the
-    lemma-3 upper margin itself; the monitor adds the remaining slacks from
-    the post-step moments, the gradients the moments saw and the row's
-    ``p_now`` and ``<group>_param_norm`` columns.
+    Feed it each step's StepOutput: update folds the step's per-group slacks
+    (none for sgdm) into min_slacks, keyed by slack name in the order the
+    step gives them.
     """
 
     def __init__(self):
-        self.min_slacks: Dict[str, float] = {k: np.inf for k in _SLACK_KEYS}
+        self.min_slacks: Dict[str, float] = {}
         self.steps = 0
 
-    def update(self, state: OptimizerState, groups, out) -> None:
-        hp = state.hp
-        p_now = out.record["p_now"]
-        for grp in groups:
-            name = grp.name
-            slacks = _bound_slacks(
-                state.m[name], state.m_prev[name], state.v[name], out.grads[name],
-                state.c1[name], hp.epsilon, p_now, grp.values,
-                out.record[f"{name}_param_norm"],
-            )
+    def update(self, out) -> None:
+        for slacks in out.slacks:
             for k, s in slacks.items():
-                self.min_slacks[k] = min(self.min_slacks[k], s)
+                self.min_slacks[k] = min(self.min_slacks.get(k, np.inf), s)
         self.steps += 1
 
 

@@ -225,7 +225,9 @@ class RunResult:
 
 
 def _grad_norm_sq(grads: Dict[str, np.ndarray]) -> float:
-    return float(sum(np.sum(g * g) for g in grads.values()))
+    # An overflow gives inf silently; the record's grad_norm_sq reports it.
+    with np.errstate(over="ignore"):
+        return float(sum(np.sum(g * g) for g in grads.values()))
 
 
 def run(config: ExperimentConfig) -> RunResult:
@@ -245,7 +247,6 @@ def run(config: ExperimentConfig) -> RunResult:
     params = objective.init_params(init_rng, scale=config.init_scale)
     state = new_state(params, config.hp)
     step_fn = make_step(config.optimizer)
-    is_adaptive = config.optimizer != OptimizerKind.SGDM
 
     if objective.dataset is not None:
         epoch_len = math.ceil(objective.dataset.n / config.batch_size)
@@ -253,7 +254,7 @@ def run(config: ExperimentConfig) -> RunResult:
         epoch_len = config.steps_per_epoch
     budget = config.steps if config.steps is not None else config.epochs * epoch_len
 
-    monitor = LemmaMonitor() if is_adaptive else None
+    monitor = LemmaMonitor()
     records: List[Dict[str, float]] = []
     eval_ts: List[int] = []
     eval_estimates: List[float] = []
@@ -302,9 +303,7 @@ def run(config: ExperimentConfig) -> RunResult:
         out.record["loss"] = loss
         out.record["epoch"] = epoch
         records.append(out.record)
-
-        if monitor is not None:
-            monitor.update(state, params, out)
+        monitor.update(out)
         params = out.new_params
 
     trace = track_convergence(eval_estimates, eval_ts)
@@ -324,8 +323,7 @@ def run(config: ExperimentConfig) -> RunResult:
 
 
 def _build_report(config: ExperimentConfig, cols: Dict[str, np.ndarray],
-                  monitor: Optional[LemmaMonitor],
-                  trace: ConvergenceTrace) -> DiagnosticsReport:
+                  monitor: LemmaMonitor, trace: ConvergenceTrace) -> DiagnosticsReport:
     """check_telemetry's rows plus what the telemetry CSV cannot hold."""
     report = check_telemetry(cols)
     verdict = validate_schedule(
@@ -335,9 +333,8 @@ def _build_report(config: ExperimentConfig, cols: Dict[str, np.ndarray],
     report.add("schedule_theorem_assumptions",
                1.0 if verdict.satisfies_assumptions else 0.0, True)
     _add_max_increase(report, "running_min_max_increase", trace.running_min)
-    if monitor is not None:
-        for key, slack in monitor.min_slacks.items():
-            report.add(f"{key}_min", slack, slack >= 0.0)
+    for key, slack in monitor.min_slacks.items():
+        report.add(f"{key}_min", slack, slack >= 0.0)
     return report
 
 
@@ -353,9 +350,9 @@ _NOT_AXES = ("run.out", "schedule.milestones")
 def sweep(mapping: Dict[str, str], axis: str, values: Sequence,
           out_dir: Optional[str] = None) -> List[RunResult]:
     """One run per value, each built by build_config(mapping, {axis key: value}),
-    which is what `padamp run --set key=value` runs. Every config is built
-    before the first run. Results are returned in value order; the summary CSV
-    is sorted by final loss (stable, so ties keep value order)."""
+    which is what `padamp run --set key=value` runs. Configs and objectives
+    are all built before the first run. Results are returned in value order;
+    the summary CSV is sorted by final loss (stable, so ties keep value order)."""
     key = _AXIS_ALIASES.get(axis, axis)
     if key not in _PARSERS or key in _NOT_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
@@ -368,6 +365,9 @@ def sweep(mapping: Dict[str, str], axis: str, values: Sequence,
         if out_dir is not None:
             overrides["run.out"] = os.path.join(out_dir, f"run_{i:03d}.csv")
         configs.append(build_config(mapping, overrides))
+    # The factories check objective values (condition=-5) before any run writes.
+    for cfg in configs:
+        build_objective(cfg.objective, cfg.objective_params, cfg.seed)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     results = [run(cfg) for cfg in configs]
@@ -424,7 +424,9 @@ def read_telemetry(path: str) -> Dict[str, np.ndarray]:
     int64 column is an error naming the column and the data row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"empty telemetry CSV {path}: no header line")
         rows = [[float(x) for x in row] for row in reader]
     data = np.asarray(rows, dtype=np.float64) if rows else np.empty((0, len(header)))
     if data.ndim != 2 or data.shape[1] != len(header):

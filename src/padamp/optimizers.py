@@ -12,9 +12,10 @@ Update order within a step: coupled weight decay folded into the gradient,
 moments and direction, the projection decision (using the raw gradient and
 the pre-step weights), decoupled weight decay (skipped for projected groups
 by default), then the parameter update. This module is the only one that
-applies either decay rule. The step also owns the per-step lemma
-bookkeeping: it records the lemma-2 residual and the lemma-3 margin (nan for
-sgdm) and returns the gradients the moments saw, which LemmaMonitor reads.
+applies either decay rule. The step also computes every per-step lemma
+quantity: it records the lemma-2 residual and the lemma-3 margin (nan for
+sgdm), and after each adaptive group's update it returns that group's
+lemma-3 lower and lemma-4/5 slacks, which LemmaMonitor folds into minima.
 
 A step's record is its telemetry CSV row, built by _step: a dict from
 column name to value, in CSV order.
@@ -39,7 +40,7 @@ from .core import (
     beta1_at,
     check_grads,
 )
-from .diagnostics import check_lemma2
+from .diagnostics import _bound_slacks, check_lemma2
 from .geometry import (
     ProjectionDecision,
     cosine_similarity,
@@ -67,12 +68,12 @@ class OptimizerKind(str, Enum):
 @dataclass
 class StepOutput:
     """New parameter groups, the step's telemetry row keyed by CSV column,
-    and the gradients the moments saw (coupled weight decay already folded
-    in), keyed by group."""
+    and one dict of bound slacks per adaptive group, in group order (empty
+    for sgdm)."""
 
     new_params: List[ParamGroup]
     record: Dict[str, float]
-    grads: GradientSet
+    slacks: List[Dict[str, float]]
 
 
 @lru_cache(maxsize=64)
@@ -126,7 +127,7 @@ def _step(
     record: Dict[str, float] = {"t": t, "epoch": 0, "eta_t": eta_t,
                                 "p_now": p_power if adaptive else float("nan"),
                                 "loss": float("nan"), "grad_norm_sq": 0.0}
-    grads_seen: GradientSet = {}
+    slacks: List[Dict[str, float]] = []
     lemma2_max, lemma3_min = (0.0, np.inf) if adaptive else (np.nan, np.nan)
     for grp in groups:
         name = grp.name
@@ -152,7 +153,6 @@ def _step(
                 g = g_raw + hp.weight_decay * theta
             else:
                 g = g_raw
-            grads_seen[name] = g
 
             if adaptive:
                 m = state.m[name]
@@ -194,14 +194,19 @@ def _step(
         if not np.all(np.isfinite(new_values)):
             raise FloatingPointError(f"non-finite parameters after step in group {name!r}")
         new_params.append(ParamGroup(name, new_values))
-
         record.update(zip(_group_columns(name), (
             theta_norm, decision.trigger_value, decision.projected,
             norm(new_values - theta))))
+        if adaptive:
+            # Release the full-size temporaries before the slacks make theirs.
+            del direction, q, base
+            slacks.append(_bound_slacks(
+                m, state.m_prev[name], state.v[name], g, state.c1[name],
+                hp.epsilon, p_power, theta, theta_norm))
 
     record["lemma2_residual"] = lemma2_max
     record["lemma3_margin"] = float(lemma3_min)
-    return StepOutput(new_params=new_params, record=record, grads=grads_seen)
+    return StepOutput(new_params=new_params, record=record, slacks=slacks)
 
 
 # Each kind's settings for _step, (power, use_max, trigger). power "p" is

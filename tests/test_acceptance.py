@@ -11,6 +11,10 @@ a=0.75): with eta0=1e-3 the total movement (sum of eta_t over 2e4 steps, about
 ||theta*|| = 3.52, while eta0=0.1 gives a sum of about 4.4. Its estimate of
 ||grad f||^2 is the squared norm of the eval window's mean minibatch gradient,
 whose bias tr(Sigma)/(B*K) sits well under the 1e-3 threshold.
+
+Criterion 11 reruns criterion 8's two configs with beta2 = 0.64 alone
+changed, so beta1/sqrt(beta2) = 1.125 lies outside the classical condition,
+and holds them to criterion 8's thresholds plus a fully passing report.
 """
 
 import time
@@ -277,23 +281,31 @@ def test_criterion_07_finite_difference_gradient_audit():
         assert worst < tol, name
 
 
-def test_criterion_08_convergence_diagnostic():
-    hp = table1_defaults("padamp", p=0.5, weight_decay=0.0, lam=0.99)
+def _convergence_runs(**hp_overrides):
+    """Criterion 8's quadratic and logistic runs, with hp_overrides on its hp."""
+    hp = table1_defaults("padamp", p=0.5, weight_decay=0.0, lam=0.99, **hp_overrides)
     schedule = LRSchedule(family="power", eta0=1e-3, a=0.75)
     logi_schedule = LRSchedule(family="power", eta0=0.1, a=0.75)
-    started = time.perf_counter()
-    quad_min = run(ExperimentConfig(
+    quad = run(ExperimentConfig(
         optimizer="padamp", hp=hp,
         objective="quadratic", objective_params={"dim": 20, "condition": 100.0},
         schedule=schedule, steps=10_000, seed=0, eval_every=500,
         init_scale=0.003,
-    )).convergence.final_min
-    logi_min = run(ExperimentConfig(
+    ))
+    logi = run(ExperimentConfig(
         optimizer="padamp", hp=hp,
         objective="logistic", objective_params={"d": 10, "n": 512},
         schedule=logi_schedule, steps=20_000, batch_size=32, seed=0,
         eval_every=2000, eval_window=32, init_scale=0.1,
-    )).convergence.final_min
+    ))
+    return quad, logi
+
+
+def test_criterion_08_convergence_diagnostic():
+    started = time.perf_counter()
+    quad, logi = _convergence_runs()
+    quad_min = quad.convergence.final_min
+    logi_min = logi.convergence.final_min
     elapsed = time.perf_counter() - started
     ok = quad_min < 1e-6 and logi_min < 1e-3 and elapsed < 120.0
     _verdict(8, ok, f"running-min quadratic {quad_min:.2e} (tol 1e-6), "
@@ -361,3 +373,23 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
                                for label, same in checks))
     for label, same in checks:
         assert same, label
+
+
+def test_criterion_11_convergence_without_the_classical_beta_condition():
+    # beta2 = 0.64 gives beta1 / sqrt(beta2) = 0.9 / 0.8 = 1.125, outside the
+    # classical beta1 < sqrt(beta2); the paper's analysis does not need it.
+    started = time.perf_counter()
+    quad, logi = _convergence_runs(beta2=0.64)
+    quad_min = quad.convergence.final_min
+    logi_min = logi.convergence.final_min
+    elapsed = time.perf_counter() - started
+    green = quad.report.all_passed and logi.report.all_passed
+    ok = quad_min < 1e-6 and logi_min < 1e-3 and green and elapsed < 120.0
+    _verdict(11, ok, f"beta1/sqrt(beta2) = 1.125: running-min quadratic "
+                     f"{quad_min:.2e} (tol 1e-6), logistic {logi_min:.2e} (tol 1e-3), "
+                     f"diagnostics {'all pass' if green else 'FAILED'} ({elapsed:.1f}s)")
+    assert elapsed < 120.0
+    assert quad_min < 1e-6
+    assert logi_min < 1e-3
+    assert quad.report.all_passed, str(quad.report)
+    assert logi.report.all_passed, str(logi.report)

@@ -61,6 +61,19 @@ def test_run_honors_out_dir_env(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_run_and_sweep_exit_1_on_a_failing_report_row(tmp_path, capsys):
+    # The squared gradient norm overflows, so non_finite_values fails.
+    args = ["--set", "optimizer.kind=sgdm", "--set", "objective.condition=1e80",
+            "--set", "run.init_scale=1e77", "--steps", "1"]
+    out = tmp_path / "run.csv"
+    assert main(["run", *args, "--out", str(out)]) == 1
+    assert "FAIL  non_finite_values = 1" in capsys.readouterr().out
+    assert main(["check", "--csv", str(out)]) == 1
+    assert main(["sweep", "--axis", "seed", "--values", "0,1", *args,
+                 "--out", str(tmp_path / "sweepdir")]) == 1
+    assert "diagnostics=FAIL" in capsys.readouterr().out
+
+
 # ------------------------------------------------------------------- check
 
 def test_check_passes_on_fresh_telemetry(tmp_path, capsys):
@@ -229,6 +242,11 @@ def test_sweep_with_a_bad_value_writes_no_run(tmp_path, capsys):
                  "--set", "objective.dim=3", "--steps", "2", "--out", str(out)]) == 2
     assert "takes no parameter dim" in capsys.readouterr().err
     assert not (out / "run_000.csv").exists()
+    # The quadratic rejects a negative condition when it is built.
+    assert main(["sweep", "--axis", "objective.condition", "--values", "10,-5",
+                 "--steps", "2", "--out", str(out)]) == 2
+    assert "condition must be positive" in capsys.readouterr().err
+    assert not (out / "run_000.csv").exists()
 
 
 # ------------------------------------------------------------------ errors
@@ -259,14 +277,17 @@ def test_sweep_with_a_bad_value_writes_no_run(tmp_path, capsys):
     ["check", "--csv", "{half}"],
     ["run", "--set", "objective.hidden=8", "--steps", "2", "--out", "{run}"],
     ["check", "--csv", "{header}"],
+    ["check", "--csv", "{empty}"],
 ])
 def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
     # {run} is a fresh run's telemetry CSV, {sweep} a fresh sweep directory,
     # {half} a telemetry CSV whose projected flag reads 0.5, {header} a CSV
-    # holding a header and no rows.
+    # holding a header and no rows, {empty} a zero-byte file.
     paths = dict(tmp=tmp_path, run=tmp_path / "run.csv", sweep=tmp_path / "sweepdir",
-                 half=tmp_path / "half.csv", header=tmp_path / "header.csv")
+                 half=tmp_path / "half.csv", header=tmp_path / "header.csv",
+                 empty=tmp_path / "empty.csv")
     paths["header"].write_text("t,epoch\n")
+    paths["empty"].write_text("")
     if "{run}" in argv and argv[0] == "check":
         _run_csv(tmp_path)
     if "{half}" in argv:
@@ -282,6 +303,8 @@ def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1, captured.err
     if "{header}" in argv:
         assert "telemetry table has no rows to check" in captured.err
+    if "{empty}" in argv:
+        assert "empty.csv" in captured.err
 
 
 @pytest.mark.parametrize("args", [

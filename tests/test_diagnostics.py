@@ -147,7 +147,7 @@ def test_monitor_tracks_live_optimizer_steps():
     for t in range(1, 26):
         grads = {"theta": rng.standard_normal(8)}
         out = step(state, groups, grads, eta_t=1e-3)
-        monitor.update(state, groups, out)
+        monitor.update(out)
         assert out.record["lemma2_residual"] < 1e-10
     assert monitor.steps == 25
     for key, val in monitor.min_slacks.items():
@@ -166,6 +166,56 @@ def test_lemma4_upper_slack_holds_once_v_underflows_eps(eps, p, dim, tiny):
     m, m_prev, g, theta = rng.standard_normal((4, dim))
     slacks = _bound_slacks(m, m_prev, v, g, 1.0, eps, p, theta, float(np.linalg.norm(theta)))
     assert slacks["lemma4_upper"] >= 0.0
+
+
+def _bound_slacks_oracle(m, m_prev, v, g, c1, eps, p, theta, theta_norm):
+    # The out-of-place body _bound_slacks had before it reused two buffers.
+    denom = (v + eps) ** p
+    inv = 1.0 / denom
+    lo, hi = 1.0 / np.array([c1 * c1 + eps, eps]) ** p
+    slacks = {
+        "lemma3_lower": float(np.min(v)),
+        "lemma4_lower": float(np.min(inv) - lo),
+        "lemma4_upper": float(hi - np.max(inv)),
+    }
+    pre_m = m / denom
+    if theta_norm > 0:
+        radial = float(theta @ pre_m) / theta_norm
+    else:
+        radial = float(np.linalg.norm(pre_m))
+    slacks["lemma5_radial"] = c1 / eps ** p - radial
+    slacks["lemma5_precond_sq"] = (c1 * c1) / eps ** (2 * p) - float(
+        np.sum((g * inv) ** 2)
+    )
+    slacks["lemma5_moment_diff"] = 2.0 * c1 * c1 / eps ** p - float(
+        g @ ((m - m_prev) * inv)
+    )
+    return slacks
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 64), st.floats(1e-16, 1e-2),
+       st.one_of(st.just(0.5), st.just(0.25), st.floats(0.0, 0.5, exclude_min=True)),
+       st.floats(0.0, 2.0 ** -54), st.booleans(), st.floats(-30.0, 30.0))
+def test_bound_slacks_match_the_out_of_place_oracle_bitwise(seed, dim, eps, p, tiny,
+                                                            zero_theta, log_scale):
+    rng = seeded_rng(seed)
+    scale = 2.0 ** log_scale
+    m, m_prev, g, theta = rng.standard_normal((4, dim)) * scale
+    v = rng.uniform(0.0, 1.0, dim) * scale * scale
+    v[rng.integers(dim)] = tiny * eps
+    if zero_theta:
+        theta[:] = 0.0
+    c1 = float(np.sqrt(v.max())) + float(rng.uniform(0.0, 1.0))
+    args = (m, m_prev, v, g, c1, eps, p, theta, float(np.linalg.norm(theta)))
+    copies = [np.copy(a) for a in args[:4]]
+    got = _bound_slacks(*args)
+    want = _bound_slacks_oracle(*args)
+    assert list(got) == list(want)
+    for key in want:
+        assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes(), key
+    for before, after in zip(copies, args[:4]):
+        assert np.array_equal(before, after)
 
 
 def test_converged_run_passes_the_lemma4_upper_bound():

@@ -307,7 +307,7 @@ def test_run_report_holds_the_rows_check_gives_its_csv(over, tmp_path):
 
 
 def test_run_with_coupled_weight_decay_passes_every_check():
-    # The monitor's slacks use the gradients the moments saw, wd * theta included.
+    # The step's slacks use the gradients the moments saw, wd * theta included.
     cfg = _quad_config(hp=table1_defaults("padamp", weight_decay=0.1, wd_mode="coupled"),
                        steps=200)
     result = run(cfg)

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padamp.core import HyperParams, ParamGroup, new_state
+from padamp.diagnostics import _bound_slacks
+from padamp.geometry import norm
 from padamp.optimizers import OptimizerKind, make_step
 
 padamp_step, adamp_step, padam_step, adam_step, amsgrad_step, sgdm_step = (
@@ -176,16 +178,20 @@ def test_coupled_weight_decay_feeds_moments():
 
 
 @pytest.mark.parametrize("fn", [padamp_step, sgdm_step])
-def test_step_reports_the_gradients_the_moments_saw(fn):
+def test_step_slacks_use_the_gradients_the_moments_saw(fn):
     theta = np.array([2.0, -1.0])
     g = np.array([0.5, 0.25])
-    coupled = HyperParams(weight_decay=0.1, wd_mode="coupled")
-    out = fn(new_state(_one_group(theta), coupled), _one_group(theta), _grads(g), 1e-3)
-    np.testing.assert_array_equal(out.grads["theta"], g + 0.1 * theta)
-
-    decoupled = replace(coupled, wd_mode="decoupled")
-    out = fn(new_state(_one_group(theta), decoupled), _one_group(theta), _grads(g), 1e-3)
-    np.testing.assert_array_equal(out.grads["theta"], g)
+    hp = HyperParams(weight_decay=0.1, wd_mode="coupled")
+    state = new_state(_one_group(theta), hp)
+    out = fn(state, _one_group(theta), _grads(g), 1e-3)
+    if fn is sgdm_step:
+        assert out.slacks == []
+        return
+    # Under coupled decay the moments see g + wd * theta; so do the slacks.
+    expected = _bound_slacks(state.m["theta"], state.m_prev["theta"], state.v["theta"],
+                             g + 0.1 * theta, state.c1["theta"], hp.epsilon, hp.p,
+                             theta, norm(theta))
+    assert out.slacks == [expected]
 
 
 def test_amsgrad_uses_max_buffer():
@@ -337,6 +343,8 @@ def test_multi_group_step_records_each_group():
     assert out.record["w1_projected"]
     assert not out.record["w2_projected"]
     assert out.record["grad_norm_sq"] == pytest.approx(1.0 + 0.25)
+    assert len(out.slacks) == 2
+    assert out.slacks[1]["lemma3_lower"] == state.v["w2"][0]
 
 
 @pytest.mark.parametrize("fn", [padamp_step, adam_step, sgdm_step])
