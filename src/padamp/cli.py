@@ -133,6 +133,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
+    if args.steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
     params_map = _parse_sets(args.param or [])
     objective = harness.build_objective(args.objective, params_map, args.seed)
     # The MLP default is looser: centered differences straddling a ReLU kink

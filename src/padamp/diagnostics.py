@@ -4,17 +4,20 @@ Covers: the norm-growth gap between plain and momentum descent, the
 first-moment rearrangement identity, the second-moment and denominator
 bounds (with the empirical running gradient bound C1), learning-rate
 schedule assumptions, and the running-min convergence tracker. The optimizer
-step calls the lemma checks; LemmaMonitor folds their slacks into run minima.
+step makes one _group_lemmas call per adaptive group, which computes all of
+that group's lemma quantities in one buffered pass; LemmaMonitor folds the
+returned slacks into run minima.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._kernels import norm_growth_arrays
+from .geometry import norm
 
 __all__ = [
     "NormGrowthTrace",
@@ -23,7 +26,6 @@ __all__ = [
     "DiagnosticsReport",
     "LemmaMonitor",
     "simulate_norm_growth",
-    "check_lemma2",
     "validate_schedule",
     "track_convergence",
     "momentum_norm_ratio_limit",
@@ -66,6 +68,11 @@ def simulate_norm_growth(
         raise ValueError("update norms must be non-negative")
     if not 0 <= beta < 1:
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
+    if not 0 < eta < np.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+    if not 0 <= theta0_norm_sq < np.inf:
+        raise ValueError(
+            f"theta0_norm_sq must be non-negative and finite, got {theta0_norm_sq}")
     if float(u.sum()) == 0.0:
         raise ValueError("total update norm is zero; growth ratio undefined")
     gd, gdm = norm_growth_arrays(u, beta, eta, theta0_norm_sq)
@@ -80,53 +87,38 @@ def simulate_norm_growth(
     ]
 
 
-def check_lemma2(m_t: np.ndarray, m_prev: np.ndarray, g_t: np.ndarray,
-                 beta1t: float) -> float:
-    """Residual of the rearranged moment recursion.
+def _group_lemmas(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarray,
+                  beta1t: float, c1: float, eps: float, p: float, theta: np.ndarray,
+                  theta_norm: float) -> Tuple[float, float, Dict[str, float]]:
+    """One adaptive group's lemma quantities, from its post-step moments.
 
-    m_t = b m_prev + (1-b) g_t rearranges to
-    -m_t = -g_t + b/(1-b) (m_t - m_prev); returns the norm of the difference
-    between the two sides, which is pure rounding for consistent inputs.
-    b = 0 (a geometric beta1,t schedule after underflow) leaves m_t = g_t.
+    Returns (lemma-2 residual, lemma-3 margin C1**2 - max(v), slack dict).
+    m = b m_prev + (1-b) g rearranges to -m = -g + b/(1-b) (m - m_prev); the
+    residual is the norm of the two sides' difference over 1 + ||m||, pure
+    rounding for consistent inputs. The slacks use the uncorrected buffers;
+    at theta = 0, which has no radial direction, the radial bound is checked
+    against ||pre_m||, which dominates the inner product with any unit vector.
+    Two buffers hold every temporary; the comments give the out-of-place form.
     """
-    if not 0 <= beta1t < 1:
-        raise ValueError(f"beta1t must lie in [0, 1), got {beta1t}")
-    m_t = np.asarray(m_t, dtype=np.float64)
-    m_prev = np.asarray(m_prev, dtype=np.float64)
-    g_t = np.asarray(g_t, dtype=np.float64)
-    rhs = -g_t + (beta1t / (1.0 - beta1t)) * (m_t - m_prev)
-    return float(np.linalg.norm(-m_t - rhs))
-
-
-def _bound_slacks(
-    m: np.ndarray,
-    m_prev: np.ndarray,
-    v: np.ndarray,
-    g: np.ndarray,
-    c1: float,
-    eps: float,
-    p: float,
-    theta: np.ndarray,
-    theta_norm: float,
-) -> Dict[str, float]:
-    """Per-step slacks of the second-moment/denominator/update bounds.
-
-    Uses the uncorrected buffers throughout. At theta = 0, which has no
-    radial direction, the radial bound is checked against the norm of the
-    preconditioned moment, which dominates the inner product with any unit
-    vector. The lemma-3 upper margin is the step's own record. Two buffers
-    hold every full-size temporary; the comments give the out-of-place form.
-    """
-    denom = v + eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        buf = np.subtract(m, m_prev)
+        buf *= beta1t / (1.0 - beta1t)  # (b / (1 - b)) * (m - m_prev)
+        rhs = np.negative(g)
+        rhs += buf  # -g + (b / (1 - b)) * (m - m_prev)
+        np.negative(m, out=buf)
+        buf -= rhs  # -m - rhs
+        resid = float(np.linalg.norm(buf)) / (1.0 + norm(m))
+        margin = float(c1 ** 2 - v.max())
+    denom = np.add(v, eps, out=buf)
     denom **= p  # (v + eps) ** p
-    inv = 1.0 / denom
+    inv = np.divide(1.0, denom, out=rhs)
     # The same array power as inv's: once v + eps rounds to eps, max(inv)
     # equals hi exactly, where a scalar power can differ from it by an ulp.
     lo, hi = 1.0 / np.array([c1 * c1 + eps, eps]) ** p
     slacks = {
-        "lemma3_lower": float(np.min(v)),
-        "lemma4_lower": float(np.min(inv) - lo),
-        "lemma4_upper": float(hi - np.max(inv)),
+        "lemma3_lower": float(v.min()),
+        "lemma4_lower": float(inv.min() - lo),
+        "lemma4_upper": float(hi - inv.max()),
     }
     pre_m = np.divide(m, denom, out=denom)
     if theta_norm > 0:
@@ -136,11 +128,11 @@ def _bound_slacks(
     slacks["lemma5_radial"] = c1 / eps ** p - radial
     buf = np.multiply(g, inv, out=pre_m)
     buf **= 2  # (g * inv) ** 2
-    slacks["lemma5_precond_sq"] = (c1 * c1) / eps ** (2 * p) - float(np.sum(buf))
+    slacks["lemma5_precond_sq"] = (c1 * c1) / eps ** (2 * p) - float(buf.sum())
     np.subtract(m, m_prev, out=buf)
     buf *= inv  # (m - m_prev) * inv
     slacks["lemma5_moment_diff"] = 2.0 * c1 * c1 / eps ** p - float(g @ buf)
-    return slacks
+    return resid, margin, slacks
 
 
 class LemmaMonitor:

@@ -197,7 +197,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         OptimizerKind(self.optimizer)
-        _objective_defaults(self.objective, self.objective_params)
+        defaults = _objective_defaults(self.objective, self.objective_params)
         if (self.steps is None) == (self.epochs is None):
             raise ValueError("exactly one of steps or epochs must set the budget")
         for label, value in (("steps", self.steps), ("epochs", self.epochs)):
@@ -205,6 +205,14 @@ class ExperimentConfig:
                 raise ValueError(f"{label} budget must be >= 1, got {value}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.objective == "tiny_mlp":
+            # Batch normalization needs two examples in every batch, the
+            # last batch of an epoch included.
+            n = int(self.objective_params.get("n", defaults["n"]))
+            if self.batch_size < 2 or n % self.batch_size == 1:
+                raise ValueError(
+                    f"tiny_mlp needs at least 2 examples per batch; run.batch_size="
+                    f"{self.batch_size} with objective.n={n} leaves a batch of 1")
         if self.eval_window < 1 or self.eval_every < 1 or self.steps_per_epoch < 1:
             raise ValueError("eval_window, eval_every, steps_per_epoch must be >= 1")
         if not 0 < self.init_scale < math.inf:

@@ -12,10 +12,10 @@ Update order within a step: coupled weight decay folded into the gradient,
 moments and direction, the projection decision (using the raw gradient and
 the pre-step weights), decoupled weight decay (skipped for projected groups
 by default), then the parameter update. This module is the only one that
-applies either decay rule. The step also computes every per-step lemma
-quantity: it records the lemma-2 residual and the lemma-3 margin (nan for
-sgdm), and after each adaptive group's update it returns that group's
-lemma-3 lower and lemma-4/5 slacks, which LemmaMonitor folds into minima.
+applies either decay rule. After each adaptive group's update, one
+diagnostics call gives all of its lemma quantities: the step records the
+largest lemma-2 residual and smallest lemma-3 margin over groups (nan for
+sgdm) and returns each group's slacks, which LemmaMonitor folds into minima.
 
 A step's record is its telemetry CSV row, built by _step: a dict from
 column name to value, in CSV order.
@@ -40,7 +40,7 @@ from .core import (
     beta1_at,
     check_grads,
 )
-from .diagnostics import _bound_slacks, check_lemma2
+from .diagnostics import _group_lemmas
 from .geometry import (
     ProjectionDecision,
     cosine_similarity,
@@ -162,10 +162,6 @@ def _step(
                     b1t, hp.beta2, bc1, bc2, hp.epsilon, p_power,
                     use_max, power_eps,
                 )
-                resid = check_lemma2(m, state.m_prev[name], g, b1t)
-                lemma2_max = max(lemma2_max, resid / (1.0 + norm(m)))
-                c1sq = state.c1[name] ** 2
-                lemma3_min = min(lemma3_min, float(c1sq - np.max(state.v[name])))
             else:
                 # Undamped accumulation buf <- momentum * buf + g.
                 direction = state.momentum_buf[name]
@@ -198,14 +194,16 @@ def _step(
             theta_norm, decision.trigger_value, decision.projected,
             norm(new_values - theta))))
         if adaptive:
-            # Release the full-size temporaries before the slacks make theirs.
+            # Release the full-size temporaries before the lemmas make theirs.
             del direction, q, base
-            slacks.append(_bound_slacks(
-                m, state.m_prev[name], state.v[name], g, state.c1[name],
-                hp.epsilon, p_power, theta, theta_norm))
+            resid, margin, group_slacks = _group_lemmas(
+                m, state.m_prev[name], state.v[name], g, b1t, state.c1[name],
+                hp.epsilon, p_power, theta, theta_norm)
+            lemma2_max, lemma3_min = max(lemma2_max, resid), min(lemma3_min, margin)
+            slacks.append(group_slacks)
 
     record["lemma2_residual"] = lemma2_max
-    record["lemma3_margin"] = float(lemma3_min)
+    record["lemma3_margin"] = lemma3_min
     return StepOutput(new_params=new_params, record=record, slacks=slacks)
 
 

@@ -247,6 +247,13 @@ def test_sweep_with_a_bad_value_writes_no_run(tmp_path, capsys):
                  "--steps", "2", "--out", str(out)]) == 2
     assert "condition must be positive" in capsys.readouterr().err
     assert not (out / "run_000.csv").exists()
+    # 512 examples in batches of 511 leave a last batch of one, which batch
+    # normalization cannot take.
+    assert main(["sweep", "--axis", "batch_size", "--values", "128,511",
+                 "--set", "objective.name=tiny_mlp", "--steps", "3",
+                 "--out", str(out)]) == 2
+    assert "run.batch_size=511" in capsys.readouterr().err
+    assert not (out / "run_000.csv").exists()
 
 
 # ------------------------------------------------------------------ errors
@@ -278,6 +285,16 @@ def test_sweep_with_a_bad_value_writes_no_run(tmp_path, capsys):
     ["run", "--set", "objective.hidden=8", "--steps", "2", "--out", "{run}"],
     ["check", "--csv", "{header}"],
     ["check", "--csv", "{empty}"],
+    ["run", "--set", "objective.name=tiny_mlp", "--set", "objective.n=513",
+     "--steps", "10", "--out", "{run}"],
+    ["sweep", "--axis", "batch_size", "--values", "128,511", "--set",
+     "objective.name=tiny_mlp", "--steps", "3", "--out", "{tmp}/d"],
+    ["run", "--set", "objective.name=tiny_mlp", "--set", "run.batch_size=1",
+     "--steps", "2", "--out", "{run}"],
+    ["grad-check", "--objective", "quadratic", "--steps", "0"],
+    ["grad-check", "--objective", "quadratic", "--steps", "-3"],
+    ["norm-sim", "--eta", "inf", "--out", "{tmp}/ns.csv"],
+    ["norm-sim", "--theta0-norm-sq", "nan", "--out", "{tmp}/ns.csv"],
 ])
 def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
     # {run} is a fresh run's telemetry CSV, {sweep} a fresh sweep directory,
@@ -305,6 +322,9 @@ def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
         assert "telemetry table has no rows to check" in captured.err
     if "{empty}" in argv:
         assert "empty.csv" in captured.err
+    if any("batch_size" in a or a == "objective.n=513" for a in argv):
+        # A singleton tiny_mlp batch is rejected when the config is built.
+        assert "run.batch_size" in captured.err
 
 
 @pytest.mark.parametrize("args", [

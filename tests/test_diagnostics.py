@@ -7,13 +7,13 @@ from padamp.core import HyperParams, ParamGroup, new_state, seeded_rng
 from padamp.diagnostics import (
     DiagnosticsReport,
     LemmaMonitor,
-    _bound_slacks,
-    check_lemma2,
+    _group_lemmas,
     momentum_norm_ratio_limit,
     simulate_norm_growth,
     track_convergence,
     validate_schedule,
 )
+from padamp.geometry import norm
 from padamp.harness import build_config, run
 from padamp.optimizers import make_step
 
@@ -76,6 +76,20 @@ def test_norm_growth_input_validation(u, beta, msg):
         simulate_norm_growth(u, beta=beta, eta=1.0, theta0_norm_sq=0.0)
 
 
+@pytest.mark.parametrize("eta,theta0,msg", [
+    (0.0, 1.0, "eta must be"),
+    (-1.0, 1.0, "eta must be"),
+    (np.nan, 1.0, "eta must be"),
+    (np.inf, 1.0, "eta must be"),
+    (1.0, -5.0, "theta0_norm_sq must be"),
+    (1.0, np.nan, "theta0_norm_sq must be"),
+    (1.0, np.inf, "theta0_norm_sq must be"),
+])
+def test_norm_growth_rejects_meaningless_eta_and_start(eta, theta0, msg):
+    with pytest.raises(ValueError, match=msg):
+        simulate_norm_growth([1.0], beta=0.5, eta=eta, theta0_norm_sq=theta0)
+
+
 def test_momentum_limit_values():
     assert momentum_norm_ratio_limit(0.0) == 1.0
     assert momentum_norm_ratio_limit(0.5) == 3.0
@@ -85,11 +99,17 @@ def test_momentum_limit_values():
 
 # ---------------------------------------------------- moment identity check
 
+def _lemma2(m, m_prev, g, beta1t):
+    # The lemma-2 residual of _group_lemmas, which is scaled by 1 + ||m||.
+    ones = np.ones_like(m)
+    return _group_lemmas(m, m_prev, ones, g, beta1t, 1.0, 1e-8, 0.5, ones, norm(ones))[0]
+
+
 def test_lemma2_residual_is_rounding_level_for_consistent_inputs():
     m_prev = np.zeros(1)
     g = np.array([2.0])
     m = 0.9 * m_prev + 0.1 * g
-    assert check_lemma2(m, m_prev, g, beta1t=0.9) < 1e-14
+    assert _lemma2(m, m_prev, g, beta1t=0.9) < 1e-14
 
 
 def test_lemma2_residual_on_random_recursion():
@@ -98,27 +118,20 @@ def test_lemma2_residual_on_random_recursion():
     g = rng.standard_normal(40)
     beta1t = 0.77
     m = beta1t * m_prev + (1.0 - beta1t) * g
-    resid = check_lemma2(m, m_prev, g, beta1t)
-    assert resid < 1e-12 * (1.0 + np.linalg.norm(m))
+    assert _lemma2(m, m_prev, g, beta1t) < 1e-12
 
 
 def test_lemma2_detects_inconsistent_moment():
     m_prev = np.zeros(3)
     g = np.ones(3)
-    assert check_lemma2(g, m_prev, g, beta1t=0.9) > 1.0
+    assert _lemma2(g, m_prev, g, beta1t=0.9) > 1.0
 
 
 def test_lemma2_beta_zero_is_plain_gradient():
     # A geometric beta1,t schedule underflows to 0, where m_t = g_t.
     g = np.array([2.0, -1.0])
-    assert check_lemma2(g, np.ones(2), g, beta1t=0.0) == 0.0
-    assert check_lemma2(np.zeros(2), np.ones(2), g, beta1t=0.0) > 1.0
-
-
-@pytest.mark.parametrize("bad", [1.0, 1.5, -0.2])
-def test_lemma2_rejects_degenerate_beta(bad):
-    with pytest.raises(ValueError, match="beta1t"):
-        check_lemma2(np.ones(2), np.zeros(2), np.ones(2), beta1t=bad)
+    assert _lemma2(g, np.ones(2), g, beta1t=0.0) == 0.0
+    assert _lemma2(np.zeros(2), np.ones(2), g, beta1t=0.0) > 1.0
 
 
 # ------------------------------------------------------------- bound slacks
@@ -155,7 +168,7 @@ def test_monitor_tracks_live_optimizer_steps():
 
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(st.floats(1e-16, 1e-2), st.floats(0.0, 0.5, exclude_min=True),
        st.integers(1, 64), st.floats(0.0, 2.0 ** -54))
 def test_lemma4_upper_slack_holds_once_v_underflows_eps(eps, p, dim, tiny):
@@ -164,12 +177,21 @@ def test_lemma4_upper_slack_holds_once_v_underflows_eps(eps, p, dim, tiny):
     v = rng.uniform(0.0, 1.0, dim)
     v[rng.integers(dim)] = tiny * eps
     m, m_prev, g, theta = rng.standard_normal((4, dim))
-    slacks = _bound_slacks(m, m_prev, v, g, 1.0, eps, p, theta, float(np.linalg.norm(theta)))
+    _, _, slacks = _group_lemmas(m, m_prev, v, g, 0.9, 1.0, eps, p, theta,
+                                 float(np.linalg.norm(theta)))
     assert slacks["lemma4_upper"] >= 0.0
 
 
+def _check_lemma2_oracle(m_t, m_prev, g_t, beta1t):
+    # The out-of-place body of check_lemma2, the public lemma-2 check the
+    # step called before _group_lemmas.
+    rhs = -g_t + (beta1t / (1.0 - beta1t)) * (m_t - m_prev)
+    return float(np.linalg.norm(-m_t - rhs))
+
+
 def _bound_slacks_oracle(m, m_prev, v, g, c1, eps, p, theta, theta_norm):
-    # The out-of-place body _bound_slacks had before it reused two buffers.
+    # The out-of-place body of _bound_slacks, which computed the slacks
+    # before _group_lemmas.
     denom = (v + eps) ** p
     inv = 1.0 / denom
     lo, hi = 1.0 / np.array([c1 * c1 + eps, eps]) ** p
@@ -193,12 +215,19 @@ def _bound_slacks_oracle(m, m_prev, v, g, c1, eps, p, theta, theta_norm):
     return slacks
 
 
-@settings(max_examples=300, deadline=None, database=None)
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=300)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 64), st.floats(1e-16, 1e-2),
        st.one_of(st.just(0.5), st.just(0.25), st.floats(0.0, 0.5, exclude_min=True)),
-       st.floats(0.0, 2.0 ** -54), st.booleans(), st.floats(-30.0, 30.0))
+       st.floats(0.0, 2.0 ** -54), st.booleans(), st.floats(-30.0, 30.0),
+       st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)))
 def test_bound_slacks_match_the_out_of_place_oracle_bitwise(seed, dim, eps, p, tiny,
-                                                            zero_theta, log_scale):
+                                                            zero_theta, log_scale, beta1t):
+    # _group_lemmas against the three out-of-place forms it replaced: the
+    # check_lemma2 body, the step's inline lemma-3 margin and _bound_slacks.
     rng = seeded_rng(seed)
     scale = 2.0 ** log_scale
     m, m_prev, g, theta = rng.standard_normal((4, dim)) * scale
@@ -207,14 +236,18 @@ def test_bound_slacks_match_the_out_of_place_oracle_bitwise(seed, dim, eps, p, t
     if zero_theta:
         theta[:] = 0.0
     c1 = float(np.sqrt(v.max())) + float(rng.uniform(0.0, 1.0))
-    args = (m, m_prev, v, g, c1, eps, p, theta, float(np.linalg.norm(theta)))
-    copies = [np.copy(a) for a in args[:4]]
-    got = _bound_slacks(*args)
-    want = _bound_slacks_oracle(*args)
-    assert list(got) == list(want)
+    theta_norm = float(np.linalg.norm(theta))
+    arrays = (m, m_prev, v, g, theta)
+    copies = [np.copy(a) for a in arrays]
+    resid, margin, slacks = _group_lemmas(m, m_prev, v, g, beta1t, c1, eps, p,
+                                          theta, theta_norm)
+    assert _bits(resid) == _bits(_check_lemma2_oracle(m, m_prev, g, beta1t) / (1.0 + norm(m)))
+    assert _bits(margin) == _bits(float(c1 ** 2 - np.max(v)))
+    want = _bound_slacks_oracle(m, m_prev, v, g, c1, eps, p, theta, theta_norm)
+    assert list(slacks) == list(want)
     for key in want:
-        assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes(), key
-    for before, after in zip(copies, args[:4]):
+        assert _bits(slacks[key]) == _bits(want[key]), key
+    for before, after in zip(copies, arrays):
         assert np.array_equal(before, after)
 
 

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -153,7 +153,7 @@ _unit_vectors = hnp.arrays(np.float64, st.integers(1, 64),
 _scales = st.one_of(st.floats(1e-300, 1e300), st.floats(1.6e308, 1.7976e308))
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(hnp.arrays(np.float64, st.integers(1, 64),
                   elements=st.floats(-1e160, 1e160, allow_subnormal=False)))
 def test_norm_is_linalg_norm_in_the_normal_range(x):
@@ -162,7 +162,7 @@ def test_norm_is_linalg_norm_in_the_normal_range(x):
         assert norm(x) == np.linalg.norm(x)
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(_unit_vectors, _scales)
 def test_norm_matches_hypot_at_every_scale(v, scale):
     big = np.max(np.abs(v))
@@ -175,10 +175,26 @@ def test_norm_matches_hypot_at_every_scale(v, scale):
         assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(_unit_vectors, _scales, _scales, st.data())
 def test_cosine_stays_in_unit_interval_at_every_scale(v, sa, sb, data):
     w = data.draw(hnp.arrays(np.float64, v.shape,
                              elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
     cos = cosine_similarity(v * sa, w * sb)
     assert 0.0 <= cos <= 1.0
+
+
+@settings(max_examples=300)
+@given(_unit_vectors, st.data(), st.integers(-30, 30), st.integers(-30, 30))
+def test_project_tangent_is_orthogonal_and_idempotent_at_every_scale(v, data,
+                                                                    log_st, log_sx):
+    w = data.draw(hnp.arrays(np.float64, v.shape,
+                             elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+    assume(np.any(v != 0.0))
+    theta = v / np.max(np.abs(v)) * 2.0 ** log_st
+    big = np.max(np.abs(w))
+    x = w / big * 2.0 ** log_sx if big > 0 else w
+    out = project_tangent(theta, x)
+    assert abs(out @ (theta / norm(theta))) <= 1e-12 * norm(x)
+    # x already tangent -> unchanged
+    assert np.max(np.abs(project_tangent(theta, out) - out)) <= 1e-14 * norm(x)

@@ -380,6 +380,14 @@ _PINNED_TELEMETRY = {
         {"optimizer.kind": "adamp", "objective.name": "scale_invariant",
          "hp.wd_mode": "coupled"},
         "f79cd52535c12adf7762e59ea096263095d31fdca128aa80fda0bd22b886ca52"),
+    # A max-tracked v, and a decaying beta1,t that sets lemma 2's b / (1 - b).
+    "padam quadratic lam": (
+        {"optimizer.kind": "padam", "objective.name": "quadratic",
+         "objective.condition": "100", "hp.lam": "0.99"},
+        "a2e3a12dd32d6ecc6cb34a35de709a1709d09e808c459e8019919fa05a0d02e6"),
+    "amsgrad tiny_mlp post": (
+        {"optimizer.kind": "amsgrad", "objective.name": "tiny_mlp", "hp.eps_mode": "post"},
+        "8f9bb29e0e070addef2621ba8705d5e6c64b1a638083dd1412ff4da3252b909a"),
 }
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from padamp import _kernels
 
@@ -51,12 +53,24 @@ def _random_inputs(dim, seed, t=3):
     return m, v, max_v, g, bc1, bc2
 
 
+# use_max and power_eps are enumerated, so each of their four combinations
+# is checked on every run; dim is drawn up to the parametrized bound.
 @pytest.mark.parametrize("dim", [1, 7, 1000])
 @pytest.mark.parametrize("use_max", [False, True])
 @pytest.mark.parametrize("power_eps", [False, True])
-def test_moment_direction_matches_loop(dim, use_max, power_eps):
-    m0, v0, max0, g, bc1, bc2 = _random_inputs(dim, seed=dim)
-    args = (0.9, 0.999, bc1, bc2, 1e-8, 0.25, use_max, power_eps)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       beta1t=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+       beta2=st.floats(0.0, 0.9999, exclude_min=True), eps=st.floats(1e-16, 1e-2),
+       p=st.one_of(st.just(0.5), st.just(0.25), st.floats(0.0, 0.5, exclude_min=True)),
+       log_scale=st.integers(-30, 30))
+def test_moment_direction_matches_loop(dim, use_max, power_eps, data, seed, beta1t,
+                                       beta2, eps, p, log_scale):
+    n = data.draw(st.integers(1, dim), label="n")
+    m0, v0, max0, g, bc1, _ = _random_inputs(n, seed=seed)
+    scale = 2.0 ** log_scale
+    m0, g = m0 * scale, g * scale
+    v0, max0 = v0 * scale * scale, max0 * scale * scale
+    args = (beta1t, beta2, bc1, 1.0 - beta2 ** 3, eps, p, use_max, power_eps)
 
     m_a, v_a, max_a = m0.copy(), v0.copy(), max0.copy()
     d_kernel = _kernels.moment_direction(m_a, v_a, max_a, g, *args)
