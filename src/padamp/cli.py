@@ -101,19 +101,22 @@ def _cmd_norm_sim(args) -> int:
     if not betas:
         raise ValueError("--beta needs at least one value")
     u = _make_updates(args.pattern, args.steps, args.cutoff, args.seed)
+    # Every trace first, so a bad value leaves --out as it was.
+    traces = [simulate_norm_growth(u, beta, args.eta, args.theta0_norm_sq)
+              for beta in betas]
     out = _default_out("norm_sim.csv", args.out)
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["beta", "t", "norm_sq_gd", "norm_sq_gdm", "ratio"])
-        for beta in betas:
-            trace = simulate_norm_growth(u, beta, args.eta, args.theta0_norm_sq)
+        for beta, trace in zip(betas, traces):
             for row in trace:
                 w.writerow([repr(beta), row.t, repr(row.norm_sq_gd),
                             repr(row.norm_sq_gdm), repr(row.ratio)])
-            limit = momentum_norm_ratio_limit(beta)
-            print(f"beta={beta}: final_ratio={trace[-1].ratio:.6f} "
-                  f"limit={limit:.6f} "
-                  f"rel_err={abs(trace[-1].ratio - limit) / limit:.3e}")
+    for beta, trace in zip(betas, traces):
+        limit = momentum_norm_ratio_limit(beta)
+        print(f"beta={beta}: final_ratio={trace[-1].ratio:.6f} "
+              f"limit={limit:.6f} "
+              f"rel_err={abs(trace[-1].ratio - limit) / limit:.3e}")
     print(f"trace: {out}")
     return 0
 
@@ -161,6 +164,8 @@ def _cmd_grad_check(args) -> int:
 
 
 def _add_common(sub, steps_help: str, steps_default=None) -> None:
+    # No --seed leaves run and sweep with the config's run.seed; norm-sim and
+    # grad-check default it to 0.
     sub.add_argument("--seed", type=int, default=None, help="base RNG seed")
     sub.add_argument("--steps", type=int, default=steps_default, help=steps_help)
     sub.add_argument("--out", default=None, help="output path (file or directory)")
@@ -204,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--theta0-norm-sq", type=float, default=1.0,
                        help="initial squared parameter norm")
     _add_common(p_sim, "simulated steps", steps_default=10_000)
-    p_sim.set_defaults(func=_cmd_norm_sim)
+    p_sim.set_defaults(func=_cmd_norm_sim, seed=0)
 
     p_check = subs.add_parser("check",
                               help="validate a telemetry CSV against the "
@@ -223,15 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-point relative-error threshold (default "
                              "1e-6, or 1e-4 for tiny_mlp)")
     _add_common(p_grad, "number of random points to audit", steps_default=20)
-    p_grad.set_defaults(func=_cmd_grad_check)
+    p_grad.set_defaults(func=_cmd_grad_check, seed=0)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        args.seed = 0
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:

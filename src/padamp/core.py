@@ -168,5 +168,5 @@ def check_grads(groups: Sequence[ParamGroup], grads: GradientSet) -> None:
             raise ValueError(
                 f"gradient shape {arr.shape} does not match group {g.name!r} shape {g.values.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise FloatingPointError(f"non-finite gradient in group {g.name!r}")

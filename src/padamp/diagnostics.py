@@ -5,8 +5,8 @@ first-moment rearrangement identity, the second-moment and denominator
 bounds (with the empirical running gradient bound C1), learning-rate
 schedule assumptions, and the running-min convergence tracker. The optimizer
 step makes one _group_lemmas call per adaptive group, which computes all of
-that group's lemma quantities in one buffered pass; LemmaMonitor folds the
-returned slacks into run minima.
+that group's lemma quantities in one buffered pass; LemmaMonitor writes each
+slack's minimum over groups into the step's telemetry row.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ __all__ = [
     "ScheduleVerdict",
     "DiagnosticsReport",
     "LemmaMonitor",
+    "SLACK_COLUMNS",
     "simulate_norm_growth",
     "validate_schedule",
     "track_convergence",
@@ -59,7 +60,9 @@ def simulate_norm_growth(
     adds 2 eta^2 sum_{k<t} beta^(t-k) u_k. The ratio
     (gdm_t - theta0) / (gd_t - theta0) tends to 1 + 2 beta / (1 - beta) when
     the update norms have finite nonzero sum. beta = 0 is allowed and gives
-    ratio exactly 1.
+    ratio exactly 1. eta**2 must be a normal float, and the final ratio must
+    be finite: a theta0_norm_sq that the growth rounds away against gives
+    nan, and a growth past the largest float gives inf or nan.
     """
     u = np.asarray(update_norms_sq, dtype=np.float64)
     if u.ndim != 1 or u.size == 0:
@@ -73,18 +76,33 @@ def simulate_norm_growth(
     if not 0 <= theta0_norm_sq < np.inf:
         raise ValueError(
             f"theta0_norm_sq must be non-negative and finite, got {theta0_norm_sq}")
+    if not np.finfo(np.float64).tiny <= eta * eta < np.inf:
+        raise ValueError(f"eta**2 must be a normal float, got eta={eta}")
     if float(u.sum()) == 0.0:
         raise ValueError("total update norm is zero; growth ratio undefined")
-    gd, gdm = norm_growth_arrays(u, beta, eta, theta0_norm_sq)
-    grown_gd = gd[1:] - theta0_norm_sq
-    grown_gdm = gdm[1:] - theta0_norm_sq
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # An overflowing growth gives a non-finite final ratio, reported below.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gd, gdm = norm_growth_arrays(u, beta, eta, theta0_norm_sq)
+        grown_gd = gd[1:] - theta0_norm_sq
+        grown_gdm = gdm[1:] - theta0_norm_sq
         ratio = np.where(grown_gd > 0, grown_gdm / grown_gd, np.nan)
+    if not np.isfinite(ratio[-1]):
+        raise ValueError(
+            f"final growth ratio is {ratio[-1]}: the growth eta**2 * sum(u) = "
+            f"{eta * eta * float(u.sum())!r} is lost against theta0_norm_sq="
+            f"{theta0_norm_sq} or overflows")
     return [
         NormGrowthTrace(t=i + 1, norm_sq_gd=float(gd[i + 1]),
                         norm_sq_gdm=float(gdm[i + 1]), ratio=float(ratio[i]))
         for i in range(u.size)
     ]
+
+
+# The lemma-3/4/5 bound slacks: _group_lemmas' keys, and the telemetry columns
+# after lemma3_margin, in order.
+SLACK_COLUMNS = ("lemma3_lower", "lemma4_lower", "lemma4_upper", "lemma5_radial",
+                 "lemma5_precond_sq", "lemma5_moment_diff")
+_NO_SLACKS = dict.fromkeys(SLACK_COLUMNS, float("nan"))
 
 
 def _group_lemmas(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarray,
@@ -115,43 +133,31 @@ def _group_lemmas(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarra
     # The same array power as inv's: once v + eps rounds to eps, max(inv)
     # equals hi exactly, where a scalar power can differ from it by an ulp.
     lo, hi = 1.0 / np.array([c1 * c1 + eps, eps]) ** p
-    slacks = {
-        "lemma3_lower": float(v.min()),
-        "lemma4_lower": float(inv.min() - lo),
-        "lemma4_upper": float(hi - inv.max()),
-    }
     pre_m = np.divide(m, denom, out=denom)
     if theta_norm > 0:
         radial = float(theta @ pre_m) / theta_norm
     else:
         radial = float(np.linalg.norm(pre_m))
-    slacks["lemma5_radial"] = c1 / eps ** p - radial
     buf = np.multiply(g, inv, out=pre_m)
     buf **= 2  # (g * inv) ** 2
-    slacks["lemma5_precond_sq"] = (c1 * c1) / eps ** (2 * p) - float(buf.sum())
+    precond_sq = float(buf.sum())
     np.subtract(m, m_prev, out=buf)
     buf *= inv  # (m - m_prev) * inv
-    slacks["lemma5_moment_diff"] = 2.0 * c1 * c1 / eps ** p - float(g @ buf)
-    return resid, margin, slacks
+    slacks = (float(v.min()), float(inv.min() - lo), float(hi - inv.max()),
+              c1 / eps ** p - radial, (c1 * c1) / eps ** (2 * p) - precond_sq,
+              2.0 * c1 * c1 / eps ** p - float(g @ buf))
+    return resid, margin, dict(zip(SLACK_COLUMNS, slacks))
 
 
 class LemmaMonitor:
-    """Tracks the minimum lemma-3/4/5 bound slacks of a run live.
-
-    Feed it each step's StepOutput: update folds the step's per-group slacks
-    (none for sgdm) into min_slacks, keyed by slack name in the order the
-    step gives them.
-    """
-
-    def __init__(self):
-        self.min_slacks: Dict[str, float] = {}
-        self.steps = 0
+    """update(out) writes each slack's minimum over groups (sgdm: nan) into out.record."""
 
     def update(self, out) -> None:
-        for slacks in out.slacks:
-            for k, s in slacks.items():
-                self.min_slacks[k] = min(self.min_slacks.get(k, np.inf), s)
-        self.steps += 1
+        record = out.record
+        for slacks in out.slacks or [_NO_SLACKS]:
+            for k in SLACK_COLUMNS:
+                if k not in record or slacks[k] < record[k]:
+                    record[k] = slacks[k]
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import HyperParams, ParamGroup, new_state
 from .diagnostics import (
+    SLACK_COLUMNS,
     ConvergenceTrace,
     DiagnosticsReport,
     LemmaMonitor,
@@ -264,8 +265,6 @@ def run(config: ExperimentConfig) -> RunResult:
 
     monitor = LemmaMonitor()
     records: List[Dict[str, float]] = []
-    eval_ts: List[int] = []
-    eval_estimates: List[float] = []
     batch_iter = iter(())
 
     for t in range(1, budget + 1):
@@ -290,6 +289,7 @@ def run(config: ExperimentConfig) -> RunResult:
             raise RuntimeError(f"non-finite loss {loss!r} at step {t}; aborting")
         grads = objective.grad(params, batch)
 
+        estimate = math.nan  # off the eval window
         if t % config.eval_every == 0 or t == budget:
             # For datasets, square the window's mean gradient: its bias
             # tr(Sigma)/(batch_size * eval_window) shrinks with the window,
@@ -304,19 +304,23 @@ def run(config: ExperimentConfig) -> RunResult:
                     total = g if total is None else {k: total[k] + g[k]
                                                      for k in total}
                 estimate = _grad_norm_sq(total) / config.eval_window ** 2
-            eval_ts.append(t)
-            eval_estimates.append(estimate)
 
         out = step_fn(state, params, grads, eta_t, p_now)
         out.record["loss"] = loss
         out.record["epoch"] = epoch
+        monitor.update(out)  # the slack columns, before the estimate
+        out.record["eval_grad_norm_sq"] = estimate
         records.append(out.record)
-        monitor.update(out)
         params = out.new_params
 
-    trace = track_convergence(eval_estimates, eval_ts)
     cols = telemetry_columns(records)
-    report = _build_report(config, cols, monitor, trace)
+    trace = _convergence(cols)
+    report = check_telemetry(cols)
+    sched = config.schedule
+    verdict = validate_schedule(sched.family, sched.eta0,
+                                sched.a if sched.family == "power" else None)
+    # Informational: theorem-mode schedules are flagged, not failed.
+    report.add("schedule_theorem_assumptions", float(verdict.satisfies_assumptions), True)
     final_acc = objective.accuracy(params)
     summary = {
         "final_loss": records[-1]["loss"],
@@ -328,22 +332,6 @@ def run(config: ExperimentConfig) -> RunResult:
     if config.output_path is not None:
         write_telemetry(cols, config.output_path)
     return result
-
-
-def _build_report(config: ExperimentConfig, cols: Dict[str, np.ndarray],
-                  monitor: LemmaMonitor, trace: ConvergenceTrace) -> DiagnosticsReport:
-    """check_telemetry's rows plus what the telemetry CSV cannot hold."""
-    report = check_telemetry(cols)
-    verdict = validate_schedule(
-        config.schedule.family, config.schedule.eta0,
-        config.schedule.a if config.schedule.family == "power" else None)
-    # Informational: theorem-mode schedules are flagged, not failed.
-    report.add("schedule_theorem_assumptions",
-               1.0 if verdict.satisfies_assumptions else 0.0, True)
-    _add_max_increase(report, "running_min_max_increase", trace.running_min)
-    for key, slack in monitor.min_slacks.items():
-        report.add(f"{key}_min", slack, slack >= 0.0)
-    return report
 
 
 # Sweep-axis shorthands for config keys. A sweep value is one scalar, so the
@@ -419,12 +407,13 @@ def telemetry_columns(records: Sequence[Dict[str, float]]) -> Dict[str, np.ndarr
 
 
 def write_telemetry(cols: Dict[str, np.ndarray], path: str) -> None:
-    """telemetry_columns' table as CSV; csv writes floats with repr(), so
+    """telemetry_columns' table as CSV; floats are written with repr(), so
     reruns are byte-identical."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(cols)
-        w.writerows(zip(*(v.tolist() for v in cols.values())))
+        csv.writer(fh, lineterminator="\n").writerow(cols)
+        # A number's repr needs no quoting, so this is what csv writes.
+        rows = zip(*(map(repr, v.tolist()) for v in cols.values()))
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def read_telemetry(path: str) -> Dict[str, np.ndarray]:
@@ -458,15 +447,21 @@ def _add_max_increase(report: DiagnosticsReport, name: str, x: np.ndarray) -> No
 
 # The columns every telemetry table holds besides the per-group ones.
 _STEP_COLUMNS = ("t", "epoch", "eta_t", "p_now", "loss", "grad_norm_sq",
-                 "lemma2_residual", "lemma3_margin")
+                 "lemma2_residual", "lemma3_margin", *SLACK_COLUMNS, "eval_grad_norm_sq")
+
+
+def _convergence(cols: Dict[str, np.ndarray]) -> ConvergenceTrace:
+    """Running min of the eval-window estimates, eval_grad_norm_sq's non-nan entries."""
+    window = ~np.isnan(cols["eval_grad_norm_sq"])
+    return track_convergence(cols["eval_grad_norm_sq"][window], cols["t"][window])
 
 
 def check_telemetry(cols: Dict[str, np.ndarray]) -> DiagnosticsReport:
     """Every invariant a telemetry table can show, one report row each.
 
-    Takes telemetry_columns of a live run or read_telemetry of its CSV. The
-    lemma rows appear only when their column holds a finite value; sgdm
-    records nan there.
+    Takes telemetry_columns of a live run or read_telemetry of its CSV. A
+    lemma column that is all nan (sgdm) gets no row; in any other, a nan or
+    an infinity fails the row.
     """
     if all(v.size == 0 for v in cols.values()):
         raise ValueError("telemetry table has no rows to check")
@@ -498,12 +493,17 @@ def check_telemetry(cols: Dict[str, np.ndarray]) -> DiagnosticsReport:
             ok = vals.size == 0 or bool(np.all((vals >= 0.0) & (vals <= 1.0)))
             report.add(f"{c}_in_unit_interval", 0.0 if ok else 1.0, ok)
 
-    resid = cols["lemma2_residual"][np.isfinite(cols["lemma2_residual"])]
-    if resid.size:
-        report.add("lemma2_max_scaled_residual", resid.max(), resid.max() < 1e-10)
-    margin = cols["lemma3_margin"][np.isfinite(cols["lemma3_margin"])]
-    if margin.size:
-        report.add("lemma3_upper_min", margin.min(), margin.min() >= 0.0)
+    # The lemma-2 row bounds its column's max, every other lemma row its min.
+    for c, name in (("lemma2_residual", "lemma2_max_scaled_residual"),
+                    ("lemma3_margin", "lemma3_upper_min"),
+                    *((c, f"{c}_min") for c in SLACK_COLUMNS)):
+        x = cols[c]
+        if np.isnan(x).all():
+            continue
+        value = float(x.max() if c == "lemma2_residual" else x.min())
+        ok = value < 1e-10 if c == "lemma2_residual" else value >= 0.0
+        report.add(name, value, ok and bool(np.isfinite(x).all()))
+    _add_max_increase(report, "running_min_max_increase", _convergence(cols).running_min)
     return report
 
 

@@ -15,7 +15,8 @@ by default), then the parameter update. This module is the only one that
 applies either decay rule. After each adaptive group's update, one
 diagnostics call gives all of its lemma quantities: the step records the
 largest lemma-2 residual and smallest lemma-3 margin over groups (nan for
-sgdm) and returns each group's slacks, which LemmaMonitor folds into minima.
+sgdm) and returns each group's slacks, whose minima over groups
+LemmaMonitor writes into the record as the six slack columns.
 
 A step's record is its telemetry CSV row, built by _step: a dict from
 column name to value, in CSV order.
@@ -187,12 +188,13 @@ def _step(
         with np.errstate(over="ignore", invalid="ignore"):
             base = (1.0 - eta_t * hp.weight_decay) * theta if decay else theta
             new_values = base - eta_t * q
-        if not np.all(np.isfinite(new_values)):
+            step_norm = norm(new_values - theta)
+        # A finite step norm means finite new values; scan only when it is not.
+        if not math.isfinite(step_norm) and not np.isfinite(new_values).all():
             raise FloatingPointError(f"non-finite parameters after step in group {name!r}")
         new_params.append(ParamGroup(name, new_values))
         record.update(zip(_group_columns(name), (
-            theta_norm, decision.trigger_value, decision.projected,
-            norm(new_values - theta))))
+            theta_norm, decision.trigger_value, decision.projected, step_norm)))
         if adaptive:
             # Release the full-size temporaries before the lemmas make theirs.
             del direction, q, base

@@ -102,6 +102,37 @@ def test_check_fails_on_tampered_rows_and_limit_skips_them(column, value, tmp_pa
     assert main(["check", "--csv", str(out), "--steps", "3"]) == 0
 
 
+@pytest.mark.parametrize("column, value", [
+    ("lemma2_residual", "inf"), ("lemma2_residual", "nan"),
+    ("lemma3_margin", "-inf"), ("lemma3_margin", "inf"),
+    ("lemma4_upper", "nan"), ("lemma5_radial", "-inf"),
+])
+def test_check_fails_on_a_tampered_lemma_entry(column, value, tmp_path, capsys):
+    out = _run_csv(tmp_path, steps="6")
+    assert main(["check", "--csv", str(out)]) == 0
+    _tamper(out, column, row_index=4, value=value)
+    assert main(["check", "--csv", str(out)]) == 1
+    row = {"lemma2_residual": "lemma2_max_scaled_residual",
+           "lemma3_margin": "lemma3_upper_min"}.get(column, f"{column}_min")
+    assert f"FAIL  {row} = " in capsys.readouterr().out
+    assert main(["check", "--csv", str(out), "--steps", "3"]) == 0
+
+
+def test_run_seed_key_is_the_seed_without_a_seed_flag(tmp_path, capsys):
+    # With no --seed, run.seed from --set or a config file seeds the run.
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("run.seed = 5\n")
+    outs = [tmp_path / f"{i}.csv" for i in range(3)]
+    base = ["run", "--steps", "3", "--set", "objective.dim=3"]
+    assert main(base + ["--seed", "5", "--out", str(outs[0])]) == 0
+    assert main(base + ["--set", "run.seed=5", "--out", str(outs[1])]) == 0
+    assert main(base + ["--config", str(cfg), "--out", str(outs[2])]) == 0
+    assert outs[1].read_bytes() == outs[0].read_bytes() == outs[2].read_bytes()
+    assert main(base + ["--out", str(outs[1])]) == 0
+    assert outs[1].read_bytes() != outs[0].read_bytes()
+    capsys.readouterr()
+
+
 def test_check_writes_report_csv_when_asked(tmp_path):
     out = _run_csv(tmp_path)
     report_path = tmp_path / "report.csv"
@@ -295,6 +326,13 @@ def test_sweep_with_a_bad_value_writes_no_run(tmp_path, capsys):
     ["grad-check", "--objective", "quadratic", "--steps", "-3"],
     ["norm-sim", "--eta", "inf", "--out", "{tmp}/ns.csv"],
     ["norm-sim", "--theta0-norm-sq", "nan", "--out", "{tmp}/ns.csv"],
+    ["norm-sim", "--beta", "0.5,1.0", "--steps", "5", "--out", "{tmp}/ns.csv"],
+    ["norm-sim", "--eta", "1e-170", "--beta", "0.5", "--steps", "5",
+     "--out", "{tmp}/ns.csv"],
+    ["norm-sim", "--theta0-norm-sq", "1e30", "--beta", "0.5", "--steps", "5",
+     "--out", "{tmp}/ns.csv"],
+    ["norm-sim", "--eta", "1e200", "--beta", "0.5", "--steps", "5",
+     "--out", "{tmp}/ns.csv"],
 ])
 def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
     # {run} is a fresh run's telemetry CSV, {sweep} a fresh sweep directory,
@@ -305,6 +343,9 @@ def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
                  empty=tmp_path / "empty.csv")
     paths["header"].write_text("t,epoch\n")
     paths["empty"].write_text("")
+    # A norm-sim that fails leaves an existing --out file as it was.
+    kept = tmp_path / "ns.csv"
+    kept.write_bytes(b"beta,t\nkeep me\n")
     if "{run}" in argv and argv[0] == "check":
         _run_csv(tmp_path)
     if "{half}" in argv:
@@ -325,6 +366,10 @@ def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
     if any("batch_size" in a or a == "objective.n=513" for a in argv):
         # A singleton tiny_mlp batch is rejected when the config is built.
         assert "run.batch_size" in captured.err
+    assert kept.read_bytes() == b"beta,t\nkeep me\n"
+    for flag, name in (("--eta", "eta"), ("--theta0-norm-sq", "theta0_norm_sq")):
+        if flag in argv:
+            assert name in captured.err
 
 
 @pytest.mark.parametrize("args", [

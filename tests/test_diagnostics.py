@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from padamp.core import HyperParams, ParamGroup, new_state, seeded_rng
 from padamp.diagnostics import (
+    SLACK_COLUMNS,
     DiagnosticsReport,
     LemmaMonitor,
     _group_lemmas,
@@ -90,6 +91,20 @@ def test_norm_growth_rejects_meaningless_eta_and_start(eta, theta0, msg):
         simulate_norm_growth([1.0], beta=0.5, eta=eta, theta0_norm_sq=theta0)
 
 
+@pytest.mark.parametrize("eta,theta0,msg", [
+    (1e-170, 1.0, r"eta\*\*2 must be a normal float, got eta=1e-170"),
+    (1e-160, 0.0, r"eta\*\*2 must be a normal float"),
+    (1e200, 1.0, r"eta\*\*2 must be a normal float, got eta=1e\+200"),
+    (1.0, 1e30, r"final growth ratio is nan: .* theta0_norm_sq=1e\+30"),
+    (1e150, 0.0, r"final growth ratio is (inf|nan): .* eta\*\*2"),
+])
+def test_norm_growth_rejects_an_eta_square_or_start_that_leaves_no_ratio(eta, theta0,
+                                                                        msg):
+    # Each gave a nan or inf final ratio, or an OverflowError, before.
+    with pytest.raises(ValueError, match=msg):
+        simulate_norm_growth([1.0, 1e10, 1.0], beta=0.5, eta=eta, theta0_norm_sq=theta0)
+
+
 def test_momentum_limit_values():
     assert momentum_norm_ratio_limit(0.0) == 1.0
     assert momentum_norm_ratio_limit(0.5) == 3.0
@@ -160,12 +175,16 @@ def test_monitor_tracks_live_optimizer_steps():
     for t in range(1, 26):
         grads = {"theta": rng.standard_normal(8)}
         out = step(state, groups, grads, eta_t=1e-3)
+        (slacks,) = out.slacks
         monitor.update(out)
         assert out.record["lemma2_residual"] < 1e-10
-    assert monitor.steps == 25
-    for key, val in monitor.min_slacks.items():
-        assert np.isfinite(val) and val >= 0.0, key
-
+        # The six slack columns follow lemma3_margin, each the group's slack.
+        assert list(out.record)[-7:] == ["lemma3_margin", *SLACK_COLUMNS]
+        for key in SLACK_COLUMNS:
+            value = out.record[key]
+            assert _bits(value) == _bits(slacks[key]), (t, key)
+            assert np.isfinite(value) and value >= 0.0, (t, key)
+        groups = out.new_params
 
 
 @settings(max_examples=300)

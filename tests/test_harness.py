@@ -2,7 +2,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from padamp.cli import _load_mapping, build_parser
 from padamp.harness import (
     _PARSERS,
     CONFIG_KEYS,
@@ -294,16 +297,21 @@ def test_run_report_holds_the_rows_check_gives_its_csv(over, tmp_path):
     path = tmp_path / "t.csv"
     cfg = build_config({}, dict(over, **{"run.steps": "40", "run.out": str(path)}))
     result = run(cfg)
-    live = {name: (value, passed) for name, value, passed in result.report.rows}
     replayed = check_telemetry(read_telemetry(str(path))).rows
     assert any(name == "non_finite_values" for name, _, _ in replayed)
-    for name, value, passed in replayed:
-        assert live[name] == (value, passed), name
-    lemma_rows = [name for name in live if name.startswith("lemma")]
+    # run's rows are check's rows, bit for bit, then the schedule verdict.
+    *live, (last, _, _) = result.report.rows
+    assert last == "schedule_theorem_assumptions"
+    assert [(n, np.float64(v).tobytes(), p) for n, v, p in live] == [
+        (n, np.float64(v).tobytes(), p) for n, v, p in replayed]
+    names = [name for name, _, _ in live]
+    assert "running_min_max_increase" in names
+    lemma_rows = [name for name in names if name.startswith("lemma")]
     if cfg.optimizer == OptimizerKind.SGDM:
         assert lemma_rows == []
     else:
-        assert {"lemma2_max_scaled_residual", "lemma3_upper_min"} <= set(lemma_rows)
+        assert lemma_rows == ["lemma2_max_scaled_residual", "lemma3_upper_min"] + [
+            f"{c}_min" for c in _ADDED_COLUMNS[:6]]
 
 
 def test_run_with_coupled_weight_decay_passes_every_check():
@@ -346,7 +354,7 @@ def test_run_writes_and_reads_back_telemetry(tmp_path):
     assert list(cols) == ["t", "epoch", "eta_t", "p_now", "loss", "grad_norm_sq",
                           "theta_param_norm", "theta_cos_sim", "theta_projected",
                           "theta_effective_step_norm", "lemma2_residual",
-                          "lemma3_margin"]
+                          "lemma3_margin", *_ADDED_COLUMNS]
     # Bit for bit, nan payloads and signed zeros included, in the same dtypes.
     for name, col in telemetry_columns(result.records).items():
         assert cols[name].dtype == col.dtype, name
@@ -360,48 +368,69 @@ def test_rerun_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-# SHA-256 of the telemetry CSV of four configs at 200 steps and seed 3,
-# recorded with numpy 2.4.6 and Python 3.11.7 on x86-64 Linux from the code
-# as it stood before a step's record became its CSV row. Together they cover
-# one and two parameter groups, projected and unprojected steps, the nan
-# lemma columns of sgdm, and coupled weight decay.
+# SHA-256 of the telemetry CSV of six configs at 200 steps and seed 3,
+# recorded with numpy 2.4.6 and Python 3.11.7 on x86-64 Linux. Together they
+# cover one and two parameter groups, projected and unprojected steps, the
+# nan lemma columns of sgdm, and coupled weight decay. The first digest
+# covers every column but _ADDED_COLUMNS and was recorded from the code as
+# it stood before those columns existed (the first four configs from before
+# a step's record became its CSV row); the second covers the whole file.
 _PINNED_TELEMETRY = {
     "padamp quadratic": (
         {"objective.name": "quadratic", "objective.dim": "20",
          "objective.condition": "100"},
-        "b4fe1c4da1f14dedba7b584702437c888cd495e21c59d97a3ceb16e4c5a0bd0b"),
+        "b4fe1c4da1f14dedba7b584702437c888cd495e21c59d97a3ceb16e4c5a0bd0b",
+        "dc0490059689613bea2e9cb8d1583e98969b083ae3ad93ed6c67cd1b40c8a6c7"),
     "padamp tiny_mlp": (
         {"objective.name": "tiny_mlp"},
-        "e2d5540e954f9898cbe9130f9660bfc82ff6bdd528d135c9488d2c706a53fa14"),
+        "e2d5540e954f9898cbe9130f9660bfc82ff6bdd528d135c9488d2c706a53fa14",
+        "98dc70f48490df0c7646f2b78dcaff6ff47eeb9d79ff1b3bdd8ae46debd89f3d"),
     "sgdm logistic": (
         {"optimizer.kind": "sgdm", "objective.name": "logistic"},
-        "6daa46fc608bf44828618baaee7ccaa393617de45bcfaec6816f1b8759307b38"),
+        "6daa46fc608bf44828618baaee7ccaa393617de45bcfaec6816f1b8759307b38",
+        "b286d53f2ba277ef1734fb5fed0f4ff96058be6b32821a922dd1af2e4444459a"),
     "adamp scale_invariant coupled": (
         {"optimizer.kind": "adamp", "objective.name": "scale_invariant",
          "hp.wd_mode": "coupled"},
-        "f79cd52535c12adf7762e59ea096263095d31fdca128aa80fda0bd22b886ca52"),
+        "f79cd52535c12adf7762e59ea096263095d31fdca128aa80fda0bd22b886ca52",
+        "bfb1a0ef88e11f1498d83c7b6510e66cd7aef646a0a840ce010dde5bb5b704c8"),
     # A max-tracked v, and a decaying beta1,t that sets lemma 2's b / (1 - b).
     "padam quadratic lam": (
         {"optimizer.kind": "padam", "objective.name": "quadratic",
          "objective.condition": "100", "hp.lam": "0.99"},
-        "a2e3a12dd32d6ecc6cb34a35de709a1709d09e808c459e8019919fa05a0d02e6"),
+        "a2e3a12dd32d6ecc6cb34a35de709a1709d09e808c459e8019919fa05a0d02e6",
+        "7fec9e324293597d2b7b7618cb0a6b4bfae9686526f0d8a71642c6c634d24846"),
     "amsgrad tiny_mlp post": (
         {"optimizer.kind": "amsgrad", "objective.name": "tiny_mlp", "hp.eps_mode": "post"},
-        "8f9bb29e0e070addef2621ba8705d5e6c64b1a638083dd1412ff4da3252b909a"),
+        "8f9bb29e0e070addef2621ba8705d5e6c64b1a638083dd1412ff4da3252b909a",
+        "f0fb97f1c447217983094c65453b25a555dda5de00ad64f3a4ff8ec65bee8e3d"),
 }
+
+# The lemma-3/4/5 slack columns and the eval-window estimate, which follow
+# lemma3_margin.
+_ADDED_COLUMNS = ["lemma3_lower", "lemma4_lower", "lemma4_upper", "lemma5_radial",
+                  "lemma5_precond_sq", "lemma5_moment_diff", "eval_grad_norm_sq"]
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("name", list(_PINNED_TELEMETRY))
 def test_telemetry_bytes_match_pinned_digests(tmp_path, name):
-    keys, digest = _PINNED_TELEMETRY[name]
-    path = tmp_path / "run.csv"
+    keys, earlier_digest, digest = _PINNED_TELEMETRY[name]
+    path, earlier = tmp_path / "run.csv", tmp_path / "earlier.csv"
     run(build_config(keys, {"run.steps": "200", "run.seed": "3", "run.out": str(path)}))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert _sha256(path) == digest
+    cols = read_telemetry(str(path))
+    write_telemetry({k: v for k, v in cols.items() if k not in _ADDED_COLUMNS},
+                    str(earlier))
+    assert _sha256(earlier) == earlier_digest
 
 
 @pytest.mark.parametrize("name", list(_PINNED_TELEMETRY))
 def test_telemetry_read_back_writes_the_same_bytes(tmp_path, name):
-    keys, _ = _PINNED_TELEMETRY[name]
+    keys = _PINNED_TELEMETRY[name][0]
     p, q = tmp_path / "p.csv", tmp_path / "q.csv"
     run(build_config(keys, {"run.steps": "200", "run.seed": "3", "run.out": str(p)}))
     write_telemetry(read_telemetry(str(p)), str(q))
@@ -589,3 +618,53 @@ def test_config_keys_cover_every_documented_key():
     for key in ("optimizer.kind", "hp.p", "objective.n", "schedule.milestones",
                 "p_schedule.new_p", "run.steps", "run.out"):
         assert key in CONFIG_KEYS
+
+
+# Text values per config key. Some draws are not a config (an objective key
+# the drawn objective does not take, a half p schedule, p above 1/2, a
+# singleton tiny_mlp batch), so both outcomes are compared.
+_CONFIG_TEXTS = {
+    "optimizer.kind": st.sampled_from([k.value for k in OptimizerKind]),
+    "objective.name": st.sampled_from(["quadratic", "logistic", "tiny_mlp"]),
+    "objective.dim": st.integers(1, 40).map(str),
+    "hp.p": st.sampled_from(["0.5", "0.25", "1e-1", "0.6"]),
+    "hp.lam": st.floats(0.5, 1.0).map(repr),
+    "hp.eps_mode": st.sampled_from(["power", "post"]),
+    "hp.wd_skip_projected": st.sampled_from(["true", "False", "1", "no"]),
+    "schedule.family": st.sampled_from(["constant", "power", "piecewise"]),
+    "schedule.eta0": st.floats(1e-6, 1.0).map(repr),
+    "schedule.milestones": st.lists(st.integers(1, 300), min_size=1, max_size=3,
+                                    unique=True).map(
+        lambda xs: ", ".join(map(str, sorted(xs)))),
+    "p_schedule.decay_epoch": st.integers(1, 20).map(str),
+    "p_schedule.new_p": st.sampled_from(["0.125", "0.25"]),
+    "run.steps": st.integers(1, 5000).map(str),
+    "run.seed": st.integers(0, 2 ** 32 - 1).map(str),
+    "run.batch_size": st.integers(1, 256).map(str),
+    "run.out": st.text("ab_./=-", min_size=1, max_size=12),
+}
+
+
+def _outcome(build):
+    """The built config, or the ValueError's message."""
+    try:
+        return build()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=200)
+@given(st.fixed_dictionaries({}, optional=_CONFIG_TEXTS),
+       st.sampled_from([" = ", "=", "\t=  "]))
+def test_config_text_set_flags_and_mapping_build_the_same_config(tmp_path_factory,
+                                                                 mapping, sep):
+    path = tmp_path_factory.getbasetemp() / "round_trip.cfg"
+    path.write_text("# drawn config\n\n" + "".join(
+        f"{key}{sep}{text}\n" for key, text in mapping.items()))
+    assert parse_config_file(str(path)) == mapping
+    want = _outcome(lambda: build_config(mapping))
+    assert _outcome(lambda: build_config(parse_config_file(str(path)))) == want
+    argv = ["run"] + [a for key, text in mapping.items()
+                      for a in ("--set", f"{key}={text}")]
+    assert _outcome(lambda: build_config(_load_mapping(build_parser().parse_args(argv)))
+                    ) == want

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padamp.core import HyperParams, ParamGroup, beta1_at, new_state
-from padamp.diagnostics import _group_lemmas
+from padamp.diagnostics import SLACK_COLUMNS, LemmaMonitor, _group_lemmas
 from padamp.geometry import norm
 from padamp.optimizers import OptimizerKind, make_step
 
@@ -346,6 +346,19 @@ def test_multi_group_step_records_each_group():
     assert out.record["grad_norm_sq"] == pytest.approx(1.0 + 0.25)
     assert len(out.slacks) == 2
     assert out.slacks[1]["lemma3_lower"] == state.v["w2"][0]
+    # The monitor's slack columns are the minimum over groups of each
+    # group's _group_lemmas slacks; sgdm has no groups' slacks and gets nan.
+    per_group = [_group_lemmas(state.m[g.name], state.m_prev[g.name], state.v[g.name],
+                               grads[g.name], beta1_at(1, hp), state.c1[g.name],
+                               hp.epsilon, hp.p, g.values, norm(g.values))[2]
+                 for g in groups]
+    LemmaMonitor().update(out)
+    assert list(out.record)[-len(SLACK_COLUMNS):] == list(SLACK_COLUMNS)
+    for key in SLACK_COLUMNS:
+        assert out.record[key] == min(s[key] for s in per_group), key
+    plain = sgdm_step(new_state(groups, hp), groups, grads, 1e-3)
+    LemmaMonitor().update(plain)
+    assert all(math.isnan(plain.record[key]) for key in SLACK_COLUMNS)
 
 
 @pytest.mark.parametrize("fn", [padamp_step, adam_step, sgdm_step])
