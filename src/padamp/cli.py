@@ -8,7 +8,6 @@ every report row passes, 1 when one fails, 2 on bad input or divergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from typing import Dict, List, Optional
@@ -105,13 +104,12 @@ def _cmd_norm_sim(args) -> int:
     traces = [simulate_norm_growth(u, beta, args.eta, args.theta0_norm_sq)
               for beta in betas]
     out = _default_out("norm_sim.csv", args.out)
+    # A number's repr needs no CSV quoting, so this is what csv.writer writes.
     with open(out, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["beta", "t", "norm_sq_gd", "norm_sq_gdm", "ratio"])
+        fh.write("beta,t,norm_sq_gd,norm_sq_gdm,ratio\n")
         for beta, trace in zip(betas, traces):
-            for row in trace:
-                w.writerow([repr(beta), row.t, repr(row.norm_sq_gd),
-                            repr(row.norm_sq_gdm), repr(row.ratio)])
+            fh.writelines(f"{beta!r},{t},{gd!r},{gdm!r},{ratio!r}\n"
+                          for t, gd, gdm, ratio in trace)
     for beta, trace in zip(betas, traces):
         limit = momentum_norm_ratio_limit(beta)
         print(f"beta={beta}: final_ratio={trace[-1].ratio:.6f} "

@@ -12,7 +12,8 @@ slack's minimum over groups into the step's telemetry row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NormGrowthTrace:
+class NormGrowthTrace(NamedTuple):
     """One step of the two squared-norm recursions and their growth ratio."""
 
     t: int
@@ -91,11 +91,11 @@ def simulate_norm_growth(
             f"final growth ratio is {ratio[-1]}: the growth eta**2 * sum(u) = "
             f"{eta * eta * float(u.sum())!r} is lost against theta0_norm_sq="
             f"{theta0_norm_sq} or overflows")
-    return [
-        NormGrowthTrace(t=i + 1, norm_sq_gd=float(gd[i + 1]),
-                        norm_sq_gdm=float(gdm[i + 1]), ratio=float(ratio[i]))
-        for i in range(u.size)
-    ]
+    # tolist() gives the floats float(gd[i]) gives. tuple.__new__ builds each
+    # row in C, where NormGrowthTrace(...) and _make run Python per row.
+    return list(map(tuple.__new__, repeat(NormGrowthTrace),
+                    zip(range(1, u.size + 1), gd[1:].tolist(), gdm[1:].tolist(),
+                        ratio.tolist())))
 
 
 # The lemma-3/4/5 bound slacks: _group_lemmas' keys, and the telemetry columns

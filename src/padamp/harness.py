@@ -314,7 +314,8 @@ def run(config: ExperimentConfig) -> RunResult:
         params = out.new_params
 
     cols = telemetry_columns(records)
-    trace = _convergence(cols)
+    window = ~np.isnan(cols["eval_grad_norm_sq"])
+    trace = track_convergence(cols["eval_grad_norm_sq"][window], cols["t"][window])
     report = check_telemetry(cols)
     sched = config.schedule
     verdict = validate_schedule(sched.family, sched.eta0,
@@ -440,7 +441,11 @@ def read_telemetry(path: str) -> Dict[str, np.ndarray]:
 
 
 def _add_max_increase(report: DiagnosticsReport, name: str, x: np.ndarray) -> None:
-    """Row passing when x never rises; its value is the largest rise, or 0."""
+    """Row passing when x never rises; its value is the largest rise, or 0.
+    A nan or an infinity in x fails the row with value nan."""
+    if not np.isfinite(x).all():
+        report.add(name, float("nan"), False)
+        return
     rise = float(np.max(np.diff(x))) if x.size > 1 else 0.0
     report.add(name, max(rise, 0.0), rise <= 0.0)
 
@@ -448,12 +453,6 @@ def _add_max_increase(report: DiagnosticsReport, name: str, x: np.ndarray) -> No
 # The columns every telemetry table holds besides the per-group ones.
 _STEP_COLUMNS = ("t", "epoch", "eta_t", "p_now", "loss", "grad_norm_sq",
                  "lemma2_residual", "lemma3_margin", *SLACK_COLUMNS, "eval_grad_norm_sq")
-
-
-def _convergence(cols: Dict[str, np.ndarray]) -> ConvergenceTrace:
-    """Running min of the eval-window estimates, eval_grad_norm_sq's non-nan entries."""
-    window = ~np.isnan(cols["eval_grad_norm_sq"])
-    return track_convergence(cols["eval_grad_norm_sq"][window], cols["t"][window])
 
 
 def check_telemetry(cols: Dict[str, np.ndarray]) -> DiagnosticsReport:
@@ -503,7 +502,11 @@ def check_telemetry(cols: Dict[str, np.ndarray]) -> DiagnosticsReport:
         value = float(x.max() if c == "lemma2_residual" else x.min())
         ok = value < 1e-10 if c == "lemma2_residual" else value >= 0.0
         report.add(name, value, ok and bool(np.isfinite(x).all()))
-    _add_max_increase(report, "running_min_max_increase", _convergence(cols).running_min)
+    # nan marks a step off the eval window; every other estimate is a finite
+    # squared norm.
+    est = cols["eval_grad_norm_sq"]
+    n_invalid = int(np.count_nonzero((est < 0.0) | np.isinf(est)))
+    report.add("eval_grad_norm_sq_valid", float(n_invalid), n_invalid == 0)
     return report
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -106,6 +107,7 @@ def test_check_fails_on_tampered_rows_and_limit_skips_them(column, value, tmp_pa
     ("lemma2_residual", "inf"), ("lemma2_residual", "nan"),
     ("lemma3_margin", "-inf"), ("lemma3_margin", "inf"),
     ("lemma4_upper", "nan"), ("lemma5_radial", "-inf"),
+    ("eval_grad_norm_sq", "-1.0"), ("eval_grad_norm_sq", "inf"),
 ])
 def test_check_fails_on_a_tampered_lemma_entry(column, value, tmp_path, capsys):
     out = _run_csv(tmp_path, steps="6")
@@ -113,9 +115,21 @@ def test_check_fails_on_a_tampered_lemma_entry(column, value, tmp_path, capsys):
     _tamper(out, column, row_index=4, value=value)
     assert main(["check", "--csv", str(out)]) == 1
     row = {"lemma2_residual": "lemma2_max_scaled_residual",
-           "lemma3_margin": "lemma3_upper_min"}.get(column, f"{column}_min")
+           "lemma3_margin": "lemma3_upper_min",
+           "eval_grad_norm_sq": "eval_grad_norm_sq_valid"}.get(column, f"{column}_min")
     assert f"FAIL  {row} = " in capsys.readouterr().out
     assert main(["check", "--csv", str(out), "--steps", "3"]) == 0
+
+
+def test_check_fails_a_non_finite_learning_rate_without_a_warning(tmp_path):
+    # inf - inf in the rise of adjacent entries must not warn on stderr.
+    out = _run_csv(tmp_path, steps="6")
+    for row_index in (2, 3):
+        _tamper(out, "eta_t", row_index=row_index, value="inf")
+    proc = _cli_run(["--csv", str(out)], tmp_path, command="check")
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert "FAIL  eta_max_increase = nan" in proc.stdout
 
 
 def test_run_seed_key_is_the_seed_without_a_seed_flag(tmp_path, capsys):
@@ -155,6 +169,16 @@ def test_norm_sim_reports_limit_agreement(tmp_path, capsys):
     with open(out, newline="") as fh:
         header = next(csv.reader(fh))
     assert header == ["beta", "t", "norm_sq_gd", "norm_sq_gdm", "ratio"]
+
+
+def test_norm_sim_csv_bytes_match_pinned_digest(tmp_path, capsys):
+    # The digest of this file as csv.writer wrote it, row by row.
+    out = tmp_path / "sim.csv"
+    assert main(["norm-sim", "--beta", "0.5,0.9", "--pattern", "random",
+                 "--steps", "2000", "--seed", "0", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "14e4165f79037c9b9f4d0ed4fb1d8f9ad4ca76fea9fe4ebb01c70d6f40ef30b8")
+    capsys.readouterr()
 
 
 def test_norm_sim_multiple_betas_stack_rows(tmp_path, capsys):
@@ -387,12 +411,13 @@ def test_diverging_run_prints_exactly_one_error_line(args, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
-def _cli_run(args, cwd):
-    """`python -m padamp.cli run *args` in a subprocess, so stderr holds any warning."""
+def _cli_run(args, cwd, command="run"):
+    """`python -m padamp.cli <command> *args` in a subprocess, so stderr holds any
+    warning."""
     src = os.path.dirname(os.path.dirname(padamp.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "padamp.cli", "run", *args],
+    return subprocess.run([sys.executable, "-m", "padamp.cli", command, *args],
                           cwd=cwd, env=env, capture_output=True, text=True)
 
 

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padamp._kernels import norm_growth_arrays
 from padamp.core import HyperParams, ParamGroup, new_state, seeded_rng
 from padamp.diagnostics import (
     SLACK_COLUMNS,
     DiagnosticsReport,
     LemmaMonitor,
+    NormGrowthTrace,
     _group_lemmas,
     momentum_norm_ratio_limit,
     simulate_norm_growth,
@@ -60,6 +62,30 @@ def test_norm_growth_ratio_is_nan_before_first_update():
                                  theta0_norm_sq=1.0)
     assert np.isnan(trace[0].ratio) and np.isnan(trace[1].ratio)
     assert trace[2].ratio == 1.0
+
+
+def test_norm_growth_rows_are_the_kernel_arrays_bit_for_bit():
+    # Two leading zero updates give two nan ratios.
+    u = np.concatenate([[0.0, 0.0], seeded_rng(0).random(500) ** 4])
+    beta, eta, theta0 = 0.9, 0.3, 2.0
+    trace = simulate_norm_growth(u, beta=beta, eta=eta, theta0_norm_sq=theta0)
+    gd, gdm = norm_growth_arrays(u, beta, eta, theta0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grown = gd[1:] - theta0
+        ratio = np.where(grown > 0, (gdm[1:] - theta0) / grown, np.nan)
+    expected = [(i + 1, float(gd[i + 1]), float(gdm[i + 1]), float(ratio[i]))
+                for i in range(u.size)]
+
+    def bits(row):
+        return [np.float64(x).tobytes() for x in row]
+
+    assert [bits(row) for row in trace] == [bits(row) for row in expected]
+    assert [type(x) for x in trace[0]] == [int, float, float, float]
+    assert np.isnan(trace[1].ratio) and not np.isnan(trace[2].ratio)
+    assert all(type(row) is NormGrowthTrace for row in trace)
+    assert NormGrowthTrace._fields == ("t", "norm_sq_gd", "norm_sq_gdm", "ratio")
+    with pytest.raises(AttributeError):
+        trace[0].ratio = 0.0
 
 
 @pytest.mark.parametrize(

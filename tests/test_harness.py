@@ -305,7 +305,7 @@ def test_run_report_holds_the_rows_check_gives_its_csv(over, tmp_path):
     assert [(n, np.float64(v).tobytes(), p) for n, v, p in live] == [
         (n, np.float64(v).tobytes(), p) for n, v, p in replayed]
     names = [name for name, _, _ in live]
-    assert "running_min_max_increase" in names
+    assert "eval_grad_norm_sq_valid" in names
     lemma_rows = [name for name in names if name.startswith("lemma")]
     if cfg.optimizer == OptimizerKind.SGDM:
         assert lemma_rows == []
