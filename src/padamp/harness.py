@@ -243,7 +243,8 @@ def run(config: ExperimentConfig) -> RunResult:
     """Execute one run; returns telemetry, diagnostics, and the convergence trace.
 
     Writes the telemetry CSV when config.output_path is set. Aborts with the
-    step index if the loss goes non-finite.
+    step index if the loss goes non-finite; an aborted run still writes the
+    CSV of the steps it completed, then re-raises.
     """
     started = time.perf_counter()
     data_ss, init_ss, batch_ss, eval_ss = np.random.SeedSequence(config.seed).spawn(4)
@@ -267,51 +268,57 @@ def run(config: ExperimentConfig) -> RunResult:
     records: List[Dict[str, float]] = []
     batch_iter = iter(())
 
-    for t in range(1, budget + 1):
-        epoch = (t - 1) // epoch_len + 1
-        sched_index = epoch if config.schedule.family == "piecewise" else t
-        eta_t = schedule_lr(sched_index, config.schedule)
-        p_now = schedule_p(epoch, config.p_schedule, config.hp.p)
+    try:
+        for t in range(1, budget + 1):
+            epoch = (t - 1) // epoch_len + 1
+            sched_index = epoch if config.schedule.family == "piecewise" else t
+            eta_t = schedule_lr(sched_index, config.schedule)
+            p_now = schedule_p(epoch, config.p_schedule, config.hp.p)
 
-        if objective.dataset is not None:
-            batch = next(batch_iter, None)
-            if batch is None:
-                batch_iter = objective.dataset.epoch_batches(config.batch_size,
-                                                             batch_rng)
-                batch = next(batch_iter)
-        else:
-            batch = None
-
-        # A diverging run overflows here; the finiteness check reports it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            loss = objective.eval(params, batch)
-        if not np.isfinite(loss):
-            raise RuntimeError(f"non-finite loss {loss!r} at step {t}; aborting")
-        grads = objective.grad(params, batch)
-
-        estimate = math.nan  # off the eval window
-        if t % config.eval_every == 0 or t == budget:
-            # For datasets, square the window's mean gradient: its bias
-            # tr(Sigma)/(batch_size * eval_window) shrinks with the window,
-            # while a mean of squared norms keeps tr(Sigma)/batch_size.
-            if objective.dataset is None:
-                estimate = _grad_norm_sq(grads)
+            if objective.dataset is not None:
+                batch = next(batch_iter, None)
+                if batch is None:
+                    batch_iter = objective.dataset.epoch_batches(config.batch_size,
+                                                                 batch_rng)
+                    batch = next(batch_iter)
             else:
-                total = None
-                for _ in range(config.eval_window):
-                    idx = objective.dataset.sample(config.batch_size, eval_rng)
-                    g = objective.grad(params, idx)
-                    total = g if total is None else {k: total[k] + g[k]
-                                                     for k in total}
-                estimate = _grad_norm_sq(total) / config.eval_window ** 2
+                batch = None
 
-        out = step_fn(state, params, grads, eta_t, p_now)
-        out.record["loss"] = loss
-        out.record["epoch"] = epoch
-        monitor.update(out)  # the slack columns, before the estimate
-        out.record["eval_grad_norm_sq"] = estimate
-        records.append(out.record)
-        params = out.new_params
+            # A diverging run overflows here; the finiteness check reports it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss = objective.eval(params, batch)
+            if not np.isfinite(loss):
+                raise RuntimeError(f"non-finite loss {loss!r} at step {t}; aborting")
+            grads = objective.grad(params, batch)
+
+            estimate = math.nan  # off the eval window
+            if t % config.eval_every == 0 or t == budget:
+                # For datasets, square the window's mean gradient: its bias
+                # tr(Sigma)/(batch_size * eval_window) shrinks with the window,
+                # while a mean of squared norms keeps tr(Sigma)/batch_size.
+                if objective.dataset is None:
+                    estimate = _grad_norm_sq(grads)
+                else:
+                    total = None
+                    for _ in range(config.eval_window):
+                        idx = objective.dataset.sample(config.batch_size, eval_rng)
+                        g = objective.grad(params, idx)
+                        total = g if total is None else {k: total[k] + g[k]
+                                                         for k in total}
+                    estimate = _grad_norm_sq(total) / config.eval_window ** 2
+
+            out = step_fn(state, params, grads, eta_t, p_now)
+            out.record["loss"] = loss
+            out.record["epoch"] = epoch
+            monitor.update(out)  # the slack columns, before the estimate
+            out.record["eval_grad_norm_sq"] = estimate
+            records.append(out.record)
+            params = out.new_params
+    except Exception:
+        # A diverging run keeps the steps it completed.
+        if records and config.output_path is not None:
+            write_telemetry(telemetry_columns(records), config.output_path)
+        raise
 
     cols = telemetry_columns(records)
     window = ~np.isnan(cols["eval_grad_norm_sq"])
@@ -475,7 +482,14 @@ def check_telemetry(cols: Dict[str, np.ndarray]) -> DiagnosticsReport:
     report.add("epoch_non_decreasing", 0.0,
                epoch.size < 2 or bool(np.all(np.diff(epoch) >= 0)))
     _add_max_increase(report, "eta_max_increase", cols["eta_t"])
-    _add_max_increase(report, "p_max_increase", cols["p_now"][np.isfinite(cols["p_now"])])
+    # sgdm writes nan on every row; an adaptive run's p lies in (0, 1/2], so a
+    # nan among adaptive entries is out of range too.
+    p = cols["p_now"]
+    if np.isnan(p).all():
+        p = p[:0]
+    n_out = int(np.count_nonzero(~((p > 0.0) & (p <= 0.5))))
+    report.add("p_now_in_range", float(n_out), n_out == 0)
+    _add_max_increase(report, "p_max_increase", p)
 
     must_be_finite = ["loss", "grad_norm_sq", "eta_t"]
     must_be_finite += [c for c in cols

@@ -108,6 +108,7 @@ def test_check_fails_on_tampered_rows_and_limit_skips_them(column, value, tmp_pa
     ("lemma3_margin", "-inf"), ("lemma3_margin", "inf"),
     ("lemma4_upper", "nan"), ("lemma5_radial", "-inf"),
     ("eval_grad_norm_sq", "-1.0"), ("eval_grad_norm_sq", "inf"),
+    ("p_now", "inf"), ("p_now", "-3.0"),
 ])
 def test_check_fails_on_a_tampered_lemma_entry(column, value, tmp_path, capsys):
     out = _run_csv(tmp_path, steps="6")
@@ -116,7 +117,8 @@ def test_check_fails_on_a_tampered_lemma_entry(column, value, tmp_path, capsys):
     assert main(["check", "--csv", str(out)]) == 1
     row = {"lemma2_residual": "lemma2_max_scaled_residual",
            "lemma3_margin": "lemma3_upper_min",
-           "eval_grad_norm_sq": "eval_grad_norm_sq_valid"}.get(column, f"{column}_min")
+           "eval_grad_norm_sq": "eval_grad_norm_sq_valid",
+           "p_now": "p_now_in_range"}.get(column, f"{column}_min")
     assert f"FAIL  {row} = " in capsys.readouterr().out
     assert main(["check", "--csv", str(out), "--steps", "3"]) == 0
 
@@ -409,6 +411,17 @@ def test_diverging_run_prints_exactly_one_error_line(args, tmp_path):
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+def test_diverging_run_keeps_the_telemetry_of_its_completed_steps(tmp_path):
+    # The loss goes non-finite at step 6; steps 1-5 stay in the CSV.
+    proc = _cli_run(["--set", "optimizer.kind=sgdm", "--set", "objective.name=rosenbrock",
+                     "--set", "schedule.eta0=0.5", "--set", "run.out=div.csv"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: non-finite loss inf at step 6; aborting\n"
+    cols = read_telemetry(str(tmp_path / "div.csv"))
+    np.testing.assert_array_equal(cols["t"], [1, 2, 3, 4, 5])
+    assert np.all(np.isfinite(cols["loss"]))
 
 
 def _cli_run(args, cwd, command="run"):

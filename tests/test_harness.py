@@ -347,6 +347,47 @@ def test_run_aborts_on_divergence_with_step_index():
         run(cfg)
 
 
+def test_aborted_run_writes_the_steps_before_the_abort(tmp_path):
+    path = tmp_path / "div.csv"
+    cfg = build_config({}, {"optimizer.kind": "sgdm", "objective.name": "rosenbrock",
+                            "schedule.eta0": "0.5", "run.out": str(path)})
+    with pytest.raises(RuntimeError, match="at step 6;"):
+        run(cfg)
+    cols = read_telemetry(str(path))
+    np.testing.assert_array_equal(cols["t"], [1, 2, 3, 4, 5])
+    # The rows are those of a run that stops before the abort.
+    short = run(build_config({}, {"optimizer.kind": "sgdm", "objective.name": "rosenbrock",
+                                  "schedule.eta0": "0.5", "run.steps": "5"}))
+    for name, col in telemetry_columns(short.records).items():
+        if name != "eval_grad_norm_sq":  # step 5 is the short run's last, an eval point
+            assert cols[name].tobytes() == col.tobytes(), name
+    # An abort at step 1 leaves no file.
+    path.unlink()
+    cfg = build_config({}, {"schedule.eta0": "1e308", "run.init_scale": "100",
+                            "run.out": str(path)})
+    with pytest.raises(FloatingPointError, match="non-finite parameters"):
+        run(cfg)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("kind, row, value, bad", [
+    ("padamp", 2, "nan", 1), ("padamp", 0, "0.0", 1), ("padamp", 5, "0.75", 1),
+    ("padamp", 3, "-inf", 1), ("sgdm", 4, "0.25", 5),
+])
+def test_p_now_in_range_fails_an_entry_the_kind_cannot_write(kind, row, value, bad):
+    hp = table1_defaults(kind, weight_decay=0.0)
+    cols = telemetry_columns(run(_quad_config(optimizer=kind, hp=hp)).records)
+    passing = dict((n, (v, p)) for n, v, p in check_telemetry(cols).rows)
+    assert passing["p_now_in_range"] == (0.0, True)
+    assert passing["p_max_increase"] == (0.0, True)
+    cols["p_now"][row] = float(value)
+    rows = dict((n, (v, p)) for n, v, p in check_telemetry(cols).rows)
+    # A mix of nan and numbers fails: the table is neither adaptive nor sgdm.
+    assert rows["p_now_in_range"] == (float(bad), False)
+    if value == "nan":
+        assert np.isnan(rows["p_max_increase"][0]) and not rows["p_max_increase"][1]
+
+
 def test_run_writes_and_reads_back_telemetry(tmp_path):
     path = tmp_path / "telemetry.csv"
     result = run(_quad_config(output_path=str(path)))
