@@ -8,10 +8,13 @@ instance. Everything here is float64 end to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+
+from .geometry import norm
 
 __all__ = [
     "ParamGroup",
@@ -158,15 +161,23 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-def check_grads(groups: Sequence[ParamGroup], grads: GradientSet) -> None:
-    """Validate that grads shape-match groups and are finite."""
+def check_grads(groups: Sequence[ParamGroup],
+                grads: GradientSet) -> List[Tuple[np.ndarray, float]]:
+    """Validate that grads shape-match groups and are finite; return each
+    group's gradient as float64 and its norm, in group order."""
+    checked = []
     for g in groups:
         if g.name not in grads:
             raise ValueError(f"missing gradient for group {g.name!r}")
-        arr = grads[g.name]
+        arr = np.asarray(grads[g.name], dtype=np.float64)
         if arr.shape != g.values.shape:
             raise ValueError(
                 f"gradient shape {arr.shape} does not match group {g.name!r} shape {g.values.shape}"
             )
-        if not np.isfinite(arr).all():
+        gnorm = norm(arr)
+        # A finite norm means finite entries; scan only when it is not. A norm
+        # is >= 0 or nan, so `< inf` is its finiteness test.
+        if not gnorm < math.inf and not np.logical_and.reduce(np.isfinite(arr)):
             raise FloatingPointError(f"non-finite gradient in group {g.name!r}")
+        checked.append((arr, gnorm))
+    return checked

@@ -11,6 +11,7 @@ slack's minimum over groups into the step's telemetry row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -117,16 +118,19 @@ def _group_lemmas(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarra
     at theta = 0, which has no radial direction, the radial bound is checked
     against ||pre_m||, which dominates the inner product with any unit vector.
     Two buffers hold every temporary; the comments give the out-of-place form.
+    The step calls this under np.errstate(over="ignore", invalid="ignore"), so
+    an overflow gives a non-finite value, which fails its check_telemetry row,
+    and no warning.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        buf = np.subtract(m, m_prev)
-        buf *= beta1t / (1.0 - beta1t)  # (b / (1 - b)) * (m - m_prev)
-        rhs = np.negative(g)
-        rhs += buf  # -g + (b / (1 - b)) * (m - m_prev)
-        np.negative(m, out=buf)
-        buf -= rhs  # -m - rhs
-        resid = float(np.linalg.norm(buf)) / (1.0 + norm(m))
-        margin = float(c1 ** 2 - v.max())
+    buf = np.subtract(m, m_prev)
+    buf *= beta1t / (1.0 - beta1t)  # (b / (1 - b)) * (m - m_prev)
+    rhs = np.negative(g)
+    rhs += buf  # -g + (b / (1 - b)) * (m - m_prev)
+    np.negative(m, out=buf)
+    buf -= rhs  # -m - rhs
+    # sqrt(x . x) is np.linalg.norm's 1-d formula, without its wrapper.
+    resid = math.sqrt(buf.dot(buf)) / (1.0 + norm(m))
+    margin = float(c1 ** 2 - np.maximum.reduce(v))
     denom = np.add(v, eps, out=buf)
     denom **= p  # (v + eps) ** p
     inv = np.divide(1.0, denom, out=rhs)
@@ -137,13 +141,14 @@ def _group_lemmas(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarra
     if theta_norm > 0:
         radial = float(theta @ pre_m) / theta_norm
     else:
-        radial = float(np.linalg.norm(pre_m))
+        radial = math.sqrt(pre_m.dot(pre_m))
     buf = np.multiply(g, inv, out=pre_m)
     buf **= 2  # (g * inv) ** 2
-    precond_sq = float(buf.sum())
+    precond_sq = float(np.add.reduce(buf))
     np.subtract(m, m_prev, out=buf)
     buf *= inv  # (m - m_prev) * inv
-    slacks = (float(v.min()), float(inv.min() - lo), float(hi - inv.max()),
+    slacks = (float(np.minimum.reduce(v)), float(np.minimum.reduce(inv) - lo),
+              float(hi - np.maximum.reduce(inv)),
               c1 / eps ** p - radial, (c1 * c1) / eps ** (2 * p) - precond_sq,
               2.0 * c1 * c1 / eps ** p - float(g @ buf))
     return resid, margin, dict(zip(SLACK_COLUMNS, slacks))

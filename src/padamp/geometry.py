@@ -73,8 +73,12 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray, *, a_norm: Optional[float] =
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    na = norm(a) if a_norm is None else a_norm
-    nb = norm(b) if b_norm is None else b_norm
+    return _cosine(a, b, norm(a) if a_norm is None else a_norm,
+                   norm(b) if b_norm is None else b_norm)
+
+
+def _cosine(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
+    """cosine_similarity of float64 vectors a, b of one shape, norms na, nb."""
     if na == 0.0 or nb == 0.0:
         return 0.0
     den = na * nb
@@ -121,11 +125,11 @@ def projection_condition(
         raise ValueError(f"delta must be positive, got {delta}")
     if eta_t <= 0:
         raise ValueError(f"eta_t must be positive, got {eta_t}")
-    threshold = float(delta * eta_t / np.sqrt(theta.size))
+    threshold = float(delta * eta_t / math.sqrt(theta.size))
     if theta_norm is None:
         theta_norm = norm(theta)
     if theta_norm == 0.0:
         return ProjectionDecision(trigger_value=0.0, threshold=threshold, projected=False)
-    cos = cosine_similarity(theta, grad, a_norm=theta_norm, b_norm=grad_norm)
+    cos = _cosine(theta, grad, theta_norm, norm(grad) if grad_norm is None else grad_norm)
     return ProjectionDecision(trigger_value=cos, threshold=threshold,
                               projected=bool(cos < threshold))

@@ -101,7 +101,7 @@ def _step(
     the trigger threshold family ("padamp" or "adamp").
     """
     groups = list(groups)
-    check_grads(groups, grads)
+    checked = check_grads(groups, grads)
     if eta_t <= 0:
         raise ValueError(f"eta_t must be positive, got {eta_t}")
     adaptive = p_power is not None
@@ -130,26 +130,26 @@ def _step(
                                 "loss": float("nan"), "grad_norm_sq": 0.0}
     slacks: List[Dict[str, float]] = []
     lemma2_max, lemma3_min = (0.0, np.inf) if adaptive else (np.nan, np.nan)
-    for grp in groups:
-        name = grp.name
-        g_raw = np.asarray(grads[name], dtype=np.float64)
-        theta = grp.values
-        # The record, c1, the trigger and the projection share these two.
-        theta_norm = norm(theta)
-        gnorm = norm(g_raw)
-        gnorm_sq = gnorm * gnorm
-        # The lemma-3 margin needs C1**2. sgdm has no margin: its record
-        # keeps the inf, and a diverging run aborts at the next loss.
-        if adaptive and not math.isfinite(gnorm_sq):
-            raise FloatingPointError(
-                f"squared gradient norm of group {name!r} overflows (norm {gnorm!r})")
-        record["grad_norm_sq"] += gnorm_sq
-        state.c1[name] = max(state.c1[name], gnorm)
-        # Coupled decay folds wd * theta into the gradient seen by the
-        # moments; telemetry and the trigger keep the raw gradient. A step
-        # that diverges through it overflows here; the finiteness check on
-        # the new parameters reports it.
-        with np.errstate(over="ignore", invalid="ignore"):
+    # A step that diverges overflows in here, silently: the finiteness check
+    # on the new parameters reports it, and check_telemetry fails a lemma
+    # entry that is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for grp, (g_raw, gnorm) in zip(groups, checked):
+            name = grp.name
+            theta = grp.values
+            # The record, c1, the trigger and the projection share these two.
+            theta_norm = norm(theta)
+            gnorm_sq = gnorm * gnorm
+            # The lemma-3 margin needs C1**2. sgdm has no margin: its record
+            # keeps the inf, and a diverging run aborts at the next loss. A
+            # norm is >= 0 or nan, so `< inf` is its finiteness test.
+            if adaptive and not gnorm_sq < math.inf:
+                raise FloatingPointError(
+                    f"squared gradient norm of group {name!r} overflows (norm {gnorm!r})")
+            record["grad_norm_sq"] += gnorm_sq
+            state.c1[name] = max(state.c1[name], gnorm)
+            # Coupled decay folds wd * theta into the gradient seen by the
+            # moments; telemetry and the trigger keep the raw gradient.
             if hp.wd_mode == "coupled" and hp.weight_decay > 0:
                 g = g_raw + hp.weight_decay * theta
             else:
@@ -169,40 +169,40 @@ def _step(
                 direction *= hp.momentum
                 direction += g
 
-        if trigger_eta is None:
-            cos = cosine_similarity(theta, g_raw, a_norm=theta_norm, b_norm=gnorm)
-            decision = ProjectionDecision(trigger_value=cos, threshold=0.0,
-                                          projected=False)
-        else:
-            decision = projection_condition(theta, g_raw, hp.delta, trigger_eta,
-                                            theta_norm=theta_norm, grad_norm=gnorm)
-        if decision.projected:
-            q = project_tangent(theta, direction, theta_norm=theta_norm)
-        else:
-            q = direction
+            if trigger_eta is None:
+                cos = cosine_similarity(theta, g_raw, a_norm=theta_norm, b_norm=gnorm)
+                decision = ProjectionDecision(trigger_value=cos, threshold=0.0,
+                                              projected=False)
+            else:
+                decision = projection_condition(theta, g_raw, hp.delta, trigger_eta,
+                                                theta_norm=theta_norm, grad_norm=gnorm)
+            if decision.projected:
+                q = project_tangent(theta, direction, theta_norm=theta_norm)
+            else:
+                q = direction
 
-        decay = hp.weight_decay > 0 and hp.wd_mode == "decoupled" and not (
-            decision.projected and hp.wd_skip_projected
-        )
-        # A diverging step overflows here; the finiteness check reports it.
-        with np.errstate(over="ignore", invalid="ignore"):
+            decay = hp.weight_decay > 0 and hp.wd_mode == "decoupled" and not (
+                decision.projected and hp.wd_skip_projected
+            )
             base = (1.0 - eta_t * hp.weight_decay) * theta if decay else theta
             new_values = base - eta_t * q
             step_norm = norm(new_values - theta)
-        # A finite step norm means finite new values; scan only when it is not.
-        if not math.isfinite(step_norm) and not np.isfinite(new_values).all():
-            raise FloatingPointError(f"non-finite parameters after step in group {name!r}")
-        new_params.append(ParamGroup(name, new_values))
-        record.update(zip(_group_columns(name), (
-            theta_norm, decision.trigger_value, decision.projected, step_norm)))
-        if adaptive:
-            # Release the full-size temporaries before the lemmas make theirs.
-            del direction, q, base
-            resid, margin, group_slacks = _group_lemmas(
-                m, state.m_prev[name], state.v[name], g, b1t, state.c1[name],
-                hp.epsilon, p_power, theta, theta_norm)
-            lemma2_max, lemma3_min = max(lemma2_max, resid), min(lemma3_min, margin)
-            slacks.append(group_slacks)
+            # A finite step norm means finite new values; scan only when it is not.
+            if not step_norm < math.inf and not np.logical_and.reduce(
+                    np.isfinite(new_values)):
+                raise FloatingPointError(
+                    f"non-finite parameters after step in group {name!r}")
+            new_params.append(ParamGroup(name, new_values))
+            record.update(zip(_group_columns(name), (
+                theta_norm, decision.trigger_value, decision.projected, step_norm)))
+            if adaptive:
+                # Release the full-size temporaries before the lemmas make theirs.
+                del direction, q, base
+                resid, margin, group_slacks = _group_lemmas(
+                    m, state.m_prev[name], state.v[name], g, b1t, state.c1[name],
+                    hp.epsilon, p_power, theta, theta_norm)
+                lemma2_max, lemma3_min = max(lemma2_max, resid), min(lemma3_min, margin)
+                slacks.append(group_slacks)
 
     record["lemma2_residual"] = lemma2_max
     record["lemma3_margin"] = lemma3_min

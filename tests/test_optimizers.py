@@ -1,4 +1,7 @@
+import cProfile
 import math
+import pstats
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from padamp.core import HyperParams, ParamGroup, beta1_at, new_state
 from padamp.diagnostics import SLACK_COLUMNS, LemmaMonitor, _group_lemmas
 from padamp.geometry import norm
+from padamp.harness import build_config, run
 from padamp.optimizers import OptimizerKind, make_step
 
 padamp_step, adamp_step, padam_step, adam_step, amsgrad_step, sgdm_step = (
@@ -384,3 +388,55 @@ def test_overflowing_gradient_norm_names_the_group(fn):
     state = new_state(_one_group(np.ones(4)), HyperParams(weight_decay=0.0))
     with pytest.raises(FloatingPointError, match="theta"):
         fn(state, _one_group(np.ones(4)), _grads(np.full(4, 1e160)), 1e-3)
+
+
+@pytest.mark.parametrize("hp, theta, g", [
+    # theta - eta * q overflows to -inf.
+    (HyperParams(weight_decay=0.0), -1e308, 1.0),
+    # Coupled decay folds wd * theta = inf into the gradient the moments see.
+    (HyperParams(weight_decay=10.0, wd_mode="coupled"), 1e308, 1.0),
+], ids=["update", "coupled_decay"])
+def test_diverging_step_raises_without_a_warning(hp, theta, g):
+    state = new_state(_one_group([theta] * 4), hp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="non-finite parameters"):
+            make_step("padamp")(state, _one_group([theta] * 4), _grads([g] * 4), 1e308)
+
+
+def test_overflowing_lemma_slack_is_non_finite_without_a_warning():
+    # theta . (m / denom) overflows: the radial slack is -inf, which fails
+    # lemma5_radial_min in check_telemetry, and the step does not warn.
+    state = new_state(_one_group([1e300] * 3), HyperParams(weight_decay=0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = padamp_step(state, _one_group([1e300] * 3), _grads([1e40] * 3), 1e-3)
+    assert out.slacks[0]["lemma5_radial"] == -math.inf
+    assert all(math.isfinite(v) for k, v in out.slacks[0].items() if k != "lemma5_radial")
+
+
+def _calls_per_step(steps):
+    """Python-level calls cProfile counts in one padamp quad_d20 run, and
+    those of them that enter np.errstate."""
+    cfg = build_config({}, {"optimizer.kind": "padamp", "objective.name": "quadratic",
+                            "objective.dim": "20", "objective.condition": "100",
+                            "run.steps": str(steps), "run.seed": "0"})
+    profiler = cProfile.Profile()
+    profiler.enable()
+    run(cfg)
+    profiler.disable()
+    stats = pstats.Stats(profiler).stats
+    enter = np.errstate.__enter__.__code__
+    errstate_key = (enter.co_filename, enter.co_firstlineno, enter.co_name)
+    total = sum(nc for _, nc, _, _, _ in stats.values())
+    return total, stats[errstate_key][1]
+
+
+def test_small_d_step_call_budget():
+    # Per step: (calls at 2000 steps - calls at 1000) / 1000, so the set-up
+    # and the end-of-run report cancel out.
+    (calls_1k, enters_1k), (calls_2k, enters_2k) = _calls_per_step(1000), _calls_per_step(2000)
+    assert (calls_2k - calls_1k) / 1000 <= 70
+    # One errstate in the step and one around the loss, plus one in each
+    # eval point's gradient norm (every 50 steps).
+    assert enters_2k - enters_1k == 2 * 1000 + 1000 // 50
