@@ -25,7 +25,7 @@ import json
 import os
 import sys
 import tempfile
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -97,8 +97,7 @@ def run_matrix(csv_dir: str) -> Dict[str, Dict[str, str]]:
 def _rel_change(old: np.ndarray, new: np.ndarray) -> float:
     """Largest |new - old| / |old| over entries whose bits differ; inf where
     only one side is finite or nan, or old is 0."""
-    same = old.tobytes() == new.tobytes()
-    if same:
+    if old.tobytes() == new.tobytes():
         return 0.0
     old, new = old.astype(np.float64), new.astype(np.float64)
     moved = (old != new) & ~(np.isnan(old) & np.isnan(new))
@@ -110,7 +109,7 @@ def _rel_change(old: np.ndarray, new: np.ndarray) -> float:
 
 
 def report_moves(old: Dict[str, Dict[str, str]], new: Dict[str, Dict[str, str]],
-                 csv_dir: str, before_dir: str = None) -> List[str]:
+                 csv_dir: str, before_dir: Optional[str] = None) -> List[str]:
     """One line per moved entry field, then one per moved CSV column with its
     largest relative change (with before_dir)."""
     lines = []
@@ -137,10 +136,9 @@ def report_moves(old: Dict[str, Dict[str, str]], new: Dict[str, Dict[str, str]],
             for name in sorted(set(was) | set(now)):
                 if name not in was or name not in now or was[name].size != now[name].size:
                     columns[name] = float("inf")
-                else:
+                elif was[name].tobytes() != now[name].tobytes():
                     change = _rel_change(was[name], now[name])
-                    if change or was[name].tobytes() != now[name].tobytes():
-                        columns[name] = max(columns.get(name, 0.0), change)
+                    columns[name] = max(columns.get(name, 0.0), change)
     lines += [f"column {name}: largest relative change {change:.3g}"
               for name, change in sorted(columns.items())]
     return lines
