@@ -377,11 +377,11 @@ def test_aborted_run_writes_the_steps_before_the_abort(tmp_path):
 def test_p_now_in_range_fails_an_entry_the_kind_cannot_write(kind, row, value, bad):
     hp = table1_defaults(kind, weight_decay=0.0)
     cols = telemetry_columns(run(_quad_config(optimizer=kind, hp=hp)).records)
-    passing = dict((n, (v, p)) for n, v, p in check_telemetry(cols).rows)
+    passing = {n: (v, p) for n, v, p in check_telemetry(cols).rows}
     assert passing["p_now_in_range"] == (0.0, True)
     assert passing["p_max_increase"] == (0.0, True)
     cols["p_now"][row] = float(value)
-    rows = dict((n, (v, p)) for n, v, p in check_telemetry(cols).rows)
+    rows = {n: (v, p) for n, v, p in check_telemetry(cols).rows}
     # A mix of nan and numbers fails: the table is neither adaptive nor sgdm.
     assert rows["p_now_in_range"] == (float(bad), False)
     if value == "nan":

@@ -390,18 +390,18 @@ def test_overflowing_gradient_norm_names_the_group(fn):
         fn(state, _one_group(np.ones(4)), _grads(np.full(4, 1e160)), 1e-3)
 
 
-@pytest.mark.parametrize("hp, theta, g", [
+@pytest.mark.parametrize("hp, theta", [
     # theta - eta * q overflows to -inf.
-    (HyperParams(weight_decay=0.0), -1e308, 1.0),
+    (HyperParams(weight_decay=0.0), -1e308),
     # Coupled decay folds wd * theta = inf into the gradient the moments see.
-    (HyperParams(weight_decay=10.0, wd_mode="coupled"), 1e308, 1.0),
+    (HyperParams(weight_decay=10.0, wd_mode="coupled"), 1e308),
 ], ids=["update", "coupled_decay"])
-def test_diverging_step_raises_without_a_warning(hp, theta, g):
+def test_diverging_step_raises_without_a_warning(hp, theta):
     state = new_state(_one_group([theta] * 4), hp)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="non-finite parameters"):
-            make_step("padamp")(state, _one_group([theta] * 4), _grads([g] * 4), 1e308)
+            make_step("padamp")(state, _one_group([theta] * 4), _grads([1.0] * 4), 1e308)
 
 
 def test_overflowing_lemma_slack_is_non_finite_without_a_warning():
@@ -416,8 +416,8 @@ def test_overflowing_lemma_slack_is_non_finite_without_a_warning():
 
 
 def _calls_per_step(steps):
-    """Python-level calls cProfile counts in one padamp quad_d20 run, and
-    those of them that enter np.errstate."""
+    """The Python-level calls cProfile counts in one padamp quad_d20 run,
+    and how many of them are np.errstate.__enter__."""
     cfg = build_config({}, {"optimizer.kind": "padamp", "objective.name": "quadratic",
                             "objective.dim": "20", "objective.condition": "100",
                             "run.steps": str(steps), "run.seed": "0"})
