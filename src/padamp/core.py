@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,11 +116,14 @@ class OptimizerState:
     nonzero. ``m``/``v`` are zero-initialized per group; ``max_v`` is only
     consumed by the max-tracking optimizers. ``c1`` is the running max of
     observed gradient norms per group (the empirical stand-in for the bounded
-    gradient constant).
+    gradient constant). ``failed_step`` is the ``t`` of a step that raised
+    after advancing ``t``, leaving the buffers part way through it; a state
+    with one set refuses to step again.
     """
 
     hp: HyperParams
     t: int = 0
+    failed_step: Optional[int] = None
     m: Dict[str, np.ndarray] = field(default_factory=dict)
     v: Dict[str, np.ndarray] = field(default_factory=dict)
     max_v: Dict[str, np.ndarray] = field(default_factory=dict)

@@ -307,6 +307,8 @@ class _TinyMLP(Objective):
         self.dataset = SyntheticDataset(features=feats, labels=labels)
         self.group_layout = {"w1": hidden * d_in, "w2": classes * hidden}
         self.is_scale_invariant = {"w1": True, "w2": False}
+        # The last forward pass: (key, X, y, _forward's tuple); see _pass.
+        self._last = None
 
     def init_params(self, rng: np.random.Generator, scale: float = 1.0) -> List[ParamGroup]:
         w1 = rng.standard_normal((self.hidden, self.d_in)) * (scale / np.sqrt(self.d_in))
@@ -329,27 +331,46 @@ class _TinyMLP(Objective):
 
     def _forward(self, w1, w2, X):
         z = X @ w1.T
-        mu = z.mean(axis=0)
-        var = z.var(axis=0)
+        B = len(z)
+        # The expressions z.mean(axis=0) and z.var(axis=0) evaluate, so the
+        # same bits, without the Python of numpy's _mean and _var.
+        mu = np.add.reduce(z, 0) / B
+        d = z - mu
+        var = np.add.reduce(d * d, 0) / B
         s = np.sqrt(np.maximum(var, BN_VAR_FLOOR))
-        nz = (z - mu) / s
+        nz = d / s
         a = np.maximum(nz, 0.0)
         logits = a @ w2.T
         lmax = logits.max(axis=1, keepdims=True)
         logz = lmax[:, 0] + np.log(np.exp(logits - lmax).sum(axis=1))
         return z, var, s, nz, a, logits, logz
 
+    def _pass(self, w1, w2, batch):
+        """X, y and the forward pass of these weights on this batch.
+
+        The pass is a pure function of w1, w2 and the batch indices, so the
+        last one is kept, keyed by their exact bytes: grad after eval on the
+        same weights and batch reuses it, and a weight changed in place
+        misses. Callers only read the arrays it returns.
+        """
+        if batch is not None:
+            batch = np.asarray(batch)
+        key = (w1.tobytes(), w2.tobytes(),
+               None if batch is None else (batch.dtype.str, batch.tobytes()))
+        if self._last is None or self._last[0] != key:
+            X, y = self._batch(batch)
+            self._last = (key, X, y, self._forward(w1, w2, X))
+        return self._last[1:]
+
     def eval(self, params, batch=None) -> float:
         w1, w2 = self._weights(params)
-        X, y = self._batch(batch)
-        _, _, _, _, _, logits, logz = self._forward(w1, w2, X)
+        _, y, (_, _, _, _, _, logits, logz) = self._pass(w1, w2, batch)
         return float(np.mean(logz - logits[np.arange(len(y)), y]))
 
     def grad(self, params, batch=None) -> GradientSet:
         w1, w2 = self._weights(params)
-        X, y = self._batch(batch)
+        X, y, (_, var, s, nz, a, logits, logz) = self._pass(w1, w2, batch)
         B = len(y)
-        _, var, s, nz, a, logits, logz = self._forward(w1, w2, X)
         dlogits = np.exp(logits - logz[:, None])
         dlogits[np.arange(B), y] -= 1.0
         dlogits /= B
@@ -358,8 +379,8 @@ class _TinyMLP(Objective):
         dn = da * (nz > 0)
         # Batch-norm backward with population statistics. When the variance
         # floor is active the std is constant, so the x-hat path drops out.
-        mean_dn = dn.mean(axis=0)
-        mean_dnx = (dn * nz).mean(axis=0)
+        mean_dn = np.add.reduce(dn, 0) / B
+        mean_dnx = np.add.reduce(dn * nz, 0) / B
         xhat_path = np.where(var < BN_VAR_FLOOR, 0.0, 1.0)
         dz = (dn - mean_dn - xhat_path * nz * mean_dnx) / s
         dw1 = dz.T @ X
@@ -367,8 +388,7 @@ class _TinyMLP(Objective):
 
     def accuracy(self, params) -> float:
         w1, w2 = self._weights(params)
-        X, y = self._batch(None)
-        _, _, _, _, _, logits, _ = self._forward(w1, w2, X)
+        _, y, (_, _, _, _, _, logits, _) = self._pass(w1, w2, None)
         return float(np.mean(logits.argmax(axis=1) == y))
 
 

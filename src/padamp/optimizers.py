@@ -100,6 +100,10 @@ def _step(
     kernel. trigger is None for the never-projecting optimizers, otherwise
     the trigger threshold family ("padamp" or "adamp").
     """
+    if state.failed_step is not None:
+        raise ValueError(
+            f"optimizer state is part way through step {state.failed_step}, which "
+            "raised; start again from a new state")
     groups = list(groups)
     checked = check_grads(groups, grads)
     if eta_t <= 0:
@@ -110,6 +114,9 @@ def _step(
     hp = state.hp
     state.t += 1
     t = state.t
+    # From here a raise leaves the buffers part way through step t; the
+    # mark is cleared once the step completes.
+    state.failed_step = t
     b1t = beta1_at(t, hp)
     bc1 = 1.0 - hp.beta1 ** t
     bc2 = 1.0 - hp.beta2 ** t
@@ -206,6 +213,7 @@ def _step(
 
     record["lemma2_residual"] = lemma2_max
     record["lemma3_margin"] = lemma3_min
+    state.failed_step = None
     return StepOutput(new_params=new_params, record=record, slacks=slacks)
 
 

@@ -25,6 +25,7 @@ from padamp.harness import (
     telemetry_columns,
     write_telemetry,
 )
+from padamp.objectives import _TinyMLP
 from padamp.optimizers import OptimizerKind
 
 
@@ -144,6 +145,22 @@ def test_build_objective_dispatch_and_params():
     assert mlp.group_layout == {"w1": 12, "w2": 8}
     with pytest.raises(ValueError, match="unknown objective"):
         build_objective("mnist", {}, 0)
+
+
+def test_mlp_run_makes_one_forward_pass_per_step(monkeypatch):
+    passes = []
+    forward = _TinyMLP._forward
+
+    def counted(self, *args):
+        passes.append(1)
+        return forward(self, *args)
+
+    monkeypatch.setattr(_TinyMLP, "_forward", counted)
+    run(build_config({}, {"objective.name": "tiny_mlp", "run.steps": "20",
+                          "run.eval_every": "10", "run.eval_window": "4"}))
+    # grad reuses eval's pass; each of 2 eval points adds a window of 4
+    # gradients, and the final accuracy one full-dataset pass.
+    assert len(passes) == 20 + 2 * 4 + 1
 
 
 def test_build_objective_data_seed_param_wins():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padamp.core import ParamGroup, seeded_rng
 from padamp.objectives import (
@@ -244,6 +246,50 @@ def test_mlp_layout_accuracy_and_batch_guard():
         obj.eval(params, batch=np.array([0]))
     with pytest.raises(ValueError, match=">= 2"):
         tiny_mlp(d_in=1, hidden=3, classes=2, n=8, seed=0)
+
+
+_MLP = dict(d_in=4, hidden=5, classes=3, n=40, seed=7)
+
+
+def _bits(grads):
+    return {name: g.tobytes() for name, g in grads.items()}
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.sampled_from([2.0 ** -8, 1.0, 2.0 ** 8]),
+       st.sampled_from(["nothing", "other_weights", "other_batch", "in_place"]),
+       st.integers(0, 2 ** 16))
+def test_mlp_grad_after_eval_is_a_fresh_objectives_grad_bit_for_bit(
+        seed, size, scale, between, entry):
+    obj = tiny_mlp(**_MLP)
+    rng = np.random.default_rng(seed)
+    params = obj.init_params(rng, scale=scale)
+    batch = rng.choice(obj.dataset.n, size=size, replace=False)
+    obj.eval(params, batch)
+    if between == "other_weights":
+        obj.eval(obj.init_params(rng, scale=scale), batch)
+    elif between == "other_batch":
+        obj.eval(params, rng.choice(obj.dataset.n, size=size, replace=False))
+    elif between == "in_place":
+        values = params[entry % 2].values
+        values[entry // 2 % values.size] += 1.0
+    got = obj.grad(params, batch)
+    assert _bits(got) == _bits(tiny_mlp(**_MLP).grad(params, batch))
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 300), st.integers(1, 40),
+       st.integers(-30, 30))
+def test_batch_norm_statistics_are_numpys_mean_and_var_bit_for_bit(seed, B, H, log2_scale):
+    rng = np.random.default_rng(seed)
+    X = (rng.standard_normal((B, H)) + rng.uniform(-3.0, 3.0, H)) * 2.0 ** log2_scale
+    obj = tiny_mlp(**_MLP)
+    z, var, s, nz, *_ = obj._forward(np.eye(H), np.ones((2, H)), X)
+    assert var.tobytes() == z.var(axis=0).tobytes()
+    assert s.tobytes() == np.sqrt(np.maximum(z.var(axis=0), BN_VAR_FLOOR)).tobytes()
+    assert nz.tobytes() == ((z - z.mean(axis=0)) / s).tobytes()
+    # grad's means of dn and dn * nz take the same form.
+    assert (np.add.reduce(z, 0) / B).tobytes() == z.mean(axis=0).tobytes()
 
 
 # --------------------------------------------------------- finite differences

@@ -306,6 +306,29 @@ def test_step_validation_errors():
         padamp_step(state, _one_group([1.0]), _grads([np.inf]), eta_t=1e-3)
 
 
+def test_step_that_raises_part_way_marks_the_state():
+    # Group a steps, then group b's update overflows: m, v and c1 already
+    # hold the failed step, so the state refuses a second step.
+    groups = [ParamGroup("a", np.ones(3)), ParamGroup("b", np.full(3, -1e308))]
+    grads = {"a": np.ones(3), "b": np.ones(3)}
+    state = new_state(groups, HyperParams())
+    with pytest.raises(FloatingPointError, match="non-finite parameters after step in group 'b'"):
+        adam_step(state, groups, grads, eta_t=1e308)
+    assert state.t == 1 and state.failed_step == 1
+    with pytest.raises(ValueError, match="part way through step 1,"):
+        adam_step(state, groups, grads, eta_t=1e-3)
+    assert state.t == 1
+
+
+def test_step_that_raises_before_advancing_leaves_the_state_usable():
+    state = new_state(_one_group([1.0]), HyperParams())
+    with pytest.raises(ValueError, match="eta_t"):
+        adam_step(state, _one_group([1.0]), _grads([1.0]), eta_t=0.0)
+    assert state.t == 0 and state.failed_step is None
+    adam_step(state, _one_group([1.0]), _grads([1.0]), eta_t=1e-3)
+    assert state.t == 1 and state.failed_step is None
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_parameters_abort():
     hp = HyperParams(weight_decay=0.0)
