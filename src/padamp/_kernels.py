@@ -32,21 +32,35 @@ def moment_direction(m, v, max_v, g, beta1t, beta2, bc1, bc2, eps, p,
         (base + eps)**p   if power_eps else   base**p + eps
     with base = v / bc2, or the uncorrected max_v when use_max (max-tracking
     optimizers do not bias-correct the max buffer).
+
+    Each call makes two full-size arrays: one scratch buffer that holds each
+    temporary in turn, and the returned direction, which is fresh and shares
+    no memory with the inputs. The operations are the ones the plain
+    expressions above evaluate, so every output bit equals theirs; the
+    power is `**=`, which takes numpy's scalar fast paths (0.5 is sqrt).
     """
+    buf = (1.0 - beta1t) * g
     m *= beta1t
-    m += (1.0 - beta1t) * g
+    m += buf
+    np.multiply(g, g, out=buf)
+    buf *= 1.0 - beta2
     v *= beta2
-    v += (1.0 - beta2) * (g * g)
+    v += buf
     if use_max:
         np.maximum(max_v, v, out=max_v)
-        base = max_v
+        # max_v is state: the power goes into the buffer, never into max_v
+        buf[...] = max_v
     else:
-        base = v / bc2
+        np.divide(v, bc2, out=buf)
     if power_eps:
-        denom = (base + eps) ** p
+        buf += eps
+        buf **= p
     else:
-        denom = base ** p + eps
-    return (m / bc1) / denom
+        buf **= p
+        buf += eps
+    direction = np.divide(m, bc1)
+    direction /= buf
+    return direction
 
 
 def norm_growth_arrays(update_norms_sq, beta, eta, theta0_norm_sq):

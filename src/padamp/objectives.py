@@ -85,10 +85,16 @@ class Objective:
         return None
 
     def _check(self, params: Sequence[ParamGroup]) -> Dict[str, np.ndarray]:
-        vals = {g.name: g.values for g in params}
-        for name, dim in self.group_layout.items():
-            if name not in vals or vals[name].size != dim:
-                raise ValueError(f"objective {self.name!r} expects group {name!r} of dim {dim}")
+        # A plain loop and no .items(): eval and grad call this every step,
+        # and a comprehension or a bound method is one more Python call each.
+        vals = {}
+        for g in params:
+            vals[g.name] = g.values
+        layout = self.group_layout
+        for name in layout:
+            if name not in vals or vals[name].size != layout[name]:
+                raise ValueError(
+                    f"objective {self.name!r} expects group {name!r} of dim {layout[name]}")
         return vals
 
 

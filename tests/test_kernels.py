@@ -1,5 +1,7 @@
 """The vectorized kernels against explicit per-element and per-step loops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -26,6 +28,26 @@ def _moment_direction_loop(m, v, max_v, g, beta1t, beta2, bc1, bc2, eps, p,
             denom = base ** p + eps
         out[i] = (m[i] / bc1) / denom
     return out
+
+
+def _moment_direction_expr(m, v, max_v, g, beta1t, beta2, bc1, bc2, eps, p,
+                           use_max, power_eps):
+    # The kernel as the plain array expressions of its docstring: the
+    # scratch-buffer kernel must give these bits exactly.
+    m *= beta1t
+    m += (1.0 - beta1t) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    if use_max:
+        np.maximum(max_v, v, out=max_v)
+        base = max_v
+    else:
+        base = v / bc2
+    if power_eps:
+        denom = (base + eps) ** p
+    else:
+        denom = base ** p + eps
+    return (m / bc1) / denom
 
 
 def _norm_growth_loop(u, beta, eta_sq, theta0_sq):
@@ -83,6 +105,55 @@ def test_moment_direction_matches_loop(dim, use_max, power_eps, data, seed, beta
     np.testing.assert_allclose(v_a, v_b, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(max_a, max_b, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(d_kernel, d_loop, rtol=1e-13, atol=0.0)
+
+
+# numpy's vector pow differs from libm on about 5% of entries from 100
+# elements up, so only dims 1000 and 1e5 exercise that path.
+@pytest.mark.parametrize("dim", [1, 7, 20, 1000, 100_000])
+@pytest.mark.parametrize("use_max", [False, True])
+@pytest.mark.parametrize("power_eps", [False, True])
+@pytest.mark.parametrize("p", [0.5, 0.25, "drawn"])
+def test_moment_direction_matches_its_expressions_bit_for_bit(dim, use_max, power_eps, p):
+    rng = np.random.default_rng([dim, use_max, power_eps, [0.5, 0.25, "drawn"].index(p)])
+    m_a, v_a, max_a, _, _, _ = _random_inputs(dim, seed=int(rng.integers(2 ** 32)))
+    m_b, v_b, max_b = m_a.copy(), v_a.copy(), max_a.copy()
+    # Three consecutive steps on the same state, as a run makes them.
+    for t in (1, 2, 3):
+        g = rng.standard_normal(dim) * 2.0 ** int(rng.integers(-30, 31))
+        beta1t = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+        beta2 = rng.uniform(0.9, 0.9999)
+        args = (beta1t, beta2, 1.0 - 0.9 ** t, 1.0 - beta2 ** t,
+                10.0 ** rng.uniform(-16, -2), rng.uniform(0.01, 0.5) if p == "drawn" else p,
+                use_max, power_eps)
+        d_a = _kernels.moment_direction(m_a, v_a, max_a, g, *args)
+        d_b = _moment_direction_expr(m_b, v_b, max_b, g, *args)
+        for a, b in ((d_a, d_b), (m_a, m_b), (v_a, v_b), (max_a, max_b)):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("use_max", [False, True])
+@pytest.mark.parametrize("power_eps", [False, True])
+def test_moment_direction_makes_two_full_size_arrays(use_max, power_eps):
+    dim = 100_000
+    m, v, max_v, g, bc1, bc2 = _random_inputs(dim, seed=5)
+    args = (0.9, 0.999, bc1, bc2, 1e-8, 0.25, use_max, power_eps)
+    inputs = (m, v, max_v, g)
+    # tracemalloc sees numpy's data buffers; without use_max the expression
+    # form peaks at 3.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        first = _kernels.moment_direction(*inputs, *args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / first.nbytes <= 2.01
+    assert not any(np.shares_memory(first, a) for a in inputs)
+    kept = first.copy()
+    second = _kernels.moment_direction(*inputs, *args)
+    assert first.tobytes() == kept.tobytes()
+    assert not np.shares_memory(first, second)
 
 
 def test_moment_direction_updates_in_place():
