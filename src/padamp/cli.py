@@ -119,6 +119,14 @@ def _cmd_norm_sim(args) -> int:
     return 0
 
 
+def _report(report: DiagnosticsReport, out: Optional[str]) -> int:
+    print(report)
+    if out:
+        report.to_csv(out)
+        print(f"report: {out}")
+    return 0 if report.all_passed else 1
+
+
 def _cmd_check(args) -> int:
     if args.steps is not None and args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
@@ -126,11 +134,7 @@ def _cmd_check(args) -> int:
     if args.steps is not None:
         cols = {k: v[:args.steps] for k, v in cols.items()}
     report = harness.check_telemetry(cols)
-    print(report)
-    if args.out:
-        report.to_csv(args.out)
-        print(f"report: {args.out}")
-    return 0 if report.all_passed else 1
+    return _report(report, args.out)
 
 
 def _cmd_grad_check(args) -> int:
@@ -154,11 +158,7 @@ def _cmd_grad_check(args) -> int:
         num = np.concatenate([numeric[p.name] for p in params])
         rel = float(np.linalg.norm(num - an) / max(np.linalg.norm(an), 1e-30))
         report.add(f"point_{i:02d}_rel_error", rel, rel < tol)
-    print(report)
-    if args.out:
-        report.to_csv(args.out)
-        print(f"report: {args.out}")
-    return 0 if report.all_passed else 1
+    return _report(report, args.out)
 
 
 def _add_common(sub, steps_help: str, steps_default=None) -> None:
@@ -235,7 +235,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -113,12 +113,13 @@ class OptimizerState:
 
     ``t`` starts at 0 and is incremented before each update, so the first
     update uses t = 1 and the bias corrections 1 - beta1**t, 1 - beta2**t are
-    nonzero. ``m``/``v`` are zero-initialized per group; ``max_v`` is only
-    consumed by the max-tracking optimizers. ``c1`` is the running max of
-    observed gradient norms per group (the empirical stand-in for the bounded
-    gradient constant). ``failed_step`` is the ``t`` of a step that raised
-    after advancing ``t``, leaving the buffers part way through it; a state
-    with one set refuses to step again.
+    nonzero. ``m``/``v`` are zero-initialized per group; sgdm keeps its
+    momentum buffer in ``m``. ``max_v`` is only consumed by the max-tracking
+    optimizers. ``c1`` is the running max of observed gradient norms per
+    group (the empirical stand-in for the bounded gradient constant).
+    ``failed_step`` is the ``t`` of a step that raised after advancing
+    ``t``, leaving the buffers part way through it; a state with one set
+    refuses to step again.
     """
 
     hp: HyperParams
@@ -127,7 +128,6 @@ class OptimizerState:
     m: Dict[str, np.ndarray] = field(default_factory=dict)
     v: Dict[str, np.ndarray] = field(default_factory=dict)
     max_v: Dict[str, np.ndarray] = field(default_factory=dict)
-    momentum_buf: Dict[str, np.ndarray] = field(default_factory=dict)
     c1: Dict[str, float] = field(default_factory=dict)
     m_prev: Dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -142,12 +142,8 @@ def new_state(groups: Sequence[ParamGroup], hp: HyperParams) -> OptimizerState:
         raise ValueError(f"duplicate group names: {names}")
     state = OptimizerState(hp=hp)
     for g in groups:
-        z = np.zeros(g.dim, dtype=np.float64)
-        state.m[g.name] = z.copy()
-        state.v[g.name] = z.copy()
-        state.max_v[g.name] = z.copy()
-        state.momentum_buf[g.name] = z.copy()
-        state.m_prev[g.name] = z.copy()
+        for buffers in (state.m, state.v, state.max_v, state.m_prev):
+            buffers[g.name] = np.zeros(g.dim, dtype=np.float64)
         state.c1[g.name] = 0.0
     return state
 

@@ -145,7 +145,7 @@ def schedule_p(epoch: int, p_schedule: Optional[PSchedule], base_p: float) -> fl
 # run's data seed.
 OBJECTIVES: Dict[str, Tuple[Callable[..., Objective], Dict[str, object]]] = {
     "quadratic": (quadratic, {"dim": 20, "condition": 1.0}),
-    "rosenbrock": (rosenbrock, {"dim": 2}),
+    "rosenbrock": (rosenbrock, {}),
     "scale_invariant": (scale_invariant_objective, {"dim": 64}),
     "logistic": (logistic_regression,
                  {"d": 10, "n": 512, "data_seed": 0, "separation": 4.0}),

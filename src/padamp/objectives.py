@@ -15,6 +15,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 import numpy as np
 
 from .core import GradientSet, ParamGroup, seeded_rng
+from .geometry import norm
 
 __all__ = [
     "Objective",
@@ -157,10 +158,8 @@ class _Rosenbrock(Objective):
         return {"theta": np.array([gx, gy])}
 
 
-def rosenbrock(dim: int = 2) -> Objective:
-    """The classic banana valley; only the 2-d form is supported."""
-    if dim != 2:
-        raise ValueError(f"rosenbrock is defined here for dim=2 only, got {dim}")
+def rosenbrock() -> Objective:
+    """The classic 2-d banana valley."""
     return _Rosenbrock()
 
 
@@ -184,10 +183,11 @@ class _ScaleInvariant(Objective):
         self.is_scale_invariant = {"theta": True}
 
     def _unit(self, th: np.ndarray) -> tuple:
-        norm = np.linalg.norm(th)
-        if norm == 0.0:
+        # norm() keeps the radius finite and nonzero where th . th is not.
+        radius = norm(th)
+        if radius == 0.0:
             raise ValueError("scale-invariant objective is undefined at theta = 0")
-        return th / norm, norm
+        return th / radius, radius
 
     def eval(self, params, batch=None) -> float:
         u, _ = self._unit(self._check(params)["theta"])
@@ -195,12 +195,12 @@ class _ScaleInvariant(Objective):
 
     def grad(self, params, batch=None) -> GradientSet:
         th = self._check(params)["theta"]
-        u, norm = self._unit(th)
+        u, radius = self._unit(th)
         g_sphere = self.q_diag * u - self.tau
         # Chain rule through the normalization: project onto the tangent
         # space of u and divide by the radius.
         tangent = g_sphere - float(u @ g_sphere) * u
-        return {"theta": tangent / norm}
+        return {"theta": tangent / radius}
 
 
 def scale_invariant_objective(dim: int) -> Objective:
@@ -218,28 +218,36 @@ def _sigmoid_neg(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _two_blobs(d: int, n: int, separation: float, rng: np.random.Generator):
-    """Two unit-variance Gaussian blobs at +/- (separation/2) along a random axis."""
-    u = rng.standard_normal(d)
-    u /= np.linalg.norm(u)
-    half = n // 2
-    signs = np.concatenate([np.ones(half), -np.ones(n - half)])
-    feats = rng.standard_normal((n, d)) + np.outer(signs, (separation / 2.0) * u)
-    return feats, signs.astype(np.int64), u
+def _blobs(d: int, classes: int, n: int, separation: float, seed: int,
+           index: np.ndarray) -> np.ndarray:
+    """n unit-variance Gaussian examples in d dims, example i around the
+    center of class index[i]; the centers lie separation / 2 from the origin,
+    at +/- one random axis for two classes, else along orthonormal directions
+    (classes <= d)."""
+    if n < 2:
+        raise ValueError(f"need at least 2 examples, got {n}")
+    if not 0 <= separation < math.inf:
+        raise ValueError(f"separation must be non-negative and finite, got {separation}")
+    rng = seeded_rng(seed)
+    if classes == 2:
+        u = rng.standard_normal(d)
+        u /= np.linalg.norm(u)
+        centers = np.vstack([(separation / 2.0) * u, -(separation / 2.0) * u])
+    else:
+        q, _ = np.linalg.qr(rng.standard_normal((d, classes)))
+        centers = (separation / 2.0) * q.T
+    return rng.standard_normal((n, d)) + centers[index]
 
 
 class _Logistic(Objective):
     def __init__(self, d: int, n: int, seed: int, separation: float):
         if d < 1:
             raise ValueError(f"need d >= 1, got {d}")
-        if n < 2:
-            raise ValueError(f"need at least 2 examples, got {n}")
-        if not 0 <= separation < math.inf:
-            raise ValueError(f"separation must be non-negative and finite, got {separation}")
-        feats, labels, axis = _two_blobs(d, n, separation, seeded_rng(seed))
+        # Class 0, label +1, is the first half of the examples.
+        index = (np.arange(n) >= n // 2).astype(np.int64)
+        feats = _blobs(d, 2, n, separation, seed, index)
         self.name = "logistic"
-        self.dataset = SyntheticDataset(features=feats, labels=labels)
-        self.separating_axis = axis
+        self.dataset = SyntheticDataset(features=feats, labels=1 - 2 * index)
         self.group_layout = {"theta": d}
         self.is_scale_invariant = {"theta": False}
 
@@ -277,17 +285,6 @@ def logistic_regression(d: int, n: int, seed: int, separation: float = 4.0) -> O
     return _Logistic(d, n, seed, separation)
 
 
-def _class_centers(d: int, classes: int, separation: float, rng: np.random.Generator) -> np.ndarray:
-    if classes == 2:
-        u = rng.standard_normal(d)
-        u /= np.linalg.norm(u)
-        return np.vstack([(separation / 2.0) * u, -(separation / 2.0) * u])
-    # Orthonormalize random directions so centers do not collide.
-    raw = rng.standard_normal((d, classes))
-    q, _ = np.linalg.qr(raw)
-    return (separation / 2.0) * q[:, :classes].T
-
-
 class _TinyMLP(Objective):
     """x -> W1 x -> per-unit batch normalization -> ReLU -> W2 -> softmax CE.
 
@@ -300,14 +297,10 @@ class _TinyMLP(Objective):
                  separation: float):
         if min(d_in, hidden, classes) < 2:
             raise ValueError("d_in, hidden and classes must all be >= 2")
-        if n < 2:
-            raise ValueError(f"need at least 2 examples, got {n}")
-        if not 0 <= separation < math.inf:
-            raise ValueError(f"separation must be non-negative and finite, got {separation}")
-        rng = seeded_rng(seed)
-        centers = _class_centers(d_in, classes, separation, rng)
+        if classes > d_in:
+            raise ValueError(f"classes must be <= d_in, got classes={classes}, d_in={d_in}")
         labels = np.arange(n) % classes
-        feats = rng.standard_normal((n, d_in)) + centers[labels]
+        feats = _blobs(d_in, classes, n, separation, seed, labels)
         self.name = "tiny_mlp"
         self.d_in, self.hidden, self.classes = d_in, hidden, classes
         self.dataset = SyntheticDataset(features=feats, labels=labels)

@@ -171,8 +171,8 @@ def _step(
                     use_max, power_eps,
                 )
             else:
-                # Undamped accumulation buf <- momentum * buf + g.
-                direction = state.momentum_buf[name]
+                # Undamped accumulation m <- momentum * m + g.
+                direction = state.m[name]
                 direction *= hp.momentum
                 direction += g
 
@@ -224,7 +224,7 @@ def _step(
 #   padam:   partially adaptive over the max-tracked second moment, no projection
 #   adam:    bias-corrected adaptive step, p = 1/2, no projection
 #   amsgrad: p = 1/2 over the max-tracked (uncorrected) second moment
-#   sgdm:    undamped buf <- momentum * buf + g, whose norm under a constant
+#   sgdm:    undamped m <- momentum * m + g, whose norm under a constant
 #            unit gradient converges to 1 / (1 - momentum); lemma fields are nan
 _KINDS: Dict[OptimizerKind, Tuple[object, bool, Optional[str]]] = {
     OptimizerKind.PADAMP: ("p", False, "padamp"),

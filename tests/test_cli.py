@@ -311,6 +311,12 @@ def test_sweep_with_a_bad_value_writes_no_run(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "run.batch_size=511" in capsys.readouterr().err
     assert not (out / "run_000.csv").exists()
+    # Three classes do not fit two input dimensions.
+    assert main(["sweep", "--axis", "objective.classes", "--values", "2,3",
+                 "--set", "objective.name=tiny_mlp", "--set", "objective.d_in=2",
+                 "--steps", "2", "--out", str(out)]) == 2
+    assert "classes must be <= d_in" in capsys.readouterr().err
+    assert not (out / "run_000.csv").exists()
 
 
 # ------------------------------------------------------------------ errors
@@ -446,3 +452,50 @@ def test_huge_weights_keep_finite_norms_and_pass_every_check(tmp_path):
     assert cols["theta_param_norm"].max() > 1e299
     for c in ("theta_param_norm", "theta_effective_step_norm"):
         assert np.all(np.isfinite(cols[c])), c
+
+
+@pytest.mark.parametrize("command,args", [
+    ("run", ["--set", "objective.name=tiny_mlp", "--set", "objective.d_in=2",
+             "--set", "objective.classes=3"]),
+    ("grad-check", ["--objective", "tiny_mlp", "--param", "d_in=3",
+                    "--param", "classes=5", "--out", "report.csv"]),
+])
+def test_tiny_mlp_with_more_classes_than_inputs_is_one_error_line(command, args,
+                                                                   tmp_path):
+    proc = _cli_run(args, tmp_path, command=command)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: classes must be <= d_in"), \
+        proc.stderr
+    assert os.listdir(tmp_path) == []
+
+
+def test_memory_error_is_one_error_line(monkeypatch, tmp_path, capsys):
+    def run(config):
+        raise MemoryError("Unable to allocate 22.4 GiB for an array")
+    monkeypatch.setattr("padamp.harness.run", run)
+    assert main(["run", "--steps", "2", "--out", str(tmp_path / "run.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 22.4 GiB for an array\n"
+
+
+def test_scale_invariant_run_is_the_same_at_any_radius(tmp_path):
+    # theta . theta overflows at 1e170 and underflows at 1e-170; the
+    # objective's norm does neither.
+    base = ["--set", "objective.name=scale_invariant", "--steps", "3"]
+    rows = {}
+    for scale in ("0.1", "1e170"):
+        out = f"run_{scale}.csv"
+        proc = _cli_run(base + ["--set", f"run.init_scale={scale}", "--out", out],
+                        tmp_path)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        rows[scale] = read_telemetry(str(tmp_path / out))["loss"]
+    # Row 1 is the loss at the initial direction, which the radius does not
+    # change; later rows move less at 1e170, where the gradient is ~1e-170.
+    assert rows["1e170"][0] != 0.0
+    assert rows["1e170"][0] == pytest.approx(rows["0.1"][0], rel=1e-15, abs=0)
+    # At 1e-170 the gradient's norm is about 1e170, and its square overflows.
+    proc = _cli_run(base + ["--set", "run.init_scale=1e-170"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: squared gradient norm of group 'theta' overflows")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padamp.core import ParamGroup, seeded_rng
+from padamp.harness import build_config, build_objective
 from padamp.objectives import (
     BN_VAR_FLOOR,
     SyntheticDataset,
@@ -82,8 +83,13 @@ def test_rosenbrock_known_points():
 
 
 def test_rosenbrock_rejects_other_dims():
-    with pytest.raises(ValueError, match="dim=2"):
-        rosenbrock(dim=3)
+    # rosenbrock is 2-d only, so dim is no key of it, not even dim=2.
+    with pytest.raises(ValueError, match="'rosenbrock' takes no parameter dim"):
+        build_objective("rosenbrock", {"dim": 2}, 0)
+    for dim in ("2", "3"):
+        with pytest.raises(ValueError, match="'rosenbrock' takes no parameter dim"):
+            build_config({"objective.name": "rosenbrock", "objective.dim": dim,
+                          "run.steps": "2"})
 
 
 # ----------------------------------------------------- scale-invariant toy
@@ -93,9 +99,14 @@ def test_scale_invariant_value_ignores_radius():
     rng = seeded_rng(7)
     th = rng.standard_normal(8)
     base = obj.eval(_theta(th))
-    for k in (-3, 1, 10):
-        # powers of two scale the norm exactly, so the value matches bitwise
-        assert obj.eval(_theta(th * 2.0 ** k)) == base
+    grad = obj.grad(_theta(th))["theta"]
+    # Powers of two scale the norm exactly, so the value matches bitwise, and
+    # the gradient scales by the inverse power, also where theta . theta
+    # overflows (k = 600, 1000) or underflows (k = -600, -1000).
+    for k in (-1000, -600, -300, -3, 1, 10, 300, 600, 1000):
+        assert obj.eval(_theta(th * 2.0 ** k)) == base, k
+        scaled = obj.grad(_theta(th * 2.0 ** k))["theta"]
+        assert scaled.tobytes() == (grad * 2.0 ** -k).tobytes(), k
 
 
 def test_scale_invariant_gradient_is_tangent_and_shrinks_with_radius():
@@ -126,8 +137,11 @@ def test_logistic_loss_at_origin_is_log_two():
 
 def test_logistic_labels_and_accuracy_along_separating_axis():
     obj = logistic_regression(d=10, n=512, seed=1, separation=4.0)
-    assert set(np.unique(obj.dataset.labels)) == {-1, 1}
-    acc = obj.accuracy(_theta(obj.separating_axis))
+    feats, labels = obj.dataset.features, obj.dataset.labels
+    assert set(np.unique(labels)) == {-1, 1}
+    # The difference of the class means estimates the axis the blobs lie on.
+    axis = feats[labels == 1].mean(axis=0) - feats[labels == -1].mean(axis=0)
+    acc = obj.accuracy(_theta(axis))
     assert acc > 0.9
 
 
@@ -246,6 +260,10 @@ def test_mlp_layout_accuracy_and_batch_guard():
         obj.eval(params, batch=np.array([0]))
     with pytest.raises(ValueError, match=">= 2"):
         tiny_mlp(d_in=1, hidden=3, classes=2, n=8, seed=0)
+    # The class centers are orthonormal directions in d_in dimensions.
+    assert set(tiny_mlp(d_in=3, hidden=4, classes=3, n=30, seed=0).dataset.labels) == {0, 1, 2}
+    with pytest.raises(ValueError, match="classes must be <= d_in, got classes=3, d_in=2"):
+        tiny_mlp(d_in=2, hidden=4, classes=3, n=30, seed=0)
 
 
 _MLP = dict(d_in=4, hidden=5, classes=3, n=40, seed=7)

@@ -261,12 +261,12 @@ def test_sgdm_buffer_is_undamped_and_converges_to_inverse_gap():
     params = _one_group([0.0])
     out = sgdm_step(state, params, _grads([1.0]), 1e-3)
     # undamped: first buffer equals the raw gradient, not (1 - momentum) * g
-    assert state.momentum_buf["theta"][0] == 1.0
+    assert state.m["theta"][0] == 1.0
     assert out.new_params[0].values[0] == pytest.approx(-1e-3)
 
     for _ in range(400):
         sgdm_step(state, params, _grads([1.0]), 1e-3)
-    assert state.momentum_buf["theta"][0] == pytest.approx(10.0, rel=1e-12)
+    assert state.m["theta"][0] == pytest.approx(10.0, rel=1e-12)
 
 
 def test_sgdm_decoupled_weight_decay():
