@@ -29,11 +29,11 @@ def _default_out(filename: str, out_flag: Optional[str]) -> str:
     return os.path.join(os.environ.get("PADAMP_OUT_DIR", "."), filename)
 
 
-def _parse_sets(pairs: List[str]) -> Dict[str, str]:
+def _parse_sets(pairs: List[str], flag: str = "--set") -> Dict[str, str]:
     mapping: Dict[str, str] = {}
     for pair in pairs:
         if "=" not in pair:
-            raise ValueError(f"--set expects key=value, got {pair!r}")
+            raise ValueError(f"{flag} expects key=value, got {pair!r}")
         key, _, value = pair.partition("=")
         mapping[key.strip()] = value.strip()
     return mapping
@@ -140,7 +140,7 @@ def _cmd_check(args) -> int:
 def _cmd_grad_check(args) -> int:
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
-    params_map = _parse_sets(args.param or [])
+    params_map = _parse_sets(args.param or [], "--param")
     objective = harness.build_objective(args.objective, params_map, args.seed)
     # The MLP default is looser: centered differences straddling a ReLU kink
     # carry truncation error the analytic subgradient does not have.
@@ -234,7 +234,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # One floating-point state for the command, as harness.run sets for a run.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -118,7 +118,7 @@ def _group_lemmas(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarra
     at theta = 0, which has no radial direction, the radial bound is checked
     against ||pre_m||, which dominates the inner product with any unit vector.
     Two buffers hold every temporary; the comments give the out-of-place form.
-    The step calls this under np.errstate(over="ignore", invalid="ignore"), so
+    The step calls this inside its errstate(over="ignore", invalid="ignore"), so
     an overflow gives a non-finite value, which fails its check_telemetry row,
     and no warning.
     """
@@ -169,7 +169,6 @@ class LemmaMonitor:
 class ScheduleVerdict:
     family: str
     satisfies_assumptions: bool
-    non_increasing: bool
     notes: str
 
 
@@ -191,12 +190,11 @@ def validate_schedule(family: str, c: float, a: Optional[float] = None) -> Sched
             "a <= 1/2 makes the squared series diverge" if a <= 0.5
             else "a > 1 makes the series converge"
         )
-        return ScheduleVerdict("power", ok, True, notes)
+        return ScheduleVerdict("power", ok, notes)
     if family == "constant":
-        return ScheduleVerdict("constant", False, True,
-                               "constant rate: squared series diverges")
+        return ScheduleVerdict("constant", False, "constant rate: squared series diverges")
     if family == "piecewise":
-        return ScheduleVerdict("piecewise", False, True,
+        return ScheduleVerdict("piecewise", False,
                                "piecewise-constant decay: squared series diverges")
     raise ValueError(f"unknown schedule family {family!r}")
 

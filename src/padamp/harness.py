@@ -234,17 +234,18 @@ class RunResult:
 
 
 def _grad_norm_sq(grads: Dict[str, np.ndarray]) -> float:
-    # An overflow gives inf silently; the record's grad_norm_sq reports it.
-    with np.errstate(over="ignore"):
-        return float(sum(np.sum(g * g) for g in grads.values()))
+    # An overflow gives inf; the record's grad_norm_sq reports it.
+    return float(sum(np.sum(g * g) for g in grads.values()))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(config: ExperimentConfig) -> RunResult:
     """Execute one run; returns telemetry, diagnostics, and the convergence trace.
 
     Writes the telemetry CSV when config.output_path is set. Aborts with the
     step index if the loss goes non-finite; an aborted run still writes the
-    CSV of the steps it completed, then re-raises.
+    CSV of the steps it completed, then re-raises. Overflow is silent for the
+    whole run: the loss check, the step and check_telemetry report non-finite values.
     """
     started = time.perf_counter()
     data_ss, init_ss, batch_ss, eval_ss = np.random.SeedSequence(config.seed).spawn(4)
@@ -284,9 +285,7 @@ def run(config: ExperimentConfig) -> RunResult:
             else:
                 batch = None
 
-            # A diverging run overflows here; the finiteness check reports it.
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss = objective.eval(params, batch)
+            loss = objective.eval(params, batch)
             if not np.isfinite(loss):
                 raise RuntimeError(f"non-finite loss {loss!r} at step {t}; aborting")
             grads = objective.grad(params, batch)

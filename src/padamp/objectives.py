@@ -336,6 +336,9 @@ class _TinyMLP(Objective):
         mu = np.add.reduce(z, 0) / B
         d = z - mu
         var = np.add.reduce(d * d, 0) / B
+        if not math.isfinite(np.maximum.reduce(var)):
+            raise FloatingPointError(
+                "tiny_mlp batch-norm variance is not finite: the first layer's outputs overflow")
         s = np.sqrt(np.maximum(var, BN_VAR_FLOOR))
         nz = d / s
         a = np.maximum(nz, 0.0)

@@ -365,6 +365,7 @@ def test_sweep_with_a_bad_value_writes_no_run(tmp_path, capsys):
      "--out", "{tmp}/ns.csv"],
     ["norm-sim", "--eta", "1e200", "--beta", "0.5", "--steps", "5",
      "--out", "{tmp}/ns.csv"],
+    ["grad-check", "--objective", "quadratic", "--param", "dim"],
 ])
 def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
     # {run} is a fresh run's telemetry CSV, {sweep} a fresh sweep directory,
@@ -391,6 +392,9 @@ def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert len(captured.err.splitlines()) == 1, captured.err
+    for flag, pair in (("--set", "nonsense"), ("--param", "dim")):
+        if pair in argv:
+            assert captured.err == f"error: {flag} expects key=value, got {pair!r}\n"
     if "{header}" in argv:
         assert "telemetry table has no rows to check" in captured.err
     if "{empty}" in argv:
@@ -466,6 +470,25 @@ def test_tiny_mlp_with_more_classes_than_inputs_is_one_error_line(command, args,
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: classes must be <= d_in"), \
+        proc.stderr
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command,args", [
+    ("run", ["--set", "objective.name=tiny_mlp", "--set", "objective.separation=1e308",
+             "--steps", "3"]),
+    ("run", ["--set", "objective.name=tiny_mlp", "--set", "run.init_scale=1e200",
+             "--steps", "3"]),
+    ("grad-check", ["--objective", "tiny_mlp", "--param", "separation=1e308",
+                    "--steps", "2", "--out", "report.csv"]),
+])
+def test_tiny_mlp_batch_norm_overflow_is_one_error_line(command, args, tmp_path):
+    # An overflowing variance normalizes every unit to 0: all gradients are 0
+    # and every report row would pass.
+    proc = _cli_run(args, tmp_path, command=command)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: tiny_mlp batch-norm variance"), \
         proc.stderr
     assert os.listdir(tmp_path) == []
 

@@ -307,7 +307,7 @@ def test_converged_run_passes_the_lemma4_upper_bound():
 
 def test_schedule_power_law_window():
     ok = validate_schedule("power", c=0.1, a=0.75)
-    assert ok.satisfies_assumptions and ok.non_increasing
+    assert ok.satisfies_assumptions
     assert validate_schedule("power", c=0.1, a=1.0).satisfies_assumptions
     slow = validate_schedule("power", c=0.1, a=0.5)
     assert not slow.satisfies_assumptions
@@ -322,7 +322,6 @@ def test_schedule_flat_families_are_flagged_but_runnable():
         verdict = validate_schedule(family, c=0.1)
         assert verdict.family == family
         assert not verdict.satisfies_assumptions
-        assert verdict.non_increasing
 
 
 def test_schedule_validation_errors():

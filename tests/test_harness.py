@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,20 @@ def test_mlp_run_makes_one_forward_pass_per_step(monkeypatch):
     # grad reuses eval's pass; each of 2 eval points adds a window of 4
     # gradients, and the final accuracy one full-dataset pass.
     assert len(passes) == 20 + 2 * 4 + 1
+
+
+def test_mlp_run_with_an_overflowing_batch_norm_variance_raises(tmp_path):
+    # At separation 1e308, d * d overflows in the batch-norm variance: every
+    # normalized unit would read 0 and every gradient 0. The run stops on the
+    # first forward pass, before any row is written, and does not warn.
+    out = tmp_path / "run.csv"
+    cfg = build_config({}, {"objective.name": "tiny_mlp", "objective.separation": "1e308",
+                            "run.steps": "3", "run.out": str(out)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="batch-norm variance"):
+            run(cfg)
+    assert not out.exists()
 
 
 def test_build_objective_data_seed_param_wins():
@@ -349,7 +364,6 @@ def test_geometric_beta1t_survives_underflow_to_zero():
     assert result.report.all_passed, str(result.report)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_run_aborts_on_divergence_with_step_index():
     cfg = ExperimentConfig(
         optimizer="sgdm",

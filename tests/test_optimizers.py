@@ -459,7 +459,7 @@ def test_small_d_step_call_budget():
     # Per step: (calls at 2000 steps - calls at 1000) / 1000, so the set-up
     # and the end-of-run report cancel out.
     (calls_1k, enters_1k), (calls_2k, enters_2k) = _calls_per_step(1000), _calls_per_step(2000)
-    assert (calls_2k - calls_1k) / 1000 <= 66
-    # One errstate in the step and one around the loss, plus one in each
-    # eval point's gradient norm (every 50 steps).
-    assert enters_2k - enters_1k == 2 * 1000 + 1000 // 50
+    assert (calls_2k - calls_1k) / 1000 <= 59
+    # The step's errstate is the only one entered per step: run sets the
+    # floating-point state once for the whole run.
+    assert enters_2k - enters_1k == 1000
