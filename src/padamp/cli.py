@@ -20,6 +20,7 @@ from .diagnostics import (
     momentum_norm_ratio_limit,
     simulate_norm_growth,
 )
+from .geometry import norm
 from .objectives import finite_difference_grad
 
 
@@ -108,8 +109,10 @@ def _cmd_norm_sim(args) -> int:
     with open(out, "w", newline="") as fh:
         fh.write("beta,t,norm_sq_gd,norm_sq_gdm,ratio\n")
         for beta, trace in zip(betas, traces):
-            fh.writelines(f"{beta!r},{t},{gd!r},{gdm!r},{ratio!r}\n"
-                          for t, gd, gdm, ratio in trace)
+            cols = (trace.norm_sq_gd, trace.norm_sq_gdm, trace.ratio)
+            fh.writelines(map(f"{beta!r},{{}},{{}},{{}},{{}}\n".format,
+                              range(1, len(trace) + 1),
+                              *(map(repr, col.tolist()) for col in cols)))
     for beta, trace in zip(betas, traces):
         limit = momentum_norm_ratio_limit(beta)
         print(f"beta={beta}: final_ratio={trace[-1].ratio:.6f} "
@@ -156,7 +159,7 @@ def _cmd_grad_check(args) -> int:
         numeric = finite_difference_grad(objective, params)
         an = np.concatenate([analytic[p.name] for p in params])
         num = np.concatenate([numeric[p.name] for p in params])
-        rel = float(np.linalg.norm(num - an) / max(np.linalg.norm(an), 1e-30))
+        rel = norm(num - an) / max(norm(an), 1e-30)
         report.add(f"point_{i:02d}_rel_error", rel, rel < tol)
     return _report(report, args.out)
 

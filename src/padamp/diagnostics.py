@@ -12,6 +12,7 @@ slack's minimum over groups into the step's telemetry row.
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -23,6 +24,7 @@ from .geometry import norm
 
 __all__ = [
     "NormGrowthTrace",
+    "NormGrowthColumns",
     "ConvergenceTrace",
     "ScheduleVerdict",
     "DiagnosticsReport",
@@ -44,6 +46,45 @@ class NormGrowthTrace(NamedTuple):
     ratio: float
 
 
+def _rows(ts, gd, gdm, ratio):
+    # tolist() gives the floats float(gd[i]) gives. tuple.__new__ builds each
+    # row in C, where NormGrowthTrace(...) and _make run Python per row.
+    return map(tuple.__new__, repeat(NormGrowthTrace),
+               zip(ts, gd.tolist(), gdm.tolist(), ratio.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class NormGrowthColumns(abc.Sequence):
+    """The norm-growth trace: three read-only float64 columns of length T.
+
+    It is also the sequence of its T rows. trace[i] (negative i and slices
+    too) builds step i + 1's NormGrowthTrace only when asked, and iterating
+    builds every row in C; the values equal the columns' bit for bit.
+    """
+
+    norm_sq_gd: np.ndarray
+    norm_sq_gdm: np.ndarray
+    ratio: np.ndarray
+
+    def __post_init__(self):
+        for col in (self.norm_sq_gd, self.norm_sq_gdm, self.ratio):
+            col.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.ratio.size
+
+    def __getitem__(self, i):
+        t = range(1, len(self) + 1)[i]  # IndexError outside [-T, T)
+        cols = (self.norm_sq_gd, self.norm_sq_gdm, self.ratio)
+        if isinstance(i, slice):
+            return list(_rows(t, *(c[i] for c in cols)))
+        return NormGrowthTrace(t, *(float(c[t - 1]) for c in cols))
+
+    def __iter__(self):
+        return _rows(range(1, len(self) + 1), self.norm_sq_gd, self.norm_sq_gdm,
+                     self.ratio)
+
+
 def momentum_norm_ratio_limit(beta: float) -> float:
     """Asymptotic (momentum growth) / (plain growth) ratio: 1 + 2 beta / (1 - beta)."""
     return 1.0 + 2.0 * beta / (1.0 - beta)
@@ -54,8 +95,8 @@ def simulate_norm_growth(
     beta: float,
     eta: float,
     theta0_norm_sq: float,
-) -> List[NormGrowthTrace]:
-    """Iterate both norm recursions exactly and report the growth ratio per step.
+) -> NormGrowthColumns:
+    """Iterate both norm recursions exactly; return them and the growth ratio per step.
 
     Plain descent adds eta^2 u_t per step; the momentum recursion additionally
     adds 2 eta^2 sum_{k<t} beta^(t-k) u_k. The ratio
@@ -92,11 +133,7 @@ def simulate_norm_growth(
             f"final growth ratio is {ratio[-1]}: the growth eta**2 * sum(u) = "
             f"{eta * eta * float(u.sum())!r} is lost against theta0_norm_sq="
             f"{theta0_norm_sq} or overflows")
-    # tolist() gives the floats float(gd[i]) gives. tuple.__new__ builds each
-    # row in C, where NormGrowthTrace(...) and _make run Python per row.
-    return list(map(tuple.__new__, repeat(NormGrowthTrace),
-                    zip(range(1, u.size + 1), gd[1:].tolist(), gdm[1:].tolist(),
-                        ratio.tolist())))
+    return NormGrowthColumns(gd[1:], gdm[1:], ratio)
 
 
 # The lemma-3/4/5 bound slacks: _group_lemmas' keys, and the telemetry columns

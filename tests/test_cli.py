@@ -220,6 +220,16 @@ def test_grad_check_tol_override(capsys):
     capsys.readouterr()
 
 
+def test_grad_check_takes_norms_that_do_not_overflow(capsys):
+    # Gradient entries near 1e308: their squares overflow, so np.linalg.norm
+    # gave inf over inf and a nan error on both points.
+    assert main(["grad-check", "--objective", "quadratic",
+                 "--param", "condition=1e308", "--steps", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["PASS", "PASS"]
+    assert all(float(line.split("= ")[1]) < 1e-10 for line in lines)
+
+
 def test_grad_check_tol_must_be_positive(capsys):
     assert main(["grad-check", "--objective", "quadratic",
                  "--tol", "-1"]) == 2
