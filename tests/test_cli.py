@@ -221,8 +221,8 @@ def test_grad_check_tol_override(capsys):
 
 
 def test_grad_check_takes_norms_that_do_not_overflow(capsys):
-    # Gradient entries near 1e308: their squares overflow, so np.linalg.norm
-    # gave inf over inf and a nan error on both points.
+    # Gradient entries near 1e308 square past the largest float, where
+    # np.linalg.norm's inf / inf would make the error nan.
     assert main(["grad-check", "--objective", "quadratic",
                  "--param", "condition=1e308", "--steps", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
