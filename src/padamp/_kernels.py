@@ -1,7 +1,9 @@
 """Hot numeric kernels: fused moment/direction update and the norm-growth recursion.
 
-Both kernels are vectorized numpy over float64 arrays. tests/test_kernels.py
-checks them against explicit per-element and per-step loops.
+Both kernels are vectorized numpy over float64 arrays that write their
+temporaries into a fixed set of buffers. tests/test_kernels.py checks them
+against explicit per-element and per-step loops, and bit for bit against the
+out-of-place array expressions they evaluate.
 """
 
 from __future__ import annotations
@@ -70,22 +72,39 @@ def norm_growth_arrays(update_norms_sq, beta, eta, theta0_norm_sq):
     accumulated cross term 2 eta^2 acc_t with acc_t = sum_{k<t} beta^(t-k) u_k.
     Returns (gd, gdm), each of length T + 1 with index 0 holding
     theta0_norm_sq.
+
+    Each call makes four arrays of about T floats: the scan's acc, one scratch
+    buffer, and the two outputs. Every level of the scan and both cumulative
+    sums run in place, and each element is the same IEEE operation on the same
+    operands as in the out-of-place form
+        acc[k:] = acc[k:] + w * acc[:-k]
+        gd = cumsum([theta0, eta^2 u])
+        gdm = cumsum([theta0, eta^2 u + 2 eta^2 [0, acc[:-1]]])
+    (addition commutes exactly), so every output bit equals that form's.
     """
     u = np.asarray(update_norms_sq, dtype=np.float64)
+    n = u.size
     beta = float(beta)
     eta_sq = float(eta) ** 2
-    start = np.array([float(theta0_norm_sq)])
     # acc_{t+1} = beta * (acc_t + u_t) as a doubling scan: after the pass with
     # stride k, acc[t] holds the beta-weighted sum of u over the last 2k steps.
     # Stop once the stride covers every step or beta^k has underflowed to 0.
-    acc = beta * u
+    acc = np.multiply(u, beta)
+    tmp = np.empty_like(acc)
     k, w = 1, beta
-    while k < u.size and w != 0.0:
-        acc[k:] = acc[k:] + w * acc[:-k]
+    while k < n and w != 0.0:
+        # tmp holds the old acc[:n-k] terms, so the add reads no updated entry
+        np.multiply(acc[:n - k], w, out=tmp[:n - k])
+        acc[k:] += tmp[:n - k]
         k, w = 2 * k, w * w
-    cross = np.zeros_like(u)
-    cross[1:] = acc[:-1]
+    gd = np.empty(n + 1)
+    gdm = np.empty(n + 1)
+    gd[0] = gdm[0] = float(theta0_norm_sq)
+    np.multiply(u, eta_sq, out=gd[1:])
+    np.multiply(acc[:-1], 2.0 * eta_sq, out=gdm[2:])
+    gdm[1] = 0.0
+    gdm[1:] += gd[1:]
     # cumsum adds in order, so gd equals the step-by-step sum bit for bit
-    gd = np.cumsum(np.concatenate((start, eta_sq * u)))
-    gdm = np.cumsum(np.concatenate((start, eta_sq * u + 2.0 * eta_sq * cross)))
+    np.cumsum(gd, out=gd)
+    np.cumsum(gdm, out=gdm)
     return gd, gdm

@@ -101,7 +101,8 @@ def simulate_norm_growth(
     Plain descent adds eta^2 u_t per step; the momentum recursion additionally
     adds 2 eta^2 sum_{k<t} beta^(t-k) u_k. The ratio
     (gdm_t - theta0) / (gd_t - theta0) tends to 1 + 2 beta / (1 - beta) when
-    the update norms have finite nonzero sum. beta = 0 is allowed and gives
+    the update norms have finite nonzero sum. Each update norm must be finite
+    and non-negative, and one must be positive. beta = 0 is allowed and gives
     ratio exactly 1. eta**2 must be a normal float, and the final ratio must
     be finite: a theta0_norm_sq that the growth rounds away against gives
     nan, and a growth past the largest float gives inf or nan.
@@ -109,7 +110,12 @@ def simulate_norm_growth(
     u = np.asarray(update_norms_sq, dtype=np.float64)
     if u.ndim != 1 or u.size == 0:
         raise ValueError("update_norms_sq must be a non-empty 1-d sequence")
-    if np.any(u < 0):
+    lo, hi = np.minimum.reduce(u), np.maximum.reduce(u)  # nan if any is nan
+    if not -np.inf < lo <= hi < np.inf:
+        i = int(np.flatnonzero(~np.isfinite(u))[0])
+        raise ValueError(
+            f"update_norms_sq must be finite, got update_norms_sq[{i}]={u[i]}")
+    if lo < 0:
         raise ValueError("update norms must be non-negative")
     if not 0 <= beta < 1:
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
@@ -120,14 +126,15 @@ def simulate_norm_growth(
             f"theta0_norm_sq must be non-negative and finite, got {theta0_norm_sq}")
     if not np.finfo(np.float64).tiny <= eta * eta < np.inf:
         raise ValueError(f"eta**2 must be a normal float, got eta={eta}")
-    if float(u.sum()) == 0.0:
+    if hi == 0.0:  # u is finite and non-negative, so sum(u) == 0 exactly then
         raise ValueError("total update norm is zero; growth ratio undefined")
     # An overflowing growth gives a non-finite final ratio, reported below.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         gd, gdm = norm_growth_arrays(u, beta, eta, theta0_norm_sq)
-        grown_gd = gd[1:] - theta0_norm_sq
-        grown_gdm = gdm[1:] - theta0_norm_sq
-        ratio = np.where(grown_gd > 0, grown_gdm / grown_gd, np.nan)
+        grown = np.subtract(gd[1:], theta0_norm_sq)
+        ratio = np.subtract(gdm[1:], theta0_norm_sq)
+        ratio /= grown
+        ratio[grown <= 0] = np.nan  # no growth yet, so no ratio
     if not np.isfinite(ratio[-1]):
         raise ValueError(
             f"final growth ratio is {ratio[-1]}: the growth eta**2 * sum(u) = "

@@ -64,6 +64,24 @@ def _norm_growth_loop(u, beta, eta_sq, theta0_sq):
     return gd, gdm
 
 
+def _norm_growth_doubling_expr(u, beta, eta, theta0_sq):
+    # The kernel's doubling scan in its out-of-place form: a fresh array per
+    # level, then concatenate and cumsum. The in-place kernel must give these
+    # bits exactly.
+    eta_sq = float(eta) ** 2
+    acc = beta * u
+    k, w = 1, beta
+    while k < u.size and w != 0.0:
+        acc[k:] = acc[k:] + w * acc[:-k]
+        k, w = 2 * k, w * w
+    cross = np.zeros_like(u)
+    cross[1:] = acc[:-1]
+    start = np.array([float(theta0_sq)])
+    gd = np.cumsum(np.concatenate((start, eta_sq * u)))
+    gdm = np.cumsum(np.concatenate((start, eta_sq * u + 2.0 * eta_sq * cross)))
+    return gd, gdm
+
+
 def _random_inputs(dim, seed, t=3):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal(dim) * 0.1
@@ -199,6 +217,37 @@ def test_norm_growth_matches_loop(beta):
             np.testing.assert_array_equal(gdm_a, gdm_b)
         else:
             np.testing.assert_allclose(gdm_a, gdm_b, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("eta,theta0", [(0.3, 1.5), (0.1, 1.0), (2.0, 0.0)])
+def test_norm_growth_matches_its_out_of_place_scan_bit_for_bit(beta, eta, theta0):
+    rng = np.random.default_rng([int(beta * 1000), int(eta * 10)])
+    for T in (1, 2, 3, 17, 1000, 100_000):
+        u = rng.standard_normal(T) ** 2 / np.arange(1, T + 1)
+        zero_led = u.copy()
+        zero_led[:2] = 0.0
+        for x in (u, zero_led):
+            got = _kernels.norm_growth_arrays(x, beta, eta, theta0)
+            want = _norm_growth_doubling_expr(x, beta, eta, theta0)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+
+def test_norm_growth_makes_four_arrays_of_the_input_size():
+    u = 1.0 / np.arange(1, 100_001, dtype=np.float64) ** 2
+    # acc, one scratch buffer and the two outputs; the out-of-place scan
+    # peaks at 5.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        gd, gdm = _kernels.norm_growth_arrays(u, 0.9, 0.1, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / u.nbytes <= 4.01
+    assert not any(np.shares_memory(a, u) for a in (gd, gdm))
 
 
 def test_norm_growth_shapes_and_start():
