@@ -105,14 +105,11 @@ def _cmd_norm_sim(args) -> int:
     traces = [simulate_norm_growth(u, beta, args.eta, args.theta0_norm_sq)
               for beta in betas]
     out = _default_out("norm_sim.csv", args.out)
-    # A number's repr needs no CSV quoting, so this is what csv.writer writes.
-    with open(out, "w", newline="") as fh:
-        fh.write("beta,t,norm_sq_gd,norm_sq_gdm,ratio\n")
-        for beta, trace in zip(betas, traces):
-            cols = (trace.norm_sq_gd, trace.norm_sq_gdm, trace.ratio)
-            fh.writelines(map(f"{beta!r},{{}},{{}},{{}},{{}}\n".format,
-                              range(1, len(trace) + 1),
-                              *(map(repr, col.tolist()) for col in cols)))
+    cols = {"beta": np.repeat(betas, args.steps),
+            "t": np.tile(np.arange(1, args.steps + 1), len(betas))}
+    for name in ("norm_sq_gd", "norm_sq_gdm", "ratio"):
+        cols[name] = np.concatenate([getattr(trace, name) for trace in traces])
+    harness.write_telemetry(cols, out)
     for beta, trace in zip(betas, traces):
         limit = momentum_norm_ratio_limit(beta)
         print(f"beta={beta}: final_ratio={trace[-1].ratio:.6f} "

@@ -26,7 +26,6 @@ __all__ = [
     "NormGrowthTrace",
     "NormGrowthColumns",
     "ConvergenceTrace",
-    "ScheduleVerdict",
     "DiagnosticsReport",
     "LemmaMonitor",
     "SLACK_COLUMNS",
@@ -209,52 +208,30 @@ class LemmaMonitor:
                     record[k] = slacks[k]
 
 
-@dataclass(frozen=True)
-class ScheduleVerdict:
-    family: str
-    satisfies_assumptions: bool
-    notes: str
-
-
-def validate_schedule(family: str, c: float, a: Optional[float] = None) -> ScheduleVerdict:
-    """Check a learning-rate family against the step-size series assumptions.
+def validate_schedule(family: str, c: float, a: Optional[float] = None) -> bool:
+    """Whether a learning-rate family meets the step-size series assumptions.
 
     Power law c/t^a needs 1/2 < a <= 1 so the series diverges while the
     squared series converges. Constant and piecewise-constant-decay rates
-    keep eta bounded away from zero, so the squared series diverges; they are
-    flagged but remain runnable.
+    keep eta bounded away from zero, so the squared series diverges; they
+    give False but remain runnable.
     """
     if c <= 0:
         raise ValueError(f"schedule coefficient must be positive, got {c}")
     if family == "power":
         if a is None or a <= 0:
             raise ValueError("power-law schedule needs a positive exponent")
-        ok = 0.5 < a <= 1.0
-        notes = "sum diverges, squared sum converges" if ok else (
-            "a <= 1/2 makes the squared series diverge" if a <= 0.5
-            else "a > 1 makes the series converge"
-        )
-        return ScheduleVerdict("power", ok, notes)
-    if family == "constant":
-        return ScheduleVerdict("constant", False, "constant rate: squared series diverges")
-    if family == "piecewise":
-        return ScheduleVerdict("piecewise", False,
-                               "piecewise-constant decay: squared series diverges")
+        return 0.5 < a <= 1.0
+    if family in ("constant", "piecewise"):
+        return False
     raise ValueError(f"unknown schedule family {family!r}")
 
 
 @dataclass
 class ConvergenceTrace:
-    """Checkpointed estimates of the squared gradient norm ``||grad f||^2``.
+    """Running minimum of the checkpoint estimates of ``||grad f||^2`` (run
+    documents their bias for dataset objectives)."""
 
-    For analytic objectives each estimate is exact. For dataset objectives it
-    is the squared norm of the mean of K minibatch gradients (batch size B),
-    which is biased upward by ``tr(Sigma)/(B*K)``, Sigma being the
-    per-example gradient covariance.
-    """
-
-    t: np.ndarray
-    estimate: np.ndarray
     running_min: np.ndarray
 
     @property
@@ -262,18 +239,9 @@ class ConvergenceTrace:
         return float(self.running_min[-1]) if len(self.running_min) else float("nan")
 
 
-def track_convergence(estimates: Sequence[float],
-                      ts: Optional[Sequence[int]] = None) -> ConvergenceTrace:
+def track_convergence(estimates: Sequence[float]) -> ConvergenceTrace:
     """Running minimum over a sequence of checkpoint estimates."""
-    est = np.asarray(estimates, dtype=np.float64)
-    if ts is None:
-        t = np.arange(1, est.size + 1)
-    else:
-        t = np.asarray(ts, dtype=np.int64)
-        if t.size != est.size:
-            raise ValueError("ts and estimates must have equal length")
-    running = np.minimum.accumulate(est) if est.size else est.copy()
-    return ConvergenceTrace(t=t, estimate=est, running_min=running)
+    return ConvergenceTrace(np.minimum.accumulate(np.asarray(estimates, dtype=np.float64)))
 
 
 @dataclass

@@ -320,14 +320,14 @@ def run(config: ExperimentConfig) -> RunResult:
         raise
 
     cols = telemetry_columns(records)
-    window = ~np.isnan(cols["eval_grad_norm_sq"])
-    trace = track_convergence(cols["eval_grad_norm_sq"][window], cols["t"][window])
+    estimates = cols["eval_grad_norm_sq"]
+    trace = track_convergence(estimates[~np.isnan(estimates)])
     report = check_telemetry(cols)
     sched = config.schedule
     verdict = validate_schedule(sched.family, sched.eta0,
                                 sched.a if sched.family == "power" else None)
     # Informational: theorem-mode schedules are flagged, not failed.
-    report.add("schedule_theorem_assumptions", float(verdict.satisfies_assumptions), True)
+    report.add("schedule_theorem_assumptions", float(verdict), True)
     final_acc = objective.accuracy(params)
     summary = {
         "final_loss": records[-1]["loss"],
@@ -423,18 +423,31 @@ def write_telemetry(cols: Dict[str, np.ndarray], path: str) -> None:
         fh.writelines(",".join(row) + "\n" for row in rows)
 
 
+def _read_float(text: str, name: str, row: int) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"telemetry column {name!r}, data row {row}: "
+                         f"{text!r} is not a number") from None
+
+
 def read_telemetry(path: str) -> Dict[str, np.ndarray]:
-    """Telemetry CSV back as telemetry_columns' table; a non-whole value in an
-    int64 column is an error naming the column and the data row."""
+    """Telemetry CSV back as telemetry_columns' table. A row whose field count
+    differs from the header's is an error naming the data row; a non-numeric
+    value, or a non-whole one in an int64 column, one naming the column and
+    the data row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"empty telemetry CSV {path}: no header line")
-        rows = [[float(x) for x in row] for row in reader]
+        rows = []
+        for i, row in enumerate(reader, 1):
+            if len(row) != len(header):
+                raise ValueError(f"telemetry CSV {path}, data row {i}: {len(row)} "
+                                 f"fields, the header has {len(header)}")
+            rows.append([_read_float(x, name, i) for name, x in zip(header, row)])
     data = np.asarray(rows, dtype=np.float64) if rows else np.empty((0, len(header)))
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ValueError(f"malformed telemetry CSV {path}")
     cols = {name: data[:, j] for j, name in enumerate(header)}
     for name in filter(_is_int_column, cols):
         x = cols[name]

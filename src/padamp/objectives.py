@@ -66,7 +66,6 @@ class Objective:
 
     name: str = ""
     group_layout: Dict[str, int] = {}
-    is_scale_invariant: Dict[str, bool] = {}
     dataset: Optional[SyntheticDataset] = None
 
     def eval(self, params: Sequence[ParamGroup], batch: Optional[np.ndarray] = None) -> float:
@@ -111,8 +110,6 @@ class _Quadratic(Objective):
         self.a_diag = a_diag
         self.b = b
         self.group_layout = {"theta": dim}
-        self.is_scale_invariant = {"theta": False}
-        self.smoothness = float(a_diag.max())
 
     def eval(self, params, batch=None) -> float:
         th = self._check(params)["theta"]
@@ -121,9 +118,6 @@ class _Quadratic(Objective):
     def grad(self, params, batch=None) -> GradientSet:
         th = self._check(params)["theta"]
         return {"theta": self.a_diag * th - self.b}
-
-    def minimizer(self) -> np.ndarray:
-        return self.b / self.a_diag
 
 
 def quadratic(dim: int, a_diag=None, b=None, condition: float = 1.0) -> Objective:
@@ -145,7 +139,6 @@ class _Rosenbrock(Objective):
     def __init__(self):
         self.name = "rosenbrock"
         self.group_layout = {"theta": 2}
-        self.is_scale_invariant = {"theta": False}
 
     def eval(self, params, batch=None) -> float:
         x, y = self._check(params)["theta"]
@@ -180,7 +173,6 @@ class _ScaleInvariant(Objective):
         self.tau[0] = 1.0
         self.q_diag = np.linspace(1.0, 2.0, dim)
         self.group_layout = {"theta": dim}
-        self.is_scale_invariant = {"theta": True}
 
     def _unit(self, th: np.ndarray) -> tuple:
         # norm() keeps the radius finite and nonzero where th . th is not.
@@ -249,7 +241,6 @@ class _Logistic(Objective):
         self.name = "logistic"
         self.dataset = SyntheticDataset(features=feats, labels=1 - 2 * index)
         self.group_layout = {"theta": d}
-        self.is_scale_invariant = {"theta": False}
 
     def _batch(self, batch):
         if batch is None:
@@ -305,7 +296,6 @@ class _TinyMLP(Objective):
         self.d_in, self.hidden, self.classes = d_in, hidden, classes
         self.dataset = SyntheticDataset(features=feats, labels=labels)
         self.group_layout = {"w1": hidden * d_in, "w2": classes * hidden}
-        self.is_scale_invariant = {"w1": True, "w2": False}
         # The last forward pass: (key, X, y, _forward's tuple); see _pass.
         self._last = None
 

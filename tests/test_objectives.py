@@ -31,10 +31,9 @@ def test_quadratic_value_and_grad_by_hand():
     np.testing.assert_array_equal(obj.grad(p)["theta"], [1.0, 10.0])
 
 
-def test_quadratic_minimizer_has_zero_gradient():
+def test_quadratic_optimum_has_zero_gradient():
     obj = quadratic(2, a_diag=[1.0, 10.0], b=[2.0, 5.0])
-    star = obj.minimizer()
-    np.testing.assert_allclose(star, [2.0, 0.5])
+    star = obj.b / obj.a_diag  # A^-1 b = [2.0, 0.5]
     np.testing.assert_allclose(obj.grad(_theta(star))["theta"], 0.0, atol=1e-15)
     # f(theta*) = -0.5 b' A^-1 b = -(0.5*4 + 0.5*2.5) = -3.25
     assert obj.eval(_theta(star)) == pytest.approx(-3.25)
@@ -43,7 +42,6 @@ def test_quadratic_minimizer_has_zero_gradient():
 def test_quadratic_condition_builds_geometric_ramp():
     obj = quadratic(4, condition=8.0)
     np.testing.assert_allclose(obj.a_diag, [1.0, 2.0, 4.0, 8.0])
-    assert obj.smoothness == 8.0
     # condition=1 keeps the identity
     np.testing.assert_array_equal(quadratic(3).a_diag, np.ones(3))
 
@@ -125,7 +123,6 @@ def test_scale_invariant_rejects_zero_and_small_dim():
         obj.eval(_theta(np.zeros(4)))
     with pytest.raises(ValueError, match="dim >= 2"):
         scale_invariant_objective(1)
-    assert obj.is_scale_invariant == {"theta": True}
 
 
 # ----------------------------------------------------------------- logistic
@@ -217,7 +214,7 @@ def test_mlp_gradient_matches_finite_differences():
         assert np.linalg.norm(an[name] - fd[name]) / denom < 1e-4
 
 
-def test_mlp_first_layer_is_scale_invariant_above_variance_floor():
+def test_mlp_first_layer_scale_invariance_above_variance_floor():
     obj = tiny_mlp(d_in=4, hidden=4, classes=2, n=32, seed=6)
     params = obj.init_params(seeded_rng(2), scale=1.0)
     scaled = [ParamGroup("w1", params[0].values * 2.0), params[1]]
@@ -252,7 +249,6 @@ def test_mlp_variance_floor_breaks_invariance_but_keeps_grads_finite():
 def test_mlp_layout_accuracy_and_batch_guard():
     obj = tiny_mlp(d_in=5, hidden=3, classes=2, n=24, seed=0)
     assert obj.group_layout == {"w1": 15, "w2": 6}
-    assert obj.is_scale_invariant == {"w1": True, "w2": False}
     params = obj.init_params(seeded_rng(0))
     acc = obj.accuracy(params)
     assert 0.0 <= acc <= 1.0
