@@ -1,7 +1,9 @@
 """Hot numeric kernels: fused moment/direction update and the norm-growth recursion.
 
 Both kernels are vectorized numpy over float64 arrays that write their
-temporaries into a fixed set of buffers. tests/test_kernels.py checks them
+temporaries into a fixed set of buffers; the norm-growth kernel's buffers
+are the rows of one (3, T+1) block, and its docstring says why that block
+must stay one allocation. tests/test_kernels.py checks them
 against explicit per-element and per-step loops, and bit for bit against the
 out-of-place array expressions they evaluate.
 """
@@ -70,41 +72,51 @@ def norm_growth_arrays(update_norms_sq, beta, eta, theta0_norm_sq):
 
     Plain descent grows by eta^2 u_t per step; the momentum variant adds the
     accumulated cross term 2 eta^2 acc_t with acc_t = sum_{k<t} beta^(t-k) u_k.
-    Returns (gd, gdm), each of length T + 1 with index 0 holding
-    theta0_norm_sq.
+    Returns (gd, gdm, spare): three rows of length T + 1 of one (3, T + 1)
+    block. gd and gdm hold index 0 = theta0_norm_sq; spare held the scan's
+    scratch and is left for the caller (simulate_norm_growth writes the ratio
+    into it).
 
-    Each call makes four arrays of about T floats: the scan's acc, one scratch
-    buffer, and the two outputs. Every level of the scan and both cumulative
-    sums run in place, and each element is the same IEEE operation on the same
-    operands as in the out-of-place form
+    The block is the call's only input-sized allocation, and it must stay one.
+    When glibc frees an mmapped block it raises its mmap threshold to that
+    block's size and its trim threshold to twice that (mallopt(3)), so from the
+    second call on the block comes from the heap, a whole call stays under the
+    trim threshold, and a warm call makes no page faults. Four separate
+    T-float arrays raised the thresholds only to one array's size, so each call
+    outgrew them and glibc trimmed the heap after it and faulted it back in.
+
+    Only acc[:-1] reaches gdm, and acc[t] depends only on u[:t+1], so the scan
+    runs on beta * u[:-1] straight in gdm[2:]. Every level of the scan and both
+    cumulative sums run in place, and each element is the same IEEE operation
+    on the same operands as in the out-of-place form
         acc[k:] = acc[k:] + w * acc[:-k]
         gd = cumsum([theta0, eta^2 u])
         gdm = cumsum([theta0, eta^2 u + 2 eta^2 [0, acc[:-1]]])
-    (addition commutes exactly), so every output bit equals that form's.
+    (addition commutes exactly; a level with stride >= T - 1 changes only
+    acc's dropped last entry), so every output bit equals that form's.
     """
     u = np.asarray(update_norms_sq, dtype=np.float64)
     n = u.size
     beta = float(beta)
     eta_sq = float(eta) ** 2
+    gd, gdm, spare = np.empty((3, n + 1))
     # acc_{t+1} = beta * (acc_t + u_t) as a doubling scan: after the pass with
     # stride k, acc[t] holds the beta-weighted sum of u over the last 2k steps.
     # Stop once the stride covers every step or beta^k has underflowed to 0.
-    acc = np.multiply(u, beta)
-    tmp = np.empty_like(acc)
+    acc = np.multiply(u[:-1], beta, out=gdm[2:])
+    m = acc.size
     k, w = 1, beta
-    while k < n and w != 0.0:
-        # tmp holds the old acc[:n-k] terms, so the add reads no updated entry
-        np.multiply(acc[:n - k], w, out=tmp[:n - k])
-        acc[k:] += tmp[:n - k]
+    while k < m and w != 0.0:
+        # spare holds the old acc[:m-k] terms, so the add reads no updated entry
+        np.multiply(acc[:m - k], w, out=spare[:m - k])
+        acc[k:] += spare[:m - k]
         k, w = 2 * k, w * w
-    gd = np.empty(n + 1)
-    gdm = np.empty(n + 1)
+    acc *= 2.0 * eta_sq
     gd[0] = gdm[0] = float(theta0_norm_sq)
     np.multiply(u, eta_sq, out=gd[1:])
-    np.multiply(acc[:-1], 2.0 * eta_sq, out=gdm[2:])
     gdm[1] = 0.0
     gdm[1:] += gd[1:]
     # cumsum adds in order, so gd equals the step-by-step sum bit for bit
     np.cumsum(gd, out=gd)
     np.cumsum(gdm, out=gdm)
-    return gd, gdm
+    return gd, gdm, spare

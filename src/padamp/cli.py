@@ -97,6 +97,8 @@ def _make_updates(pattern: str, steps: int, cutoff: int, seed: int) -> np.ndarra
 
 
 def _cmd_norm_sim(args) -> int:
+    if args.steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
     betas = [float(b) for b in args.beta.split(",") if b.strip()]
     if not betas:
         raise ValueError("--beta needs at least one value")
@@ -146,8 +148,8 @@ def _cmd_grad_check(args) -> int:
     # carry truncation error the analytic subgradient does not have.
     tol = args.tol if args.tol is not None else (
         1e-4 if args.objective == "tiny_mlp" else 1e-6)
-    if tol <= 0:
-        raise ValueError("--tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"--tol must be positive and finite, got {tol}")
     rng = np.random.default_rng(args.seed)
     report = DiagnosticsReport()
     for i in range(args.steps):

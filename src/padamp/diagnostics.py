@@ -129,9 +129,9 @@ def simulate_norm_growth(
         raise ValueError("total update norm is zero; growth ratio undefined")
     # An overflowing growth gives a non-finite final ratio, reported below.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        gd, gdm = norm_growth_arrays(u, beta, eta, theta0_norm_sq)
+        gd, gdm, spare = norm_growth_arrays(u, beta, eta, theta0_norm_sq)
         grown = np.subtract(gd[1:], theta0_norm_sq)
-        ratio = np.subtract(gdm[1:], theta0_norm_sq)
+        ratio = np.subtract(gdm[1:], theta0_norm_sq, out=spare[1:])
         ratio /= grown
         ratio[grown <= 0] = np.nan  # no growth yet, so no ratio
     if not np.isfinite(ratio[-1]):

@@ -234,6 +234,13 @@ def test_grad_check_tol_must_be_positive(capsys):
     assert main(["grad-check", "--objective", "quadratic",
                  "--tol", "-1"]) == 2
     assert "error:" in capsys.readouterr().err
+    # nan <= 0 is False, so a nan tolerance failed every point and exited 1;
+    # an infinite one passed any finite error.
+    for tol in ("nan", "inf"):
+        assert main(["grad-check", "--objective", "quadratic", "--steps", "1",
+                     "--tol", tol]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --tol must be positive and finite, got {tol}\n")
 
 
 # ------------------------------------------------------------------- sweep
@@ -376,6 +383,8 @@ def test_sweep_with_a_bad_value_writes_no_run(tmp_path, capsys):
     ["norm-sim", "--eta", "1e200", "--beta", "0.5", "--steps", "5",
      "--out", "{tmp}/ns.csv"],
     ["grad-check", "--objective", "quadratic", "--param", "dim"],
+    ["norm-sim", "--steps", "0", "--out", "{tmp}/ns.csv"],
+    ["norm-sim", "--steps", "-5", "--pattern", "random", "--out", "{tmp}/ns.csv"],
 ])
 def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
     # {run} is a fresh run's telemetry CSV, {sweep} a fresh sweep directory,
@@ -416,6 +425,10 @@ def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
     for flag, name in (("--eta", "eta"), ("--theta0-norm-sq", "theta0_norm_sq")):
         if flag in argv:
             assert name in captured.err
+    if argv[0] == "norm-sim" and "--steps" in argv:
+        steps = argv[argv.index("--steps") + 1]
+        if int(steps) < 1:
+            assert captured.err == f"error: --steps must be >= 1, got {steps}\n"
 
 
 @pytest.mark.parametrize("args", [

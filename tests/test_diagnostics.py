@@ -1,3 +1,7 @@
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -5,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import padamp
 from padamp._kernels import norm_growth_arrays
 from padamp.core import HyperParams, ParamGroup, new_state, seeded_rng
 from padamp.diagnostics import (
@@ -71,7 +76,7 @@ def test_norm_growth_rows_are_the_kernel_arrays_bit_for_bit():
     u = np.concatenate([[0.0, 0.0], seeded_rng(0).random(500) ** 4])
     beta, eta, theta0 = 0.9, 0.3, 2.0
     trace = simulate_norm_growth(u, beta=beta, eta=eta, theta0_norm_sq=theta0)
-    gd, gdm = norm_growth_arrays(u, beta, eta, theta0)
+    gd, gdm, _ = norm_growth_arrays(u, beta, eta, theta0)
     with np.errstate(divide="ignore", invalid="ignore"):
         grown = gd[1:] - theta0
         ratio = np.where(grown > 0, (gdm[1:] - theta0) / grown, np.nan)
@@ -112,9 +117,9 @@ def test_norm_growth_rows_are_the_kernel_arrays_bit_for_bit():
 def test_norm_growth_call_allocates_columns_not_rows():
     # At T = 1e5 (0.8 MB per float column) a list of T row tuples peaks at
     # 25.6 MB under tracemalloc. The call peaks at 3.3 MB once the kernel has
-    # returned: gd, gdm, the ratio's two arrays and a T-byte mask (the kernel
-    # itself peaks at four arrays). A kernel with a fresh array per scan
-    # level made the call peak at 4.9 MB.
+    # returned: the kernel's (3, T + 1) block, which holds gd, gdm and the
+    # ratio, plus the ratio's divisor and a T-byte mask. A kernel with a fresh
+    # array per scan level made the call peak at 4.9 MB.
     u = 1.0 / np.arange(1, 100_001, dtype=np.float64) ** 2
     tracemalloc.start()
     try:
@@ -124,6 +129,35 @@ def test_norm_growth_call_allocates_columns_not_rows():
         tracemalloc.stop()
     assert len(trace) == u.size
     assert peak < 3.6e6, peak
+
+
+_FAULT_SCRIPT = """
+import resource
+import numpy as np
+from padamp.diagnostics import simulate_norm_growth
+u = 1.0 / np.arange(1, 100_001, dtype=np.float64) ** 2
+for _ in range(3):
+    simulate_norm_growth(u, beta=0.9, eta=0.1, theta0_norm_sq=1.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    simulate_norm_growth(u, beta=0.9, eta=0.1, theta0_norm_sq=1.0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="counts on glibc's dynamic mmap and trim thresholds")
+def test_warm_norm_growth_calls_make_no_page_faults():
+    # A fresh interpreter, because earlier calls in this process may already
+    # have raised glibc's thresholds past what one call needs. The kernel's one
+    # (3, T + 1) block raises them far enough that the heap is not trimmed
+    # between calls; four separate arrays made 774 minor faults per call.
+    src = os.path.dirname(os.path.dirname(padamp.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", _FAULT_SCRIPT], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert int(out.stdout) < 50, out.stdout
 
 
 @pytest.mark.parametrize(
