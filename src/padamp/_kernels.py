@@ -24,28 +24,35 @@ def backend() -> str:
 
 
 def moment_direction(m, v, max_v, g, beta1t, beta2, bc1, bc2, eps, p,
-                     use_max=False, power_eps=True):
+                     use_max=False, power_eps=True, m_out=None):
     """One fused first/second-moment update plus preconditioned direction.
 
-    Updates m, v (and max_v when use_max) in place:
-        m <- beta1t * m + (1 - beta1t) * g
+    Updates v (and max_v when use_max) in place and writes the new first
+    moment into m_out, which is m itself when omitted:
+        m_out <- beta1t * m + (1 - beta1t) * g
         v <- beta2 * v + (1 - beta2) * g^2
         max_v <- max(max_v, v)            (only when use_max)
-    and returns the direction (m / bc1) / denom where bc1, bc2 are the
+    and returns the direction (m_out / bc1) / denom where bc1, bc2 are the
     precomputed bias corrections 1 - beta1**t and 1 - beta2**t, and denom is
         (base + eps)**p   if power_eps else   base**p + eps
     with base = v / bc2, or the uncorrected max_v when use_max (max-tracking
-    optimizers do not bias-correct the max buffer).
+    optimizers do not bias-correct the max buffer). A distinct m_out leaves m
+    as it was, so the step keeps the previous moment without copying it.
 
     Each call makes two full-size arrays: one scratch buffer that holds each
     temporary in turn, and the returned direction, which is fresh and shares
     no memory with the inputs. The operations are the ones the plain
-    expressions above evaluate, so every output bit equals theirs; the
-    power is `**=`, which takes numpy's scalar fast paths (0.5 is sqrt).
+    expressions above evaluate, so every output bit equals theirs. The power
+    is two in-place square roots at p = 1/4: sqrt is correctly rounded, so
+    its bits do not depend on numpy's SIMD dispatch, and the two take about
+    half as long as numpy's AVX-512 pow. Every other p is `**=`, which takes
+    numpy's scalar fast paths (0.5 is sqrt).
     """
+    if m_out is None:
+        m_out = m
     buf = (1.0 - beta1t) * g
-    m *= beta1t
-    m += buf
+    np.multiply(m, beta1t, out=m_out)
+    m_out += buf
     np.multiply(g, g, out=buf)
     buf *= 1.0 - beta2
     v *= beta2
@@ -58,11 +65,14 @@ def moment_direction(m, v, max_v, g, beta1t, beta2, bc1, bc2, eps, p,
         np.divide(v, bc2, out=buf)
     if power_eps:
         buf += eps
-        buf **= p
+    if p == 0.25:
+        np.sqrt(buf, out=buf)
+        np.sqrt(buf, out=buf)
     else:
         buf **= p
+    if not power_eps:
         buf += eps
-    direction = np.divide(m, bc1)
+    direction = np.divide(m_out, bc1)
     direction /= buf
     return direction
 

@@ -115,8 +115,11 @@ class OptimizerState:
     update uses t = 1 and the bias corrections 1 - beta1**t, 1 - beta2**t are
     nonzero. ``m``/``v`` are zero-initialized per group; sgdm keeps its
     momentum buffer in ``m``. ``max_v`` is only consumed by the max-tracking
-    optimizers. ``c1`` is the running max of observed gradient norms per
-    group (the empirical stand-in for the bounded gradient constant).
+    optimizers. ``m_prev`` holds the adaptive optimizers' previous first
+    moment: each step writes the new moment into it and swaps it with ``m``,
+    so the two dicts exchange their arrays every step. ``c1`` is the running
+    max of observed gradient norms per group (the empirical stand-in for the
+    bounded gradient constant).
     ``failed_step`` is the ``t`` of a step that raised after advancing
     ``t``, leaving the buffers part way through it; a state with one set
     refuses to step again.

@@ -160,26 +160,50 @@ def _group_lemmas(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarra
     rounding for consistent inputs. The slacks use the uncorrected buffers;
     at theta = 0, which has no radial direction, the radial bound is checked
     against ||pre_m||, which dominates the inner product with any unit vector.
-    Two buffers hold every temporary; the comments give the out-of-place form.
+    Two buffers hold every temporary; the comments give the out-of-place
+    form. m - m_prev is computed twice on purpose: a third full-size buffer
+    that kept it raised the step's heap peak by one array, and after a
+    quad_d100k run that could leave megabytes of free heap pinned under a
+    live block, which changed what later allocations in the process cost
+    (perfbench's host-speed slice ran without its page faults).
+
+    At p = 1/4 the power is two square roots, as in the moment kernel. sqrt,
+    + and / are correctly rounded, hence monotone, so min(inv) and max(inv)
+    equal 1 / sqrt(sqrt(max(v) + eps)) and 1 / sqrt(sqrt(min(v) + eps)) bit
+    for bit, and come from the two reductions of v that the margin and
+    lemma3_lower take anyway. Every other p reduces inv itself.
+
     The step calls this inside its errstate(over="ignore", invalid="ignore"), so
     an overflow gives a non-finite value, which fails its check_telemetry row,
     and no warning.
     """
     buf = np.subtract(m, m_prev)
     buf *= beta1t / (1.0 - beta1t)  # (b / (1 - b)) * (m - m_prev)
-    rhs = np.negative(g)
-    rhs += buf  # -g + (b / (1 - b)) * (m - m_prev)
-    np.negative(m, out=buf)
-    buf -= rhs  # -m - rhs
+    # Rounding is symmetric in sign, so g - x and m - (g - x) are exactly
+    # -rhs and -(-m - rhs) for rhs = -g + x, and the squared norm is the same.
+    rhs = np.subtract(g, buf)
+    np.subtract(m, rhs, out=rhs)
     # sqrt(x . x) is np.linalg.norm's 1-d formula, without its wrapper.
-    resid = math.sqrt(buf.dot(buf)) / (1.0 + norm(m))
-    margin = float(c1 ** 2 - np.maximum.reduce(v))
+    resid = math.sqrt(rhs.dot(rhs)) / (1.0 + norm(m))
+    v_max, v_min = np.maximum.reduce(v), np.minimum.reduce(v)
+    margin = float(c1 ** 2 - v_max)
     denom = np.add(v, eps, out=buf)
-    denom **= p  # (v + eps) ** p
-    inv = np.divide(1.0, denom, out=rhs)
-    # The same array power as inv's: once v + eps rounds to eps, max(inv)
-    # equals hi exactly, where a scalar power can differ from it by an ulp.
-    lo, hi = 1.0 / np.array([c1 * c1 + eps, eps]) ** p
+    if p == 0.25:
+        # lo, hi, min(inv), max(inv) as one array: 1 / sqrt(sqrt(x + eps))
+        ext = np.array([c1 * c1 + eps, eps, v_max + eps, v_min + eps])
+        np.sqrt(ext, out=ext)
+        np.sqrt(ext, out=ext)
+        lo, hi, inv_min, inv_max = 1.0 / ext
+        np.sqrt(denom, out=denom)
+        np.sqrt(denom, out=denom)
+        inv = np.divide(1.0, denom, out=rhs)
+    else:
+        denom **= p  # (v + eps) ** p
+        inv = np.divide(1.0, denom, out=rhs)
+        # The same array power as inv's: once v + eps rounds to eps, max(inv)
+        # equals hi exactly, where a scalar power can differ from it by an ulp.
+        lo, hi = 1.0 / np.array([c1 * c1 + eps, eps]) ** p
+        inv_min, inv_max = np.minimum.reduce(inv), np.maximum.reduce(inv)
     pre_m = np.divide(m, denom, out=denom)
     if theta_norm > 0:
         radial = float(theta @ pre_m) / theta_norm
@@ -190,10 +214,10 @@ def _group_lemmas(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarra
     precond_sq = float(np.add.reduce(buf))
     np.subtract(m, m_prev, out=buf)
     buf *= inv  # (m - m_prev) * inv
-    slacks = (float(np.minimum.reduce(v)), float(np.minimum.reduce(inv) - lo),
-              float(hi - np.maximum.reduce(inv)),
-              c1 / eps ** p - radial, (c1 * c1) / eps ** (2 * p) - precond_sq,
-              2.0 * c1 * c1 / eps ** p - float(g @ buf))
+    eps_p = eps ** p
+    slacks = (float(v_min), float(inv_min - lo), float(hi - inv_max),
+              c1 / eps_p - radial, (c1 * c1) / eps ** (2 * p) - precond_sq,
+              2.0 * c1 * c1 / eps_p - float(g @ buf))
     return resid, margin, dict(zip(SLACK_COLUMNS, slacks))
 
 

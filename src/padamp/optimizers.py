@@ -163,13 +163,16 @@ def _step(
                 g = g_raw
 
             if adaptive:
-                m = state.m[name]
-                state.m_prev[name][:] = m
+                # The kernel writes the new moment over the stale m_prev, and
+                # the two buffers swap roles, so m_prev needs no copy.
+                m_prev = state.m[name]
+                m = state.m_prev[name]
                 direction = moment_direction(
-                    m, state.v[name], state.max_v[name], g,
+                    m_prev, state.v[name], state.max_v[name], g,
                     b1t, hp.beta2, bc1, bc2, hp.epsilon, p_power,
-                    use_max, power_eps,
+                    use_max, power_eps, m,
                 )
+                state.m[name], state.m_prev[name] = m, m_prev
             else:
                 # Undamped accumulation m <- momentum * m + g.
                 direction = state.m[name]
@@ -206,7 +209,7 @@ def _step(
                 # Release the full-size temporaries before the lemmas make theirs.
                 del direction, q, base
                 resid, margin, group_slacks = _group_lemmas(
-                    m, state.m_prev[name], state.v[name], g, b1t, state.c1[name],
+                    m, m_prev, state.v[name], g, b1t, state.c1[name],
                     hp.epsilon, p_power, theta, theta_norm)
                 lemma2_max, lemma3_min = max(lemma2_max, resid), min(lemma3_min, margin)
                 slacks.append(group_slacks)

@@ -6,7 +6,8 @@ hyperparameter variants, each run for 200 steps at seed 3. Each entry, keyed
 by its dotted config keys, holds the abort message of a run that aborts, or
 the telemetry CSV's SHA-256, the SHA-256 of repr(report.rows), and the bits
 of final_loss, final_accuracy and min_grad_norm_sq. test_matrix.py re-runs
-the matrix and compares.
+the matrix and compares. Both run under numeric_pin, which this script
+imports before numpy.
 
     PYTHONPATH=src python tests/record_matrix.py [--csv-dir DIR] [--before DIR] [--dry-run]
 
@@ -14,7 +15,11 @@ rewrites the file and prints every entry field that moved. --csv-dir keeps
 the CSVs; --before names a directory of CSVs kept from an earlier recording
 (for instance one made with the parent commit's src on PYTHONPATH and
 --dry-run), and then each moved CSV column is printed with its largest
-relative change over the matrix.
+absolute and relative change over the matrix. Entries that went between 0
+and nonzero, or between finite and non-finite, have no relative change and
+are counted apart. A moved *_projected column is a projection decision that
+changed, not rounding: it prints as FLIP, the file is left as it was, and
+the exit status is 1.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import sys
 import tempfile
 from typing import Dict, List, Optional, Tuple
 
+import numeric_pin  # noqa: F401  (sets the environment before numpy loads)
 import numpy as np
 
 from padamp.harness import build_config, read_telemetry, run
@@ -94,26 +100,55 @@ def run_matrix(csv_dir: str) -> Dict[str, Dict[str, str]]:
             for key, mapping in configs()}
 
 
-def _rel_change(old: np.ndarray, new: np.ndarray) -> float:
-    """Largest |new - old| / |old| over entries whose bits differ; inf where
-    only one side is finite or nan, or old is 0."""
-    if old.tobytes() == new.tobytes():
-        return 0.0
-    old, new = old.astype(np.float64), new.astype(np.float64)
-    moved = (old != new) & ~(np.isnan(old) & np.isnan(new))
-    if not moved.any():  # only nan payloads or signed zeros differ
-        return 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(new[moved] - old[moved]) / np.abs(old[moved])
-    return float(np.max(np.where(np.isnan(rel), np.inf, rel)))
+class Change:
+    """How one column (or scalar) moved between two recordings, over every
+    entry: the largest absolute change where both sides are finite, the
+    largest relative change where both are also nonzero, the number of
+    entries that went between 0 and nonzero, and the number that went
+    between finite and non-finite. Entries whose bits differ only as nan
+    payloads or signed zeros have not moved."""
+
+    def __init__(self):
+        self.abs = self.rel = 0.0
+        self.zero_flips = self.finite_flips = 0
+
+    def add(self, old: np.ndarray, new: np.ndarray) -> None:
+        old, new = old.astype(np.float64), new.astype(np.float64)
+        moved = (old != new) & ~(np.isnan(old) & np.isnan(new))
+        finite = np.isfinite(old) & np.isfinite(new)
+        self.finite_flips += int(np.count_nonzero(moved & ~finite))
+        moved &= finite
+        zero = (old == 0) | (new == 0)
+        self.zero_flips += int(np.count_nonzero(moved & zero))
+        if moved.any():
+            delta = np.abs(new[moved] - old[moved])
+            self.abs = max(self.abs, float(delta.max()))
+        moved &= ~zero
+        if moved.any():
+            rel = np.abs(new[moved] - old[moved]) / np.abs(old[moved])
+            self.rel = max(self.rel, float(rel.max()))
+
+    def __str__(self) -> str:
+        text = f"largest absolute change {self.abs:.3g}, relative {self.rel:.3g}"
+        if self.zero_flips:
+            text += f"; {self.zero_flips} between 0 and nonzero"
+        if self.finite_flips:
+            text += f"; {self.finite_flips} between finite and non-finite"
+        return text
+
+
+def _scalar(entry: Dict[str, str], field: str) -> np.ndarray:
+    return np.frombuffer(bytes.fromhex(entry[field]), np.float64)
 
 
 def report_moves(old: Dict[str, Dict[str, str]], new: Dict[str, Dict[str, str]],
-                 csv_dir: str, before_dir: Optional[str] = None) -> List[str]:
+                 csv_dir: str, before_dir: Optional[str] = None) -> Tuple[List[str], int]:
     """One line per moved entry field, then one per moved CSV column with its
-    largest relative change (with before_dir)."""
-    lines = []
-    columns: Dict[str, float] = {}
+    Change over the matrix (with before_dir); and the number of FLIP lines,
+    one per entry whose *_projected column moved."""
+    lines, flips = [], []
+    columns: Dict[str, Change] = {}
+    reshaped = set()
     for key in sorted(set(old) | set(new)):
         a, b = old.get(key), new.get(key)
         if a == b:
@@ -126,8 +161,9 @@ def report_moves(old: Dict[str, Dict[str, str]], new: Dict[str, Dict[str, str]],
                 continue
             line = f"moved: {key}: {field}"
             if field in SCALARS and field in a and field in b:
-                x, y = (np.frombuffer(bytes.fromhex(e[field]), np.float64) for e in (a, b))
-                line += f" (relative change {_rel_change(x, y):.3g})"
+                change = Change()
+                change.add(_scalar(a, field), _scalar(b, field))
+                line += f" ({change})"
             lines.append(line)
         if before_dir is not None and a.get("csv_sha256") != b.get("csv_sha256") \
                 and "abort" not in a and "abort" not in b:
@@ -135,13 +171,14 @@ def report_moves(old: Dict[str, Dict[str, str]], new: Dict[str, Dict[str, str]],
             now = read_telemetry(os.path.join(csv_dir, csv_name(key)))
             for name in sorted(set(was) | set(now)):
                 if name not in was or name not in now or was[name].size != now[name].size:
-                    columns[name] = float("inf")
+                    reshaped.add(name)
                 elif was[name].tobytes() != now[name].tobytes():
-                    change = _rel_change(was[name], now[name])
-                    columns[name] = max(columns.get(name, 0.0), change)
-    lines += [f"column {name}: largest relative change {change:.3g}"
-              for name, change in sorted(columns.items())]
-    return lines
+                    if name.endswith("_projected"):
+                        flips.append(f"FLIP: {key}: {name}")
+                    columns.setdefault(name, Change()).add(was[name], now[name])
+    lines += [f"column {name}: added, removed or resized" for name in sorted(reshaped)]
+    lines += [f"column {name}: {change}" for name, change in sorted(columns.items())]
+    return lines + flips, len(flips)
 
 
 def main(argv=None) -> int:
@@ -159,10 +196,13 @@ def main(argv=None) -> int:
         csv_dir = args.csv_dir or tmp
         os.makedirs(csv_dir, exist_ok=True)
         new = run_matrix(csv_dir)
-        lines = report_moves(old, new, csv_dir, args.before)
+        lines, n_flips = report_moves(old, new, csv_dir, args.before)
     print("\n".join(lines) if lines else "no entry moved")
     n_abort = sum("abort" in e for e in new.values())
     print(f"{len(new)} entries, {n_abort} aborted")
+    if n_flips:
+        print(f"{n_flips} projection decisions flipped; {REFERENCE} left as it was")
+        return 1
     if not args.dry_run:
         with open(REFERENCE, "w") as fh:
             json.dump(new, fh, indent=1, sort_keys=True)

@@ -313,9 +313,11 @@ def _check_lemma2_oracle(m_t, m_prev, g_t, beta1t):
 def _bound_slacks_oracle(m, m_prev, v, g, c1, eps, p, theta, theta_norm):
     # The out-of-place body of _bound_slacks, which computed the slacks
     # before _group_lemmas.
-    denom = (v + eps) ** p
+    # At p = 1/4 _group_lemmas' power is two square roots; every other p is **.
+    power = (lambda x: np.sqrt(np.sqrt(x))) if p == 0.25 else (lambda x: x ** p)
+    denom = power(v + eps)
     inv = 1.0 / denom
-    lo, hi = 1.0 / np.array([c1 * c1 + eps, eps]) ** p
+    lo, hi = 1.0 / power(np.array([c1 * c1 + eps, eps]))
     slacks = {
         "lemma3_lower": float(np.min(v)),
         "lemma4_lower": float(np.min(inv) - lo),

@@ -456,41 +456,41 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 # SHA-256 of the telemetry CSV of six configs at 200 steps and seed 3,
-# recorded with numpy 2.4.6 and Python 3.11.7 on x86-64 Linux. Together they
-# cover one and two parameter groups, projected and unprojected steps, the
-# nan lemma columns of sgdm, and coupled weight decay. The first digest
-# covers every column but _ADDED_COLUMNS and was recorded from the code as
-# it stood before those columns existed (the first four configs from before
-# a step's record became its CSV row); the second covers the whole file.
+# recorded with numpy 2.4.6 and Python 3.11.7 on x86-64 Linux under
+# numeric_pin (conftest.py loads it). Together they cover one and two
+# parameter groups, projected and unprojected steps, the nan lemma columns
+# of sgdm, and coupled weight decay. The first digest covers every column
+# but _ADDED_COLUMNS, so it tells a move in those columns from one in the
+# rest; the second covers the whole file.
 _PINNED_TELEMETRY = {
     "padamp quadratic": (
         {"objective.name": "quadratic", "objective.dim": "20",
          "objective.condition": "100"},
-        "b4fe1c4da1f14dedba7b584702437c888cd495e21c59d97a3ceb16e4c5a0bd0b",
-        "dc0490059689613bea2e9cb8d1583e98969b083ae3ad93ed6c67cd1b40c8a6c7"),
+        "c13c87decfa914eb75b7be822f66624f76dc96714d88228700e3378620419cb6",
+        "baa189981cd4b7a4d74f8076480350b7b75f78d52dc5284d788c34876d12c9c6"),
     "padamp tiny_mlp": (
         {"objective.name": "tiny_mlp"},
-        "e2d5540e954f9898cbe9130f9660bfc82ff6bdd528d135c9488d2c706a53fa14",
-        "98dc70f48490df0c7646f2b78dcaff6ff47eeb9d79ff1b3bdd8ae46debd89f3d"),
+        "4e8abc3268b7a98c4825825c1ff2981bdc83e0f5fe102ef900606c12b9087ef6",
+        "da4e011674bfbc076704f06d014fedfb41d4526b8e1e8f312196b3bce2cfee63"),
     "sgdm logistic": (
         {"optimizer.kind": "sgdm", "objective.name": "logistic"},
-        "6daa46fc608bf44828618baaee7ccaa393617de45bcfaec6816f1b8759307b38",
-        "b286d53f2ba277ef1734fb5fed0f4ff96058be6b32821a922dd1af2e4444459a"),
+        "51841408da26ef625d99340b83a09b8e52db7068871cd6787b480448ee2bf667",
+        "9677c683b2021dacdf1cecd19f3480b2c9badfd19c34ba7caf214bb78bc5a851"),
     "adamp scale_invariant coupled": (
         {"optimizer.kind": "adamp", "objective.name": "scale_invariant",
          "hp.wd_mode": "coupled"},
-        "f79cd52535c12adf7762e59ea096263095d31fdca128aa80fda0bd22b886ca52",
-        "bfb1a0ef88e11f1498d83c7b6510e66cd7aef646a0a840ce010dde5bb5b704c8"),
+        "efa91384f131cf7179c220a1c90f8d41a015f293f4a753629d54666357cbbdfa",
+        "879275cb0dd27e5dda686d450d88955124a6bfe9e62837cb692b38b307627dc9"),
     # A max-tracked v, and a decaying beta1,t that sets lemma 2's b / (1 - b).
     "padam quadratic lam": (
         {"optimizer.kind": "padam", "objective.name": "quadratic",
          "objective.condition": "100", "hp.lam": "0.99"},
-        "a2e3a12dd32d6ecc6cb34a35de709a1709d09e808c459e8019919fa05a0d02e6",
-        "7fec9e324293597d2b7b7618cb0a6b4bfae9686526f0d8a71642c6c634d24846"),
+        "fd71eee572fb0a119b528f49d2eb285ca8f5d92246901fdab5b9ae9ac02b1b6d",
+        "04d878f16ca4cc9796c266d89f8a7df5e9e3dc314ea0020659351c1f5ee31919"),
     "amsgrad tiny_mlp post": (
         {"optimizer.kind": "amsgrad", "objective.name": "tiny_mlp", "hp.eps_mode": "post"},
-        "8f9bb29e0e070addef2621ba8705d5e6c64b1a638083dd1412ff4da3252b909a",
-        "f0fb97f1c447217983094c65453b25a555dda5de00ad64f3a4ff8ec65bee8e3d"),
+        "47bc103195406f4407f1cd32a650bb9f767bebba6d6eada962704c373d0a50bd",
+        "e66a5d5d00200ac8cdc45cb26211b971ff70e1106f17795ca3db453524ccc95a"),
 }
 
 # The lemma-3/4/5 slack columns and the eval-window estimate, which follow

@@ -43,10 +43,12 @@ def _moment_direction_expr(m, v, max_v, g, beta1t, beta2, bc1, bc2, eps, p,
         base = max_v
     else:
         base = v / bc2
+    # At p = 1/4 the kernel's power is two square roots; every other p is **.
+    power = (lambda x: np.sqrt(np.sqrt(x))) if p == 0.25 else (lambda x: x ** p)
     if power_eps:
-        denom = (base + eps) ** p
+        denom = power(base + eps)
     else:
-        denom = base ** p + eps
+        denom = power(base) + eps
     return (m / bc1) / denom
 
 
@@ -154,33 +156,50 @@ def test_moment_direction_matches_its_expressions_bit_for_bit(dim, use_max, powe
 def test_moment_direction_makes_two_full_size_arrays(use_max, power_eps):
     dim = 100_000
     m, v, max_v, g, bc1, bc2 = _random_inputs(dim, seed=5)
-    args = (0.9, 0.999, bc1, bc2, 1e-8, 0.25, use_max, power_eps)
     inputs = (m, v, max_v, g)
-    # tracemalloc sees numpy's data buffers; without use_max the expression
-    # form peaks at 3.
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        first = _kernels.moment_direction(*inputs, *args)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak / first.nbytes <= 2.01
-    assert not any(np.shares_memory(first, a) for a in inputs)
-    kept = first.copy()
-    second = _kernels.moment_direction(*inputs, *args)
-    assert first.tobytes() == kept.tobytes()
-    assert not np.shares_memory(first, second)
+    # In place, and into a destination allocated before the count, as the
+    # step's is.
+    for m_out in (None, np.empty(dim)):
+        args = (0.9, 0.999, bc1, bc2, 1e-8, 0.25, use_max, power_eps, m_out)
+        # tracemalloc sees numpy's data buffers; without use_max the
+        # expression form peaks at 3.
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            first = _kernels.moment_direction(*inputs, *args)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / first.nbytes <= 2.01
+        assert not any(np.shares_memory(first, a) for a in inputs)
+        kept = first.copy()
+        second = _kernels.moment_direction(*inputs, *args)
+        assert first.tobytes() == kept.tobytes()
+        assert not np.shares_memory(first, second)
 
 
 def test_moment_direction_updates_in_place():
     m, v, max_v, g, bc1, bc2 = _random_inputs(5, seed=0)
     m_before = m.copy()
     v_before = v.copy()
-    _kernels.moment_direction(m, v, max_v, g, 0.9, 0.999, bc1, bc2, 1e-8, 0.5)
+    _kernels.moment_direction(m, v, max_v, g, 0.9, 0.999, bc1, bc2, 1e-8, 0.5,
+                              False, True, m)
     assert np.allclose(m, 0.9 * m_before + 0.1 * g)
     assert np.allclose(v, 0.999 * v_before + 0.001 * g * g)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.25, 0.125])
+def test_moment_direction_into_another_buffer_leaves_m_as_it_was(p):
+    m, v, max_v, g, bc1, bc2 = _random_inputs(1000, seed=2)
+    args = (0.9, 0.999, bc1, bc2, 1e-8, p)
+    m_in_place, v_in_place = m.copy(), v.copy()
+    want = _kernels.moment_direction(m_in_place, v_in_place, max_v.copy(), g, *args)
+    m_before, out = m.copy(), np.full_like(m, np.nan)
+    got = _kernels.moment_direction(m, v, max_v, g, *args, False, True, out)
+    assert m.tobytes() == m_before.tobytes()
+    for a, b in ((out, m_in_place), (got, want), (v, v_in_place)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_moment_direction_max_buffer_is_monotone():

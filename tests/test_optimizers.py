@@ -295,6 +295,30 @@ def test_step_does_not_mutate_inputs():
         assert out.new_params[0].values is not params[0].values
 
 
+@pytest.mark.parametrize("fn", [padamp_step, padam_step])
+def test_adaptive_step_swaps_the_first_moment_buffers(fn):
+    # The kernel writes the new moment into m_prev's array, which then
+    # becomes m: m_prev is the previous m, with no copy made.
+    rng = np.random.default_rng(4)
+    params = _one_group(rng.standard_normal(6))
+    state = new_state(params, HyperParams())
+    for _ in range(3):
+        m_was, m_prev_was = state.m["theta"], state.m_prev["theta"]
+        m_bits = m_was.tobytes()
+        params = fn(state, params, _grads(rng.standard_normal(6)), 1e-3).new_params
+        assert state.m_prev["theta"] is m_was and state.m["theta"] is m_prev_was
+        assert state.m_prev["theta"].tobytes() == m_bits
+
+
+def test_sgdm_step_swaps_no_buffers():
+    params = _one_group([1.0, 2.0])
+    state = new_state(params, HyperParams())
+    m_was, m_prev_was = state.m["theta"], state.m_prev["theta"]
+    sgdm_step(state, params, _grads([0.3, -0.1]), 1e-3)
+    assert state.m["theta"] is m_was and state.m_prev["theta"] is m_prev_was
+    assert not m_prev_was.any()
+
+
 def test_step_validation_errors():
     hp = HyperParams()
     state = new_state(_one_group([1.0]), hp)
