@@ -185,15 +185,15 @@ def _group_lemmas(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarra
     np.subtract(m, rhs, out=rhs)
     # sqrt(x . x) is np.linalg.norm's 1-d formula, without its wrapper.
     resid = math.sqrt(rhs.dot(rhs)) / (1.0 + norm(m))
-    v_max, v_min = np.maximum.reduce(v), np.minimum.reduce(v)
-    margin = float(c1 ** 2 - v_max)
+    v_max, v_min = float(np.maximum.reduce(v)), float(np.minimum.reduce(v))
+    margin = c1 ** 2 - v_max
     denom = np.add(v, eps, out=buf)
     if p == 0.25:
         # lo, hi, min(inv), max(inv) as one array: 1 / sqrt(sqrt(x + eps))
         ext = np.array([c1 * c1 + eps, eps, v_max + eps, v_min + eps])
         np.sqrt(ext, out=ext)
         np.sqrt(ext, out=ext)
-        lo, hi, inv_min, inv_max = 1.0 / ext
+        lo, hi, inv_min, inv_max = (1.0 / ext).tolist()
         np.sqrt(denom, out=denom)
         np.sqrt(denom, out=denom)
         inv = np.divide(1.0, denom, out=rhs)
@@ -202,8 +202,8 @@ def _group_lemmas(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarra
         inv = np.divide(1.0, denom, out=rhs)
         # The same array power as inv's: once v + eps rounds to eps, max(inv)
         # equals hi exactly, where a scalar power can differ from it by an ulp.
-        lo, hi = 1.0 / np.array([c1 * c1 + eps, eps]) ** p
-        inv_min, inv_max = np.minimum.reduce(inv), np.maximum.reduce(inv)
+        lo, hi = (1.0 / np.array([c1 * c1 + eps, eps]) ** p).tolist()
+        inv_min, inv_max = float(np.minimum.reduce(inv)), float(np.maximum.reduce(inv))
     pre_m = np.divide(m, denom, out=denom)
     if theta_norm > 0:
         radial = float(theta @ pre_m) / theta_norm
@@ -215,7 +215,7 @@ def _group_lemmas(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarra
     np.subtract(m, m_prev, out=buf)
     buf *= inv  # (m - m_prev) * inv
     eps_p = eps ** p
-    slacks = (float(v_min), float(inv_min - lo), float(hi - inv_max),
+    slacks = (v_min, inv_min - lo, hi - inv_max,
               c1 / eps_p - radial, (c1 * c1) / eps ** (2 * p) - precond_sq,
               2.0 * c1 * c1 / eps_p - float(g @ buf))
     return resid, margin, dict(zip(SLACK_COLUMNS, slacks))

@@ -286,7 +286,7 @@ def run(config: ExperimentConfig) -> RunResult:
                 batch = None
 
             loss = objective.eval(params, batch)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise RuntimeError(f"non-finite loss {loss!r} at step {t}; aborting")
             grads = objective.grad(params, batch)
 

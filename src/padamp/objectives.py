@@ -335,12 +335,21 @@ class _TinyMLP(Objective):
         nz = d / s
         a = np.maximum(nz, 0.0)
         logits = a @ w2.T
-        lmax = logits.max(axis=1, keepdims=True)
-        logz = lmax[:, 0] + np.log(np.exp(logits - lmax).sum(axis=1))
+        # The class max and the log-sum-exp reduce a class-major copy, so
+        # numpy's reduction loop runs once per class, not once per example.
+        # Below 8 classes numpy's row sum adds in order, as this reduce does,
+        # so logz keeps its bits; from 8 its pairwise sum rounds otherwise.
+        # The gemms keep their operand layouts: their bits depend on them.
+        by_class = logits.T.copy()
+        lmax = np.maximum.reduce(by_class, 0)
+        by_class -= lmax
+        np.exp(by_class, out=by_class)
+        logz = lmax + np.log(np.add.reduce(by_class, 0))
         return z, var, s, nz, a, logits, logz
 
     def _pass(self, w1, w2, batch):
-        """X, y and the forward pass of these weights on this batch.
+        """X, y, each example's own-class index into the raveled logits, and
+        the forward pass of these weights on this batch.
 
         The pass is a pure function of w1, w2 and the batch indices, so the
         last one is kept, keyed by their exact bytes: grad after eval on the
@@ -353,20 +362,22 @@ class _TinyMLP(Objective):
                None if batch is None else (batch.dtype.str, batch.tobytes()))
         if self._last is None or self._last[0] != key:
             X, y = self._batch(batch)
-            self._last = (key, X, y, self._forward(w1, w2, X))
+            own = np.arange(len(y)) * self.classes + y
+            self._last = (key, X, y, own, self._forward(w1, w2, X))
         return self._last[1:]
 
     def eval(self, params, batch=None) -> float:
         w1, w2 = self._weights(params)
-        _, y, (_, _, _, _, _, logits, logz) = self._pass(w1, w2, batch)
-        return float(np.mean(logz - logits[np.arange(len(y)), y]))
+        _, y, own, (_, _, _, _, _, logits, logz) = self._pass(w1, w2, batch)
+        # np.mean's own expression, without its Python.
+        return float(np.add.reduce(logz - logits.take(own)) / len(y))
 
     def grad(self, params, batch=None) -> GradientSet:
         w1, w2 = self._weights(params)
-        X, y, (_, var, s, nz, a, logits, logz) = self._pass(w1, w2, batch)
+        X, y, own, (_, var, s, nz, a, logits, logz) = self._pass(w1, w2, batch)
         B = len(y)
         dlogits = np.exp(logits - logz[:, None])
-        dlogits[np.arange(B), y] -= 1.0
+        dlogits.ravel()[own] -= 1.0
         dlogits /= B
         dw2 = dlogits.T @ a
         da = dlogits @ w2
@@ -375,14 +386,16 @@ class _TinyMLP(Objective):
         # floor is active the std is constant, so the x-hat path drops out.
         mean_dn = np.add.reduce(dn, 0) / B
         mean_dnx = np.add.reduce(dn * nz, 0) / B
+        # xhat_path is 0.0 or 1.0, so scaling the (H,) mean instead of the
+        # (B, H) nz gives the same bits, zero signs included.
         xhat_path = np.where(var < BN_VAR_FLOOR, 0.0, 1.0)
-        dz = (dn - mean_dn - xhat_path * nz * mean_dnx) / s
+        dz = (dn - mean_dn - nz * (xhat_path * mean_dnx)) / s
         dw1 = dz.T @ X
         return {"w1": dw1.ravel(), "w2": dw2.ravel()}
 
     def accuracy(self, params) -> float:
         w1, w2 = self._weights(params)
-        _, y, (_, _, _, _, _, logits, _) = self._pass(w1, w2, None)
+        _, y, _, (_, _, _, _, _, logits, _) = self._pass(w1, w2, None)
         return float(np.mean(logits.argmax(axis=1) == y))
 
 

@@ -11,15 +11,18 @@ imports before numpy.
 
     PYTHONPATH=src python tests/record_matrix.py [--csv-dir DIR] [--before DIR] [--dry-run]
 
-rewrites the file and prints every entry field that moved. --csv-dir keeps
-the CSVs; --before names a directory of CSVs kept from an earlier recording
-(for instance one made with the parent commit's src on PYTHONPATH and
---dry-run), and then each moved CSV column is printed with its largest
-absolute and relative change over the matrix. Entries that went between 0
-and nonzero, or between finite and non-finite, have no relative change and
-are counted apart. A moved *_projected column is a projection decision that
-changed, not rounding: it prints as FLIP, the file is left as it was, and
-the exit status is 1.
+rewrites the file and prints every entry field that moved. The file also
+holds the numeric fingerprint the matrix was recorded under (numpy's
+version, the BLAS library, OPENBLAS_CORETYPE and numpy's SIMD dispatch
+targets in force), so a gate that fails on another machine can say which
+of them differs. --csv-dir keeps the CSVs; --before names a directory of
+CSVs kept from an earlier recording (for instance one made with the parent
+commit's src on PYTHONPATH and --dry-run), and then each moved CSV column
+is printed with its largest absolute and relative change over the matrix.
+Entries that went between 0 and nonzero, or between finite and non-finite,
+have no relative change and are counted apart. A moved *_projected column
+is a projection decision that changed, not rounding: it prints as FLIP, the
+file is left as it was, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ import numpy as np
 from padamp.harness import build_config, read_telemetry, run
 
 REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "matrix_reference.json")
+# The reference file's one key that is not a matrix entry.
+FINGERPRINT = "numeric_fingerprint"
 
 OPTIMIZERS = ("padamp", "adamp", "padam", "adam", "amsgrad", "sgdm")
 OBJECTIVES = (
@@ -76,6 +81,33 @@ def _bits(x: float) -> str:
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def numeric_fingerprint() -> Dict[str, object]:
+    """What the matrix's bits depend on besides padamp's code."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"),
+        "dispatch": [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)],
+    }
+
+
+def load_reference() -> Tuple[Dict[str, object], Dict[str, Dict[str, str]]]:
+    """The recorded fingerprint and entries; both empty without a file."""
+    if not os.path.exists(REFERENCE):
+        return {}, {}
+    with open(REFERENCE) as fh:
+        entries = json.load(fh)
+    return entries.pop(FINGERPRINT, {}), entries
+
+
+def fingerprint_moves(old: Dict[str, object], new: Dict[str, object]) -> List[str]:
+    """One `field: recorded X, now Y` line per fingerprint field that differs."""
+    return [f"{field}: recorded {old.get(field)!r}, now {new.get(field)!r}"
+            for field in sorted(set(old) | set(new)) if old.get(field) != new.get(field)]
 
 
 def csv_name(key: str) -> str:
@@ -188,15 +220,15 @@ def main(argv=None) -> int:
     parser.add_argument("--dry-run", action="store_true",
                         help="print what moved without rewriting the file")
     args = parser.parse_args(argv)
-    old = {}
-    if os.path.exists(REFERENCE):
-        with open(REFERENCE) as fh:
-            old = json.load(fh)
+    old_fingerprint, old = load_reference()
+    fingerprint = numeric_fingerprint()
     with tempfile.TemporaryDirectory() as tmp:
         csv_dir = args.csv_dir or tmp
         os.makedirs(csv_dir, exist_ok=True)
         new = run_matrix(csv_dir)
         lines, n_flips = report_moves(old, new, csv_dir, args.before)
+    for line in fingerprint_moves(old_fingerprint, fingerprint):
+        print(f"fingerprint: {line}")
     print("\n".join(lines) if lines else "no entry moved")
     n_abort = sum("abort" in e for e in new.values())
     print(f"{len(new)} entries, {n_abort} aborted")
@@ -205,7 +237,7 @@ def main(argv=None) -> int:
         return 1
     if not args.dry_run:
         with open(REFERENCE, "w") as fh:
-            json.dump(new, fh, indent=1, sort_keys=True)
+            json.dump({FINGERPRINT: fingerprint, **new}, fh, indent=1, sort_keys=True)
             fh.write("\n")
         print(f"wrote {REFERENCE}")
     return 0

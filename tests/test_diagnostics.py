@@ -374,6 +374,19 @@ def test_bound_slacks_match_the_out_of_place_oracle_bitwise(seed, dim, eps, p, t
         assert np.array_equal(before, after)
 
 
+@pytest.mark.parametrize("p", [0.25, 0.5])
+def test_group_lemmas_returns_python_floats(p):
+    # The scalar tail does Python float arithmetic, not numpy-scalar arithmetic.
+    rng = seeded_rng(5)
+    m, m_prev, g, theta = rng.standard_normal((4, 20))
+    v = rng.uniform(0.0, 1.0, 20)
+    resid, margin, slacks = _group_lemmas(m, m_prev, v, g, 0.9, 2.0, 1e-8, p, theta,
+                                          norm(theta))
+    assert type(resid) is float and type(margin) is float
+    assert list(slacks) == list(SLACK_COLUMNS)
+    assert all(type(value) is float for value in slacks.values())
+
+
 def test_converged_run_passes_the_lemma4_upper_bound():
     # The loss reaches about 1e-140 and some v falls below eps * 2**-53.
     result = run(build_config({"hp.p": "0.05", "hp.beta2": "0.5",

@@ -306,6 +306,88 @@ def test_batch_norm_statistics_are_numpys_mean_and_var_bit_for_bit(seed, B, H, l
     assert (np.add.reduce(z, 0) / B).tobytes() == z.mean(axis=0).tobytes()
 
 
+def _mlp_oracle(obj, params, batch):
+    # The row-major, out-of-place forms of _TinyMLP's forward pass, eval,
+    # grad and accuracy before the softmax reductions went class-major.
+    w1 = params[0].values.reshape(obj.hidden, obj.d_in)
+    w2 = params[1].values.reshape(obj.classes, obj.hidden)
+
+    def forward(rows):
+        X, y = obj.dataset.features[rows], obj.dataset.labels[rows]
+        z = X @ w1.T
+        B = len(z)
+        mu = np.add.reduce(z, 0) / B
+        d = z - mu
+        var = np.add.reduce(d * d, 0) / B
+        s = np.sqrt(np.maximum(var, BN_VAR_FLOOR))
+        nz = d / s
+        a = np.maximum(nz, 0.0)
+        logits = a @ w2.T
+        lmax = logits.max(axis=1, keepdims=True)
+        logz = lmax[:, 0] + np.log(np.exp(logits - lmax).sum(axis=1))
+        return X, y, var, s, nz, a, logits, logz
+
+    rows = np.arange(obj.dataset.n) if batch is None else batch
+    X, y, var, s, nz, a, logits, logz = forward(rows)
+    B = len(y)
+    loss = float(np.mean(logz - logits[np.arange(B), y]))
+    dlogits = np.exp(logits - logz[:, None])
+    dlogits[np.arange(B), y] -= 1.0
+    dlogits /= B
+    dw2 = dlogits.T @ a
+    da = dlogits @ w2
+    dn = da * (nz > 0)
+    mean_dn = np.add.reduce(dn, 0) / B
+    mean_dnx = np.add.reduce(dn * nz, 0) / B
+    xhat_path = np.where(var < BN_VAR_FLOOR, 0.0, 1.0)
+    dz = (dn - mean_dn - xhat_path * nz * mean_dnx) / s
+    dw1 = dz.T @ X
+    *_, logits, _ = forward(np.arange(obj.dataset.n))
+    accuracy = float(np.mean(logits.argmax(axis=1) == obj.dataset.labels))
+    return loss, {"w1": dw1.ravel(), "w2": dw2.ravel()}, accuracy
+
+
+@st.composite
+def _mlp_cases(draw, classes):
+    classes = draw(classes)
+    d_in = draw(st.integers(classes, 12))
+    hidden = draw(st.integers(2, 24))
+    n = draw(st.integers(max(classes, 2), 300))
+    size = draw(st.one_of(st.none(), st.integers(2, n)))
+    scale = draw(st.sampled_from([2.0 ** -8, 0.1, 1.0, 3.0, 2.0 ** 6]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    obj = tiny_mlp(d_in=d_in, hidden=hidden, classes=classes, n=n, seed=seed % 1000)
+    rng = np.random.default_rng(seed)
+    params = obj.init_params(rng, scale=scale)
+    batch = None if size is None else rng.choice(n, size=size, replace=False)
+    return obj, params, batch
+
+
+@settings(max_examples=200)
+@given(_mlp_cases(st.integers(2, 7)))
+def test_mlp_matches_its_row_major_oracle_bit_for_bit(case):
+    obj, params, batch = case
+    loss, grads, accuracy = _mlp_oracle(obj, params, batch)
+    assert np.float64(obj.eval(params, batch)).tobytes() == np.float64(loss).tobytes()
+    assert _bits(obj.grad(params, batch)) == _bits(grads)
+    assert np.float64(obj.accuracy(params)).tobytes() == np.float64(accuracy).tobytes()
+
+
+@settings(max_examples=60)
+@given(_mlp_cases(st.integers(8, 10)))
+def test_mlp_from_eight_classes_matches_its_oracle_to_rounding(case):
+    # From 8 items numpy's pairwise sum adds a row in 8 interleaved partial
+    # sums, while the class-major reduce adds the classes in order, so the
+    # log-sum-exp, and through it the loss and gradients, move by rounding.
+    obj, params, batch = case
+    loss, grads, accuracy = _mlp_oracle(obj, params, batch)
+    assert abs(obj.eval(params, batch) - loss) <= 1e-15 * abs(loss)
+    got = obj.grad(params, batch)
+    for name, want in grads.items():
+        assert np.max(np.abs(got[name] - want)) <= 1e-14 * np.max(np.abs(want))
+    assert obj.accuracy(params) == accuracy
+
+
 # --------------------------------------------------------- finite differences
 
 def test_finite_difference_rejects_bad_step():
