@@ -1,8 +1,9 @@
 """Command-line interface: run, sweep, norm-sim, check, grad-check.
 
-Every subcommand accepts --seed, --steps, and --out. When --out is omitted,
-files land in $PADAMP_OUT_DIR (default: current directory). Exit code: 0 when
-every report row passes, 1 when one fails, 2 on bad input or divergence.
+Every subcommand accepts --steps and --out, and every one but check --seed.
+When --out is omitted, files land in $PADAMP_OUT_DIR (default: current
+directory). Exit code: 0 when every report row passes, 1 when one fails, 2 on
+bad input or divergence.
 """
 
 from __future__ import annotations
@@ -215,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="validate a telemetry CSV against the "
                                    "lemma and schedule invariants")
     p_check.add_argument("--csv", required=True, help="telemetry CSV from a run")
-    _add_common(p_check, "check only the first N rows")
+    p_check.add_argument("--steps", type=int, help="check only the first N rows")
+    p_check.add_argument("--out", help="report CSV path")
     p_check.set_defaults(func=_cmd_check)
 
     p_grad = subs.add_parser("grad-check",

@@ -5,8 +5,8 @@ first-moment rearrangement identity, the second-moment and denominator
 bounds (with the empirical running gradient bound C1), learning-rate
 schedule assumptions, and the running-min convergence tracker. The optimizer
 step makes one _group_lemmas call per adaptive group, which computes all of
-that group's lemma quantities in one buffered pass; LemmaMonitor writes each
-slack's minimum over groups into the step's telemetry row.
+that group's LEMMA_COLUMNS in one buffered pass, and folds them over groups
+into the step's telemetry row.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from collections import abc
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,8 +27,8 @@ __all__ = [
     "NormGrowthColumns",
     "ConvergenceTrace",
     "DiagnosticsReport",
-    "LemmaMonitor",
     "SLACK_COLUMNS",
+    "LEMMA_COLUMNS",
     "simulate_norm_growth",
     "validate_schedule",
     "track_convergence",
@@ -142,19 +142,18 @@ def simulate_norm_growth(
     return NormGrowthColumns(gd[1:], gdm[1:], ratio)
 
 
-# The lemma-3/4/5 bound slacks: _group_lemmas' keys, and the telemetry columns
-# after lemma3_margin, in order.
+# The lemma-3/4/5 bound slacks, then all eight lemma columns in telemetry order.
 SLACK_COLUMNS = ("lemma3_lower", "lemma4_lower", "lemma4_upper", "lemma5_radial",
                  "lemma5_precond_sq", "lemma5_moment_diff")
-_NO_SLACKS = dict.fromkeys(SLACK_COLUMNS, float("nan"))
+LEMMA_COLUMNS = ("lemma2_residual", "lemma3_margin", *SLACK_COLUMNS)
 
 
 def _group_lemmas(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarray,
                   beta1t: float, c1: float, eps: float, p: float, theta: np.ndarray,
-                  theta_norm: float) -> Tuple[float, float, Dict[str, float]]:
+                  theta_norm: float) -> Tuple[float, ...]:
     """One adaptive group's lemma quantities, from its post-step moments.
 
-    Returns (lemma-2 residual, lemma-3 margin C1**2 - max(v), slack dict).
+    Returns the LEMMA_COLUMNS in order, as floats; the margin is C1**2 - max(v).
     m = b m_prev + (1-b) g rearranges to -m = -g + b/(1-b) (m - m_prev); the
     residual is the norm of the two sides' difference over 1 + ||m||, pure
     rounding for consistent inputs. The slacks use the uncorrected buffers;
@@ -215,21 +214,14 @@ def _group_lemmas(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarra
     np.subtract(m, m_prev, out=buf)
     buf *= inv  # (m - m_prev) * inv
     eps_p = eps ** p
-    slacks = (v_min, inv_min - lo, hi - inv_max,
-              c1 / eps_p - radial, (c1 * c1) / eps ** (2 * p) - precond_sq,
-              2.0 * c1 * c1 / eps_p - float(g @ buf))
-    return resid, margin, dict(zip(SLACK_COLUMNS, slacks))
+    return (resid, margin, v_min, inv_min - lo, hi - inv_max,
+            c1 / eps_p - radial, (c1 * c1) / eps ** (2 * p) - precond_sq,
+            2.0 * c1 * c1 / eps_p - float(g @ buf))
 
 
 class LemmaMonitor:
-    """update(out) writes each slack's minimum over groups (sgdm: nan) into out.record."""
-
-    def update(self, out) -> None:
-        record = out.record
-        for slacks in out.slacks or [_NO_SLACKS]:
-            for k in SLACK_COLUMNS:
-                if k not in record or slacks[k] < record[k]:
-                    record[k] = slacks[k]
+    """A name only: the step folds the lemma columns itself. perfbench's layer
+    trace still patches harness.LemmaMonitor, so the name stays."""
 
 
 def validate_schedule(family: str, c: float, a: Optional[float] = None) -> bool:

@@ -20,10 +20,10 @@ import numpy as np
 
 from .core import HyperParams, ParamGroup, new_state
 from .diagnostics import (
-    SLACK_COLUMNS,
+    LEMMA_COLUMNS,
     ConvergenceTrace,
     DiagnosticsReport,
-    LemmaMonitor,
+    LemmaMonitor,  # noqa: F401  unused; perfbench's layer trace patches it here
     track_convergence,
     validate_schedule,
 )
@@ -265,7 +265,6 @@ def run(config: ExperimentConfig) -> RunResult:
         epoch_len = config.steps_per_epoch
     budget = config.steps if config.steps is not None else config.epochs * epoch_len
 
-    monitor = LemmaMonitor()
     records: List[Dict[str, float]] = []
     batch_iter = iter(())
 
@@ -309,7 +308,6 @@ def run(config: ExperimentConfig) -> RunResult:
             out = step_fn(state, params, grads, eta_t, p_now)
             out.record["loss"] = loss
             out.record["epoch"] = epoch
-            monitor.update(out)  # the slack columns, before the estimate
             out.record["eval_grad_norm_sq"] = estimate
             records.append(out.record)
             params = out.new_params
@@ -432,15 +430,18 @@ def _read_float(text: str, name: str, row: int) -> float:
 
 
 def read_telemetry(path: str) -> Dict[str, np.ndarray]:
-    """Telemetry CSV back as telemetry_columns' table. A row whose field count
-    differs from the header's is an error naming the data row; a non-numeric
-    value, or a non-whole one in an int64 column, one naming the column and
-    the data row."""
+    """Telemetry CSV back as telemetry_columns' table. A header naming a column
+    twice, a row whose field count differs from the header's, a non-numeric
+    value, or a non-whole one in an int64 column is an error naming the column,
+    the data row, or both."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"empty telemetry CSV {path}: no header line")
+        for j, name in enumerate(header):
+            if name in header[:j]:
+                raise ValueError(f"telemetry CSV {path}: the header repeats column {name!r}")
         rows = []
         for i, row in enumerate(reader, 1):
             if len(row) != len(header):
@@ -471,7 +472,7 @@ def _add_max_increase(report: DiagnosticsReport, name: str, x: np.ndarray) -> No
 
 # The columns every telemetry table holds besides the per-group ones.
 _STEP_COLUMNS = ("t", "epoch", "eta_t", "p_now", "loss", "grad_norm_sq",
-                 "lemma2_residual", "lemma3_margin", *SLACK_COLUMNS, "eval_grad_norm_sq")
+                 *LEMMA_COLUMNS, "eval_grad_norm_sq")
 
 
 def check_telemetry(cols: Dict[str, np.ndarray]) -> DiagnosticsReport:
@@ -519,9 +520,9 @@ def check_telemetry(cols: Dict[str, np.ndarray]) -> DiagnosticsReport:
             report.add(f"{c}_in_unit_interval", 0.0 if ok else 1.0, ok)
 
     # The lemma-2 row bounds its column's max, every other lemma row its min.
-    for c, name in (("lemma2_residual", "lemma2_max_scaled_residual"),
-                    ("lemma3_margin", "lemma3_upper_min"),
-                    *((c, f"{c}_min") for c in SLACK_COLUMNS)):
+    names = ("lemma2_max_scaled_residual", "lemma3_upper_min",
+             *(f"{c}_min" for c in LEMMA_COLUMNS[2:]))
+    for c, name in zip(LEMMA_COLUMNS, names):
         x = cols[c]
         if np.isnan(x).all():
             continue

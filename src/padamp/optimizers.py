@@ -13,10 +13,9 @@ moments and direction, the projection decision (using the raw gradient and
 the pre-step weights), decoupled weight decay (skipped for projected groups
 by default), then the parameter update. This module is the only one that
 applies either decay rule. After each adaptive group's update, one
-diagnostics call gives all of its lemma quantities: the step records the
-largest lemma-2 residual and smallest lemma-3 margin over groups (nan for
-sgdm) and returns each group's slacks, whose minima over groups
-LemmaMonitor writes into the record as the six slack columns.
+diagnostics call gives its eight lemma quantities; the record keeps the
+largest lemma-2 residual and the smallest of each other quantity over groups
+(nan for sgdm).
 
 A step's record is its telemetry CSV row, built by _step: a dict from
 column name to value, in CSV order.
@@ -26,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -41,7 +41,7 @@ from .core import (
     beta1_at,
     check_grads,
 )
-from .diagnostics import _group_lemmas
+from .diagnostics import LEMMA_COLUMNS, _group_lemmas
 from .geometry import (
     ProjectionDecision,
     cosine_similarity,
@@ -68,13 +68,10 @@ class OptimizerKind(str, Enum):
 
 @dataclass
 class StepOutput:
-    """New parameter groups, the step's telemetry row keyed by CSV column,
-    and one dict of bound slacks per adaptive group, in group order (empty
-    for sgdm)."""
+    """New parameter groups and the step's telemetry row keyed by CSV column."""
 
     new_params: List[ParamGroup]
     record: Dict[str, float]
-    slacks: List[Dict[str, float]]
 
 
 @lru_cache(maxsize=64)
@@ -135,8 +132,7 @@ def _step(
     record: Dict[str, float] = {"t": t, "epoch": 0, "eta_t": eta_t,
                                 "p_now": p_power if adaptive else float("nan"),
                                 "loss": float("nan"), "grad_norm_sq": 0.0}
-    slacks: List[Dict[str, float]] = []
-    lemma2_max, lemma3_min = (0.0, np.inf) if adaptive else (np.nan, np.nan)
+    lemmas = None
     # A step that diverges overflows in here, silently: the finiteness check
     # on the new parameters reports it, and check_telemetry fails a lemma
     # entry that is not finite.
@@ -208,16 +204,15 @@ def _step(
             if adaptive:
                 # Release the full-size temporaries before the lemmas make theirs.
                 del direction, q, base
-                resid, margin, group_slacks = _group_lemmas(
-                    m, m_prev, state.v[name], g, b1t, state.c1[name],
-                    hp.epsilon, p_power, theta, theta_norm)
-                lemma2_max, lemma3_min = max(lemma2_max, resid), min(lemma3_min, margin)
-                slacks.append(group_slacks)
+                found = _group_lemmas(m, m_prev, state.v[name], g, b1t, state.c1[name],
+                                      hp.epsilon, p_power, theta, theta_norm)
+                # The largest residual over groups, and the smallest of the rest.
+                lemmas = found if lemmas is None else (
+                    max(lemmas[0], found[0]), *map(min, lemmas[1:], found[1:]))
 
-    record["lemma2_residual"] = lemma2_max
-    record["lemma3_margin"] = lemma3_min
+    record.update(zip(LEMMA_COLUMNS, lemmas or repeat(math.nan)))
     state.failed_step = None
-    return StepOutput(new_params=new_params, record=record, slacks=slacks)
+    return StepOutput(new_params=new_params, record=record)
 
 
 # Each kind's settings for _step, (power, use_max, trigger). power "p" is

@@ -83,6 +83,15 @@ def test_check_passes_on_fresh_telemetry(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_check_takes_no_seed(tmp_path, capsys):
+    # check draws nothing at random, so a --seed would be ignored.
+    out = _run_csv(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--csv", str(out), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def _tamper(path, column, row_index, value):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -385,14 +394,16 @@ def test_sweep_with_a_bad_value_writes_no_run(tmp_path, capsys):
     ["grad-check", "--objective", "quadratic", "--param", "dim"],
     ["norm-sim", "--steps", "0", "--out", "{tmp}/ns.csv"],
     ["norm-sim", "--steps", "-5", "--pattern", "random", "--out", "{tmp}/ns.csv"],
+    ["check", "--csv", "{dup}"],
 ])
 def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
     # {run} is a fresh run's telemetry CSV, {sweep} a fresh sweep directory,
     # {half} a telemetry CSV whose projected flag reads 0.5, {header} a CSV
-    # holding a header and no rows, {empty} a zero-byte file.
+    # holding a header and no rows, {empty} a zero-byte file, {dup} a telemetry
+    # CSV whose header names theta_cos_sim twice.
     paths = dict(tmp=tmp_path, run=tmp_path / "run.csv", sweep=tmp_path / "sweepdir",
                  half=tmp_path / "half.csv", header=tmp_path / "header.csv",
-                 empty=tmp_path / "empty.csv")
+                 empty=tmp_path / "empty.csv", dup=tmp_path / "dup.csv")
     paths["header"].write_text("t,epoch\n")
     paths["empty"].write_text("")
     # A norm-sim that fails leaves an existing --out file as it was.
@@ -403,6 +414,10 @@ def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
     if "{half}" in argv:
         text = _run_csv(tmp_path).read_text()
         paths["half"].write_text(text.replace(",0,", ",0.5,", 1))
+    if "{dup}" in argv:
+        text = _run_csv(tmp_path).read_text()
+        paths["dup"].write_text(
+            text.replace("theta_effective_step_norm", "theta_cos_sim", 1))
     if any("{sweep}" in a for a in argv):
         assert main(["sweep", "--axis", "p", "--values", "0.25,0.5", "--steps", "2",
                      "--set", "objective.dim=2", "--out", str(paths["sweep"])]) == 0
@@ -418,6 +433,8 @@ def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
         assert "telemetry table has no rows to check" in captured.err
     if "{empty}" in argv:
         assert "empty.csv" in captured.err
+    if "{dup}" in argv:
+        assert "the header repeats column 'theta_cos_sim'" in captured.err
     if any("batch_size" in a or a == "objective.n=513" for a in argv):
         # A singleton tiny_mlp batch is rejected when the config is built.
         assert "run.batch_size" in captured.err

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 import padamp
 from padamp._kernels import norm_growth_arrays
-from padamp.core import HyperParams, ParamGroup, new_state, seeded_rng
+from padamp.core import HyperParams, ParamGroup, beta1_at, new_state, seeded_rng
 from padamp.diagnostics import (
+    LEMMA_COLUMNS,
     SLACK_COLUMNS,
     DiagnosticsReport,
-    LemmaMonitor,
     NormGrowthTrace,
     _group_lemmas,
     momentum_norm_ratio_limit,
@@ -272,19 +272,21 @@ def test_monitor_tracks_live_optimizer_steps():
     groups = [ParamGroup("theta", seeded_rng(0).standard_normal(8))]
     state = new_state(groups, hp)
     step = make_step("padamp")
-    monitor = LemmaMonitor()
     rng = seeded_rng(3)
     for t in range(1, 26):
         grads = {"theta": rng.standard_normal(8)}
+        theta = groups[0].values
         out = step(state, groups, grads, eta_t=1e-3)
-        (slacks,) = out.slacks
-        monitor.update(out)
+        lemmas = _group_lemmas(state.m["theta"], state.m_prev["theta"], state.v["theta"],
+                               grads["theta"], beta1_at(t, hp), state.c1["theta"], hp.epsilon,
+                               hp.p, theta, norm(theta))
         assert out.record["lemma2_residual"] < 1e-10
-        # The six slack columns follow lemma3_margin, each the group's slack.
-        assert list(out.record)[-7:] == ["lemma3_margin", *SLACK_COLUMNS]
+        # The eight lemma columns close the step's record, each the group's value.
+        assert list(out.record)[-8:] == list(LEMMA_COLUMNS)
+        for key, want in zip(LEMMA_COLUMNS, lemmas):
+            assert _bits(out.record[key]) == _bits(want), (t, key)
         for key in SLACK_COLUMNS:
             value = out.record[key]
-            assert _bits(value) == _bits(slacks[key]), (t, key)
             assert np.isfinite(value) and value >= 0.0, (t, key)
         groups = out.new_params
 
@@ -298,9 +300,9 @@ def test_lemma4_upper_slack_holds_once_v_underflows_eps(eps, p, dim, tiny):
     v = rng.uniform(0.0, 1.0, dim)
     v[rng.integers(dim)] = tiny * eps
     m, m_prev, g, theta = rng.standard_normal((4, dim))
-    _, _, slacks = _group_lemmas(m, m_prev, v, g, 0.9, 1.0, eps, p, theta,
-                                 float(np.linalg.norm(theta)))
-    assert slacks["lemma4_upper"] >= 0.0
+    lemmas = _group_lemmas(m, m_prev, v, g, 0.9, 1.0, eps, p, theta,
+                           float(np.linalg.norm(theta)))
+    assert lemmas[LEMMA_COLUMNS.index("lemma4_upper")] >= 0.0
 
 
 def _check_lemma2_oracle(m_t, m_prev, g_t, beta1t):
@@ -362,14 +364,14 @@ def test_bound_slacks_match_the_out_of_place_oracle_bitwise(seed, dim, eps, p, t
     theta_norm = float(np.linalg.norm(theta))
     arrays = (m, m_prev, v, g, theta)
     copies = [np.copy(a) for a in arrays]
-    resid, margin, slacks = _group_lemmas(m, m_prev, v, g, beta1t, c1, eps, p,
-                                          theta, theta_norm)
+    resid, margin, *slacks = _group_lemmas(m, m_prev, v, g, beta1t, c1, eps, p,
+                                           theta, theta_norm)
     assert _bits(resid) == _bits(_check_lemma2_oracle(m, m_prev, g, beta1t) / (1.0 + norm(m)))
     assert _bits(margin) == _bits(float(c1 ** 2 - np.max(v)))
     want = _bound_slacks_oracle(m, m_prev, v, g, c1, eps, p, theta, theta_norm)
-    assert list(slacks) == list(want)
-    for key in want:
-        assert _bits(slacks[key]) == _bits(want[key]), key
+    assert list(SLACK_COLUMNS) == list(want)
+    for key, value in zip(SLACK_COLUMNS, slacks):
+        assert _bits(value) == _bits(want[key]), key
     for before, after in zip(copies, arrays):
         assert np.array_equal(before, after)
 
@@ -380,11 +382,9 @@ def test_group_lemmas_returns_python_floats(p):
     rng = seeded_rng(5)
     m, m_prev, g, theta = rng.standard_normal((4, 20))
     v = rng.uniform(0.0, 1.0, 20)
-    resid, margin, slacks = _group_lemmas(m, m_prev, v, g, 0.9, 2.0, 1e-8, p, theta,
-                                          norm(theta))
-    assert type(resid) is float and type(margin) is float
-    assert list(slacks) == list(SLACK_COLUMNS)
-    assert all(type(value) is float for value in slacks.values())
+    lemmas = _group_lemmas(m, m_prev, v, g, 0.9, 2.0, 1e-8, p, theta, norm(theta))
+    assert len(lemmas) == len(LEMMA_COLUMNS)
+    assert all(type(value) is float for value in lemmas)
 
 
 def test_converged_run_passes_the_lemma4_upper_bound():

@@ -620,6 +620,15 @@ def test_read_telemetry_rejects_non_numeric_values(tmp_path):
         read_telemetry(str(path))
 
 
+def test_read_telemetry_rejects_a_repeated_column(tmp_path):
+    # A second theta_cos_sim would otherwise replace the first in the table,
+    # and check would test the step norms as cosines.
+    path = tmp_path / "bad.csv"
+    path.write_text("t,theta_cos_sim,theta_cos_sim\n1,0.5,0.0013\n")
+    with pytest.raises(ValueError, match="the header repeats column 'theta_cos_sim'"):
+        read_telemetry(str(path))
+
+
 # ------------------------------------------------------------- config files
 
 def test_parse_config_file_skips_comments_and_blanks(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padamp.core import HyperParams, ParamGroup, beta1_at, new_state
-from padamp.diagnostics import SLACK_COLUMNS, LemmaMonitor, _group_lemmas
+from padamp.diagnostics import LEMMA_COLUMNS, SLACK_COLUMNS, _group_lemmas
 from padamp.geometry import norm
 from padamp.harness import build_config, run
 from padamp.optimizers import OptimizerKind, make_step
@@ -188,15 +188,14 @@ def test_step_slacks_use_the_gradients_the_moments_saw(fn):
     hp = HyperParams(weight_decay=0.1, wd_mode="coupled")
     state = new_state(_one_group(theta), hp)
     out = fn(state, _one_group(theta), _grads(g), 1e-3)
+    lemmas = tuple(out.record[c] for c in LEMMA_COLUMNS)
     if fn is sgdm_step:
-        assert out.slacks == []
+        assert all(math.isnan(x) for x in lemmas)
         return
     # Under coupled decay the moments see g + wd * theta; so do the lemmas.
-    resid, margin, slacks = _group_lemmas(
+    assert lemmas == _group_lemmas(
         state.m["theta"], state.m_prev["theta"], state.v["theta"], g + 0.1 * theta,
         beta1_at(1, hp), state.c1["theta"], hp.epsilon, hp.p, theta, norm(theta))
-    assert (out.record["lemma2_residual"], out.record["lemma3_margin"]) == (resid, margin)
-    assert out.slacks == [slacks]
 
 
 def test_amsgrad_uses_max_buffer():
@@ -391,25 +390,41 @@ def test_multi_group_step_records_each_group():
         "t", "epoch", "eta_t", "p_now", "loss", "grad_norm_sq",
         "w1_param_norm", "w1_cos_sim", "w1_projected", "w1_effective_step_norm",
         "w2_param_norm", "w2_cos_sim", "w2_projected", "w2_effective_step_norm",
-        "lemma2_residual", "lemma3_margin"]
+        "lemma2_residual", "lemma3_margin", *SLACK_COLUMNS]
     assert out.record["w1_projected"]
     assert not out.record["w2_projected"]
     assert out.record["grad_norm_sq"] == pytest.approx(1.0 + 0.25)
-    assert len(out.slacks) == 2
-    assert out.slacks[1]["lemma3_lower"] == state.v["w2"][0]
-    # The monitor's slack columns are the minimum over groups of each
-    # group's _group_lemmas slacks; sgdm has no groups' slacks and gets nan.
-    per_group = [_group_lemmas(state.m[g.name], state.m_prev[g.name], state.v[g.name],
-                               grads[g.name], beta1_at(1, hp), state.c1[g.name],
-                               hp.epsilon, hp.p, g.values, norm(g.values))[2]
-                 for g in groups]
-    LemmaMonitor().update(out)
-    assert list(out.record)[-len(SLACK_COLUMNS):] == list(SLACK_COLUMNS)
-    for key in SLACK_COLUMNS:
-        assert out.record[key] == min(s[key] for s in per_group), key
+    assert out.record["lemma3_lower"] == min(state.v["w1"].min(), state.v["w2"][0])
+    # The lemma columns are the largest lemma-2 residual over groups and the
+    # smallest of every other lemma quantity, bit for bit, after groups of
+    # 1-3 arrays, at p = 1/4 and 1/2, and under either decay rule.
+    rng = np.random.default_rng(5)
+    for n_groups in (1, 2, 3):
+        for p in (0.25, 0.5):
+            for wd_mode in ("decoupled", "coupled"):
+                hp = HyperParams(p=p, weight_decay=0.1, wd_mode=wd_mode)
+                groups = [ParamGroup(f"w{i}", rng.standard_normal(3 + i))
+                          for i in range(n_groups)]
+                state = new_state(groups, hp)
+                for t in (1, 2):
+                    grads = {g.name: rng.standard_normal(g.values.size) for g in groups}
+                    out = padamp_step(state, groups, grads, 1e-3)
+                    per_group = [_group_lemmas(
+                        state.m[g.name], state.m_prev[g.name], state.v[g.name],
+                        grads[g.name] + 0.1 * g.values if wd_mode == "coupled"
+                        else grads[g.name], beta1_at(t, hp), state.c1[g.name],
+                        hp.epsilon, p, g.values, norm(g.values)) for g in groups]
+                    columns = list(zip(*per_group))
+                    want = [max(columns[0]), *map(min, columns[1:])]
+                    assert list(out.record)[-8:] == list(LEMMA_COLUMNS)
+                    got = [out.record[c] for c in LEMMA_COLUMNS]
+                    assert np.array(got).tobytes() == np.array(want).tobytes(), (
+                        n_groups, p, wd_mode, t)
+                    groups = out.new_params
+    # sgdm computes no lemma quantity and writes nan to all eight columns.
     plain = sgdm_step(new_state(groups, hp), groups, grads, 1e-3)
-    LemmaMonitor().update(plain)
-    assert all(math.isnan(plain.record[key]) for key in SLACK_COLUMNS)
+    assert list(plain.record)[-8:] == list(LEMMA_COLUMNS)
+    assert all(math.isnan(plain.record[c]) for c in LEMMA_COLUMNS)
 
 
 @pytest.mark.parametrize("fn", [padamp_step, adam_step, sgdm_step])
@@ -458,8 +473,8 @@ def test_overflowing_lemma_slack_is_non_finite_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = padamp_step(state, _one_group([1e300] * 3), _grads([1e40] * 3), 1e-3)
-    assert out.slacks[0]["lemma5_radial"] == -math.inf
-    assert all(math.isfinite(v) for k, v in out.slacks[0].items() if k != "lemma5_radial")
+    assert out.record["lemma5_radial"] == -math.inf
+    assert all(math.isfinite(out.record[c]) for c in LEMMA_COLUMNS if c != "lemma5_radial")
 
 
 def _calls_per_step(steps):
