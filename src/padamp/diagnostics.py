@@ -133,7 +133,9 @@ def simulate_norm_growth(
         grown = np.subtract(gd[1:], theta0_norm_sq)
         ratio = np.subtract(gdm[1:], theta0_norm_sq, out=spare[1:])
         ratio /= grown
-        ratio[grown <= 0] = np.nan  # no growth yet, so no ratio
+        # gd is an in-order sum of non-negative terms, so grown never
+        # decreases and the steps with no growth yet (no ratio) are a prefix
+        ratio[:np.searchsorted(grown, 0.0, side="right")] = np.nan
     if not np.isfinite(ratio[-1]):
         raise ValueError(
             f"final growth ratio is {ratio[-1]}: the growth eta**2 * sum(u) = "

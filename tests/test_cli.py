@@ -3,13 +3,14 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import padamp
 from padamp.cli import main
-from padamp.harness import read_telemetry
+from padamp.harness import CONFIG_KEYS, read_telemetry
 
 
 def _run_csv(tmp_path, name="run.csv", steps="5", extra=()):
@@ -188,7 +189,7 @@ def test_norm_sim_csv_bytes_match_pinned_digest(tmp_path, capsys):
     assert main(["norm-sim", "--beta", "0.5,0.9", "--pattern", "random",
                  "--steps", "2000", "--seed", "0", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "14e4165f79037c9b9f4d0ed4fb1d8f9ad4ca76fea9fe4ebb01c70d6f40ef30b8")
+        "3aa8a0ae4557879f7a1018ed059226d54660a77942d57adbb5d382659333323a")
     capsys.readouterr()
 
 
@@ -446,6 +447,63 @@ def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
         steps = argv[argv.index("--steps") + 1]
         if int(steps) < 1:
             assert captured.err == f"error: --steps must be >= 1, got {steps}\n"
+
+
+# Values at and past every boundary a number or a name can have.
+_BOUNDARY_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e-320", "", "abc",
+                    "1e400", "12345678901234567890", "0.5", "2")
+
+
+def _boundary_offenders(argvs, exits, capsys):
+    """Each argv that exits outside `exits`, raises, warns, or exits 2 without
+    exactly one error: line, with what it did."""
+    offenders = []
+    for argv in argvs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the value itself
+                code = exc.code
+            except Exception as exc:  # the CLI would print a traceback
+                code = f"raised {exc!r}"
+        out, err = capsys.readouterr()
+        problems = [str(w.message) for w in caught]
+        if code not in exits:
+            problems.append(f"exit {code}")
+        if "Traceback" in out + err or "Warning" in err:
+            problems.append(err.strip())
+        if code == 2 and sum("error:" in line for line in err.splitlines()) != 1:
+            problems.append(f"stderr {err!r}")
+        if problems:
+            offenders.append(f"{argv}: {'; '.join(problems)}")
+    return offenders
+
+
+def test_run_takes_any_value_of_every_config_key_without_a_traceback(
+        tmp_path, monkeypatch, capsys):
+    # Exit 1 (a failing report row) is allowed: three calls give it, through
+    # lemma slacks at a tight bound.
+    monkeypatch.chdir(tmp_path)
+    out = str(tmp_path / "run.csv")
+    argvs = [["run", "--set", f"{key}={value}", "--steps", "3", "--out", out]
+             for key in CONFIG_KEYS if key != "run.out" for value in _BOUNDARY_VALUES]
+    offenders = _boundary_offenders(argvs, (0, 1, 2), capsys)
+    assert not offenders, "\n".join(offenders)
+
+
+def test_norm_sim_takes_any_value_of_every_option_without_a_traceback(
+        tmp_path, monkeypatch, capsys):
+    # opt=value hands even "-inf" to the option, where a separate token would
+    # read as an unknown flag.
+    monkeypatch.chdir(tmp_path)
+    out = str(tmp_path / "ns.csv")
+    options = ("--beta", "--pattern", "--cutoff", "--eta", "--theta0-norm-sq",
+               "--seed", "--steps")
+    argvs = [["norm-sim", "--steps", "50", "--out", out, f"{opt}={value}"]
+             for opt in options for value in _BOUNDARY_VALUES]
+    offenders = _boundary_offenders(argvs, (0, 2), capsys)
+    assert not offenders, "\n".join(offenders)
 
 
 @pytest.mark.parametrize("args", [

@@ -71,6 +71,31 @@ def test_norm_growth_ratio_is_nan_before_first_update():
     assert trace[2].ratio == 1.0
 
 
+@pytest.mark.parametrize("theta0", [0.0, 1.0, 1e20, 1e30])
+def test_norm_growth_no_growth_prefix_is_the_compare_mask(theta0):
+    # The nan prefix found by searchsorted on the non-decreasing growth is the
+    # set of steps with grown <= 0. Against theta0 = 1e20 or 1e30, updates of
+    # order 1 round away, so the growth is 0 past the leading zero updates.
+    rng = seeded_rng(5)
+    rounded_away = 0
+    for _ in range(100):
+        T = int(rng.integers(1, 60))
+        u = 10.0 ** rng.uniform(-3, 3, T)
+        leading = int(rng.integers(0, T))
+        u[:leading] = 0.0
+        u[-1] = max(u[-1], theta0 * 1e-3)  # the last step's growth shows
+        beta = float(rng.uniform(0.0, 0.99))
+        trace = simulate_norm_growth(u, beta=beta, eta=1.0, theta0_norm_sq=theta0)
+        gd, gdm, _ = norm_growth_arrays(u, beta, 1.0, theta0)
+        grown = gd[1:] - theta0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = (gdm[1:] - theta0) / grown
+        want[grown <= 0] = np.nan
+        assert trace.ratio.tobytes() == want.tobytes()
+        rounded_away += np.count_nonzero(grown[leading:] <= 0)
+    assert (rounded_away > 0) == (theta0 >= 1e20)
+
+
 def test_norm_growth_rows_are_the_kernel_arrays_bit_for_bit():
     # Two leading zero updates give two nan ratios.
     u = np.concatenate([[0.0, 0.0], seeded_rng(0).random(500) ** 4])

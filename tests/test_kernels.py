@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from padamp import _kernels
@@ -66,21 +66,56 @@ def _norm_growth_loop(u, beta, eta_sq, theta0_sq):
     return gd, gdm
 
 
-def _norm_growth_doubling_expr(u, beta, eta, theta0_sq):
-    # The kernel's doubling scan in its out-of-place form: a fresh array per
-    # level, then concatenate and cumsum. The in-place kernel must give these
-    # bits exactly.
+def _norm_growth_longdouble_loop(u, beta, eta_sq, theta0_sq):
+    # The momentum recursion step by step in extended precision.
+    ld = np.longdouble
+    gdm = np.empty(u.shape[0] + 1, dtype=ld)
+    gdm[0] = theta0_sq
+    acc, beta, eta_sq = ld(0), ld(beta), ld(eta_sq)
+    for t, x in enumerate(u.astype(ld)):
+        gdm[t + 1] = gdm[t] + eta_sq * x + 2 * eta_sq * acc
+        acc = beta * (acc + x)
+    return gdm
+
+
+def _norm_growth_lane_expr(u, beta, eta, theta0_sq):
+    # The kernel's lane recursion in its out-of-place form: fresh arrays for
+    # the blocks, the scan levels and the sums. The in-place kernel must give
+    # these bits exactly.
+    lanes = _kernels.LANES
     eta_sq = float(eta) ** 2
-    acc = beta * u
-    k, w = 1, beta
-    while k < u.size and w != 0.0:
-        acc[k:] = acc[k:] + w * acc[:-k]
-        k, w = 2 * k, w * w
-    cross = np.zeros_like(u)
-    cross[1:] = acc[:-1]
-    start = np.array([float(theta0_sq)])
-    gd = np.cumsum(np.concatenate((start, eta_sq * u)))
-    gdm = np.cumsum(np.concatenate((start, eta_sq * u + 2.0 * eta_sq * cross)))
+    m = max(u.size - 1, 0)
+    nb = m // lanes
+    body = nb * lanes
+    acc = r = 0.0
+    sums = np.zeros(m)
+    if nb:
+        x = u[:body].reshape(nb, lanes).T.copy()  # row i: step i of every block
+        ends = beta * x[0, :-1]
+        for row in x[1:, :-1]:
+            ends = (ends + row) * beta
+        k, w = 1, beta
+        for _ in range(lanes.bit_length() - 1):  # beta^lanes by squaring
+            w *= w
+        while k < ends.size and w != 0.0:
+            ends[k:] = ends[k:] + w * ends[:-k]
+            k, w = 2 * k, w * w
+        a = np.empty_like(x)
+        prev = np.concatenate(([0.0], ends))
+        for i in range(lanes):
+            prev = (prev + x[i]) * beta
+            a[i] = prev
+        s = np.cumsum(a, axis=0)
+        s = s + np.concatenate(([0.0], np.cumsum(s[-1, :-1])))
+        acc, r = float(a[-1, -1]), float(s[-1, -1])
+        sums[:body] = s.T.ravel()
+    for j in range(body, m):
+        acc = beta * (acc + u[j])
+        r += acc
+        sums[j] = r
+    gd = np.cumsum(np.concatenate(([float(theta0_sq)], eta_sq * u)))
+    gdm = gd + 2.0 * eta_sq * np.concatenate(([0.0, 0.0], sums))
+    gdm[0] = gd[0]
     return gd, gdm
 
 
@@ -238,6 +273,38 @@ def test_norm_growth_matches_loop(beta):
             np.testing.assert_allclose(gdm_a, gdm_b, rtol=1e-12, atol=0.0)
 
 
+# T up to 300 is 0 to 18 full blocks of 16 lanes with every tail length.
+# Each gdm entry sums at most T + 2 * 16 + log2(T) rounded terms of one sign,
+# so its error stays under (T + 50) * 2**-53 = 3.9e-14 relative; 1e-13 leaves
+# room for the longdouble reference's own rounding.
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="needs an extended-precision longdouble")
+@given(T=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+       beta=st.one_of(st.just(0.0), st.floats(1e-300, 0.1),
+                      st.floats(0.0, 1.0, exclude_max=True), st.floats(0.9, 1.0 - 1e-6)),
+       zero_share=st.sampled_from([0.0, 0.1, 0.5]), eta=st.floats(1e-3, 1e3),
+       theta0=st.one_of(st.just(0.0), st.floats(0.0, 1e6)))
+# The scan's last level at 2, 5, 9 and 17 block end values, where beta^16 is
+# far from 0.
+@example(T=49, seed=1, beta=0.9, zero_share=0.0, eta=1.0, theta0=0.0)
+@example(T=97, seed=2, beta=0.99, zero_share=0.0, eta=1.0, theta0=0.0)
+@example(T=161, seed=3, beta=0.999, zero_share=0.1, eta=1.0, theta0=1.0)
+@example(T=289, seed=4, beta=0.999, zero_share=0.0, eta=0.1, theta0=0.0)
+def test_norm_growth_lanes_match_step_loops_at_every_block_boundary(T, seed, beta,
+                                                                     zero_share, eta,
+                                                                     theta0):
+    rng = np.random.default_rng(seed)
+    u = 10.0 ** rng.uniform(-6, 6, T)
+    u[rng.random(T) < zero_share] = 0.0
+    gd, gdm, _ = _kernels.norm_growth_arrays(u, beta, eta, theta0)
+    eta_sq = float(eta) ** 2
+    assert gd.tobytes() == _norm_growth_loop(u, beta, eta_sq, theta0)[0].tobytes()
+    if beta == 0.0:
+        assert gdm.tobytes() == gd.tobytes()
+    want = _norm_growth_longdouble_loop(u, beta, eta_sq, theta0).astype(np.float64)
+    np.testing.assert_allclose(gdm, want, rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 0.99, 0.999])
 @pytest.mark.parametrize("eta,theta0", [(0.3, 1.5), (0.1, 1.0), (2.0, 0.0)])
 def test_norm_growth_matches_its_out_of_place_scan_bit_for_bit(beta, eta, theta0):
@@ -248,7 +315,7 @@ def test_norm_growth_matches_its_out_of_place_scan_bit_for_bit(beta, eta, theta0
         zero_led[:2] = 0.0
         for x in (u, zero_led):
             got = _kernels.norm_growth_arrays(x, beta, eta, theta0)[:2]
-            want = _norm_growth_doubling_expr(x, beta, eta, theta0)
+            want = _norm_growth_lane_expr(x, beta, eta, theta0)
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
 
