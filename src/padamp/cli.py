@@ -26,9 +26,7 @@ from .objectives import finite_difference_grad
 
 
 def _default_out(filename: str, out_flag: Optional[str]) -> str:
-    if out_flag:
-        return out_flag
-    return os.path.join(os.environ.get("PADAMP_OUT_DIR", "."), filename)
+    return out_flag or os.path.join(os.environ.get("PADAMP_OUT_DIR", "."), filename)
 
 
 def _parse_sets(pairs: List[str], flag: str = "--set") -> Dict[str, str]:

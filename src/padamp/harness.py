@@ -81,11 +81,10 @@ def table1_defaults(kind: OptimizerKind, **overrides) -> HyperParams:
 
 @dataclass(frozen=True)
 class LRSchedule:
-    """Learning-rate family. power is step-indexed (eta0 / t^a); piecewise is
-    epoch-indexed (multiply by factor at each milestone epoch)."""
+    """Learning-rate shape around hp.eta0. power is step-indexed (eta0 / t^a);
+    piecewise is epoch-indexed (multiply by factor at each milestone epoch)."""
 
     family: str = "constant"
-    eta0: float = 1e-3
     a: float = 0.75
     milestones: Tuple[int, ...] = (50, 100, 150)
     factor: float = 0.1
@@ -93,8 +92,6 @@ class LRSchedule:
     def __post_init__(self):
         if self.family not in ("constant", "power", "piecewise"):
             raise ValueError(f"unknown schedule family {self.family!r}")
-        if not 0 < self.eta0 < math.inf:
-            raise ValueError(f"eta0 must be positive and finite, got {self.eta0}")
         if not 0 < self.a < math.inf:
             raise ValueError(
                 f"power-law exponent a must be positive and finite, got {self.a}")
@@ -106,16 +103,16 @@ class LRSchedule:
             raise ValueError("milestones must be strictly increasing positive epochs")
 
 
-def schedule_lr(t: int, schedule: LRSchedule) -> float:
-    """Rate at index t (>= 1): the step for constant/power, the epoch for piecewise."""
+def schedule_lr(t: int, schedule: LRSchedule, eta0: float) -> float:
+    """Rate at index t (>= 1) from base rate eta0: the step, or for piecewise the epoch."""
     if t < 1:
         raise ValueError(f"schedule index must be >= 1, got {t}")
     if schedule.family == "constant":
-        return schedule.eta0
+        return eta0
     if schedule.family == "power":
-        return schedule.eta0 / float(t) ** schedule.a
+        return eta0 / float(t) ** schedule.a
     n_decays = sum(1 for m in schedule.milestones if t >= m)
-    return schedule.eta0 * schedule.factor ** n_decays
+    return eta0 * schedule.factor ** n_decays
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,7 @@ OBJECTIVES: Dict[str, Tuple[Callable[..., Objective], Dict[str, object]]] = {
 def _objective_defaults(name: str, params: Dict) -> Dict[str, object]:
     """The named objective's key defaults; an unknown name or key is an error."""
     if name not in OBJECTIVES:
-        raise ValueError(f"unknown objective {name!r}; known: {tuple(OBJECTIVES)}")
+        raise ValueError(f"unknown objective name {name!r}; known: {tuple(OBJECTIVES)}")
     defaults = OBJECTIVES[name][1]
     unknown = sorted(set(params) - set(defaults) - {"name"})
     if unknown:
@@ -178,10 +175,10 @@ def build_objective(name: str, params: Dict, data_seed: int) -> Objective:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one training run."""
+    """Everything needed to reproduce one training run; hp defaults to table 1's."""
 
     optimizer: OptimizerKind = OptimizerKind.PADAMP
-    hp: HyperParams = field(default_factory=HyperParams)
+    hp: Optional[HyperParams] = None
     objective: str = "quadratic"
     objective_params: Dict = field(default_factory=dict)
     schedule: LRSchedule = field(default_factory=LRSchedule)
@@ -198,12 +195,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         OptimizerKind(self.optimizer)
+        object.__setattr__(self, "hp", self.hp or table1_defaults(self.optimizer))
         defaults = _objective_defaults(self.objective, self.objective_params)
         if (self.steps is None) == (self.epochs is None):
             raise ValueError("exactly one of steps or epochs must set the budget")
-        for label, value in (("steps", self.steps), ("epochs", self.epochs)):
-            if value is not None and value < 1:
-                raise ValueError(f"{label} budget must be >= 1, got {value}")
+        data_seed = int(self.objective_params.get("data_seed", 0))
+        for label, value, low in (("steps budget", self.steps, 1),
+                                  ("epochs budget", self.epochs, 1),
+                                  ("seed", self.seed, 0), ("data_seed", data_seed, 0)):
+            if value is not None and value < low:
+                raise ValueError(f"{label} must be >= {low}, got {value}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.objective == "tiny_mlp":
@@ -259,10 +260,8 @@ def run(config: ExperimentConfig) -> RunResult:
     state = new_state(params, config.hp)
     step_fn = make_step(config.optimizer)
 
-    if objective.dataset is not None:
-        epoch_len = math.ceil(objective.dataset.n / config.batch_size)
-    else:
-        epoch_len = config.steps_per_epoch
+    epoch_len = (config.steps_per_epoch if objective.dataset is None
+                 else math.ceil(objective.dataset.n / config.batch_size))
     budget = config.steps if config.steps is not None else config.epochs * epoch_len
 
     records: List[Dict[str, float]] = []
@@ -272,7 +271,7 @@ def run(config: ExperimentConfig) -> RunResult:
         for t in range(1, budget + 1):
             epoch = (t - 1) // epoch_len + 1
             sched_index = epoch if config.schedule.family == "piecewise" else t
-            eta_t = schedule_lr(sched_index, config.schedule)
+            eta_t = schedule_lr(sched_index, config.schedule, config.hp.eta0)
             p_now = schedule_p(epoch, config.p_schedule, config.hp.p)
 
             if objective.dataset is not None:
@@ -322,7 +321,7 @@ def run(config: ExperimentConfig) -> RunResult:
     trace = track_convergence(estimates[~np.isnan(estimates)])
     report = check_telemetry(cols)
     sched = config.schedule
-    verdict = validate_schedule(sched.family, sched.eta0,
+    verdict = validate_schedule(sched.family, config.hp.eta0,
                                 sched.a if sched.family == "power" else None)
     # Informational: theorem-mode schedules are flagged, not failed.
     report.add("schedule_theorem_assumptions", float(verdict), True)
@@ -550,16 +549,16 @@ def _parse_ints(s: str) -> Tuple[int, ...]:
     return tuple(int(x) for x in s.split(",") if x.strip())
 
 
-# Every config key and the parser of its string value. Every HyperParams
-# field is the key hp.<field>, parsed by its annotation; every objective key
-# is objective.<key>, parsed as OBJECTIVES gives it.
+# Every config key and the parser of its string value. Every HyperParams field
+# is the key hp.<field>, parsed by its annotation, but the base rate hp.eta0 is
+# schedule.eta0; every objective key is objective.<key>, typed by OBJECTIVES.
 _PARSERS = {
     "optimizer.kind": OptimizerKind, "objective.name": str, "schedule.family": str,
     "schedule.eta0": float, "schedule.a": float, "schedule.milestones": _parse_ints,
     "schedule.factor": float, "p_schedule.decay_epoch": int,
     "p_schedule.new_p": float, "run.init_scale": float, "run.out": str,
     **{f"hp.{f.name}": {"float": float, "str": str, "bool": _parse_bool}[f.type]
-       for f in fields(HyperParams)},
+       for f in fields(HyperParams) if f.name != "eta0"},
     **{f"objective.{k}": type(d)
        for _, defaults in OBJECTIVES.values() for k, d in defaults.items()},
     **{f"run.{k}": int for k in ("steps", "epochs", "batch_size", "seed",
@@ -594,17 +593,17 @@ def build_config(mapping: Dict[str, str],
 
     sections: Dict[str, Dict] = defaultdict(dict)
     for key, text in merged.items():
-        section, _, name = key.partition(".")
-        sections[section][name] = _PARSERS[key](text)
+        section, _, name = ("hp.eta0" if key == "schedule.eta0" else key).partition(".")
+        try:
+            sections[section][name] = _PARSERS[key](text)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
 
     kind = sections["optimizer"].get("kind", OptimizerKind.PADAMP)
-    # One base rate: a given schedule.eta0 is also the base trigger's hp.eta0.
-    if "eta0" in sections["schedule"]:
-        sections["hp"].setdefault("eta0", sections["schedule"]["eta0"])
     hp = table1_defaults(kind, **sections["hp"])
     obj_params = sections["objective"]
     objective = obj_params.pop("name", "quadratic")
-    schedule = LRSchedule(**{"eta0": hp.eta0, **sections["schedule"]})
+    schedule = LRSchedule(**sections["schedule"])
 
     p_kw = sections["p_schedule"]
     p_schedule = None

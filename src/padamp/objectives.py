@@ -128,6 +128,8 @@ def quadratic(dim: int, a_diag=None, b=None, condition: float = 1.0) -> Objectiv
     When a_diag is omitted it is built as a geometric ramp from 1 to
     ``condition`` so the condition number is explicit.
     """
+    if not 1 <= dim < 2 ** 63:  # numpy's largest array length is 2**63 - 1
+        raise ValueError(f"need 1 <= dim < 2**63, got {dim}")
     if a_diag is None:
         if not 0 < condition < math.inf:
             raise ValueError(f"condition must be positive and finite, got {condition}")

@@ -5,12 +5,13 @@ measured values (run pytest with -rA to see them for passing tests). All
 configs and thresholds below were frozen after pilot runs; the asserts state
 the required tolerances directly.
 
-Criterion 8's logistic half uses its own power-law schedule (eta0=0.1, same
-a=0.75): with eta0=1e-3 the total movement (sum of eta_t over 2e4 steps, about
-0.044) cannot carry the weights from a 0.1-scale init to the optimum at
-||theta*|| = 3.52, while eta0=0.1 gives a sum of about 4.4. Its estimate of
-||grad f||^2 is the squared norm of the eval window's mean minibatch gradient,
-whose bias tr(Sigma)/(B*K) sits well under the 1e-3 threshold.
+Criterion 8's logistic half uses its own base rate (eta0=0.1, same power-law
+schedule a=0.75): with eta0=1e-3 the total movement (sum of eta_t over 2e4
+steps, about 0.044) cannot carry the weights from a 0.1-scale init to the
+optimum at ||theta*|| = 3.52, while eta0=0.1 gives a sum of about 4.4. Its
+estimate of ||grad f||^2 is the squared norm of the eval window's mean
+minibatch gradient, whose bias tr(Sigma)/(B*K) sits well under the 1e-3
+threshold.
 
 Criterion 11 reruns criterion 8's two configs with beta2 = 0.64 alone
 changed, so beta1/sqrt(beta2) = 1.125 lies outside the classical condition,
@@ -71,9 +72,9 @@ def test_criterion_02_moment_identity_residual_over_mlp_run():
     for lam in (1.0, 0.99):
         cfg = ExperimentConfig(
             optimizer="padamp",
-            hp=table1_defaults("padamp", p=0.25, lam=lam),
+            hp=table1_defaults("padamp", eta0=1e-3, p=0.25, lam=lam),
             objective="tiny_mlp",
-            schedule=LRSchedule(family="constant", eta0=1e-3),
+            schedule=LRSchedule(family="constant"),
             steps=10_000, batch_size=128, seed=0,
             eval_every=10_000, eval_window=4,
         )
@@ -109,7 +110,7 @@ def test_criterion_03_bound_slacks_nonnegative_across_optimizers():
             cfg = ExperimentConfig(
                 optimizer=kind, hp=hp, objective=objective,
                 objective_params=dict(params),
-                schedule=LRSchedule(family="constant", eta0=hp.eta0),
+                schedule=LRSchedule(family="constant"),
                 steps=300, batch_size=64, seed=2,
                 eval_every=300, eval_window=4,
             )
@@ -204,9 +205,9 @@ def _mlp_norm_run(delta: float, seed: int) -> float:
     # regime where unprojected tangent updates let the weight norm drift up
     cfg = ExperimentConfig(
         optimizer="padamp",
-        hp=table1_defaults("padamp", weight_decay=0.0, delta=delta, p=0.25),
+        hp=table1_defaults("padamp", eta0=1e-3, weight_decay=0.0, delta=delta, p=0.25),
         objective="tiny_mlp", objective_params={"separation": 0.0},
-        schedule=LRSchedule(family="constant", eta0=1e-3),
+        schedule=LRSchedule(family="constant"),
         steps=2000, batch_size=32, seed=seed, eval_every=2000, eval_window=2,
         init_scale=0.1,
     )
@@ -283,19 +284,18 @@ def test_criterion_07_finite_difference_gradient_audit():
 
 def _convergence_runs(**hp_overrides):
     """Criterion 8's quadratic and logistic runs, with hp_overrides on its hp."""
-    hp = table1_defaults("padamp", p=0.5, weight_decay=0.0, lam=0.99, **hp_overrides)
-    schedule = LRSchedule(family="power", eta0=1e-3, a=0.75)
-    logi_schedule = LRSchedule(family="power", eta0=0.1, a=0.75)
+    hp = dict(p=0.5, weight_decay=0.0, lam=0.99, **hp_overrides)
+    schedule = LRSchedule(family="power", a=0.75)
     quad = run(ExperimentConfig(
-        optimizer="padamp", hp=hp,
+        optimizer="padamp", hp=table1_defaults("padamp", eta0=1e-3, **hp),
         objective="quadratic", objective_params={"dim": 20, "condition": 100.0},
         schedule=schedule, steps=10_000, seed=0, eval_every=500,
         init_scale=0.003,
     ))
     logi = run(ExperimentConfig(
-        optimizer="padamp", hp=hp,
+        optimizer="padamp", hp=table1_defaults("padamp", eta0=0.1, **hp),
         objective="logistic", objective_params={"d": 10, "n": 512},
-        schedule=logi_schedule, steps=20_000, batch_size=32, seed=0,
+        schedule=schedule, steps=20_000, batch_size=32, seed=0,
         eval_every=2000, eval_window=32, init_scale=0.1,
     ))
     return quad, logi
@@ -338,16 +338,16 @@ def test_criterion_09_p_sweep_protocol(tmp_path):
 def test_criterion_10_byte_identical_reruns(tmp_path):
     quad_cfg = dict(
         optimizer="padamp",
-        hp=table1_defaults("padamp", weight_decay=0.0),
+        hp=table1_defaults("padamp", eta0=1e-2, weight_decay=0.0),
         objective="quadratic", objective_params={"dim": 6},
-        schedule=LRSchedule(family="power", eta0=1e-2, a=0.75),
+        schedule=LRSchedule(family="power", a=0.75),
         steps=300, seed=3, eval_every=50,
     )
     mlp_cfg = dict(
         optimizer="padamp",
-        hp=table1_defaults("padamp"),
+        hp=table1_defaults("padamp", eta0=1e-3),
         objective="tiny_mlp",
-        schedule=LRSchedule(family="constant", eta0=1e-3),
+        schedule=LRSchedule(family="constant"),
         steps=300, batch_size=128, seed=5, eval_every=100, eval_window=4,
     )
     checks = []

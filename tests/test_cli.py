@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -449,14 +450,40 @@ def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
             assert captured.err == f"error: --steps must be >= 1, got {steps}\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["sweep", "--axis", "lr", "--values", "0.5,abc"],
+     "schedule.eta0: could not convert string to float: 'abc'"),
+    (["run", "--set", "run.steps=1e3"],
+     "run.steps: invalid literal for int() with base 10: '1e3'"),
+    (["run", "--config", "two_rates.cfg"], "unknown config keys: hp.eta0"),
+    (["run", "--set", "run.seed=-1"], "seed must be >= 0, got -1"),
+    (["run", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["run", "--set", "objective.name=logistic", "--set", "objective.data_seed=-1"],
+     "data_seed must be >= 0, got -1"),
+], ids=["sweep_value", "run_value", "hp_eta0_key", "seed_key", "seed_flag", "data_seed"])
+def test_a_rejected_config_names_its_key_and_writes_nothing(argv, err, tmp_path,
+                                                             monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two_rates.cfg").write_text("hp.eta0 = 0.01\nschedule.eta0 = 0.5\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert os.listdir(tmp_path) == ["two_rates.cfg"]
+
+
 # Values at and past every boundary a number or a name can have.
 _BOUNDARY_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e-320", "", "abc",
                     "1e400", "12345678901234567890", "0.5", "2")
 
 
-def _boundary_offenders(argvs, exits, capsys):
+# A divergence abort says where the run stopped instead of naming a key.
+_DIVERGED = re.compile(r"at step \d+|group '\w+' overflows")
+
+
+def _boundary_offenders(argvs, exits, capsys, names=None):
     """Each argv that exits outside `exits`, raises, warns, or exits 2 without
-    exactly one error: line, with what it did."""
+    exactly one error: line, with what it did. Given names(argv), an exit-2
+    line that is not a divergence abort must also hold one of those names,
+    each as a whole word."""
     offenders = []
     for argv in argvs:
         with warnings.catch_warnings(record=True) as caught:
@@ -475,6 +502,9 @@ def _boundary_offenders(argvs, exits, capsys):
             problems.append(err.strip())
         if code == 2 and sum("error:" in line for line in err.splitlines()) != 1:
             problems.append(f"stderr {err!r}")
+        if (code == 2 and names is not None and not _DIVERGED.search(err)
+                and not any(re.search(rf"\b{re.escape(n)}\b", err) for n in names(argv))):
+            problems.append(f"{err.strip()!r} names none of {names(argv)}")
         if problems:
             offenders.append(f"{argv}: {'; '.join(problems)}")
     return offenders
@@ -483,12 +513,17 @@ def _boundary_offenders(argvs, exits, capsys):
 def test_run_takes_any_value_of_every_config_key_without_a_traceback(
         tmp_path, monkeypatch, capsys):
     # Exit 1 (a failing report row) is allowed: three calls give it, through
-    # lemma slacks at a tight bound.
+    # lemma slacks at a tight bound. A rejected value names its key or field.
     monkeypatch.chdir(tmp_path)
     out = str(tmp_path / "run.csv")
     argvs = [["run", "--set", f"{key}={value}", "--steps", "3", "--out", out]
              for key in CONFIG_KEYS if key != "run.out" for value in _BOUNDARY_VALUES]
-    offenders = _boundary_offenders(argvs, (0, 1, 2), capsys)
+
+    def key_and_field(argv):
+        key = argv[2].partition("=")[0]
+        return key, key.partition(".")[2]
+
+    offenders = _boundary_offenders(argvs, (0, 1, 2), capsys, key_and_field)
     assert not offenders, "\n".join(offenders)
 
 

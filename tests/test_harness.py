@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padamp.cli import _load_mapping, build_parser
+from padamp.core import HyperParams
 from padamp.harness import (
     _PARSERS,
     CONFIG_KEYS,
@@ -33,10 +34,10 @@ from padamp.optimizers import OptimizerKind
 def _quad_config(**kw):
     base = dict(
         optimizer="padamp",
-        hp=table1_defaults("padamp", weight_decay=0.0),
+        hp=table1_defaults("padamp", eta0=1e-3, weight_decay=0.0),
         objective="quadratic",
         objective_params={"dim": 4},
-        schedule=LRSchedule(family="constant", eta0=1e-3),
+        schedule=LRSchedule(family="constant"),
         steps=6,
         init_scale=0.5,
         steps_per_epoch=3,
@@ -72,43 +73,63 @@ def test_table1_defaults_per_family():
 # ---------------------------------------------------------------- schedules
 
 def test_power_schedule_exact_value():
-    sched = LRSchedule(family="power", eta0=1e-3, a=0.75)
+    sched = LRSchedule(family="power", a=0.75)
     # 16^0.75 = 8 exactly
-    assert schedule_lr(16, sched) == 1.25e-4
-    assert schedule_lr(1, sched) == 1e-3
+    assert schedule_lr(16, sched, 1e-3) == 1.25e-4
+    assert schedule_lr(1, sched, 1e-3) == 1e-3
 
 
 def test_piecewise_schedule_counts_milestones():
-    sched = LRSchedule(family="piecewise", eta0=1e-3,
-                       milestones=(50, 100, 150), factor=0.1)
-    assert schedule_lr(49, sched) == 1e-3
-    assert schedule_lr(50, sched) == pytest.approx(1e-4, rel=1e-12)
-    assert schedule_lr(120, sched) == pytest.approx(1e-5, rel=1e-12)
-    assert schedule_lr(200, sched) == pytest.approx(1e-6, rel=1e-12)
+    sched = LRSchedule(family="piecewise", milestones=(50, 100, 150), factor=0.1)
+    assert schedule_lr(49, sched, 1e-3) == 1e-3
+    assert schedule_lr(50, sched, 1e-3) == pytest.approx(1e-4, rel=1e-12)
+    assert schedule_lr(120, sched, 1e-3) == pytest.approx(1e-5, rel=1e-12)
+    assert schedule_lr(200, sched, 1e-3) == pytest.approx(1e-6, rel=1e-12)
 
 
 def test_constant_schedule_and_index_guard():
-    sched = LRSchedule(family="constant", eta0=0.05)
-    assert schedule_lr(1, sched) == schedule_lr(999, sched) == 0.05
+    sched = LRSchedule(family="constant")
+    assert schedule_lr(1, sched, 0.05) == schedule_lr(999, sched, 0.05) == 0.05
     with pytest.raises(ValueError, match=">= 1"):
-        schedule_lr(0, sched)
+        schedule_lr(0, sched, 0.05)
 
 
 @pytest.mark.parametrize("sched", [
-    LRSchedule(family="constant", eta0=0.1),
-    LRSchedule(family="power", eta0=0.1, a=0.6),
-    LRSchedule(family="piecewise", eta0=0.1, milestones=(10, 300), factor=0.5),
+    LRSchedule(family="constant"),
+    LRSchedule(family="power", a=0.6),
+    LRSchedule(family="piecewise", milestones=(10, 300), factor=0.5),
 ])
 def test_schedules_never_increase(sched):
-    etas = np.array([schedule_lr(t, sched) for t in range(1, 1001)])
+    etas = np.array([schedule_lr(t, sched, 0.1) for t in range(1, 1001)])
     assert np.all(np.diff(etas) <= 0.0)
+
+
+def _schedule_lr_expr(t, family, eta0, a, milestones, factor):
+    """The rate as the schedule computed it when LRSchedule held eta0."""
+    if family == "constant":
+        return eta0
+    if family == "power":
+        return eta0 / float(t) ** a
+    return eta0 * factor ** sum(1 for m in milestones if t >= m)
+
+
+@given(st.sampled_from(["constant", "power", "piecewise"]),
+       st.floats(1e-300, 1e300), st.floats(1e-3, 10.0),
+       st.lists(st.integers(1, 500), min_size=1, max_size=5, unique=True).map(sorted),
+       st.floats(1e-3, 1.0), st.integers(1, 10 ** 6))
+def test_schedule_lr_keeps_the_bits_of_the_schedule_held_rate(family, eta0, a, milestones,
+                                                              factor, t):
+    sched = LRSchedule(family=family, a=a, milestones=tuple(milestones), factor=factor)
+    got = schedule_lr(t, sched, eta0)
+    want = _schedule_lr_expr(t, family, eta0, a, milestones, factor)
+    assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_lr_schedule_validation():
     with pytest.raises(ValueError, match="unknown schedule family"):
         LRSchedule(family="cosine")
     with pytest.raises(ValueError, match="eta0"):
-        LRSchedule(eta0=0.0)
+        HyperParams(eta0=0.0)
     with pytest.raises(ValueError, match="exponent"):
         LRSchedule(family="power", a=0.0)
     with pytest.raises(ValueError, match="factor"):
@@ -211,10 +232,10 @@ def test_config_rejects_bad_fields():
 
 
 @pytest.mark.parametrize("field, build", [
-    ("eta0", lambda: LRSchedule(eta0=float("nan"))),
+    ("eta0", lambda: HyperParams(eta0=float("nan"))),
     ("exponent a", lambda: LRSchedule(family="power", a=float("nan"))),
     ("init_scale", lambda: _quad_config(init_scale=float("nan"))),
-    pytest.param("eta0", lambda: LRSchedule(eta0=float("inf")), id="eta0-inf"),
+    pytest.param("eta0", lambda: HyperParams(eta0=float("inf")), id="eta0-inf"),
     pytest.param("exponent a", lambda: LRSchedule(family="power", a=float("inf")),
                  id="exponent a-inf"),
     pytest.param("init_scale", lambda: _quad_config(init_scale=float("inf")),
@@ -258,10 +279,10 @@ def test_run_counts_steps_and_epochs_analytic():
 def test_run_epoch_budget_on_dataset_objective():
     cfg = ExperimentConfig(
         optimizer="padamp",
-        hp=table1_defaults("padamp"),
+        hp=table1_defaults("padamp", eta0=1e-3),
         objective="logistic",
         objective_params={"d": 4, "n": 512},
-        schedule=LRSchedule(family="constant", eta0=1e-3),
+        schedule=LRSchedule(family="constant"),
         epochs=2,
         batch_size=128,
         seed=0,
@@ -278,10 +299,10 @@ def test_run_epoch_budget_on_dataset_objective():
 def test_eval_window_estimate_is_squared_norm_of_mean_gradient():
     cfg = ExperimentConfig(
         optimizer="padamp",
-        hp=table1_defaults("padamp"),
+        hp=table1_defaults("padamp", eta0=1e-3),
         objective="logistic",
         objective_params={"d": 4, "n": 256},
-        schedule=LRSchedule(family="constant", eta0=1e-3),
+        schedule=LRSchedule(family="constant"),
         steps=1,
         batch_size=16,
         seed=3,
@@ -312,8 +333,8 @@ def test_run_reports_lemma_rows_only_for_adaptive_kinds():
     assert "lemma5_moment_diff_min" in names
 
     sgdm_cfg = _quad_config(optimizer="sgdm",
-                            hp=table1_defaults("sgdm", weight_decay=0.0),
-                            schedule=LRSchedule(family="constant", eta0=0.01))
+                            hp=table1_defaults("sgdm", eta0=0.01, weight_decay=0.0),
+                            schedule=LRSchedule(family="constant"))
     plain = run(sgdm_cfg)
     plain_names = [name for name, _, _ in plain.report.rows]
     assert "lemma2_max_scaled_residual" not in plain_names
@@ -384,7 +405,7 @@ def test_run_aborts_on_divergence_with_step_index():
         optimizer="sgdm",
         hp=table1_defaults("sgdm", eta0=100.0, weight_decay=0.0),
         objective="rosenbrock",
-        schedule=LRSchedule(family="constant", eta0=100.0),
+        schedule=LRSchedule(family="constant"),
         steps=50,
         init_scale=2.0,
         seed=0,
@@ -546,7 +567,7 @@ def test_sweep_over_p_returns_value_order_and_sorted_summary(tmp_path):
 
 def test_sweep_axis_aliases_and_dotted_paths():
     results = sweep(_quad_keys(steps="2"), "lr", [1e-3, 1e-2])
-    assert [r.config.schedule.eta0 for r in results] == [1e-3, 1e-2]
+    assert [r.config.hp.eta0 for r in results] == [1e-3, 1e-2]
     results = sweep(_quad_keys(steps="2"), "hp.delta", [0.1, 0.2])
     assert [r.config.hp.delta for r in results] == [0.1, 0.2]
     results = sweep(_quad_keys(steps="2"), "objective.dim", [2, 3])
@@ -562,8 +583,8 @@ def test_sweep_optimizer_axis_rebuilds_defaults():
     assert adam_cfg.optimizer == OptimizerKind.ADAM
     assert adam_cfg.hp.beta2 == 0.99
     assert adam_cfg.hp.p == 0.125  # swept configs keep the tuned power
-    assert adam_cfg.schedule.eta0 == adam_cfg.hp.eta0 == 1e-3
-    assert sgdm_cfg.schedule.eta0 == 0.1
+    assert adam_cfg.hp.eta0 == 1e-3
+    assert sgdm_cfg.hp.eta0 == 0.1
 
 
 def test_sweep_rejects_empty_values_and_unknown_axis():
@@ -586,7 +607,7 @@ def test_sweep_parses_hp_strings_and_sets_the_objective():
     assert results[0].config.objective == "logistic"
     # Every section parses its strings, not only hp.*.
     results = sweep(_quad_keys(steps="2"), "lr", ["1e-3"])
-    assert results[0].config.schedule.eta0 == 1e-3
+    assert results[0].config.hp.eta0 == 1e-3
     results = sweep(_quad_keys(steps="2"), "objective.dim", ["3"])
     assert results[0].config.objective_params["dim"] == 3
 
@@ -657,7 +678,7 @@ def test_build_config_defaults():
     assert cfg.optimizer == OptimizerKind.PADAMP
     assert cfg.objective == "quadratic"
     assert cfg.steps == 1000 and cfg.epochs is None
-    assert cfg.schedule.eta0 == cfg.hp.eta0 == 1e-3
+    assert cfg.hp.eta0 == 1e-3
 
 
 def test_build_config_full_mapping():
@@ -678,7 +699,7 @@ def test_build_config_full_mapping():
         "hp.wd_skip_projected": "false",
     })
     assert cfg.optimizer == OptimizerKind.SGDM
-    assert cfg.schedule.eta0 == 0.1  # synced from the sgdm default
+    assert cfg.hp.eta0 == 0.1  # table 1's sgdm rate
     assert cfg.schedule.milestones == (10, 20, 30)
     assert cfg.p_schedule == PSchedule(5, 0.125)
     assert cfg.epochs == 2 and cfg.steps is None
@@ -687,17 +708,62 @@ def test_build_config_full_mapping():
     assert cfg.hp.wd_skip_projected is False
 
 
-def test_build_config_explicit_schedule_eta0_wins():
-    cfg = build_config({"hp.eta0": "0.01", "schedule.eta0": "0.5"})
-    assert cfg.hp.eta0 == 0.01
-    assert cfg.schedule.eta0 == 0.5
-
-
 def test_schedule_eta0_is_the_base_trigger_rate():
-    keys = {"objective.name": "tiny_mlp", "hp.trigger_lr_mode": "base", "run.steps": "40"}
-    by_schedule = build_config(keys, {"schedule.eta0": "5"})
-    assert by_schedule == build_config(keys, {"hp.eta0": "5"})
-    assert by_schedule.hp.eta0 == 5.0
+    keys = {"objective.name": "tiny_mlp", "objective.n": "64", "run.batch_size": "16",
+            "schedule.eta0": "0.05", "run.steps": "20"}
+    base = build_config(keys, {"hp.trigger_lr_mode": "base"})
+    assert base.hp.eta0 == 0.05
+    # Under a constant schedule the step's rate is the base rate, so both
+    # trigger modes make the same run.
+    scheduled = run(build_config(keys, {"hp.trigger_lr_mode": "scheduled"}))
+    assert any(r["w1_projected"] for r in scheduled.records)
+    want = telemetry_columns(scheduled.records)
+    for name, col in telemetry_columns(run(base).records).items():
+        assert col.tobytes() == want[name].tobytes(), name
+    # There is no second rate to set.
+    with pytest.raises(ValueError, match="^unknown config keys: hp.eta0$"):
+        build_config(keys, {"hp.eta0": "0.01"})
+
+
+@pytest.mark.parametrize("kind", [k.value for k in OptimizerKind])
+def test_experiment_config_and_build_config_apply_the_same_defaults(kind):
+    built = build_config({"optimizer.kind": kind, "run.steps": "3"})
+    assert ExperimentConfig(optimizer=kind, steps=3) == built
+    assert built.hp == table1_defaults(kind)
+
+
+def test_experiment_config_defaults_are_table1():
+    sgdm = ExperimentConfig(optimizer="sgdm", steps=3)
+    assert (sgdm.hp.eta0, sgdm.hp.weight_decay) == (0.1, 5e-4)
+    assert run(sgdm).records[0]["eta_t"] == 0.1
+    assert ExperimentConfig(steps=2).hp.weight_decay == 1e-2
+
+
+def test_experiment_config_steps_at_hp_eta0():
+    result = run(ExperimentConfig(hp=table1_defaults("padamp", eta0=0.05), steps=2))
+    assert [r["eta_t"] for r in result.records] == [0.05, 0.05]
+
+
+@pytest.mark.parametrize("keys, field", [
+    ({"run.seed": "-1"}, "seed"),
+    ({"objective.name": "logistic", "objective.data_seed": "-1"}, "data_seed"),
+])
+def test_negative_seeds_are_rejected_where_the_config_is_built(keys, field):
+    with pytest.raises(ValueError, match=rf"^{field} must be >= 0, got -1$"):
+        build_config(keys)
+
+
+@pytest.mark.parametrize("key, text, message", [
+    ("hp.p", "abc", "could not convert string to float: 'abc'"),
+    ("run.steps", "1e3", "invalid literal for int() with base 10: '1e3'"),
+    ("optimizer.kind", "lion", "'lion' is not a valid OptimizerKind"),
+    ("hp.wd_skip_projected", "maybe", "expected a boolean, got 'maybe'"),
+    ("schedule.milestones", "10,x", "invalid literal for int() with base 10: 'x'"),
+])
+def test_a_value_that_fails_to_parse_names_its_key(key, text, message):
+    with pytest.raises(ValueError) as info:
+        build_config({key: text})
+    assert str(info.value) == f"{key}: {message}"
 
 
 def test_build_config_overrides_win_over_file_mapping():
