@@ -95,9 +95,15 @@ def _make_updates(pattern: str, steps: int, cutoff: int, seed: int) -> np.ndarra
     raise ValueError(f"unknown update pattern {pattern!r}")
 
 
-def _cmd_norm_sim(args) -> int:
+def _check_seed_and_steps(args) -> None:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
+
+
+def _cmd_norm_sim(args) -> int:
+    _check_seed_and_steps(args)
     betas = [float(b) for b in args.beta.split(",") if b.strip()]
     if not betas:
         raise ValueError("--beta needs at least one value")
@@ -139,8 +145,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
-    if args.steps < 1:
-        raise ValueError(f"--steps must be >= 1, got {args.steps}")
+    _check_seed_and_steps(args)
     params_map = _parse_sets(args.param or [], "--param")
     objective = harness.build_objective(args.objective, params_map, args.seed)
     # The MLP default is looser: centered differences straddling a ReLU kink

@@ -3,10 +3,19 @@
 Covers: the norm-growth gap between plain and momentum descent, the
 first-moment rearrangement identity, the second-moment and denominator
 bounds (with the empirical running gradient bound C1), learning-rate
-schedule assumptions, and the running-min convergence tracker. The optimizer
-step makes one _group_lemmas call per adaptive group, which computes all of
-that group's LEMMA_COLUMNS in one buffered pass, and folds them over groups
-into the step's telemetry row.
+schedule assumptions, and the running-min convergence tracker.
+
+_group_lemmas computes one adaptive group's LEMMA_COLUMNS for a block of k
+steps, one row per step: its full-size passes over (k, d) arrays
+(_lemma_passes) leave nine (k,) reductions, and elementwise arithmetic on
+those (_lemma_rows) gives the columns. fold_lemmas folds the groups' rows
+into the telemetry values. A step called directly runs _group_lemmas on
+1-row views after each group's update. harness.run hands every step a
+LemmaBatch instead, and the step leaves its lemma columns nan until the
+batch flushes a block. Below LEMMA_BLOCK_ELEMENTS the batch holds the
+steps' inputs and makes the passes per block; above, the step makes the
+passes on 1-row views and the batch keeps their reductions, so only the
+arithmetic waits for the flush.
 """
 
 from __future__ import annotations
@@ -15,12 +24,12 @@ import math
 from collections import abc
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ._kernels import norm_growth_arrays
-from .geometry import norm
+from .geometry import _TINY, norm
 
 __all__ = [
     "NormGrowthTrace",
@@ -29,6 +38,7 @@ __all__ = [
     "DiagnosticsReport",
     "SLACK_COLUMNS",
     "LEMMA_COLUMNS",
+    "LemmaBatch",
     "simulate_norm_growth",
     "validate_schedule",
     "track_convergence",
@@ -150,75 +160,279 @@ SLACK_COLUMNS = ("lemma3_lower", "lemma4_lower", "lemma4_upper", "lemma5_radial"
 LEMMA_COLUMNS = ("lemma2_residual", "lemma3_margin", *SLACK_COLUMNS)
 
 
-def _group_lemmas(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarray,
-                  beta1t: float, c1: float, eps: float, p: float, theta: np.ndarray,
-                  theta_norm: float) -> Tuple[float, ...]:
-    """One adaptive group's lemma quantities, from its post-step moments.
+# The lemma inputs a LemmaBatch may hold per input array, over all groups:
+# a block is LEMMA_BLOCK_ELEMENTS // (total adaptive dim) steps high. Below
+# 2 rows a batch holds each step's reductions instead, _REDUCED_ROWS steps
+# of them.
+LEMMA_BLOCK_ELEMENTS = 16384
+_REDUCED_ROWS = 256
 
-    Returns the LEMMA_COLUMNS in order, as floats; the margin is C1**2 - max(v).
-    m = b m_prev + (1-b) g rearranges to -m = -g + b/(1-b) (m - m_prev); the
-    residual is the norm of the two sides' difference over 1 + ||m||, pure
-    rounding for consistent inputs. The slacks use the uncorrected buffers;
-    at theta = 0, which has no radial direction, the radial bound is checked
-    against ||pre_m||, which dominates the inner product with any unit vector.
-    Two buffers hold every temporary; the comments give the out-of-place
-    form. m - m_prev is computed twice on purpose: a third full-size buffer
-    that kept it raised the step's heap peak by one array, and after a
-    quad_d100k run that could leave megabytes of free heap pinned under a
-    live block, which changed what later allocations in the process cost
-    (perfbench's host-speed slice ran without its page faults).
+# The (k,) reductions _lemma_passes writes, one row of its output each, in order.
+_REDUCTIONS = ("resid_sq", "m_norm", "v_max", "v_min", "inv_min", "inv_max", "radial",
+               "precond_sq", "moment_diff")
 
-    At p = 1/4 the power is two square roots, as in the moment kernel. sqrt,
-    + and / are correctly rounded, hence monotone, so min(inv) and max(inv)
-    equal 1 / sqrt(sqrt(max(v) + eps)) and 1 / sqrt(sqrt(min(v) + eps)) bit
-    for bit, and come from the two reductions of v that the margin and
-    lemma3_lower take anyway. Every other p reduces inv itself.
 
-    The step calls this inside its errstate(over="ignore", invalid="ignore"), so
-    an overflow gives a non-finite value, which fails its check_telemetry row,
-    and no warning.
+def _row_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a[i] . b[i] for each row i of two (k, d) arrays, into the (k,) out.
+
+    matmul takes a stacked (1, d) @ (d, 1) product as a vector dot, so each
+    entry equals a[i].dot(b[i]) bit for bit; einsum rounds differently. Its
+    result is copied into out: handed out[:, None, None] as its own out, a
+    one-row matmul took about 15 us more per call right after d = 1e5
+    passes (60 us a quad_d100k step on a 2-vCPU Xeon).
     """
+    out[:] = np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    return out
+
+
+def _row_norms(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """norm(x[i]) for each row i of a (k, d) array, bit for bit, into the (k,) out."""
+    sq = _row_dots(x, x, out)
+    # Rows whose squared norm leaves the normal range (nan included) take
+    # norm()'s rescaling.
+    if np.minimum.reduce(sq) >= _TINY and np.maximum.reduce(sq) < math.inf:
+        return np.sqrt(sq, out=out)
+    rescale = np.flatnonzero(~((sq >= _TINY) & (sq < math.inf)))
+    np.sqrt(sq, out=out)
+    for i in rescale:
+        out[i] = norm(x[i])
+    return out
+
+
+def _lemma_passes(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarray,
+                  beta1t: np.ndarray, eps: float, p: float, theta: np.ndarray,
+                  theta_norm: np.ndarray, out: np.ndarray) -> None:
+    """The full-size passes of _group_lemmas over k steps: writes their (k,)
+    reductions, the _REDUCTIONS in order, to the rows of the (9, k) out.
+
+    At p = 1/4 it leaves inv_min and inv_max as they are: _lemma_rows takes
+    them from v_max and v_min. radial is theta . pre_m / ||theta||, or
+    ||pre_m|| at theta = 0, which has no radial direction (||pre_m||
+    dominates the inner product with any unit vector). Two (k, d) buffers
+    hold every temporary; the comments give the out-of-place form. m -
+    m_prev is computed twice on purpose: a third full-size buffer that kept
+    it raised the step's heap peak by one array, and after a quad_d100k run
+    that could leave megabytes of free heap pinned under a live block, which
+    changed what later allocations in the process cost (perfbench's
+    host-speed slice ran without its page faults).
+
+    At p = 1/4 the power is two square roots, as in the moment kernel.
+    """
+    resid_sq, m_norm, v_max, v_min, inv_min, inv_max, radial, precond_sq, moment_diff = out
+    coef = beta1t / (1.0 - beta1t)
     buf = np.subtract(m, m_prev)
-    buf *= beta1t / (1.0 - beta1t)  # (b / (1 - b)) * (m - m_prev)
+    buf *= coef[:, None]  # (b / (1 - b)) * (m - m_prev)
     # Rounding is symmetric in sign, so g - x and m - (g - x) are exactly
     # -rhs and -(-m - rhs) for rhs = -g + x, and the squared norm is the same.
     rhs = np.subtract(g, buf)
     np.subtract(m, rhs, out=rhs)
-    # sqrt(x . x) is np.linalg.norm's 1-d formula, without its wrapper.
-    resid = math.sqrt(rhs.dot(rhs)) / (1.0 + norm(m))
-    v_max, v_min = float(np.maximum.reduce(v)), float(np.minimum.reduce(v))
-    margin = c1 ** 2 - v_max
+    _row_dots(rhs, rhs, resid_sq)
+    _row_norms(m, m_norm)
+    np.maximum.reduce(v, axis=1, out=v_max)
+    np.minimum.reduce(v, axis=1, out=v_min)
     denom = np.add(v, eps, out=buf)
     if p == 0.25:
-        # lo, hi, min(inv), max(inv) as one array: 1 / sqrt(sqrt(x + eps))
-        ext = np.array([c1 * c1 + eps, eps, v_max + eps, v_min + eps])
-        np.sqrt(ext, out=ext)
-        np.sqrt(ext, out=ext)
-        lo, hi, inv_min, inv_max = (1.0 / ext).tolist()
         np.sqrt(denom, out=denom)
         np.sqrt(denom, out=denom)
         inv = np.divide(1.0, denom, out=rhs)
     else:
         denom **= p  # (v + eps) ** p
         inv = np.divide(1.0, denom, out=rhs)
-        # The same array power as inv's: once v + eps rounds to eps, max(inv)
-        # equals hi exactly, where a scalar power can differ from it by an ulp.
-        lo, hi = (1.0 / np.array([c1 * c1 + eps, eps]) ** p).tolist()
-        inv_min, inv_max = float(np.minimum.reduce(inv)), float(np.maximum.reduce(inv))
+        np.minimum.reduce(inv, axis=1, out=inv_min)
+        np.maximum.reduce(inv, axis=1, out=inv_max)
     pre_m = np.divide(m, denom, out=denom)
-    if theta_norm > 0:
-        radial = float(theta @ pre_m) / theta_norm
-    else:
-        radial = math.sqrt(pre_m.dot(pre_m))
+    _row_dots(theta, pre_m, radial)
+    if not np.minimum.reduce(theta_norm) > 0:  # a nan norm counts as 0
+        theta_norm = theta_norm.copy()
+        for i in np.flatnonzero(~(theta_norm > 0)):
+            radial[i], theta_norm[i] = math.sqrt(pre_m[i].dot(pre_m[i])), 1.0
+    radial /= theta_norm
     buf = np.multiply(g, inv, out=pre_m)
     buf **= 2  # (g * inv) ** 2
-    precond_sq = float(np.add.reduce(buf))
+    np.add.reduce(buf, axis=1, out=precond_sq)
     np.subtract(m, m_prev, out=buf)
     buf *= inv  # (m - m_prev) * inv
+    _row_dots(g, buf, moment_diff)
+
+
+def _lemma_rows(found: np.ndarray, c1: np.ndarray, eps: float, p: float) -> np.ndarray:
+    """The LEMMA_COLUMNS of k steps as a (k, 8) array, from the (9, k)
+    reductions _lemma_passes wrote and the (k,) C1 of each step.
+
+    The margin is C1**2 - max(v), with C1**2 from Python's ** (libm's pow,
+    which can differ from C1 * C1 by an ulp). sqrt, + and / are correctly
+    rounded, hence monotone, so at p = 1/4 min(inv) and max(inv) equal
+    1 / sqrt(sqrt(max(v) + eps)) and 1 / sqrt(sqrt(min(v) + eps)) bit for
+    bit, and come from the two reductions of v that the margin and
+    lemma3_lower take anyway.
+    """
+    resid_sq, m_norm, v_max, v_min, inv_min, inv_max, radial, precond_sq, moment_diff = found
+    c1_sq = c1 * c1
+    if p == 0.25:
+        # lo, hi, min(inv), max(inv) as rows of one array: 1 / sqrt(sqrt(x + eps))
+        ext = np.array([c1_sq, np.zeros_like(c1), v_max, v_min])
+        ext += eps
+        np.sqrt(ext, out=ext)
+        np.sqrt(ext, out=ext)
+        lo, hi, inv_min, inv_max = np.divide(1.0, ext, out=ext)
+    else:
+        # The same array power as inv's: once v + eps rounds to eps, max(inv)
+        # equals hi exactly, where a scalar power can differ from it by an ulp.
+        ext = np.append(c1_sq + eps, np.full_like(c1, eps))
+        ext **= p
+        lo, hi = np.divide(1.0, ext, out=ext).reshape(2, -1)
+    # Column j is bound[j] - took[j]: a bound less what the rows measured
+    # against it, or (the residual, lemma3_lower) a quantity less 0, which
+    # keeps its bits.
+    zero = np.zeros_like(c1)
+    bound = np.array([np.sqrt(resid_sq) / (1.0 + m_norm), [c ** 2 for c in c1.tolist()],
+                      v_min, inv_min, hi, c1, c1_sq, 2.0 * c1 * c1])
+    took = np.array([zero, v_max, zero, lo, inv_max, radial, precond_sq, moment_diff])
+    # The lemma-5 bounds C1 / eps^p, C1^2 / eps^(2p) and 2 C1^2 / eps^p.
     eps_p = eps ** p
-    return (resid, margin, v_min, inv_min - lo, hi - inv_max,
-            c1 / eps_p - radial, (c1 * c1) / eps ** (2 * p) - precond_sq,
-            2.0 * c1 * c1 / eps_p - float(g @ buf))
+    bound[5:] /= [[eps_p], [eps ** (2 * p)], [eps_p]]
+    return np.subtract(bound, took, out=bound).T
+
+
+def _group_lemmas(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarray,
+                  beta1t: np.ndarray, c1: np.ndarray, eps: float, p: float,
+                  theta: np.ndarray, theta_norm: np.ndarray) -> np.ndarray:
+    """One adaptive group's lemma quantities over k steps, one row per step.
+
+    m, m_prev, v, g and theta are (k, d) arrays: row i holds step i's
+    post-step moments, the gradient the moments saw and the pre-step
+    weights. beta1t, c1 and theta_norm are (k,) arrays; eps and p are the
+    block's. Returns the LEMMA_COLUMNS as a (k, 8) float64 array: the
+    full-size passes (_lemma_passes) leave nine (k,) reductions, and the
+    per-row arithmetic (_lemma_rows) turns them into the columns. Row i is
+    the same bit for bit whatever the other rows hold: every reduction runs
+    along a row, each row dot is the vector dot (_row_dots), and the
+    arithmetic is elementwise.
+
+    m = b m_prev + (1-b) g rearranges to -m = -g + b/(1-b) (m - m_prev); the
+    residual is the norm of the two sides' difference over 1 + ||m||, pure
+    rounding for consistent inputs. The slacks use the uncorrected buffers.
+
+    Callers run this inside errstate(over="ignore", invalid="ignore"), so
+    an overflow gives a non-finite value, which fails its check_telemetry
+    row, and no warning.
+    """
+    found = np.empty((len(_REDUCTIONS), len(m)))
+    _lemma_passes(m, m_prev, v, g, beta1t, eps, p, theta, theta_norm, found)
+    return _lemma_rows(found, c1, eps, p)
+
+
+def _vector_lemmas(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarray,
+                   beta1t: float, c1: float, eps: float, p: float, theta: np.ndarray,
+                   theta_norm: float) -> np.ndarray:
+    """_group_lemmas on one step's 1-d vectors, as 1-row views: a (1, 8) array."""
+    s = np.array([beta1t, c1, theta_norm])
+    return _group_lemmas(m[None], m_prev[None], v[None], g[None], s[:1], s[1:2], eps, p,
+                         theta[None], s[2:])
+
+
+def fold_lemmas(acc: np.ndarray, found: np.ndarray) -> np.ndarray:
+    """Fold one group's (k, 8) lemma rows into acc's, in place; returns acc.
+
+    Each lemma-2 residual becomes max(acc, found) and every other entry
+    min(acc, found), as Python's max and min pick them: found replaces acc
+    only where it is larger (smaller), so a nan in acc stays and one in
+    found does not.
+    """
+    np.copyto(acc[:, :1], found[:, :1], where=found[:, :1] > acc[:, :1])
+    np.copyto(acc[:, 1:], found[:, 1:], where=found[:, 1:] < acc[:, 1:])
+    return acc
+
+
+class LemmaBatch:
+    """The lemma columns of up to `height` adaptive steps, filled in with one
+    _lemma_rows call per group, and one _group_lemmas call when the batch
+    holds the steps' inputs.
+
+    harness.run makes one (lemma_batch) and hands it to every step. An
+    adaptive step hands over each group's m, m_prev, v, g (after coupled
+    decay), pre-step theta, beta1_t, C1 and ||theta|| (add_row), then its
+    record, whose lemma columns hold nan (add_record). With hold_inputs the
+    batch copies the arrays into the group's next free row and takes the
+    full-size passes when it flushes; without, add_row takes them at once
+    on 1-row views and keeps their nine reductions. flush() computes the
+    pending rows, folds them over groups in group order, and writes each
+    pending record's lemma columns. A full block flushes, and so do the
+    pending rows when a step brings another p; the run flushes the rest at
+    its end, and before it writes an aborted run's telemetry.
+    """
+
+    def __init__(self, groups: Sequence, eps: float, height: int, hold_inputs: bool = True):
+        self.eps = eps
+        self.height = height
+        self.p: Optional[float] = None
+        self.records: List[dict] = []
+        # Per group: the rows of m, m_prev, v, g and theta (None without
+        # hold_inputs); of beta1_t, C1 and ||theta||; and of the reductions.
+        self.blocks = {g.name: (np.empty((5, height, g.dim)) if hold_inputs else None,
+                                np.empty((3, height)), np.empty((len(_REDUCTIONS), height)))
+                       for g in groups}
+
+    def add_row(self, name: str, p: float, m: np.ndarray, m_prev: np.ndarray,
+                v: np.ndarray, g: np.ndarray, theta: np.ndarray, beta1t: float,
+                c1: float, theta_norm: float) -> None:
+        if p != self.p:
+            self._flush()  # the pending rows were taken under another p
+            self.p = p
+        inputs, scalars, found = self.blocks[name]
+        i = len(self.records)
+        scalars[0, i] = beta1t
+        scalars[1, i] = c1
+        scalars[2, i] = theta_norm
+        if inputs is None:
+            row = slice(i, i + 1)
+            _lemma_passes(m[None], m_prev[None], v[None], g[None], scalars[0, row],
+                          self.eps, p, theta[None], scalars[2, row], found[:, row])
+        else:
+            inputs[0, i] = m
+            inputs[1, i] = m_prev
+            inputs[2, i] = v
+            inputs[3, i] = g
+            inputs[4, i] = theta
+
+    def add_record(self, record: dict) -> None:
+        self.records.append(record)
+        if len(self.records) == self.height:
+            self._flush()
+
+    def flush(self) -> None:
+        """Fill in the pending records' lemma columns; an overflow gives a
+        non-finite entry and no warning, whatever numpy's error state."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._flush()
+
+    def _flush(self) -> None:
+        # add_row and add_record run inside the step's errstate.
+        n = len(self.records)
+        if not n:
+            return
+        folded = None
+        for inputs, scalars, found in self.blocks.values():
+            beta1t, c1, theta_norm = scalars[:, :n]
+            if inputs is not None:
+                m, m_prev, v, g, theta = inputs[:, :n]
+                _lemma_passes(m, m_prev, v, g, beta1t, self.eps, self.p, theta, theta_norm,
+                              found[:, :n])
+            rows = _lemma_rows(found[:, :n], c1, self.eps, self.p)
+            folded = rows if folded is None else fold_lemmas(folded, rows)
+        for record, values in zip(self.records, folded.tolist()):
+            record.update(zip(LEMMA_COLUMNS, values))
+        self.records.clear()
+
+
+def lemma_batch(groups: Sequence, eps: float) -> LemmaBatch:
+    """A LemmaBatch for these groups that holds the inputs of as many steps
+    as LEMMA_BLOCK_ELEMENTS allows, or, when that is under 2, the
+    reductions of _REDUCED_ROWS steps."""
+    height = LEMMA_BLOCK_ELEMENTS // sum(g.dim for g in groups)
+    if height >= 2:
+        return LemmaBatch(groups, eps, height)
+    return LemmaBatch(groups, eps, _REDUCED_ROWS, hold_inputs=False)
 
 
 class LemmaMonitor:

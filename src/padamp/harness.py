@@ -24,6 +24,7 @@ from .diagnostics import (
     ConvergenceTrace,
     DiagnosticsReport,
     LemmaMonitor,  # noqa: F401  unused; perfbench's layer trace patches it here
+    lemma_batch,
     track_convergence,
     validate_schedule,
 )
@@ -170,6 +171,8 @@ def build_objective(name: str, params: Dict, data_seed: int) -> Objective:
           for k, d in defaults.items()}
     if "data_seed" in kw:
         kw["seed"] = kw.pop("data_seed")
+        if kw["seed"] < 0:
+            raise ValueError(f"data_seed must be >= 0, got {kw['seed']}")
     return OBJECTIVES[name][0](**kw)
 
 
@@ -244,7 +247,8 @@ def run(config: ExperimentConfig) -> RunResult:
     """Execute one run; returns telemetry, diagnostics, and the convergence trace.
 
     Writes the telemetry CSV when config.output_path is set. Aborts with the
-    step index if the loss goes non-finite; an aborted run still writes the
+    step index if the loss goes non-finite or the objective raises an
+    ArithmeticError (tiny_mlp's overflowing batch norm); an aborted run still writes the
     CSV of the steps it completed, then re-raises. Overflow is silent for the
     whole run: the loss check, the step and check_telemetry report non-finite values.
     """
@@ -259,6 +263,9 @@ def run(config: ExperimentConfig) -> RunResult:
     params = objective.init_params(init_rng, scale=config.init_scale)
     state = new_state(params, config.hp)
     step_fn = make_step(config.optimizer)
+    # sgdm has no lemma quantities to batch.
+    lemmas = (None if config.optimizer == OptimizerKind.SGDM
+              else lemma_batch(params, config.hp.epsilon))
 
     epoch_len = (config.steps_per_epoch if objective.dataset is None
                  else math.ceil(objective.dataset.n / config.batch_size))
@@ -283,35 +290,44 @@ def run(config: ExperimentConfig) -> RunResult:
             else:
                 batch = None
 
-            loss = objective.eval(params, batch)
-            if not math.isfinite(loss):
-                raise RuntimeError(f"non-finite loss {loss!r} at step {t}; aborting")
-            grads = objective.grad(params, batch)
+            try:
+                loss = objective.eval(params, batch)
+                if not math.isfinite(loss):
+                    raise RuntimeError(f"non-finite loss {loss!r} at step {t}; aborting")
+                grads = objective.grad(params, batch)
 
-            estimate = math.nan  # off the eval window
-            if t % config.eval_every == 0 or t == budget:
-                # For datasets, square the window's mean gradient: its bias
-                # tr(Sigma)/(batch_size * eval_window) shrinks with the window,
-                # while a mean of squared norms keeps tr(Sigma)/batch_size.
-                if objective.dataset is None:
-                    estimate = _grad_norm_sq(grads)
-                else:
-                    total = None
-                    for _ in range(config.eval_window):
-                        idx = objective.dataset.sample(config.batch_size, eval_rng)
-                        g = objective.grad(params, idx)
-                        total = g if total is None else {k: total[k] + g[k]
-                                                         for k in total}
-                    estimate = _grad_norm_sq(total) / config.eval_window ** 2
+                estimate = math.nan  # off the eval window
+                if t % config.eval_every == 0 or t == budget:
+                    # For datasets, square the window's mean gradient: its bias
+                    # tr(Sigma)/(batch_size * eval_window) shrinks with the
+                    # window, while a mean of squared norms keeps
+                    # tr(Sigma)/batch_size.
+                    if objective.dataset is None:
+                        estimate = _grad_norm_sq(grads)
+                    else:
+                        total = None
+                        for _ in range(config.eval_window):
+                            idx = objective.dataset.sample(config.batch_size, eval_rng)
+                            g = objective.grad(params, idx)
+                            total = g if total is None else {k: total[k] + g[k]
+                                                             for k in total}
+                        estimate = _grad_norm_sq(total) / config.eval_window ** 2
+            except ArithmeticError as exc:
+                # An objective that overflows says so; this says where.
+                raise type(exc)(f"{exc} at step {t}") from exc
 
-            out = step_fn(state, params, grads, eta_t, p_now)
+            out = step_fn(state, params, grads, eta_t, p_now, lemma_batch=lemmas)
             out.record["loss"] = loss
             out.record["epoch"] = epoch
             out.record["eval_grad_norm_sq"] = estimate
             records.append(out.record)
             params = out.new_params
+        if lemmas is not None:
+            lemmas.flush()
     except Exception:
-        # A diverging run keeps the steps it completed.
+        # A diverging run keeps the steps it completed, lemma columns included.
+        if lemmas is not None:
+            lemmas.flush()
         if records and config.output_path is not None:
             write_telemetry(telemetry_columns(records), config.output_path)
         raise

@@ -30,6 +30,25 @@ __all__ = [
 
 BN_VAR_FLOOR = 1e-5
 
+# The most float64 entries one numpy array can hold: its size in bytes must
+# fit an intp.
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8
+
+
+def _check_entries(objective: str, **shapes) -> None:
+    """Reject sizes that give an array numpy cannot make, naming their keys.
+
+    Each keyword names an array and maps to its sizes by key, as in
+    features={"n": n, "d": d}.
+    """
+    for array, sizes in shapes.items():
+        entries = math.prod(sizes.values())
+        if entries > _MAX_ENTRIES:
+            raise ValueError(
+                f"{objective}: {' * '.join(f'{k}={v}' for k, v in sizes.items())} "
+                f"gives {array} {entries} entries, more than the {_MAX_ENTRIES} "
+                "a float64 array can hold")
+
 
 @dataclass
 class SyntheticDataset:
@@ -221,7 +240,7 @@ def _blobs(d: int, classes: int, n: int, separation: float, seed: int,
     at +/- one random axis for two classes, else along orthonormal directions
     (classes <= d)."""
     if n < 2:
-        raise ValueError(f"need at least 2 examples, got {n}")
+        raise ValueError(f"need n >= 2 examples, got n={n}")
     if not 0 <= separation < math.inf:
         raise ValueError(f"separation must be non-negative and finite, got {separation}")
     rng = seeded_rng(seed)
@@ -239,6 +258,7 @@ class _Logistic(Objective):
     def __init__(self, d: int, n: int, seed: int, separation: float):
         if d < 1:
             raise ValueError(f"need d >= 1, got {d}")
+        _check_entries("logistic", features={"n": n, "d": d})
         # Class 0, label +1, is the first half of the examples.
         index = (np.arange(n) >= n // 2).astype(np.int64)
         feats = _blobs(d, 2, n, separation, seed, index)
@@ -294,6 +314,9 @@ class _TinyMLP(Objective):
             raise ValueError("d_in, hidden and classes must all be >= 2")
         if classes > d_in:
             raise ValueError(f"classes must be <= d_in, got classes={classes}, d_in={d_in}")
+        _check_entries("tiny_mlp", features={"n": n, "d_in": d_in},
+                       w1={"hidden": hidden, "d_in": d_in},
+                       activations={"n": n, "hidden": hidden})
         labels = np.arange(n) % classes
         feats = _blobs(d_in, classes, n, separation, seed, labels)
         self.name = "tiny_mlp"

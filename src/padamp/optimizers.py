@@ -3,19 +3,23 @@
 The six optimizers are one rule with three settings, listed per kind in the
 _KINDS table: the adaptivity power, max tracking of the second moment, and
 the projection trigger. make_step(kind) returns the kind's step function,
-step(state, groups, grads, eta_t, p_now=None) -> StepOutput, which calls the
-one body, _step, with those settings. sgdm takes its momentum buffer as the
-direction, the adaptive family the fused moment kernel; padamp and adamp may
-then project the direction onto the tangent space of the weight vector.
+step(state, groups, grads, eta_t, p_now=None, *, lemma_batch=None) ->
+StepOutput, which calls the one body, _step, with those settings. sgdm
+takes its momentum buffer as the direction, the adaptive family the fused
+moment kernel; padamp and adamp may then project the direction onto the
+tangent space of the weight vector.
 
 Update order within a step: coupled weight decay folded into the gradient,
 moments and direction, the projection decision (using the raw gradient and
 the pre-step weights), decoupled weight decay (skipped for projected groups
 by default), then the parameter update. This module is the only one that
-applies either decay rule. After each adaptive group's update, one
-diagnostics call gives its eight lemma quantities; the record keeps the
-largest lemma-2 residual and the smallest of each other quantity over groups
-(nan for sgdm).
+applies either decay rule. The record's eight lemma columns hold the
+largest lemma-2 residual and the smallest of each other lemma quantity over
+the adaptive groups (nan for sgdm). Without a lemma_batch the step computes
+them after each group's update, on 1-row views; with one (harness.run
+passes it) the step hands each group's lemma inputs to the batch, leaves
+the columns nan, and the batch fills them in when it flushes (see
+diagnostics.LemmaBatch).
 
 A step's record is its telemetry CSV row, built by _step: a dict from
 column name to value, in CSV order.
@@ -41,7 +45,7 @@ from .core import (
     beta1_at,
     check_grads,
 )
-from .diagnostics import LEMMA_COLUMNS, _group_lemmas
+from .diagnostics import LEMMA_COLUMNS, LemmaBatch, _vector_lemmas, fold_lemmas
 from .geometry import (
     ProjectionDecision,
     cosine_similarity,
@@ -89,13 +93,16 @@ def _step(
     p_power: Optional[float],
     use_max: bool = False,
     trigger: Optional[str] = None,
+    lemma_batch: Optional[LemmaBatch] = None,
 ) -> StepOutput:
     """Shared body of all six optimizers.
 
     p_power is None for sgdm, whose direction is the momentum buffer and
     whose lemma fields are nan; otherwise the direction comes from the moment
     kernel. trigger is None for the never-projecting optimizers, otherwise
-    the trigger threshold family ("padamp" or "adamp").
+    the trigger threshold family ("padamp" or "adamp"). Given a lemma_batch,
+    an adaptive step leaves its lemma columns nan and hands its lemma inputs
+    and its record to the batch, which fills them in when it flushes.
     """
     if state.failed_step is not None:
         raise ValueError(
@@ -133,6 +140,7 @@ def _step(
                                 "p_now": p_power if adaptive else float("nan"),
                                 "loss": float("nan"), "grad_norm_sq": 0.0}
     lemmas = None
+    batch = lemma_batch if adaptive else None
     # A step that diverges overflows in here, silently: the finiteness check
     # on the new parameters reports it, and check_telemetry fails a lemma
     # entry that is not finite.
@@ -204,13 +212,20 @@ def _step(
             if adaptive:
                 # Release the full-size temporaries before the lemmas make theirs.
                 del direction, q, base
-                found = _group_lemmas(m, m_prev, state.v[name], g, b1t, state.c1[name],
-                                      hp.epsilon, p_power, theta, theta_norm)
-                # The largest residual over groups, and the smallest of the rest.
-                lemmas = found if lemmas is None else (
-                    max(lemmas[0], found[0]), *map(min, lemmas[1:], found[1:]))
+                if batch is not None:
+                    batch.add_row(name, p_power, m, m_prev, state.v[name], g, theta, b1t,
+                                  state.c1[name], theta_norm)
+                else:
+                    found = _vector_lemmas(m, m_prev, state.v[name], g, b1t,
+                                           state.c1[name], hp.epsilon, p_power, theta,
+                                           theta_norm)
+                    # The largest residual over groups, and the smallest of the rest.
+                    lemmas = found if lemmas is None else fold_lemmas(lemmas, found)
 
-    record.update(zip(LEMMA_COLUMNS, lemmas or repeat(math.nan)))
+        record.update(zip(LEMMA_COLUMNS, repeat(math.nan) if lemmas is None
+                          else lemmas[0].tolist()))
+        if batch is not None:
+            batch.add_record(record)  # a full block flushes here
     state.failed_step = None
     return StepOutput(new_params=new_params, record=record)
 
@@ -236,12 +251,13 @@ _KINDS: Dict[OptimizerKind, Tuple[object, bool, Optional[str]]] = {
 
 def _bind(kind: OptimizerKind, power, use_max: bool, trigger: Optional[str]) -> Callable:
     def step(state: OptimizerState, groups: Sequence[ParamGroup], grads: GradientSet,
-             eta_t: float, p_now: Optional[float] = None) -> StepOutput:
+             eta_t: float, p_now: Optional[float] = None, *,
+             lemma_batch: Optional[LemmaBatch] = None) -> StepOutput:
         if power != "p":
             p = power
         else:
             p = state.hp.p if p_now is None else p_now
-        return _step(state, groups, grads, eta_t, p, use_max, trigger)
+        return _step(state, groups, grads, eta_t, p, use_max, trigger, lemma_batch)
     step.__name__ = step.__qualname__ = f"{kind.value}_step"
     return step
 
@@ -250,6 +266,7 @@ _STEP_FNS = {kind: _bind(kind, *settings) for kind, settings in _KINDS.items()}
 
 
 def make_step(kind: OptimizerKind) -> Callable:
-    """The step function step(state, groups, grads, eta_t, p_now=None) of the
-    given optimizer kind; the same object on every call."""
+    """The step function step(state, groups, grads, eta_t, p_now=None, *,
+    lemma_batch=None) of the given optimizer kind; the same object on every
+    call."""
     return _STEP_FNS[OptimizerKind(kind)]

@@ -11,7 +11,7 @@ import pytest
 
 import padamp
 from padamp.cli import main
-from padamp.harness import CONFIG_KEYS, read_telemetry
+from padamp.harness import CONFIG_KEYS, OBJECTIVES, read_telemetry
 
 
 def _run_csv(tmp_path, name="run.csv", steps="5", extra=()):
@@ -470,6 +470,26 @@ def test_a_rejected_config_names_its_key_and_writes_nothing(argv, err, tmp_path,
     assert os.listdir(tmp_path) == ["two_rates.cfg"]
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["grad-check", "--objective", "quadratic", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    (["norm-sim", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["norm-sim", "--seed", "-1", "--pattern", "random"], "--seed must be >= 0, got -1"),
+    (["grad-check", "--objective", "logistic", "--param", "data_seed=-1"],
+     "data_seed must be >= 0, got -1"),
+    (["grad-check", "--objective", "tiny_mlp", "--param", "hidden=12345678901234567890"],
+     "tiny_mlp: hidden=12345678901234567890 * d_in=10 gives w1 123456789012345678900 "
+     "entries, more than the 1152921504606846975 a float64 array can hold"),
+], ids=["grad_check_seed", "norm_sim_seed", "norm_sim_random_seed", "data_seed_param",
+        "hidden_param"])
+def test_a_rejected_flag_or_param_is_one_error_line_naming_it(argv, err, tmp_path,
+                                                              monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert os.listdir(tmp_path) == []
+
+
 # Values at and past every boundary a number or a name can have.
 _BOUNDARY_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e-320", "", "abc",
                     "1e400", "12345678901234567890", "0.5", "2")
@@ -518,9 +538,14 @@ def test_run_takes_any_value_of_every_config_key_without_a_traceback(
     out = str(tmp_path / "run.csv")
     argvs = [["run", "--set", f"{key}={value}", "--steps", "3", "--out", out]
              for key in CONFIG_KEYS if key != "run.out" for value in _BOUNDARY_VALUES]
+    # The dataset objectives' keys, each under its own objective.
+    argvs += [["run", "--set", f"objective.name={name}",
+               "--set", f"objective.{key}={value}", "--steps", "3", "--out", out]
+              for name in ("logistic", "tiny_mlp") for key in OBJECTIVES[name][1]
+              for value in _BOUNDARY_VALUES]
 
     def key_and_field(argv):
-        key = argv[2].partition("=")[0]
+        key = argv[argv.index("--steps") - 1].partition("=")[0]
         return key, key.partition(".")[2]
 
     offenders = _boundary_offenders(argvs, (0, 1, 2), capsys, key_and_field)

@@ -1,3 +1,4 @@
+import math
 import os
 import platform
 import subprocess
@@ -18,6 +19,8 @@ from padamp.diagnostics import (
     DiagnosticsReport,
     NormGrowthTrace,
     _group_lemmas,
+    _vector_lemmas,
+    fold_lemmas,
     momentum_norm_ratio_limit,
     simulate_norm_growth,
     track_convergence,
@@ -26,6 +29,13 @@ from padamp.diagnostics import (
 from padamp.geometry import norm
 from padamp.harness import build_config, run
 from padamp.optimizers import make_step
+
+
+def _one_step_lemmas(m, m_prev, v, g, beta1t, c1, eps, p, theta, theta_norm):
+    """One group's lemma columns for one step, as the step computes them
+    without a batch: _group_lemmas on 1-row views, as Python floats."""
+    return tuple(_vector_lemmas(m, m_prev, v, g, beta1t, c1, eps, p, theta,
+                                theta_norm)[0].tolist())
 
 
 # ------------------------------------------------------------- norm growth
@@ -244,7 +254,7 @@ def test_momentum_limit_values():
 def _lemma2(m, m_prev, g, beta1t):
     # The lemma-2 residual of _group_lemmas, which is scaled by 1 + ||m||.
     ones = np.ones_like(m)
-    return _group_lemmas(m, m_prev, ones, g, beta1t, 1.0, 1e-8, 0.5, ones, norm(ones))[0]
+    return _one_step_lemmas(m, m_prev, ones, g, beta1t, 1.0, 1e-8, 0.5, ones, norm(ones))[0]
 
 
 def test_lemma2_residual_is_rounding_level_for_consistent_inputs():
@@ -302,9 +312,9 @@ def test_monitor_tracks_live_optimizer_steps():
         grads = {"theta": rng.standard_normal(8)}
         theta = groups[0].values
         out = step(state, groups, grads, eta_t=1e-3)
-        lemmas = _group_lemmas(state.m["theta"], state.m_prev["theta"], state.v["theta"],
-                               grads["theta"], beta1_at(t, hp), state.c1["theta"], hp.epsilon,
-                               hp.p, theta, norm(theta))
+        lemmas = _one_step_lemmas(state.m["theta"], state.m_prev["theta"], state.v["theta"],
+                                  grads["theta"], beta1_at(t, hp), state.c1["theta"],
+                                  hp.epsilon, hp.p, theta, norm(theta))
         assert out.record["lemma2_residual"] < 1e-10
         # The eight lemma columns close the step's record, each the group's value.
         assert list(out.record)[-8:] == list(LEMMA_COLUMNS)
@@ -325,8 +335,8 @@ def test_lemma4_upper_slack_holds_once_v_underflows_eps(eps, p, dim, tiny):
     v = rng.uniform(0.0, 1.0, dim)
     v[rng.integers(dim)] = tiny * eps
     m, m_prev, g, theta = rng.standard_normal((4, dim))
-    lemmas = _group_lemmas(m, m_prev, v, g, 0.9, 1.0, eps, p, theta,
-                           float(np.linalg.norm(theta)))
+    lemmas = _one_step_lemmas(m, m_prev, v, g, 0.9, 1.0, eps, p, theta,
+                              float(np.linalg.norm(theta)))
     assert lemmas[LEMMA_COLUMNS.index("lemma4_upper")] >= 0.0
 
 
@@ -389,8 +399,8 @@ def test_bound_slacks_match_the_out_of_place_oracle_bitwise(seed, dim, eps, p, t
     theta_norm = float(np.linalg.norm(theta))
     arrays = (m, m_prev, v, g, theta)
     copies = [np.copy(a) for a in arrays]
-    resid, margin, *slacks = _group_lemmas(m, m_prev, v, g, beta1t, c1, eps, p,
-                                           theta, theta_norm)
+    resid, margin, *slacks = _one_step_lemmas(m, m_prev, v, g, beta1t, c1, eps, p,
+                                              theta, theta_norm)
     assert _bits(resid) == _bits(_check_lemma2_oracle(m, m_prev, g, beta1t) / (1.0 + norm(m)))
     assert _bits(margin) == _bits(float(c1 ** 2 - np.max(v)))
     want = _bound_slacks_oracle(m, m_prev, v, g, c1, eps, p, theta, theta_norm)
@@ -403,13 +413,77 @@ def test_bound_slacks_match_the_out_of_place_oracle_bitwise(seed, dim, eps, p, t
 
 @pytest.mark.parametrize("p", [0.25, 0.5])
 def test_group_lemmas_returns_python_floats(p):
-    # The scalar tail does Python float arithmetic, not numpy-scalar arithmetic.
+    # _group_lemmas returns a (k, 8) float64 array, and a record holds its
+    # entries as Python floats, from the step's own call and from a flush.
     rng = seeded_rng(5)
-    m, m_prev, g, theta = rng.standard_normal((4, 20))
-    v = rng.uniform(0.0, 1.0, 20)
-    lemmas = _group_lemmas(m, m_prev, v, g, 0.9, 2.0, 1e-8, p, theta, norm(theta))
-    assert len(lemmas) == len(LEMMA_COLUMNS)
-    assert all(type(value) is float for value in lemmas)
+    m, m_prev, g, theta = rng.standard_normal((4, 3, 20))
+    v = rng.uniform(0.0, 1.0, (3, 20))
+    rows = _group_lemmas(m, m_prev, v, g, np.full(3, 0.9), np.full(3, 2.0), 1e-8, p,
+                         theta, np.linalg.norm(theta, axis=1))
+    assert rows.shape == (3, len(LEMMA_COLUMNS)) and rows.dtype == np.float64
+    groups = [ParamGroup("theta", theta[0])]
+    out = make_step("padamp")(new_state(groups, HyperParams(p=p)), groups,
+                              {"theta": g[0]}, 1e-3)
+    records = [out.record, *run(build_config({"hp.p": str(p), "run.steps": "3"})).records]
+    assert all(type(r[c]) is float for r in records for c in LEMMA_COLUMNS)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 300),
+       st.one_of(st.just(0.5), st.just(0.25), st.floats(0.0, 0.5, exclude_min=True)),
+       st.floats(-30.0, 30.0), st.booleans())
+def test_group_lemmas_rows_match_one_row_calls_bitwise(seed, k, dim, p, log_scale,
+                                                       zero_theta):
+    # Row i of a k-row call is the 1-row call on row i, bit for bit: every
+    # reduction runs along a row and each row dot is the vector dot. This
+    # leans on numpy's stacked matmul taking BLAS's dot, so CI runs it under
+    # OpenBLAS's Zen kernels too.
+    rng = seeded_rng(seed)
+    scale = 2.0 ** log_scale
+    m, m_prev, g, theta = rng.standard_normal((4, k, dim)) * scale
+    v = rng.uniform(0.0, 1.0, (k, dim)) * scale * scale
+    if zero_theta:
+        theta[rng.integers(k)] = 0.0
+    beta1t = rng.uniform(0.0, 1.0, k)
+    c1 = np.sqrt(v.max(axis=1)) + rng.uniform(0.0, 1.0, k)
+    theta_norm = np.array([norm(row) for row in theta])
+    rows = _group_lemmas(m, m_prev, v, g, beta1t, c1, 1e-8, p, theta, theta_norm)
+    for i in range(k):
+        one = _vector_lemmas(m[i], m_prev[i], v[i], g[i], float(beta1t[i]), float(c1[i]),
+                             1e-8, p, theta[i], float(theta_norm[i]))
+        assert rows[i].tobytes() == one[0].tobytes(), i
+
+
+_SPECIALS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0]
+
+
+def _python_fold(rows):
+    """Successive groups' lemma rows folded with Python's max for the
+    residual and its min for every other entry."""
+    want = rows[0]
+    for found in rows[1:]:
+        want = [max(want[0], found[0]), *map(min, want[1:], found[1:])]
+    return want
+
+
+@given(st.lists(st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIALS)),
+                         min_size=8, max_size=8), min_size=1, max_size=4))
+def test_fold_lemmas_picks_what_python_max_and_min_pick(groups):
+    # One 8-entry row per group, nan and infinities included.
+    acc = np.array([groups[0]])
+    for found in groups[1:]:
+        fold_lemmas(acc, np.array([found]))
+    assert acc.tobytes() == np.array([_python_fold(groups)]).tobytes()
+
+
+def test_fold_lemmas_on_every_pair_of_special_values():
+    # Row i folds the i-th ordered pair of nan, -nan, +-inf, +-0 and +-1 in
+    # every column, so each sign of zero and each nan meets every value.
+    pairs = [(a, b) for a in _SPECIALS for b in _SPECIALS]
+    acc = np.array([[a] * 8 for a, _ in pairs])
+    fold_lemmas(acc, np.array([[b] * 8 for _, b in pairs]))
+    want = [_python_fold([[a] * 8, [b] * 8]) for a, b in pairs]
+    assert acc.tobytes() == np.array(want).tobytes()
 
 
 def test_converged_run_passes_the_lemma4_upper_bound():

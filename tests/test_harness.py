@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import padamp.harness
 from padamp.cli import _load_mapping, build_parser
-from padamp.core import HyperParams
+from padamp.core import HyperParams, ParamGroup
+from padamp.diagnostics import LemmaBatch, lemma_batch
 from padamp.harness import (
     _PARSERS,
     CONFIG_KEYS,
@@ -543,6 +545,106 @@ def test_telemetry_read_back_writes_the_same_bytes(tmp_path, name):
     run(build_config(keys, {"run.steps": "200", "run.seed": "3", "run.out": str(p)}))
     write_telemetry(read_telemetry(str(p)), str(q))
     assert q.read_bytes() == p.read_bytes()
+
+
+# Runs whose lemma columns a LemmaBatch fills in. The p schedule decays p at
+# step 21, inside a block of 8 rows (and of the default height); 61 steps
+# is no multiple of either height.
+_BATCHED_RUNS = {
+    "padamp quadratic": {"objective.name": "quadratic", "objective.dim": "20",
+                         "objective.condition": "100"},
+    "padamp scale_invariant": {"objective.name": "scale_invariant"},
+    "padamp logistic": {"objective.name": "logistic"},
+    "padamp tiny_mlp": {"objective.name": "tiny_mlp"},
+    "amsgrad quadratic": {"optimizer.kind": "amsgrad", "objective.name": "quadratic",
+                          "objective.dim": "20", "objective.condition": "100"},
+    "padamp quadratic p_schedule": {
+        "objective.name": "quadratic", "run.steps_per_epoch": "10",
+        "p_schedule.decay_epoch": "3", "p_schedule.new_p": "0.125"},
+    "padamp tiny_mlp p_schedule": {
+        "objective.name": "tiny_mlp", "p_schedule.decay_epoch": "6",
+        "p_schedule.new_p": "0.125"},
+    # Past LEMMA_BLOCK_ELEMENTS: the default batch holds reductions only.
+    "padamp quadratic d=10000": {"objective.name": "quadratic", "objective.dim": "10000",
+                                 "p_schedule.decay_epoch": "2", "p_schedule.new_p": "0.125",
+                                 "run.steps_per_epoch": "20"},
+}
+
+
+def _set_lemma_batch(monkeypatch, height, hold_inputs=True):
+    """Make run's LemmaBatch `height` rows high, holding the steps' inputs or
+    only their reductions. None keeps the default batch; 0 makes run call
+    the step without a batch, as a direct caller does."""
+    if height == 0:
+        monkeypatch.setattr(padamp.harness, "lemma_batch", lambda groups, eps: None)
+    elif height is not None:
+        monkeypatch.setattr(padamp.harness, "lemma_batch",
+                            lambda groups, eps: LemmaBatch(groups, eps, height, hold_inputs))
+
+
+def test_lemma_batch_holds_inputs_up_to_the_element_budget():
+    def blocks(dims):
+        return lemma_batch([ParamGroup(f"g{i}", np.zeros(d)) for i, d in enumerate(dims)],
+                           1e-8).blocks.values()
+    # 16384 // 20 = 819 rows; two groups share the budget.
+    assert [inputs.shape for inputs, _, _ in blocks([20])] == [(5, 819, 20)]
+    assert [inputs.shape for inputs, _, _ in blocks([8000, 192])] == [(5, 2, 8000),
+                                                                      (5, 2, 192)]
+    # Under 2 rows: each step's reductions, 256 steps of them.
+    assert [(inputs, found.shape) for inputs, _, found in blocks([8193])] == [
+        (None, (9, 256))]
+
+
+@pytest.mark.parametrize("height, hold_inputs", [(None, True), (8, True), (8, False)],
+                         ids=["default", "inputs8", "reductions8"])
+@pytest.mark.parametrize("name", list(_BATCHED_RUNS))
+def test_batched_run_writes_what_unbatched_steps_write(name, height, hold_inputs, tmp_path,
+                                                       monkeypatch):
+    keys = dict(_BATCHED_RUNS[name], **{"run.steps": "61", "run.seed": "3"})
+    results, paths = [], [tmp_path / "batched.csv", tmp_path / "unbatched.csv"]
+    for path, path_height in zip(paths, (height, 0)):
+        with monkeypatch.context() as patch:
+            _set_lemma_batch(patch, path_height, hold_inputs)
+            results.append(run(build_config(keys, {"run.out": str(path)})))
+    batched, unbatched = results
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert repr([list(r.items()) for r in batched.records]) == repr(
+        [list(r.items()) for r in unbatched.records])
+    assert batched.report.rows == unbatched.report.rows
+    if "p_schedule" in name:
+        assert len(set(telemetry_columns(batched.records)["p_now"].tolist())) == 2
+
+
+@pytest.mark.parametrize("eta0, error, message", [
+    # The loss check aborts the run, or the step raises.
+    ("1e10", RuntimeError, "non-finite loss inf at step 5"),
+    ("1e3", FloatingPointError, "squared gradient norm of group 'theta' overflows"),
+])
+@pytest.mark.parametrize("hold_inputs", [True, False], ids=["inputs", "reductions"])
+@pytest.mark.parametrize("height", [2, 3])
+def test_aborted_batched_run_writes_what_unbatched_steps_write(eta0, error, message, height,
+                                                               hold_inputs, tmp_path,
+                                                               monkeypatch):
+    keys = {"objective.name": "rosenbrock", "schedule.eta0": eta0, "run.steps": "40"}
+    paths = [tmp_path / "batched.csv", tmp_path / "unbatched.csv"]
+    for path, path_height in zip(paths, (height, 0)):
+        with monkeypatch.context() as patch:
+            _set_lemma_batch(patch, path_height, hold_inputs)
+            with pytest.raises(error, match=message):
+                run(build_config(keys, {"run.out": str(path)}))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    cols = read_telemetry(str(paths[0]))
+    assert cols["t"].size > height and np.isfinite(cols["lemma2_residual"]).all()
+
+
+def test_overflowing_objective_names_the_step(tmp_path):
+    # tiny_mlp's batch norm overflows at the first step; the CSV has no rows
+    # to write.
+    keys = {"objective.name": "tiny_mlp", "objective.separation": "1e308"}
+    with pytest.raises(FloatingPointError,
+                       match=r"^tiny_mlp batch-norm variance is not finite: .* at step 1$"):
+        run(build_config(keys, {"run.steps": "3", "run.out": str(tmp_path / "run.csv")}))
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_different_seeds_change_the_run(tmp_path):

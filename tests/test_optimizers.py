@@ -10,13 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padamp.core import HyperParams, ParamGroup, beta1_at, new_state
-from padamp.diagnostics import LEMMA_COLUMNS, SLACK_COLUMNS, _group_lemmas
+from padamp.diagnostics import LEMMA_COLUMNS, SLACK_COLUMNS, LemmaBatch, _vector_lemmas
 from padamp.geometry import norm
 from padamp.harness import build_config, run
 from padamp.optimizers import OptimizerKind, make_step
 
 padamp_step, adamp_step, padam_step, adam_step, amsgrad_step, sgdm_step = (
     make_step(k) for k in ("padamp", "adamp", "padam", "adam", "amsgrad", "sgdm"))
+
+
+def _one_step_lemmas(m, m_prev, v, g, beta1t, c1, eps, p, theta, theta_norm):
+    """One group's lemma columns for one step, as the step computes them
+    without a batch: _group_lemmas on 1-row views, as Python floats."""
+    return tuple(_vector_lemmas(m, m_prev, v, g, beta1t, c1, eps, p, theta,
+                                theta_norm)[0].tolist())
 
 
 def _one_group(values):
@@ -193,7 +200,7 @@ def test_step_slacks_use_the_gradients_the_moments_saw(fn):
         assert all(math.isnan(x) for x in lemmas)
         return
     # Under coupled decay the moments see g + wd * theta; so do the lemmas.
-    assert lemmas == _group_lemmas(
+    assert lemmas == _one_step_lemmas(
         state.m["theta"], state.m_prev["theta"], state.v["theta"], g + 0.1 * theta,
         beta1_at(1, hp), state.c1["theta"], hp.epsilon, hp.p, theta, norm(theta))
 
@@ -409,7 +416,7 @@ def test_multi_group_step_records_each_group():
                 for t in (1, 2):
                     grads = {g.name: rng.standard_normal(g.values.size) for g in groups}
                     out = padamp_step(state, groups, grads, 1e-3)
-                    per_group = [_group_lemmas(
+                    per_group = [_one_step_lemmas(
                         state.m[g.name], state.m_prev[g.name], state.v[g.name],
                         grads[g.name] + 0.1 * g.values if wd_mode == "coupled"
                         else grads[g.name], beta1_at(t, hp), state.c1[g.name],
@@ -477,6 +484,30 @@ def test_overflowing_lemma_slack_is_non_finite_without_a_warning():
     assert all(math.isfinite(out.record[c]) for c in LEMMA_COLUMNS if c != "lemma5_radial")
 
 
+@pytest.mark.parametrize("hold_inputs", [True, False], ids=["inputs", "reductions"])
+def test_direct_caller_batch_fills_lemmas_under_any_error_state(hold_inputs):
+    # A caller that hands its steps a LemmaBatch gets what unbatched steps
+    # record, under np.errstate(all="raise") too: every row's radial slack
+    # overflows to -inf, and the batch flushes inside a step (full at 2 rows)
+    # and at the caller's own flush().
+    def steps(batch):
+        groups = _one_group([1e300] * 3)
+        state, records = new_state(groups, HyperParams(weight_decay=0.0)), []
+        for _ in range(5):
+            out = padamp_step(state, groups, _grads([1e40] * 3), 1e-3, lemma_batch=batch)
+            groups = out.new_params
+            records.append(out.record)
+        if batch is not None:
+            batch.flush()
+        return records
+
+    batch = LemmaBatch(_one_group([1e300] * 3), HyperParams().epsilon, 2, hold_inputs)
+    with np.errstate(all="raise"):
+        got, want = steps(batch), steps(None)
+    assert repr(got) == repr(want)
+    assert [r["lemma5_radial"] for r in got] == [-math.inf] * 5
+
+
 def _calls_per_step(steps):
     """The Python-level calls cProfile counts in one padamp quad_d20 run,
     and how many of them are np.errstate.__enter__."""
@@ -498,7 +529,7 @@ def test_small_d_step_call_budget():
     # Per step: (calls at 2000 steps - calls at 1000) / 1000, so the set-up
     # and the end-of-run report cancel out.
     (calls_1k, enters_1k), (calls_2k, enters_2k) = _calls_per_step(1000), _calls_per_step(2000)
-    assert (calls_2k - calls_1k) / 1000 <= 59
+    assert (calls_2k - calls_1k) / 1000 <= 55
     # The step's errstate is the only one entered per step: run sets the
     # floating-point state once for the whole run.
     assert enters_2k - enters_1k == 1000
