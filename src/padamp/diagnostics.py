@@ -3,28 +3,33 @@
 Covers: the norm-growth gap between plain and momentum descent, the
 first-moment rearrangement identity, the second-moment and denominator
 bounds (with the empirical running gradient bound C1), learning-rate
-schedule assumptions, and the running-min convergence tracker.
+schedule assumptions, the running-min convergence tracker, and the run's
+telemetry table.
 
 _group_lemmas computes one adaptive group's LEMMA_COLUMNS for a block of k
 steps, one row per step: its full-size passes over (k, d) arrays
 (_lemma_passes) leave nine (k,) reductions, and elementwise arithmetic on
 those (_lemma_rows) gives the columns. fold_lemmas folds the groups' rows
 into the telemetry values. A step called directly runs _group_lemmas on
-1-row views after each group's update. harness.run hands every step a
-LemmaBatch instead, and the step leaves its lemma columns nan until the
-batch flushes a block. Below LEMMA_BLOCK_ELEMENTS the batch holds the
-steps' inputs and makes the passes per block; above, the step makes the
-passes on 1-row views and the batch keeps their reductions, so only the
+1-row views after each group's update.
+
+harness.run hands every step its TelemetryTable. An adaptive run's table
+holds a LemmaBatch, which takes the steps' lemma inputs and writes a block
+of rows' lemma columns at once. Below LEMMA_BLOCK_ELEMENTS the batch holds
+the steps' inputs and makes the passes per block; above, the step makes
+the passes on 1-row views and the batch keeps their reductions, so only the
 arithmetic waits for the flush.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import abc
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import repeat
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +43,9 @@ __all__ = [
     "DiagnosticsReport",
     "SLACK_COLUMNS",
     "LEMMA_COLUMNS",
+    "step_columns",
     "LemmaBatch",
+    "TelemetryTable",
     "simulate_norm_growth",
     "validate_schedule",
     "track_convergence",
@@ -158,6 +165,15 @@ def simulate_norm_growth(
 SLACK_COLUMNS = ("lemma3_lower", "lemma4_lower", "lemma4_upper", "lemma5_radial",
                  "lemma5_precond_sq", "lemma5_moment_diff")
 LEMMA_COLUMNS = ("lemma2_residual", "lemma3_margin", *SLACK_COLUMNS)
+
+
+@lru_cache(maxsize=64)
+def step_columns(names: Tuple[str, ...]) -> Tuple[str, ...]:
+    """A step's telemetry columns for groups of these names, in CSV order."""
+    return ("t", "epoch", "eta_t", "p_now", "loss", "grad_norm_sq",
+            *(f"{name}_{col}" for name in names for col in (
+                "param_norm", "cos_sim", "projected", "effective_step_norm")),
+            *LEMMA_COLUMNS)
 
 
 # The lemma inputs a LemmaBatch may hold per input array, over all groups:
@@ -345,28 +361,23 @@ def fold_lemmas(acc: np.ndarray, found: np.ndarray) -> np.ndarray:
 
 
 class LemmaBatch:
-    """The lemma columns of up to `height` adaptive steps, filled in with one
+    """The lemma columns of up to `height` adaptive steps, computed with one
     _lemma_rows call per group, and one _group_lemmas call when the batch
     holds the steps' inputs.
 
-    harness.run makes one (lemma_batch) and hands it to every step. An
-    adaptive step hands over each group's m, m_prev, v, g (after coupled
-    decay), pre-step theta, beta1_t, C1 and ||theta|| (add_row), then its
-    record, whose lemma columns hold nan (add_record). With hold_inputs the
-    batch copies the arrays into the group's next free row and takes the
-    full-size passes when it flushes; without, add_row takes them at once
-    on 1-row views and keeps their nine reductions. flush() computes the
-    pending rows, folds them over groups in group order, and writes each
-    pending record's lemma columns. A full block flushes, and so do the
-    pending rows when a step brings another p; the run flushes the rest at
-    its end, and before it writes an aborted run's telemetry.
+    A TelemetryTable holds it; its n pending rows are the table's last n.
+    Before it writes its row, an adaptive step hands over each group's m,
+    m_prev, v, g (after coupled decay), pre-step theta, beta1_t, C1 and
+    ||theta|| (add_row). With hold_inputs the batch copies the arrays into
+    the group's next free row and makes the full-size passes at flush();
+    without, add_row makes them at once on 1-row views and keeps their
+    nine reductions.
     """
 
     def __init__(self, groups: Sequence, eps: float, height: int, hold_inputs: bool = True):
         self.eps = eps
         self.height = height
-        self.p: Optional[float] = None
-        self.records: List[dict] = []
+        self.n = 0
         # Per group: the rows of m, m_prev, v, g and theta (None without
         # hold_inputs); of beta1_t, C1 and ||theta||; and of the reductions.
         self.blocks = {g.name: (np.empty((5, height, g.dim)) if hold_inputs else None,
@@ -376,11 +387,8 @@ class LemmaBatch:
     def add_row(self, name: str, p: float, m: np.ndarray, m_prev: np.ndarray,
                 v: np.ndarray, g: np.ndarray, theta: np.ndarray, beta1t: float,
                 c1: float, theta_norm: float) -> None:
-        if p != self.p:
-            self._flush()  # the pending rows were taken under another p
-            self.p = p
         inputs, scalars, found = self.blocks[name]
-        i = len(self.records)
+        i = self.n
         scalars[0, i] = beta1t
         scalars[1, i] = c1
         scalars[2, i] = theta_norm
@@ -395,34 +403,24 @@ class LemmaBatch:
             inputs[3, i] = g
             inputs[4, i] = theta
 
-    def add_record(self, record: dict) -> None:
-        self.records.append(record)
-        if len(self.records) == self.height:
-            self._flush()
-
-    def flush(self) -> None:
-        """Fill in the pending records' lemma columns; an overflow gives a
-        non-finite entry and no warning, whatever numpy's error state."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._flush()
-
-    def _flush(self) -> None:
-        # add_row and add_record run inside the step's errstate.
-        n = len(self.records)
-        if not n:
-            return
-        folded = None
-        for inputs, scalars, found in self.blocks.values():
-            beta1t, c1, theta_norm = scalars[:, :n]
-            if inputs is not None:
-                m, m_prev, v, g, theta = inputs[:, :n]
-                _lemma_passes(m, m_prev, v, g, beta1t, self.eps, self.p, theta, theta_norm,
-                              found[:, :n])
-            rows = _lemma_rows(found[:, :n], c1, self.eps, self.p)
-            folded = rows if folded is None else fold_lemmas(folded, rows)
-        for record, values in zip(self.records, folded.tolist()):
-            record.update(zip(LEMMA_COLUMNS, values))
-        self.records.clear()
+    def flush(self, p: np.ndarray, out: np.ndarray) -> None:
+        """Fold the pending rows' lemma columns over groups into the (n, 8)
+        out, under each row's p (the table's p_now), and empty the batch."""
+        n, self.n = self.n, 0
+        # A p_schedule decay can fall inside the pending rows.
+        cuts = [0, *(np.flatnonzero(p[1:] != p[:-1]) + 1).tolist(), n]
+        for a, b in zip(cuts, cuts[1:]):
+            p_run = float(p[a])
+            folded = None
+            for inputs, scalars, found in self.blocks.values():
+                beta1t, c1, theta_norm = scalars[:, a:b]
+                if inputs is not None:
+                    m, m_prev, v, g, theta = inputs[:, a:b]
+                    _lemma_passes(m, m_prev, v, g, beta1t, self.eps, p_run, theta,
+                                  theta_norm, found[:, a:b])
+                rows = _lemma_rows(found[:, a:b], c1, self.eps, p_run)
+                folded = rows if folded is None else fold_lemmas(folded, rows)
+            out[a:b] = folded
 
 
 def lemma_batch(groups: Sequence, eps: float) -> LemmaBatch:
@@ -433,6 +431,71 @@ def lemma_batch(groups: Sequence, eps: float) -> LemmaBatch:
     if height >= 2:
         return LemmaBatch(groups, eps, height)
     return LemmaBatch(groups, eps, _REDUCED_ROWS, hold_inputs=False)
+
+
+# A new TelemetryTable's rows; it doubles them whenever they fill.
+TABLE_ROWS = 256
+
+
+def is_int_column(name: str) -> bool:
+    """t, epoch and the projected flags are int64; every other column is float64."""
+    return name in ("t", "epoch") or name.endswith("_projected")
+
+
+class TelemetryTable(abc.Sequence):
+    """A run's telemetry: a float64 row per step in step_columns and then
+    eval_grad_norm_sq (CSV order), `rows` high and doubling when full, nan
+    where nothing wrote; and the LemmaBatch, if any, that writes its pending
+    rows' lemma columns when a block fills or at flush(). It is also the
+    read-only sequence of its completed rows, each built when asked as a
+    direct step's record (int t and epoch, bool flags, Python floats).
+    """
+
+    def __init__(self, groups: Sequence, lemmas: Optional[LemmaBatch] = None,
+                 rows: int = TABLE_ROWS):
+        self.names = step_columns(tuple(g.name for g in groups)) + ("eval_grad_norm_sq",)
+        self.lemmas = lemmas
+        self.data = np.full((rows, len(self.names)), math.nan)
+        self.n = 0
+
+    def add_row(self, values: Sequence) -> None:
+        """Fill the next row's first columns; a full lemma block flushes here."""
+        n = self.n
+        if n == len(self.data):
+            self.data = np.concatenate([self.data, np.full_like(self.data, math.nan)])
+        self.data[n, :len(values)] = values
+        self.n = n + 1
+        if self.lemmas is not None:
+            self.lemmas.n += 1
+            if self.lemmas.n == self.lemmas.height:
+                self._flush()
+
+    def flush(self) -> None:
+        """_flush under over="ignore", invalid="ignore", whatever numpy's state."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._flush()
+
+    def _flush(self) -> None:
+        lemmas = self.lemmas
+        if lemmas is not None and lemmas.n:
+            # p_now is column 3; the lemma columns come last but one.
+            rows = self.data[self.n - lemmas.n:self.n]
+            lemmas.flush(rows[:, 3], rows[:, -1 - len(LEMMA_COLUMNS):-1])
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> dict:
+        values = self.data[:self.n][operator.index(i)].tolist()  # IndexError outside [-n, n)
+        return {name: (bool(x) if name.endswith("_projected") else int(x))
+                if is_int_column(name) else x for name, x in zip(self.names, values)}
+
+    def columns(self) -> Dict[str, np.ndarray]:
+        """Read-only float64 views of the rows' columns; int64 copies where is_int_column."""
+        data = self.data[:self.n]
+        data.flags.writeable = False
+        return {name: col.astype(np.int64) if is_int_column(name) else col
+                for name, col in zip(self.names, data.T)}
 
 
 class LemmaMonitor:

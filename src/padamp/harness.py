@@ -24,7 +24,11 @@ from .diagnostics import (
     ConvergenceTrace,
     DiagnosticsReport,
     LemmaMonitor,  # noqa: F401  unused; perfbench's layer trace patches it here
+    TelemetryTable,
+    TABLE_ROWS,
+    is_int_column,
     lemma_batch,
+    step_columns,
     track_convergence,
     validate_schedule,
 )
@@ -50,7 +54,6 @@ __all__ = [
     "schedule_p",
     "run",
     "sweep",
-    "telemetry_columns",
     "write_telemetry",
     "read_telemetry",
     "check_telemetry",
@@ -230,7 +233,7 @@ class ExperimentConfig:
 @dataclass
 class RunResult:
     config: ExperimentConfig
-    records: List[Dict[str, float]]
+    records: TelemetryTable
     report: DiagnosticsReport
     convergence: ConvergenceTrace
     summary: Dict[str, float]
@@ -248,9 +251,9 @@ def run(config: ExperimentConfig) -> RunResult:
 
     Writes the telemetry CSV when config.output_path is set. Aborts with the
     step index if the loss goes non-finite or the objective raises an
-    ArithmeticError (tiny_mlp's overflowing batch norm); an aborted run still writes the
-    CSV of the steps it completed, then re-raises. Overflow is silent for the
-    whole run: the loss check, the step and check_telemetry report non-finite values.
+    ArithmeticError (tiny_mlp's overflowing batch norm); an aborted run writes the CSV
+    of the steps it completed (its header alone if none), then re-raises. Overflow is
+    silent for the whole run: the loss check, the step and check_telemetry report it.
     """
     started = time.perf_counter()
     data_ss, init_ss, batch_ss, eval_ss = np.random.SeedSequence(config.seed).spawn(4)
@@ -263,15 +266,13 @@ def run(config: ExperimentConfig) -> RunResult:
     params = objective.init_params(init_rng, scale=config.init_scale)
     state = new_state(params, config.hp)
     step_fn = make_step(config.optimizer)
-    # sgdm has no lemma quantities to batch.
-    lemmas = (None if config.optimizer == OptimizerKind.SGDM
-              else lemma_batch(params, config.hp.epsilon))
 
     epoch_len = (config.steps_per_epoch if objective.dataset is None
                  else math.ceil(objective.dataset.n / config.batch_size))
     budget = config.steps if config.steps is not None else config.epochs * epoch_len
-
-    records: List[Dict[str, float]] = []
+    # sgdm has no lemma quantities to batch.
+    table = TelemetryTable(params, None if config.optimizer == OptimizerKind.SGDM
+                           else lemma_batch(params, config.hp.epsilon), min(budget, TABLE_ROWS))
     batch_iter = iter(())
 
     try:
@@ -316,23 +317,22 @@ def run(config: ExperimentConfig) -> RunResult:
                 # An objective that overflows says so; this says where.
                 raise type(exc)(f"{exc} at step {t}") from exc
 
-            out = step_fn(state, params, grads, eta_t, p_now, lemma_batch=lemmas)
-            out.record["loss"] = loss
-            out.record["epoch"] = epoch
-            out.record["eval_grad_norm_sq"] = estimate
-            records.append(out.record)
-            params = out.new_params
-        if lemmas is not None:
-            lemmas.flush()
+            params = step_fn(state, params, grads, eta_t, p_now, table=table).new_params
+            # The step's row: step_columns puts epoch at 1 and loss at 4.
+            row = table.data[table.n - 1]
+            row[1] = epoch
+            row[4] = loss
+            row[-1] = estimate
+        table.flush()
     except Exception:
-        # A diverging run keeps the steps it completed, lemma columns included.
-        if lemmas is not None:
-            lemmas.flush()
-        if records and config.output_path is not None:
-            write_telemetry(telemetry_columns(records), config.output_path)
+        # A diverging run keeps the steps it completed, lemma columns
+        # included; one that completed none writes the header alone.
+        table.flush()
+        if config.output_path is not None:
+            write_telemetry(table.columns(), config.output_path)
         raise
 
-    cols = telemetry_columns(records)
+    cols = table.columns()
     estimates = cols["eval_grad_norm_sq"]
     trace = track_convergence(estimates[~np.isnan(estimates)])
     report = check_telemetry(cols)
@@ -343,12 +343,12 @@ def run(config: ExperimentConfig) -> RunResult:
     report.add("schedule_theorem_assumptions", float(verdict), True)
     final_acc = objective.accuracy(params)
     summary = {
-        "final_loss": records[-1]["loss"],
+        "final_loss": float(cols["loss"][-1]),
         "final_accuracy": float("nan") if final_acc is None else final_acc,
         "min_grad_norm_sq": trace.final_min,
         "wall_time_s": time.perf_counter() - started,
     }
-    result = RunResult(config, records, report, trace, summary, params)
+    result = RunResult(config, table, report, trace, summary, params)
     if config.output_path is not None:
         write_telemetry(cols, config.output_path)
     return result
@@ -411,23 +411,8 @@ def write_sweep_summary(axis: str, values: Sequence[str], results: Sequence[RunR
             ])
 
 
-def _is_int_column(name: str) -> bool:
-    """t, epoch and the projected flags are int64; every other column is float64."""
-    return name in ("t", "epoch") or name.endswith("_projected")
-
-
-def telemetry_columns(records: Sequence[Dict[str, float]]) -> Dict[str, np.ndarray]:
-    """The step rows as named columns, in CSV order; read_telemetry gives the
-    same names, dtypes and values back."""
-    if not records:
-        raise ValueError("no records to tabulate")
-    return {k: np.asarray([r[k] for r in records],
-                          dtype=np.int64 if _is_int_column(k) else np.float64)
-            for k in records[0]}
-
-
 def write_telemetry(cols: Dict[str, np.ndarray], path: str) -> None:
-    """telemetry_columns' table as CSV; floats are written with repr(), so
+    """TelemetryTable.columns() as CSV; floats are written with repr(), so
     reruns are byte-identical."""
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(cols)
@@ -445,7 +430,7 @@ def _read_float(text: str, name: str, row: int) -> float:
 
 
 def read_telemetry(path: str) -> Dict[str, np.ndarray]:
-    """Telemetry CSV back as telemetry_columns' table. A header naming a column
+    """Telemetry CSV back as TelemetryTable.columns(). A header naming a column
     twice, a row whose field count differs from the header's, a non-numeric
     value, or a non-whole one in an int64 column is an error naming the column,
     the data row, or both."""
@@ -465,7 +450,7 @@ def read_telemetry(path: str) -> Dict[str, np.ndarray]:
             rows.append([_read_float(x, name, i) for name, x in zip(header, row)])
     data = np.asarray(rows, dtype=np.float64) if rows else np.empty((0, len(header)))
     cols = {name: data[:, j] for j, name in enumerate(header)}
-    for name in filter(_is_int_column, cols):
+    for name in filter(is_int_column, cols):
         x = cols[name]
         bad = np.flatnonzero((x != np.trunc(x)) | ~(np.abs(x) < 2.0 ** 63))
         if bad.size:
@@ -486,14 +471,13 @@ def _add_max_increase(report: DiagnosticsReport, name: str, x: np.ndarray) -> No
 
 
 # The columns every telemetry table holds besides the per-group ones.
-_STEP_COLUMNS = ("t", "epoch", "eta_t", "p_now", "loss", "grad_norm_sq",
-                 *LEMMA_COLUMNS, "eval_grad_norm_sq")
+_STEP_COLUMNS = step_columns(()) + ("eval_grad_norm_sq",)
 
 
 def check_telemetry(cols: Dict[str, np.ndarray]) -> DiagnosticsReport:
     """Every invariant a telemetry table can show, one report row each.
 
-    Takes telemetry_columns of a live run or read_telemetry of its CSV. A
+    Takes a run's RunResult.records.columns() or read_telemetry of its CSV. A
     lemma column that is all nan (sgdm) gets no row; in any other, a nan or
     an infinity fails the row.
     """

@@ -3,7 +3,7 @@
 The six optimizers are one rule with three settings, listed per kind in the
 _KINDS table: the adaptivity power, max tracking of the second moment, and
 the projection trigger. make_step(kind) returns the kind's step function,
-step(state, groups, grads, eta_t, p_now=None, *, lemma_batch=None) ->
+step(state, groups, grads, eta_t, p_now=None, *, table=None) ->
 StepOutput, which calls the one body, _step, with those settings. sgdm
 takes its momentum buffer as the direction, the adaptive family the fused
 moment kernel; padamp and adamp may then project the direction onto the
@@ -13,16 +13,15 @@ Update order within a step: coupled weight decay folded into the gradient,
 moments and direction, the projection decision (using the raw gradient and
 the pre-step weights), decoupled weight decay (skipped for projected groups
 by default), then the parameter update. This module is the only one that
-applies either decay rule. The record's eight lemma columns hold the
-largest lemma-2 residual and the smallest of each other lemma quantity over
-the adaptive groups (nan for sgdm). Without a lemma_batch the step computes
-them after each group's update, on 1-row views; with one (harness.run
-passes it) the step hands each group's lemma inputs to the batch, leaves
-the columns nan, and the batch fills them in when it flushes (see
-diagnostics.LemmaBatch).
+applies either decay rule.
 
-A step's record is its telemetry CSV row, built by _step: a dict from
-column name to value, in CSV order.
+A step's telemetry is one list of values in step_columns order, the CSV's.
+Its eight lemma columns hold the largest lemma-2 residual and the smallest
+of each other lemma quantity over the adaptive groups (nan for sgdm). A
+direct caller gets the list as StepOutput.record, a dict. Given a table
+(diagnostics.TelemetryTable; harness.run passes one), the step writes it
+as the table's next row instead, and an adaptive step hands the table's
+LemmaBatch, if any, its lemma inputs in place of computing the columns.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,13 +37,13 @@ import numpy as np
 from ._kernels import moment_direction
 from .core import (
     GradientSet,
-    HyperParams,
     OptimizerState,
     ParamGroup,
     beta1_at,
     check_grads,
 )
-from .diagnostics import LEMMA_COLUMNS, LemmaBatch, _vector_lemmas, fold_lemmas
+from .diagnostics import (LEMMA_COLUMNS, TelemetryTable, _vector_lemmas, fold_lemmas,
+                          step_columns)
 from .geometry import (
     ProjectionDecision,
     cosine_similarity,
@@ -72,17 +70,11 @@ class OptimizerKind(str, Enum):
 
 @dataclass
 class StepOutput:
-    """New parameter groups and the step's telemetry row keyed by CSV column."""
+    """New parameter groups and the step's telemetry row keyed by CSV column
+    (None when the step wrote its row to a table)."""
 
     new_params: List[ParamGroup]
-    record: Dict[str, float]
-
-
-@lru_cache(maxsize=64)
-def _group_columns(name: str) -> Tuple[str, str, str, str]:
-    """A group's four telemetry columns; built once, so rows share the keys."""
-    return (f"{name}_param_norm", f"{name}_cos_sim", f"{name}_projected",
-            f"{name}_effective_step_norm")
+    record: Optional[Dict[str, float]]
 
 
 def _step(
@@ -93,16 +85,15 @@ def _step(
     p_power: Optional[float],
     use_max: bool = False,
     trigger: Optional[str] = None,
-    lemma_batch: Optional[LemmaBatch] = None,
+    table: Optional[TelemetryTable] = None,
 ) -> StepOutput:
     """Shared body of all six optimizers.
 
     p_power is None for sgdm, whose direction is the momentum buffer and
     whose lemma fields are nan; otherwise the direction comes from the moment
     kernel. trigger is None for the never-projecting optimizers, otherwise
-    the trigger threshold family ("padamp" or "adamp"). Given a lemma_batch,
-    an adaptive step leaves its lemma columns nan and hands its lemma inputs
-    and its record to the batch, which fills them in when it flushes.
+    the trigger threshold family ("padamp" or "adamp"). Given a table, the
+    step writes its row there and returns no record.
     """
     if state.failed_step is not None:
         raise ValueError(
@@ -135,12 +126,11 @@ def _step(
         trigger_eta = eta_t if hp.trigger_lr_mode == "scheduled" else hp.eta0
 
     new_params: List[ParamGroup] = []
-    # epoch and loss are placeholders the run loop fills in.
-    record: Dict[str, float] = {"t": t, "epoch": 0, "eta_t": eta_t,
-                                "p_now": p_power if adaptive else float("nan"),
-                                "loss": float("nan"), "grad_norm_sq": 0.0}
+    # The step's telemetry row, in step_columns order. epoch and loss are
+    # placeholders the run loop fills in.
+    row = [t, 0, eta_t, p_power if adaptive else math.nan, math.nan, 0.0]
     lemmas = None
-    batch = lemma_batch if adaptive else None
+    batch = table.lemmas if adaptive and table is not None else None
     # A step that diverges overflows in here, silently: the finiteness check
     # on the new parameters reports it, and check_telemetry fails a lemma
     # entry that is not finite.
@@ -157,7 +147,7 @@ def _step(
             if adaptive and not gnorm_sq < math.inf:
                 raise FloatingPointError(
                     f"squared gradient norm of group {name!r} overflows (norm {gnorm!r})")
-            record["grad_norm_sq"] += gnorm_sq
+            row[5] += gnorm_sq
             state.c1[name] = max(state.c1[name], gnorm)
             # Coupled decay folds wd * theta into the gradient seen by the
             # moments; telemetry and the trigger keep the raw gradient.
@@ -207,8 +197,7 @@ def _step(
                 raise FloatingPointError(
                     f"non-finite parameters after step in group {name!r}")
             new_params.append(ParamGroup(name, new_values))
-            record.update(zip(_group_columns(name), (
-                theta_norm, decision.trigger_value, decision.projected, step_norm)))
+            row += (theta_norm, decision.trigger_value, decision.projected, step_norm)
             if adaptive:
                 # Release the full-size temporaries before the lemmas make theirs.
                 del direction, q, base
@@ -222,12 +211,13 @@ def _step(
                     # The largest residual over groups, and the smallest of the rest.
                     lemmas = found if lemmas is None else fold_lemmas(lemmas, found)
 
-        record.update(zip(LEMMA_COLUMNS, repeat(math.nan) if lemmas is None
-                          else lemmas[0].tolist()))
-        if batch is not None:
-            batch.add_record(record)  # a full block flushes here
+        if batch is None:
+            row += repeat(math.nan, len(LEMMA_COLUMNS)) if lemmas is None else lemmas[0].tolist()
+        if table is not None:
+            table.add_row(row)  # a full lemma block flushes here
     state.failed_step = None
-    return StepOutput(new_params=new_params, record=record)
+    return StepOutput(new_params, None if table is not None else
+                      dict(zip(step_columns(tuple(g.name for g in groups)), row)))
 
 
 # Each kind's settings for _step, (power, use_max, trigger). power "p" is
@@ -252,12 +242,12 @@ _KINDS: Dict[OptimizerKind, Tuple[object, bool, Optional[str]]] = {
 def _bind(kind: OptimizerKind, power, use_max: bool, trigger: Optional[str]) -> Callable:
     def step(state: OptimizerState, groups: Sequence[ParamGroup], grads: GradientSet,
              eta_t: float, p_now: Optional[float] = None, *,
-             lemma_batch: Optional[LemmaBatch] = None) -> StepOutput:
+             table: Optional[TelemetryTable] = None) -> StepOutput:
         if power != "p":
             p = power
         else:
             p = state.hp.p if p_now is None else p_now
-        return _step(state, groups, grads, eta_t, p, use_max, trigger, lemma_batch)
+        return _step(state, groups, grads, eta_t, p, use_max, trigger, table)
     step.__name__ = step.__qualname__ = f"{kind.value}_step"
     return step
 
@@ -267,6 +257,6 @@ _STEP_FNS = {kind: _bind(kind, *settings) for kind, settings in _KINDS.items()}
 
 def make_step(kind: OptimizerKind) -> Callable:
     """The step function step(state, groups, grads, eta_t, p_now=None, *,
-    lemma_batch=None) of the given optimizer kind; the same object on every
+    table=None) of the given optimizer kind; the same object on every
     call."""
     return _STEP_FNS[OptimizerKind(kind)]

@@ -398,11 +398,13 @@ def test_sweep_with_a_bad_value_writes_no_run(tmp_path, capsys):
     ["norm-sim", "--steps", "-5", "--pattern", "random", "--out", "{tmp}/ns.csv"],
     ["check", "--csv", "{dup}"],
 ])
-def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys):
+def test_bad_input_exits_2_with_error_line(argv, tmp_path, capsys, monkeypatch):
     # {run} is a fresh run's telemetry CSV, {sweep} a fresh sweep directory,
     # {half} a telemetry CSV whose projected flag reads 0.5, {header} a CSV
     # holding a header and no rows, {empty} a zero-byte file, {dup} a telemetry
-    # CSV whose header names theta_cos_sim twice.
+    # CSV whose header names theta_cos_sim twice. A run without --out that
+    # aborts writes the header of its default run.csv into tmp_path.
+    monkeypatch.chdir(tmp_path)
     paths = dict(tmp=tmp_path, run=tmp_path / "run.csv", sweep=tmp_path / "sweepdir",
                  half=tmp_path / "half.csv", header=tmp_path / "header.csv",
                  empty=tmp_path / "empty.csv", dup=tmp_path / "dup.csv")
@@ -648,7 +650,14 @@ def test_tiny_mlp_batch_norm_overflow_is_one_error_line(command, args, tmp_path)
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: tiny_mlp batch-norm variance"), \
         proc.stderr
-    assert os.listdir(tmp_path) == []
+    # run aborts at step 1 and its CSV is the header alone; grad-check writes
+    # no report.
+    if command == "run":
+        assert os.listdir(tmp_path) == ["run.csv"]
+        assert (tmp_path / "run.csv").read_text().startswith("t,epoch,")
+        assert (tmp_path / "run.csv").read_text().count("\n") == 1
+    else:
+        assert os.listdir(tmp_path) == []
 
 
 def test_memory_error_is_one_error_line(monkeypatch, tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import padamp.harness
 from padamp.cli import _load_mapping, build_parser
 from padamp.core import HyperParams, ParamGroup
-from padamp.diagnostics import LemmaBatch, lemma_batch
+from padamp.diagnostics import LEMMA_COLUMNS, LemmaBatch, TelemetryTable, lemma_batch
 from padamp.harness import (
     _PARSERS,
     CONFIG_KEYS,
@@ -26,7 +26,6 @@ from padamp.harness import (
     schedule_p,
     sweep,
     table1_defaults,
-    telemetry_columns,
     write_telemetry,
 )
 from padamp.objectives import _TinyMLP
@@ -190,7 +189,8 @@ def test_mlp_run_makes_one_forward_pass_per_step(monkeypatch):
 def test_mlp_run_with_an_overflowing_batch_norm_variance_raises(tmp_path):
     # At separation 1e308, d * d overflows in the batch-norm variance: every
     # normalized unit would read 0 and every gradient 0. The run stops on the
-    # first forward pass, before any row is written, and does not warn.
+    # first forward pass, before any row is written, and does not warn; its
+    # CSV is the header alone.
     out = tmp_path / "run.csv"
     cfg = build_config({}, {"objective.name": "tiny_mlp", "objective.separation": "1e308",
                             "run.steps": "3", "run.out": str(out)})
@@ -198,7 +198,7 @@ def test_mlp_run_with_an_overflowing_batch_norm_variance_raises(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="batch-norm variance"):
             run(cfg)
-    assert not out.exists()
+    assert out.read_text().count("\n") == 1
 
 
 def test_build_objective_data_seed_param_wins():
@@ -427,16 +427,15 @@ def test_aborted_run_writes_the_steps_before_the_abort(tmp_path):
     # The rows are those of a run that stops before the abort.
     short = run(build_config({}, {"optimizer.kind": "sgdm", "objective.name": "rosenbrock",
                                   "schedule.eta0": "0.5", "run.steps": "5"}))
-    for name, col in telemetry_columns(short.records).items():
+    for name, col in short.records.columns().items():
         if name != "eval_grad_norm_sq":  # step 5 is the short run's last, an eval point
             assert cols[name].tobytes() == col.tobytes(), name
-    # An abort at step 1 leaves no file.
-    path.unlink()
+    # An abort at step 1 writes the header alone, over the earlier file.
     cfg = build_config({}, {"schedule.eta0": "1e308", "run.init_scale": "100",
                             "run.out": str(path)})
     with pytest.raises(FloatingPointError, match="non-finite parameters"):
         run(cfg)
-    assert not path.exists()
+    assert path.read_text() == ",".join(cols) + "\n"
 
 
 @pytest.mark.parametrize("kind, row, value, bad", [
@@ -445,7 +444,9 @@ def test_aborted_run_writes_the_steps_before_the_abort(tmp_path):
 ])
 def test_p_now_in_range_fails_an_entry_the_kind_cannot_write(kind, row, value, bad):
     hp = table1_defaults(kind, weight_decay=0.0)
-    cols = telemetry_columns(run(_quad_config(optimizer=kind, hp=hp)).records)
+    # The columns are read-only views of the run's table; the test edits a copy.
+    cols = {name: col.copy() for name, col in
+            run(_quad_config(optimizer=kind, hp=hp)).records.columns().items()}
     passing = {n: (v, p) for n, v, p in check_telemetry(cols).rows}
     assert passing["p_now_in_range"] == (0.0, True)
     assert passing["p_max_increase"] == (0.0, True)
@@ -466,7 +467,7 @@ def test_run_writes_and_reads_back_telemetry(tmp_path):
                           "theta_effective_step_norm", "lemma2_residual",
                           "lemma3_margin", *_ADDED_COLUMNS]
     # Bit for bit, nan payloads and signed zeros included, in the same dtypes.
-    for name, col in telemetry_columns(result.records).items():
+    for name, col in result.records.columns().items():
         assert cols[name].dtype == col.dtype, name
         assert cols[name].tobytes() == col.tobytes(), name
 
@@ -568,13 +569,17 @@ _BATCHED_RUNS = {
     "padamp quadratic d=10000": {"objective.name": "quadratic", "objective.dim": "10000",
                                  "p_schedule.decay_epoch": "2", "p_schedule.new_p": "0.125",
                                  "run.steps_per_epoch": "20"},
+    # No batch either way: sgdm's steps write nan lemma columns to the table.
+    "sgdm quadratic": {"optimizer.kind": "sgdm", "objective.name": "quadratic",
+                       "objective.dim": "20", "objective.condition": "100"},
 }
 
 
 def _set_lemma_batch(monkeypatch, height, hold_inputs=True):
     """Make run's LemmaBatch `height` rows high, holding the steps' inputs or
-    only their reductions. None keeps the default batch; 0 makes run call
-    the step without a batch, as a direct caller does."""
+    only their reductions. None keeps the default batch; 0 gives run's table
+    no batch, so each step computes its lemma columns, as it does for a
+    direct caller."""
     if height == 0:
         monkeypatch.setattr(padamp.harness, "lemma_batch", lambda groups, eps: None)
     elif height is not None:
@@ -612,7 +617,58 @@ def test_batched_run_writes_what_unbatched_steps_write(name, height, hold_inputs
         [list(r.items()) for r in unbatched.records])
     assert batched.report.rows == unbatched.report.rows
     if "p_schedule" in name:
-        assert len(set(telemetry_columns(batched.records)["p_now"].tolist())) == 2
+        assert len(set(batched.records.columns()["p_now"].tolist())) == 2
+    if name.startswith("sgdm"):
+        cols = batched.records.columns()
+        assert all(np.isnan(cols[c]).all() for c in LEMMA_COLUMNS)
+
+
+@pytest.mark.parametrize("height", [None, 3], ids=["default", "inputs3"])
+def test_table_grows_across_a_budget_that_is_no_power_of_two(height, tmp_path, monkeypatch):
+    # A table that starts 1 row high doubles to 64 rows over 61 steps, with
+    # lemma rows pending across each doubling at height 3; one that starts
+    # at the budget never grows. Both write the same rows.
+    keys = dict(_BATCHED_RUNS["padamp quadratic"], **{"run.steps": "61"})
+    results, paths = [], [tmp_path / "grown.csv", tmp_path / "whole.csv"]
+    for path, first_rows in zip(paths, (1, 61)):
+        with monkeypatch.context() as patch:
+            _set_lemma_batch(patch, height)
+            patch.setattr(padamp.harness, "TABLE_ROWS", first_rows)
+            results.append(run(build_config(keys, {"run.out": str(path)})))
+    grown, whole = results
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert len(grown.records) == 61 and grown.records[-1]["t"] == 61
+    assert grown.records.data.shape == (64, 19) and whole.records.data.shape == (61, 19)
+    assert repr(list(grown.records)) == repr(list(whole.records))
+
+
+def test_records_read_the_table_row_by_row():
+    # tiny_mlp has two groups; padamp projects one of them.
+    result = run(build_config({}, {"objective.name": "tiny_mlp", "run.steps": "5"}))
+    rows, cols = result.records, result.records.columns()
+    assert len(rows) == 5 and [r["t"] for r in rows] == [1, 2, 3, 4, 5]
+    assert repr(rows[-1]) == repr(rows[4]) and repr(rows[-5]) == repr(rows[0])
+    for i in (5, -6):
+        with pytest.raises(IndexError):
+            rows[i]
+    with pytest.raises(TypeError):
+        rows[1:3]
+    assert any(r["w1_projected"] for r in rows) or any(r["w2_projected"] for r in rows)
+    for i, row in enumerate(rows):
+        assert list(row) == list(cols)
+        for name, value in row.items():
+            kind = (int if name in ("t", "epoch") else
+                    bool if name.endswith("_projected") else float)
+            assert type(value) is kind, name
+            assert np.array([value], cols[name].dtype).tobytes() == cols[name][i:i + 1].tobytes()
+    # Read-only: a row is a new dict, and the rows and the columns take no
+    # write.
+    rows[0]["loss"] = 5.0
+    assert rows[0]["loss"] == cols["loss"][0]
+    with pytest.raises(TypeError):
+        rows[0] = {}
+    with pytest.raises(ValueError, match="read-only"):
+        cols["loss"][0] = 1.0
 
 
 @pytest.mark.parametrize("eta0, error, message", [
@@ -639,12 +695,34 @@ def test_aborted_batched_run_writes_what_unbatched_steps_write(eta0, error, mess
 
 def test_overflowing_objective_names_the_step(tmp_path):
     # tiny_mlp's batch norm overflows at the first step; the CSV has no rows
-    # to write.
+    # to write, only the header.
     keys = {"objective.name": "tiny_mlp", "objective.separation": "1e308"}
     with pytest.raises(FloatingPointError,
                        match=r"^tiny_mlp batch-norm variance is not finite: .* at step 1$"):
         run(build_config(keys, {"run.steps": "3", "run.out": str(tmp_path / "run.csv")}))
-    assert not (tmp_path / "run.csv").exists()
+    assert (tmp_path / "run.csv").read_text().count("\n") == 1
+
+
+@pytest.mark.parametrize("keys, error, message", [
+    # The objective raises on the first forward pass.
+    ({"objective.name": "tiny_mlp", "run.init_scale": "1e300"}, FloatingPointError,
+     "batch-norm variance is not finite: .* at step 1$"),
+    # The first step's update leaves non-finite parameters.
+    ({"objective.name": "quadratic", "schedule.eta0": "1e308", "run.init_scale": "100"},
+     FloatingPointError, "non-finite parameters after step in group"),
+], ids=["objective", "step"])
+def test_abort_at_step_1_writes_its_own_header_over_an_earlier_csv(keys, error, message,
+                                                                   tmp_path):
+    path = tmp_path / "run.csv"
+    earlier = run(build_config(keys | {"run.init_scale": "0.1", "schedule.eta0": "1e-3"},
+                               {"run.steps": "3", "run.out": str(path)}))
+    assert len(earlier.records) == 3
+    header = path.read_text().splitlines()[0]
+    with pytest.raises(error, match=message):
+        run(build_config(keys, {"run.steps": "3", "run.out": str(path)}))
+    assert path.read_text() == header + "\n"
+    with pytest.raises(ValueError, match="no rows to check"):
+        check_telemetry(read_telemetry(str(path)))
 
 
 def test_different_seeds_change_the_run(tmp_path):
@@ -716,9 +794,17 @@ def test_sweep_parses_hp_strings_and_sets_the_objective():
 
 # ------------------------------------------------------------ telemetry I/O
 
-def test_telemetry_columns_rejects_empty_records():
-    with pytest.raises(ValueError, match="no records"):
-        telemetry_columns([])
+def test_an_empty_table_has_its_columns_and_no_rows():
+    # A run that aborts before its first step completes writes these columns'
+    # header alone.
+    table = TelemetryTable([ParamGroup("w", np.zeros(2))])
+    cols = table.columns()
+    assert list(cols) == list(table.names) and len(table) == 0
+    assert all(col.size == 0 for col in cols.values())
+    assert [cols[name].dtype for name in ("t", "w_projected", "loss")] == [
+        np.int64, np.int64, np.float64]
+    with pytest.raises(IndexError):
+        table[0]
 
 
 @pytest.mark.parametrize("value", ["0.5", "nan", "inf", "1e19"])
@@ -819,8 +905,8 @@ def test_schedule_eta0_is_the_base_trigger_rate():
     # trigger modes make the same run.
     scheduled = run(build_config(keys, {"hp.trigger_lr_mode": "scheduled"}))
     assert any(r["w1_projected"] for r in scheduled.records)
-    want = telemetry_columns(scheduled.records)
-    for name, col in telemetry_columns(run(base).records).items():
+    want = scheduled.records.columns()
+    for name, col in run(base).records.columns().items():
         assert col.tobytes() == want[name].tobytes(), name
     # There is no second rate to set.
     with pytest.raises(ValueError, match="^unknown config keys: hp.eta0$"):
