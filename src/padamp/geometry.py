@@ -9,13 +9,14 @@ Every norm here comes from norm(), which stays finite for every finite
 vector whose norm fits a float, so the trigger means the same at any weight
 scale. The step computes ||theta|| and ||g|| once per group and passes them
 in as keyword arguments; a call without them computes them itself.
+projection_condition returns a ProjectionDecision, a named tuple, which
+builds in half the time of a frozen dataclass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,8 +31,9 @@ __all__ = [
 _TINY = float(np.finfo(np.float64).tiny)
 
 
-@dataclass(frozen=True)
-class ProjectionDecision:
+class ProjectionDecision(NamedTuple):
+    """The trigger's cosine, its threshold, and whether the step projects."""
+
     trigger_value: float
     threshold: float
     projected: bool
@@ -129,7 +131,6 @@ def projection_condition(
     if theta_norm is None:
         theta_norm = norm(theta)
     if theta_norm == 0.0:
-        return ProjectionDecision(trigger_value=0.0, threshold=threshold, projected=False)
+        return ProjectionDecision(0.0, threshold, False)
     cos = _cosine(theta, grad, theta_norm, norm(grad) if grad_norm is None else grad_norm)
-    return ProjectionDecision(trigger_value=cos, threshold=threshold,
-                              projected=bool(cos < threshold))
+    return ProjectionDecision(cos, threshold, bool(cos < threshold))

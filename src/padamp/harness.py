@@ -3,7 +3,8 @@
 A run is fully determined by its config and seed: dataset construction,
 parameter init, batch order, and evaluation batches draw from four
 independent child RNGs spawned from the config seed, and CSV floats are
-written with repr() so reruns are byte-identical.
+written with repr() so reruns are byte-identical; a column whose entries all
+have one bit pattern is formatted once.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import os
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -250,8 +252,8 @@ def run(config: ExperimentConfig) -> RunResult:
     """Execute one run; returns telemetry, diagnostics, and the convergence trace.
 
     Writes the telemetry CSV when config.output_path is set. Aborts with the
-    step index if the loss goes non-finite or the objective raises an
-    ArithmeticError (tiny_mlp's overflowing batch norm); an aborted run writes the CSV
+    step index if the loss goes non-finite or the objective or the step raises
+    an ArithmeticError (an overflow either reports); an aborted run writes the CSV
     of the steps it completed (its header alone if none), then re-raises. Overflow is
     silent for the whole run: the loss check, the step and check_telemetry report it.
     """
@@ -267,8 +269,12 @@ def run(config: ExperimentConfig) -> RunResult:
     state = new_state(params, config.hp)
     step_fn = make_step(config.optimizer)
 
-    epoch_len = (config.steps_per_epoch if objective.dataset is None
-                 else math.ceil(objective.dataset.n / config.batch_size))
+    dataset = objective.dataset
+    schedule, eta0 = config.schedule, config.hp.eta0
+    piecewise = schedule.family == "piecewise"
+    p_schedule, base_p = config.p_schedule, config.hp.p
+    epoch_len = (config.steps_per_epoch if dataset is None
+                 else math.ceil(dataset.n / config.batch_size))
     budget = config.steps if config.steps is not None else config.epochs * epoch_len
     # sgdm has no lemma quantities to batch.
     table = TelemetryTable(params, None if config.optimizer == OptimizerKind.SGDM
@@ -278,15 +284,13 @@ def run(config: ExperimentConfig) -> RunResult:
     try:
         for t in range(1, budget + 1):
             epoch = (t - 1) // epoch_len + 1
-            sched_index = epoch if config.schedule.family == "piecewise" else t
-            eta_t = schedule_lr(sched_index, config.schedule, config.hp.eta0)
-            p_now = schedule_p(epoch, config.p_schedule, config.hp.p)
+            eta_t = schedule_lr(epoch if piecewise else t, schedule, eta0)
+            p_now = schedule_p(epoch, p_schedule, base_p)
 
-            if objective.dataset is not None:
+            if dataset is not None:
                 batch = next(batch_iter, None)
                 if batch is None:
-                    batch_iter = objective.dataset.epoch_batches(config.batch_size,
-                                                                 batch_rng)
+                    batch_iter = dataset.epoch_batches(config.batch_size, batch_rng)
                     batch = next(batch_iter)
             else:
                 batch = None
@@ -303,21 +307,20 @@ def run(config: ExperimentConfig) -> RunResult:
                     # tr(Sigma)/(batch_size * eval_window) shrinks with the
                     # window, while a mean of squared norms keeps
                     # tr(Sigma)/batch_size.
-                    if objective.dataset is None:
+                    if dataset is None:
                         estimate = _grad_norm_sq(grads)
                     else:
                         total = None
                         for _ in range(config.eval_window):
-                            idx = objective.dataset.sample(config.batch_size, eval_rng)
+                            idx = dataset.sample(config.batch_size, eval_rng)
                             g = objective.grad(params, idx)
                             total = g if total is None else {k: total[k] + g[k]
                                                              for k in total}
                         estimate = _grad_norm_sq(total) / config.eval_window ** 2
+                params = step_fn(state, params, grads, eta_t, p_now, table=table).new_params
             except ArithmeticError as exc:
-                # An objective that overflows says so; this says where.
+                # An objective or a step that overflows says so; this says where.
                 raise type(exc)(f"{exc} at step {t}") from exc
-
-            params = step_fn(state, params, grads, eta_t, p_now, table=table).new_params
             # The step's row: step_columns puts epoch at 1 and loss at 4.
             row = table.data[table.n - 1]
             row[1] = epoch
@@ -336,9 +339,8 @@ def run(config: ExperimentConfig) -> RunResult:
     estimates = cols["eval_grad_norm_sq"]
     trace = track_convergence(estimates[~np.isnan(estimates)])
     report = check_telemetry(cols)
-    sched = config.schedule
-    verdict = validate_schedule(sched.family, config.hp.eta0,
-                                sched.a if sched.family == "power" else None)
+    verdict = validate_schedule(schedule.family, eta0,
+                                schedule.a if schedule.family == "power" else None)
     # Informational: theorem-mode schedules are flagged, not failed.
     report.add("schedule_theorem_assumptions", float(verdict), True)
     final_acc = objective.accuracy(params)
@@ -411,13 +413,22 @@ def write_sweep_summary(axis: str, values: Sequence[str], results: Sequence[RunR
             ])
 
 
+def _texts(v: np.ndarray):
+    """Each entry's repr; formatted once if all share one 64-bit pattern (0.0 is not -0.0)."""
+    if v.size and v.itemsize == 8:
+        bits = v.view(np.int64)
+        if (bits == bits[0]).all():
+            return repeat(repr(v[0].item()), v.size)
+    return map(repr, v.tolist())
+
+
 def write_telemetry(cols: Dict[str, np.ndarray], path: str) -> None:
     """TelemetryTable.columns() as CSV; floats are written with repr(), so
     reruns are byte-identical."""
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(cols)
         # A number's repr needs no quoting, so this is what csv writes.
-        rows = zip(*(map(repr, v.tolist()) for v in cols.values()))
+        rows = zip(*map(_texts, cols.values()))
         fh.writelines(",".join(row) + "\n" for row in rows)
 
 

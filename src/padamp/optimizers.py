@@ -15,6 +15,9 @@ the pre-step weights), decoupled weight decay (skipped for projected groups
 by default), then the parameter update. This module is the only one that
 applies either decay rule.
 
+The step returns a StepOutput, a named tuple, and sets numpy's error state
+(over and invalid ignored) for each call by a decorator on _step.
+
 A step's telemetry is one list of values in step_columns order, the CSV's.
 Its eight lemma columns hold the largest lemma-2 residual and the smallest
 of each other lemma quantity over the adaptive groups (nan for sgdm). A
@@ -27,10 +30,9 @@ LemmaBatch, if any, its lemma inputs in place of computing the columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,8 +70,7 @@ class OptimizerKind(str, Enum):
     SGDM = "sgdm"
 
 
-@dataclass
-class StepOutput:
+class StepOutput(NamedTuple):
     """New parameter groups and the step's telemetry row keyed by CSV column
     (None when the step wrote its row to a table)."""
 
@@ -77,6 +78,11 @@ class StepOutput:
     record: Optional[Dict[str, float]]
 
 
+# A step that diverges overflows in here, silently: the finiteness check on
+# the new parameters reports it, and check_telemetry fails a lemma entry that
+# is not finite. A decorator sets the state on every call in about half the
+# time a with block takes.
+@np.errstate(over="ignore", invalid="ignore")
 def _step(
     state: OptimizerState,
     groups: Sequence[ParamGroup],
@@ -131,90 +137,85 @@ def _step(
     row = [t, 0, eta_t, p_power if adaptive else math.nan, math.nan, 0.0]
     lemmas = None
     batch = table.lemmas if adaptive and table is not None else None
-    # A step that diverges overflows in here, silently: the finiteness check
-    # on the new parameters reports it, and check_telemetry fails a lemma
-    # entry that is not finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for grp, (g_raw, gnorm) in zip(groups, checked):
-            name = grp.name
-            theta = grp.values
-            # The record, c1, the trigger and the projection share these two.
-            theta_norm = norm(theta)
-            gnorm_sq = gnorm * gnorm
-            # The lemma-3 margin needs C1**2. sgdm has no margin: its record
-            # keeps the inf, and a diverging run aborts at the next loss. A
-            # norm is >= 0 or nan, so `< inf` is its finiteness test.
-            if adaptive and not gnorm_sq < math.inf:
-                raise FloatingPointError(
-                    f"squared gradient norm of group {name!r} overflows (norm {gnorm!r})")
-            row[5] += gnorm_sq
-            state.c1[name] = max(state.c1[name], gnorm)
-            # Coupled decay folds wd * theta into the gradient seen by the
-            # moments; telemetry and the trigger keep the raw gradient.
-            if hp.wd_mode == "coupled" and hp.weight_decay > 0:
-                g = g_raw + hp.weight_decay * theta
-            else:
-                g = g_raw
+    for grp, (g_raw, gnorm) in zip(groups, checked):
+        name = grp.name
+        theta = grp.values
+        # The record, c1, the trigger and the projection share these two.
+        theta_norm = norm(theta)
+        gnorm_sq = gnorm * gnorm
+        # The lemma-3 margin needs C1**2. sgdm has no margin: its record
+        # keeps the inf, and a diverging run aborts at the next loss. A
+        # norm is >= 0 or nan, so `< inf` is its finiteness test.
+        if adaptive and not gnorm_sq < math.inf:
+            raise FloatingPointError(
+                f"squared gradient norm of group {name!r} overflows (norm {gnorm!r})")
+        row[5] += gnorm_sq
+        state.c1[name] = max(state.c1[name], gnorm)
+        # Coupled decay folds wd * theta into the gradient seen by the
+        # moments; telemetry and the trigger keep the raw gradient.
+        if hp.wd_mode == "coupled" and hp.weight_decay > 0:
+            g = g_raw + hp.weight_decay * theta
+        else:
+            g = g_raw
 
-            if adaptive:
-                # The kernel writes the new moment over the stale m_prev, and
-                # the two buffers swap roles, so m_prev needs no copy.
-                m_prev = state.m[name]
-                m = state.m_prev[name]
-                direction = moment_direction(
-                    m_prev, state.v[name], state.max_v[name], g,
-                    b1t, hp.beta2, bc1, bc2, hp.epsilon, p_power,
-                    use_max, power_eps, m,
-                )
-                state.m[name], state.m_prev[name] = m, m_prev
-            else:
-                # Undamped accumulation m <- momentum * m + g.
-                direction = state.m[name]
-                direction *= hp.momentum
-                direction += g
-
-            if trigger_eta is None:
-                cos = cosine_similarity(theta, g_raw, a_norm=theta_norm, b_norm=gnorm)
-                decision = ProjectionDecision(trigger_value=cos, threshold=0.0,
-                                              projected=False)
-            else:
-                decision = projection_condition(theta, g_raw, hp.delta, trigger_eta,
-                                                theta_norm=theta_norm, grad_norm=gnorm)
-            if decision.projected:
-                q = project_tangent(theta, direction, theta_norm=theta_norm)
-            else:
-                q = direction
-
-            decay = hp.weight_decay > 0 and hp.wd_mode == "decoupled" and not (
-                decision.projected and hp.wd_skip_projected
+        if adaptive:
+            # The kernel writes the new moment over the stale m_prev, and
+            # the two buffers swap roles, so m_prev needs no copy.
+            m_prev = state.m[name]
+            m = state.m_prev[name]
+            direction = moment_direction(
+                m_prev, state.v[name], state.max_v[name], g,
+                b1t, hp.beta2, bc1, bc2, hp.epsilon, p_power,
+                use_max, power_eps, m,
             )
-            base = (1.0 - eta_t * hp.weight_decay) * theta if decay else theta
-            new_values = base - eta_t * q
-            step_norm = norm(new_values - theta)
-            # A finite step norm means finite new values; scan only when it is not.
-            if not step_norm < math.inf and not np.logical_and.reduce(
-                    np.isfinite(new_values)):
-                raise FloatingPointError(
-                    f"non-finite parameters after step in group {name!r}")
-            new_params.append(ParamGroup(name, new_values))
-            row += (theta_norm, decision.trigger_value, decision.projected, step_norm)
-            if adaptive:
-                # Release the full-size temporaries before the lemmas make theirs.
-                del direction, q, base
-                if batch is not None:
-                    batch.add_row(name, p_power, m, m_prev, state.v[name], g, theta, b1t,
-                                  state.c1[name], theta_norm)
-                else:
-                    found = _vector_lemmas(m, m_prev, state.v[name], g, b1t,
-                                           state.c1[name], hp.epsilon, p_power, theta,
-                                           theta_norm)
-                    # The largest residual over groups, and the smallest of the rest.
-                    lemmas = found if lemmas is None else fold_lemmas(lemmas, found)
+            state.m[name], state.m_prev[name] = m, m_prev
+        else:
+            # Undamped accumulation m <- momentum * m + g.
+            direction = state.m[name]
+            direction *= hp.momentum
+            direction += g
 
-        if batch is None:
-            row += repeat(math.nan, len(LEMMA_COLUMNS)) if lemmas is None else lemmas[0].tolist()
-        if table is not None:
-            table.add_row(row)  # a full lemma block flushes here
+        if trigger_eta is None:
+            cos = cosine_similarity(theta, g_raw, a_norm=theta_norm, b_norm=gnorm)
+            decision = ProjectionDecision(cos, 0.0, False)
+        else:
+            decision = projection_condition(theta, g_raw, hp.delta, trigger_eta,
+                                            theta_norm=theta_norm, grad_norm=gnorm)
+        if decision.projected:
+            q = project_tangent(theta, direction, theta_norm=theta_norm)
+        else:
+            q = direction
+
+        decay = hp.weight_decay > 0 and hp.wd_mode == "decoupled" and not (
+            decision.projected and hp.wd_skip_projected
+        )
+        base = (1.0 - eta_t * hp.weight_decay) * theta if decay else theta
+        new_values = base - eta_t * q
+        step_norm = norm(new_values - theta)
+        # A finite step norm means finite new values; scan only when it is not.
+        if not step_norm < math.inf and not np.logical_and.reduce(
+                np.isfinite(new_values)):
+            raise FloatingPointError(
+                f"non-finite parameters after step in group {name!r}")
+        new_params.append(ParamGroup(name, new_values))
+        row += (theta_norm, decision.trigger_value, decision.projected, step_norm)
+        if adaptive:
+            # Release the full-size temporaries before the lemmas make theirs.
+            del direction, q, base
+            if batch is not None:
+                batch.add_row(name, p_power, m, m_prev, state.v[name], g, theta, b1t,
+                              state.c1[name], theta_norm)
+            else:
+                found = _vector_lemmas(m, m_prev, state.v[name], g, b1t,
+                                       state.c1[name], hp.epsilon, p_power, theta,
+                                       theta_norm)
+                # The largest residual over groups, and the smallest of the rest.
+                lemmas = found if lemmas is None else fold_lemmas(lemmas, found)
+
+    if batch is None:
+        row += repeat(math.nan, len(LEMMA_COLUMNS)) if lemmas is None else lemmas[0].tolist()
+    if table is not None:
+        table.add_row(row)  # a full lemma block flushes here
     state.failed_step = None
     return StepOutput(new_params, None if table is not None else
                       dict(zip(step_columns(tuple(g.name for g in groups)), row)))

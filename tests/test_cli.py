@@ -604,6 +604,21 @@ def _cli_run(args, cwd, command="run"):
                           cwd=cwd, env=env, capture_output=True, text=True)
 
 
+@pytest.mark.parametrize("args, line", [
+    (["--set", "objective.name=scale_invariant", "--set", "run.init_scale=1e-300"],
+     r"error: squared gradient norm of group 'theta' overflows \(norm [0-9.e+]+\) "
+     r"at step 1"),
+    (["--set", "objective.name=logistic", "--set", "optimizer.kind=sgdm",
+      "--set", "schedule.eta0=1e307"],
+     r"error: non-finite parameters after step in group 'theta' at step 2"),
+], ids=["gradient_norm", "parameters"])
+def test_step_failure_is_one_error_line_naming_the_step(args, line, tmp_path):
+    proc = _cli_run(args + ["--steps", "5"], tmp_path)
+    assert proc.returncode == 2
+    assert re.fullmatch(line + "\n", proc.stderr), proc.stderr
+    assert proc.stdout == ""
+
+
 def test_huge_weights_keep_finite_norms_and_pass_every_check(tmp_path):
     # eta0 = 1e300 drives the weights far past 1e154, where theta . theta
     # overflows a float.

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from padamp.geometry import (
+    ProjectionDecision,
     cosine_similarity,
     norm,
     project_tangent,
@@ -84,6 +85,15 @@ def test_projection_condition_threshold_and_strictness():
     cos = cosine_similarity(theta, g)
     if cos == thr:  # exact hit depends on rounding; assert consistency either way
         assert not projection_condition(theta, g, 0.1, 1e-3).projected
+
+
+def test_projection_decision_is_an_immutable_named_tuple():
+    d = projection_condition(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.1, 1e-3)
+    assert ProjectionDecision._fields == ("trigger_value", "threshold", "projected")
+    assert isinstance(d, tuple) and tuple(d) == (0.0, d.threshold, True)
+    assert type(d.projected) is bool
+    with pytest.raises(AttributeError):
+        d.projected = False
 
 
 def test_projection_condition_zero_theta_never_projects():

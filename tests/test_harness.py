@@ -472,6 +472,34 @@ def test_run_writes_and_reads_back_telemetry(tmp_path):
         assert cols[name].tobytes() == col.tobytes(), name
 
 
+def _per_value_csv(cols):
+    """The CSV as each entry's own repr, the form write_telemetry saves work on."""
+    rows = [list(cols)] + [list(map(repr, row))
+                           for row in zip(*(v.tolist() for v in cols.values()))]
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("cols", [
+    {"x": np.full(5, 0.1), "y": np.arange(5.0)},
+    {"zeros": np.array([0.0, -0.0, 0.0]), "neg": np.full(3, -0.0), "pos": np.zeros(3)},
+    {"nan": np.full(4, _NAN), "payloads": np.array([_NAN, -_NAN, _NAN, _NAN]),
+     "inf": np.array([np.inf, np.inf, -np.inf, np.inf])},
+    {"t": np.arange(1, 5), "epoch": np.ones(4, dtype=np.int64),
+     "flag": np.array([0, 0, 1, 0]), "big": np.full(4, 2 ** 62)},
+    {"t": np.array([1]), "loss": np.array([3.5]), "nan": np.array([_NAN])},
+    {"t": np.empty(0, dtype=np.int64), "loss": np.empty(0)},
+], ids=["repeated", "signed_zeros", "nans", "ints", "one_row", "empty"])
+def test_write_telemetry_writes_each_entrys_repr(cols, tmp_path):
+    # A column whose entries share one bit pattern is formatted once; the
+    # text is the per-value form's, a mix of 0.0 and -0.0 and nans included.
+    path = tmp_path / "t.csv"
+    write_telemetry(cols, str(path))
+    assert path.read_text() == _per_value_csv(cols)
+
+
 def test_rerun_is_byte_identical(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     run(_quad_config(output_path=str(p1), seed=3))
@@ -701,6 +729,29 @@ def test_overflowing_objective_names_the_step(tmp_path):
                        match=r"^tiny_mlp batch-norm variance is not finite: .* at step 1$"):
         run(build_config(keys, {"run.steps": "3", "run.out": str(tmp_path / "run.csv")}))
     assert (tmp_path / "run.csv").read_text().count("\n") == 1
+
+
+# The step's two overflow checks, each failing at a step the run names: the
+# gradient norm of a scale-invariant objective at a tiny radius, and sgdm's
+# logistic parameters at a rate of 1e307.
+_STEP_FAILURES = {
+    "gradient_norm": ({"objective.name": "scale_invariant", "run.init_scale": "1e-300"},
+                      r"squared gradient norm of group 'theta' overflows "
+                      r"\(norm [0-9.e+]+\) at step 1", 1),
+    "parameters": ({"objective.name": "logistic", "optimizer.kind": "sgdm",
+                    "schedule.eta0": "1e307"},
+                   r"non-finite parameters after step in group 'theta' at step 2", 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_STEP_FAILURES))
+def test_step_failure_names_the_step(name, tmp_path):
+    keys, message, step = _STEP_FAILURES[name]
+    path = tmp_path / "run.csv"
+    with pytest.raises(FloatingPointError, match=f"^{message}$"):
+        run(build_config(keys, {"run.steps": "5", "run.out": str(path)}))
+    # The CSV holds the steps before the failing one.
+    np.testing.assert_array_equal(read_telemetry(str(path))["t"], np.arange(1, step))
 
 
 @pytest.mark.parametrize("keys, error, message", [

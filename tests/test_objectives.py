@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,44 @@ def test_quadratic_rejects_bad_condition(condition):
 
 def test_quadratic_accuracy_is_none():
     assert quadratic(2).accuracy(_theta([0.0, 0.0])) is None
+
+
+def _bits_of(x):
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("b", ["default", "zeros", "negative_zero", "nonzero"])
+def test_quadratic_matches_its_explicit_expressions_bitwise(b):
+    # eval and grad skip a linear term whose entries are all +0.0; at every
+    # finite theta, signed zeros, subnormals and overflowing entries
+    # included, they give the bits of the full expressions.
+    d = 48
+    rng = np.random.default_rng(11)
+    a = np.geomspace(1.0, 1e3, d)
+    b_vec = {"default": None, "zeros": np.zeros(d),
+             "negative_zero": np.where(np.arange(d) % 5 == 0, -0.0, 0.0),
+             "nonzero": rng.standard_normal(d)}[b]
+    obj = quadratic(d, a_diag=a, b=b_vec)
+    assert obj._linear == (b in ("negative_zero", "nonzero"))
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e154, -1e154,
+                        1e200, -1e300, 1.7e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for trial in range(300):
+            th = rng.standard_normal(d) * 10.0 ** float(rng.integers(-320, 200))
+            picks = rng.random(d) < trial / 300
+            th[picks] = rng.choice(special, int(picks.sum()))
+            if trial % 7 == 0:
+                th = -np.abs(th)  # every product of b and theta a -0.0
+            want_loss = float(0.5 * (th @ (a * th)) - obj.b @ th)
+            want_grad = a * th - obj.b
+            assert _bits_of(obj.eval(_theta(th))) == _bits_of(want_loss), trial
+            assert obj.grad(_theta(th))["theta"].tobytes() == want_grad.tobytes(), trial
+        # A non-finite theta still gives a non-finite loss (inf where the
+        # full expression gave nan, with a zero b).
+        for bad in (np.inf, -np.inf, np.nan):
+            th = rng.standard_normal(d)
+            th[3] = bad
+            assert not math.isfinite(obj.eval(_theta(th)))
 
 
 # --------------------------------------------------------------- rosenbrock
@@ -254,6 +294,9 @@ def test_mlp_layout_accuracy_and_batch_guard():
     assert 0.0 <= acc <= 1.0
     with pytest.raises(ValueError, match="batch size >= 2"):
         obj.eval(params, batch=np.array([0]))
+    # A boolean mask is not a batch of indices; take would read it as 0 and 1.
+    with pytest.raises(ValueError, match="not a mask"):
+        obj.eval(params, batch=np.arange(24) < 12)
     with pytest.raises(ValueError, match=">= 2"):
         tiny_mlp(d_in=1, hidden=3, classes=2, n=8, seed=0)
     # The class centers are orthonormal directions in d_in dimensions.

@@ -14,7 +14,8 @@ from padamp.diagnostics import (LEMMA_COLUMNS, SLACK_COLUMNS, LemmaBatch, Teleme
                                 _vector_lemmas, step_columns)
 from padamp.geometry import norm
 from padamp.harness import build_config, run
-from padamp.optimizers import OptimizerKind, make_step
+from padamp import optimizers
+from padamp.optimizers import OptimizerKind, StepOutput, make_step
 
 padamp_step, adamp_step, padam_step, adam_step, amsgrad_step, sgdm_step = (
     make_step(k) for k in ("padamp", "adamp", "padam", "adam", "amsgrad", "sgdm"))
@@ -460,6 +461,17 @@ def test_direct_record_keys_order_and_types(fn):
             else "float" for k in rec]
 
 
+def test_step_output_is_an_immutable_named_tuple():
+    groups = _one_group([1.0, 2.0])
+    out = padamp_step(new_state(groups, HyperParams()), groups, _grads([0.5, -0.5]), 1e-3)
+    assert StepOutput._fields == ("new_params", "record")
+    new_params, record = out
+    assert (new_params, record) == (out.new_params, out.record)
+    assert [g.name for g in new_params] == ["theta"] and record["t"] == 1
+    with pytest.raises(AttributeError):
+        out.record = None
+
+
 @pytest.mark.parametrize("fn", [padamp_step, adam_step, sgdm_step])
 def test_step_norms_and_cosine_stay_exact_at_large_scale(fn):
     # Past about 1e154 the squared norm of theta overflows a float.
@@ -538,9 +550,14 @@ def test_direct_caller_batch_fills_lemmas_under_any_error_state(hold_inputs):
     assert [r["lemma5_radial"] for r in got] == [-math.inf] * 5
 
 
+def _label(code):
+    return code.co_filename, code.co_firstlineno, code.co_name
+
+
 def _calls_per_step(steps):
-    """The Python-level calls cProfile counts in one padamp quad_d20 run,
-    and how many of them are np.errstate.__enter__."""
+    """The calls cProfile counts in one padamp quad_d20 run, and how often
+    the floating-point state is set: np.errstate's decorator wrapper in all,
+    around the step and around run, and errstate blocks entered."""
     cfg = build_config({}, {"optimizer.kind": "padamp", "objective.name": "quadratic",
                             "objective.dim": "20", "objective.condition": "100",
                             "run.steps": str(steps), "run.seed": "0"})
@@ -549,20 +566,26 @@ def _calls_per_step(steps):
     run(cfg)
     profiler.disable()
     stats = pstats.Stats(profiler).stats
-    enter = np.errstate.__enter__.__code__
-    errstate_key = (enter.co_filename, enter.co_firstlineno, enter.co_name)
+    wrapper = _label(np.errstate()(lambda: None).__code__)
     total = sum(nc for _, nc, _, _, _ in stats.values())
-    return total, stats[errstate_key][1]
+    # A function's callers map each caller to (primitive calls, calls, ...).
+    wrapped = [stats[_label(fn.__wrapped__.__code__)][4][wrapper][1]
+               for fn in (optimizers._step, run)]
+    entered = stats[_label(np.errstate.__enter__.__code__)][1]
+    return total, (stats[wrapper][1], *wrapped, entered)
 
 
 def test_small_d_step_call_budget():
     # Per step: (calls at 2000 steps - calls at 1000) / 1000, so the set-up
     # and the end-of-run report cancel out; a short run first pays the
     # process's one-time costs, which would otherwise fall on the 1000-step
-    # run alone. A step makes 45.3; the budget leaves 2 more.
+    # run alone. A step makes 47.29: each named-tuple result is two counted
+    # calls, its __new__ and tuple.__new__.
     _calls_per_step(10)
-    (calls_1k, enters_1k), (calls_2k, enters_2k) = _calls_per_step(1000), _calls_per_step(2000)
+    (calls_1k, sets_1k), (calls_2k, sets_2k) = _calls_per_step(1000), _calls_per_step(2000)
     assert (calls_2k - calls_1k) / 1000 <= 47.3
-    # The step's errstate is the only one entered per step: run sets the
-    # floating-point state once for the whole run.
-    assert enters_2k - enters_1k == 1000
+    # The floating-point state is set once per step, by the decorator on the
+    # step body, and once for the whole run; the one errstate block entered
+    # is the lemma batch's closing flush.
+    assert sets_2k[0] - sets_1k[0] == 1000
+    assert sets_1k[1:] == (1000, 1, 1) and sets_2k[1:] == (2000, 1, 1)
