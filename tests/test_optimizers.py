@@ -555,9 +555,10 @@ def _label(code):
 
 
 def _calls_per_step(steps):
-    """The calls cProfile counts in one padamp quad_d20 run, and how often
-    the floating-point state is set: np.errstate's decorator wrapper in all,
-    around the step and around run, and errstate blocks entered."""
+    """The calls cProfile counts in one padamp quad_d20 run, one count per
+    code object, and how often the floating-point state is set:
+    np.errstate's decorator wrapper in all, around the step and around run,
+    and errstate blocks entered."""
     cfg = build_config({}, {"optimizer.kind": "padamp", "objective.name": "quadratic",
                             "objective.dim": "20", "objective.condition": "100",
                             "run.steps": str(steps), "run.seed": "0"})
@@ -565,9 +566,12 @@ def _calls_per_step(steps):
     profiler.enable()
     run(cfg)
     profiler.disable()
+    # pstats keys functions by (file, line, name), and code objects that
+    # share a key (every dataclass __init__, every named tuple's __new__)
+    # keep one count between them; the profiler's own entries keep each.
+    total = sum(entry.callcount for entry in profiler.getstats())
     stats = pstats.Stats(profiler).stats
     wrapper = _label(np.errstate()(lambda: None).__code__)
-    total = sum(nc for _, nc, _, _, _ in stats.values())
     # A function's callers map each caller to (primitive calls, calls, ...).
     wrapped = [stats[_label(fn.__wrapped__.__code__)][4][wrapper][1]
                for fn in (optimizers._step, run)]
@@ -579,11 +583,11 @@ def test_small_d_step_call_budget():
     # Per step: (calls at 2000 steps - calls at 1000) / 1000, so the set-up
     # and the end-of-run report cancel out; a short run first pays the
     # process's one-time costs, which would otherwise fall on the 1000-step
-    # run alone. A step makes 47.29: each named-tuple result is two counted
-    # calls, its __new__ and tuple.__new__.
+    # run alone. A step makes 49.29, the budget: each named-tuple result is
+    # two counted calls, its __new__ and tuple.__new__.
     _calls_per_step(10)
     (calls_1k, sets_1k), (calls_2k, sets_2k) = _calls_per_step(1000), _calls_per_step(2000)
-    assert (calls_2k - calls_1k) / 1000 <= 47.3
+    assert (calls_2k - calls_1k) / 1000 <= 49.29
     # The floating-point state is set once per step, by the decorator on the
     # step body, and once for the whole run; the one errstate block entered
     # is the lemma batch's closing flush.
