@@ -10,15 +10,15 @@ _group_lemmas computes one adaptive group's LEMMA_COLUMNS for a block of k
 steps, one row per step: its full-size passes over (k, d) arrays
 (_lemma_passes) leave nine (k,) reductions, and elementwise arithmetic on
 those (_lemma_rows) gives the columns. fold_lemmas folds the groups' rows
-into the telemetry values. A step called directly runs _group_lemmas on
-1-row views after each group's update.
+into the telemetry values.
 
-harness.run hands every step its TelemetryTable. An adaptive run's table
-holds a LemmaBatch, which takes the steps' lemma inputs and writes a block
-of rows' lemma columns at once. Below LEMMA_BLOCK_ELEMENTS the batch holds
-the steps' inputs and makes the passes per block; above, the step makes
-the passes on 1-row views and the batch keeps their reductions, so only the
-arithmetic waits for the flush.
+A TelemetryTable writes every lemma column. harness.run hands each step the
+run's table, and a step called directly writes through a one-row table of
+its own. An adaptive table takes the steps' lemma inputs and writes the
+lemma columns of a block of rows at once. Up to LEMMA_BLOCK_ELEMENTS the
+block holds the steps' inputs and makes the passes per block; above, and in
+a direct step's table, each step makes the passes on 1-row views and the
+block keeps their reductions, so only the arithmetic waits for the flush.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "SLACK_COLUMNS",
     "LEMMA_COLUMNS",
     "step_columns",
-    "LemmaBatch",
     "TelemetryTable",
     "simulate_norm_growth",
     "validate_schedule",
@@ -176,10 +175,10 @@ def step_columns(names: Tuple[str, ...]) -> Tuple[str, ...]:
             *LEMMA_COLUMNS)
 
 
-# The lemma inputs a LemmaBatch may hold per input array, over all groups:
-# a block is LEMMA_BLOCK_ELEMENTS // (total adaptive dim) steps high. Below
-# 2 rows a batch holds each step's reductions instead, _REDUCED_ROWS steps
-# of them.
+# The lemma inputs a TelemetryTable's block may hold per input array, over
+# all groups: a block is LEMMA_BLOCK_ELEMENTS // (total adaptive dim) steps
+# high. Below 2 rows the block holds each step's reductions instead,
+# _REDUCED_ROWS steps of them.
 LEMMA_BLOCK_ELEMENTS = 16384
 _REDUCED_ROWS = 256
 
@@ -338,15 +337,6 @@ def _group_lemmas(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarra
     return _lemma_rows(found, c1, eps, p)
 
 
-def _vector_lemmas(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarray,
-                   beta1t: float, c1: float, eps: float, p: float, theta: np.ndarray,
-                   theta_norm: float) -> np.ndarray:
-    """_group_lemmas on one step's 1-d vectors, as 1-row views: a (1, 8) array."""
-    s = np.array([beta1t, c1, theta_norm])
-    return _group_lemmas(m[None], m_prev[None], v[None], g[None], s[:1], s[1:2], eps, p,
-                         theta[None], s[2:])
-
-
 def fold_lemmas(acc: np.ndarray, found: np.ndarray) -> np.ndarray:
     """Fold one group's (k, 8) lemma rows into acc's, in place; returns acc.
 
@@ -358,79 +348,6 @@ def fold_lemmas(acc: np.ndarray, found: np.ndarray) -> np.ndarray:
     np.copyto(acc[:, :1], found[:, :1], where=found[:, :1] > acc[:, :1])
     np.copyto(acc[:, 1:], found[:, 1:], where=found[:, 1:] < acc[:, 1:])
     return acc
-
-
-class LemmaBatch:
-    """The lemma columns of up to `height` adaptive steps, computed with one
-    _lemma_rows call per group, and one _group_lemmas call when the batch
-    holds the steps' inputs.
-
-    A TelemetryTable holds it; its n pending rows are the table's last n.
-    Before it writes its row, an adaptive step hands over each group's m,
-    m_prev, v, g (after coupled decay), pre-step theta, beta1_t, C1 and
-    ||theta|| (add_row). With hold_inputs the batch copies the arrays into
-    the group's next free row and makes the full-size passes at flush();
-    without, add_row makes them at once on 1-row views and keeps their
-    nine reductions.
-    """
-
-    def __init__(self, groups: Sequence, eps: float, height: int, hold_inputs: bool = True):
-        self.eps = eps
-        self.height = height
-        self.n = 0
-        # Per group: the rows of m, m_prev, v, g and theta (None without
-        # hold_inputs); of beta1_t, C1 and ||theta||; and of the reductions.
-        self.blocks = {g.name: (np.empty((5, height, g.dim)) if hold_inputs else None,
-                                np.empty((3, height)), np.empty((len(_REDUCTIONS), height)))
-                       for g in groups}
-
-    def add_row(self, name: str, p: float, m: np.ndarray, m_prev: np.ndarray,
-                v: np.ndarray, g: np.ndarray, theta: np.ndarray, beta1t: float,
-                c1: float, theta_norm: float) -> None:
-        inputs, scalars, found = self.blocks[name]
-        i = self.n
-        scalars[0, i] = beta1t
-        scalars[1, i] = c1
-        scalars[2, i] = theta_norm
-        if inputs is None:
-            row = slice(i, i + 1)
-            _lemma_passes(m[None], m_prev[None], v[None], g[None], scalars[0, row],
-                          self.eps, p, theta[None], scalars[2, row], found[:, row])
-        else:
-            inputs[0, i] = m
-            inputs[1, i] = m_prev
-            inputs[2, i] = v
-            inputs[3, i] = g
-            inputs[4, i] = theta
-
-    def flush(self, p: np.ndarray, out: np.ndarray) -> None:
-        """Fold the pending rows' lemma columns over groups into the (n, 8)
-        out, under each row's p (the table's p_now), and empty the batch."""
-        n, self.n = self.n, 0
-        # A p_schedule decay can fall inside the pending rows.
-        cuts = [0, *(np.flatnonzero(p[1:] != p[:-1]) + 1).tolist(), n]
-        for a, b in zip(cuts, cuts[1:]):
-            p_run = float(p[a])
-            folded = None
-            for inputs, scalars, found in self.blocks.values():
-                beta1t, c1, theta_norm = scalars[:, a:b]
-                if inputs is not None:
-                    m, m_prev, v, g, theta = inputs[:, a:b]
-                    _lemma_passes(m, m_prev, v, g, beta1t, self.eps, p_run, theta,
-                                  theta_norm, found[:, a:b])
-                rows = _lemma_rows(found[:, a:b], c1, self.eps, p_run)
-                folded = rows if folded is None else fold_lemmas(folded, rows)
-            out[a:b] = folded
-
-
-def lemma_batch(groups: Sequence, eps: float) -> LemmaBatch:
-    """A LemmaBatch for these groups that holds the inputs of as many steps
-    as LEMMA_BLOCK_ELEMENTS allows, or, when that is under 2, the
-    reductions of _REDUCED_ROWS steps."""
-    height = LEMMA_BLOCK_ELEMENTS // sum(g.dim for g in groups)
-    if height >= 2:
-        return LemmaBatch(groups, eps, height)
-    return LemmaBatch(groups, eps, _REDUCED_ROWS, hold_inputs=False)
 
 
 # A new TelemetryTable's rows; it doubles them whenever they fill.
@@ -445,18 +362,61 @@ def is_int_column(name: str) -> bool:
 class TelemetryTable(abc.Sequence):
     """A run's telemetry: a float64 row per step in step_columns and then
     eval_grad_norm_sq (CSV order), `rows` high and doubling when full, nan
-    where nothing wrote; and the LemmaBatch, if any, that writes its pending
-    rows' lemma columns when a block fills or at flush(). It is also the
-    read-only sequence of its completed rows, each built when asked as a
-    direct step's record (int t and epoch, bool flags, Python floats).
+    where nothing wrote. It is also the read-only sequence of its completed
+    rows, each built when asked (int t and epoch, bool flags, Python floats).
+
+    Given eps (an adaptive run's hp.epsilon; None for sgdm), the table
+    writes the lemma columns of its last pending rows a block at a time: when
+    the block fills (in add_row) and at flush(). Before it writes its row, an
+    adaptive step hands over each group's lemma inputs (add_lemmas). Up to
+    LEMMA_BLOCK_ELEMENTS the block copies the inputs and makes the full-size
+    passes at the flush; above, add_lemmas makes them at once on 1-row views
+    and the block keeps their nine reductions, for _REDUCED_ROWS steps or
+    for reduced_rows (a direct step's one-row table).
     """
 
-    def __init__(self, groups: Sequence, lemmas: Optional[LemmaBatch] = None,
-                 rows: int = TABLE_ROWS):
+    def __init__(self, groups: Sequence, eps: Optional[float] = None,
+                 rows: int = TABLE_ROWS, reduced_rows: Optional[int] = None):
         self.names = step_columns(tuple(g.name for g in groups)) + ("eval_grad_norm_sq",)
-        self.lemmas = lemmas
         self.data = np.full((rows, len(self.names)), math.nan)
         self.n = 0
+        # The rows before `done` have their lemma columns; sgdm's block is 0 rows.
+        self.done = self.height = 0
+        self.eps = eps
+        if eps is not None:
+            height = LEMMA_BLOCK_ELEMENTS // sum(g.dim for g in groups)
+            hold_inputs = reduced_rows is None and height >= 2
+            if not hold_inputs:
+                height = reduced_rows or _REDUCED_ROWS
+            self.height = height
+            # Per group: the rows of m, m_prev, v, g and theta (None when the
+            # block holds reductions); of beta1_t, C1 and ||theta||; and of
+            # the reductions.
+            self.blocks = {g.name: (np.empty((5, height, g.dim)) if hold_inputs else None,
+                                    np.empty((3, height)), np.empty((len(_REDUCTIONS), height)))
+                           for g in groups}
+
+    def add_lemmas(self, name: str, p: float, m: np.ndarray, m_prev: np.ndarray,
+                   v: np.ndarray, g: np.ndarray, theta: np.ndarray, beta1t: float,
+                   c1: float, theta_norm: float) -> None:
+        """Take one group's lemma inputs for the row add_row writes next: the
+        post-step moments, the gradient they saw (after coupled decay), the
+        pre-step weights, beta1_t, C1 and ||theta||."""
+        inputs, scalars, found = self.blocks[name]
+        i = self.n - self.done
+        scalars[0, i] = beta1t
+        scalars[1, i] = c1
+        scalars[2, i] = theta_norm
+        if inputs is None:
+            row = slice(i, i + 1)
+            _lemma_passes(m[None], m_prev[None], v[None], g[None], scalars[0, row],
+                          self.eps, p, theta[None], scalars[2, row], found[:, row])
+        else:
+            inputs[0, i] = m
+            inputs[1, i] = m_prev
+            inputs[2, i] = v
+            inputs[3, i] = g
+            inputs[4, i] = theta
 
     def add_row(self, values: Sequence) -> None:
         """Fill the next row's first columns; a full lemma block flushes here."""
@@ -464,11 +424,9 @@ class TelemetryTable(abc.Sequence):
         if n == len(self.data):
             self.data = np.concatenate([self.data, np.full_like(self.data, math.nan)])
         self.data[n, :len(values)] = values
-        self.n = n + 1
-        if self.lemmas is not None:
-            self.lemmas.n += 1
-            if self.lemmas.n == self.lemmas.height:
-                self._flush()
+        self.n = n = n + 1
+        if n - self.done == self.height:
+            self._flush()
 
     def flush(self) -> None:
         """_flush under over="ignore", invalid="ignore", whatever numpy's state."""
@@ -476,11 +434,29 @@ class TelemetryTable(abc.Sequence):
             self._flush()
 
     def _flush(self) -> None:
-        lemmas = self.lemmas
-        if lemmas is not None and lemmas.n:
-            # p_now is column 3; the lemma columns come last but one.
-            rows = self.data[self.n - lemmas.n:self.n]
-            lemmas.flush(rows[:, 3], rows[:, -1 - len(LEMMA_COLUMNS):-1])
+        """Fold the pending rows' lemma columns over groups, under each row's p."""
+        a, n = self.done, self.n
+        if self.eps is None or a == n:
+            return
+        self.done = n
+        # p_now is column 3; the lemma columns come last but one.
+        rows = self.data[a:n]
+        p, out = rows[:, 3], rows[:, -1 - len(LEMMA_COLUMNS):-1]
+        # A p_schedule decay can fall inside the pending rows.
+        cuts = [0, *(np.flatnonzero(p[1:] != p[:-1]) + 1).tolist(), n - a]
+        for lo, hi in zip(cuts, cuts[1:]):
+            p_run = float(p[lo])
+            folded = None
+            for inputs, scalars, found in self.blocks.values():
+                beta1t, c1, theta_norm = scalars[:, lo:hi]
+                if inputs is not None:
+                    m, m_prev, v, g, theta = inputs[:, lo:hi]
+                    _lemma_passes(m, m_prev, v, g, beta1t, self.eps, p_run, theta,
+                                  theta_norm, found[:, lo:hi])
+                lemmas = _lemma_rows(found[:, lo:hi], c1, self.eps, p_run)
+                # The largest residual over groups, and the smallest of the rest.
+                folded = lemmas if folded is None else fold_lemmas(folded, lemmas)
+            out[lo:hi] = folded
 
     def __len__(self) -> int:
         return self.n
@@ -499,8 +475,8 @@ class TelemetryTable(abc.Sequence):
 
 
 class LemmaMonitor:
-    """A name only: the step folds the lemma columns itself. perfbench's layer
-    trace still patches harness.LemmaMonitor, so the name stays."""
+    """A name only: the telemetry table writes the lemma columns. perfbench's
+    layer trace still patches harness.LemmaMonitor, so the name stays."""
 
 
 def validate_schedule(family: str, c: float, a: Optional[float] = None) -> bool:

@@ -29,7 +29,6 @@ from .diagnostics import (
     TelemetryTable,
     TABLE_ROWS,
     is_int_column,
-    lemma_batch,
     step_columns,
     track_convergence,
     validate_schedule,
@@ -276,9 +275,9 @@ def run(config: ExperimentConfig) -> RunResult:
     epoch_len = (config.steps_per_epoch if dataset is None
                  else math.ceil(dataset.n / config.batch_size))
     budget = config.steps if config.steps is not None else config.epochs * epoch_len
-    # sgdm has no lemma quantities to batch.
+    # sgdm has no lemma quantities.
     table = TelemetryTable(params, None if config.optimizer == OptimizerKind.SGDM
-                           else lemma_batch(params, config.hp.epsilon), min(budget, TABLE_ROWS))
+                           else config.hp.epsilon, min(budget, TABLE_ROWS))
     batch_iter = iter(())
 
     try:

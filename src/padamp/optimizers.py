@@ -18,19 +18,18 @@ applies either decay rule.
 The step returns a StepOutput, a named tuple, and sets numpy's error state
 (over and invalid ignored) for each call by a decorator on _step.
 
-A step's telemetry is one list of values in step_columns order, the CSV's.
-Its eight lemma columns hold the largest lemma-2 residual and the smallest
-of each other lemma quantity over the adaptive groups (nan for sgdm). A
-direct caller gets the list as StepOutput.record, a dict. Given a table
-(diagnostics.TelemetryTable; harness.run passes one), the step writes it
-as the table's next row instead, and an adaptive step hands the table's
-LemmaBatch, if any, its lemma inputs in place of computing the columns.
+A step writes its telemetry as the next row of a diagnostics.TelemetryTable,
+in step_columns order, the CSV's: harness.run passes the run's table, and a
+direct call writes through a one-row table of its own and returns the row
+as StepOutput.record, a dict. An adaptive step hands the table each group's
+lemma inputs, and the table writes the eight lemma columns: the largest
+lemma-2 residual and the smallest of each other lemma quantity over the
+adaptive groups. sgdm's stay nan.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from enum import Enum
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -44,8 +43,7 @@ from .core import (
     beta1_at,
     check_grads,
 )
-from .diagnostics import (LEMMA_COLUMNS, TelemetryTable, _vector_lemmas, fold_lemmas,
-                          step_columns)
+from .diagnostics import TelemetryTable
 from .geometry import (
     ProjectionDecision,
     cosine_similarity,
@@ -99,7 +97,8 @@ def _step(
     whose lemma fields are nan; otherwise the direction comes from the moment
     kernel. trigger is None for the never-projecting optimizers, otherwise
     the trigger threshold family ("padamp" or "adamp"). Given a table, the
-    step writes its row there and returns no record.
+    step writes its row there and returns no record; without, it writes a
+    one-row table and returns its row.
     """
     if state.failed_step is not None:
         raise ValueError(
@@ -132,11 +131,12 @@ def _step(
         trigger_eta = eta_t if hp.trigger_lr_mode == "scheduled" else hp.eta0
 
     new_params: List[ParamGroup] = []
-    # The step's telemetry row, in step_columns order. epoch and loss are
-    # placeholders the run loop fills in.
+    # The step's telemetry row, in step_columns order up to the lemma
+    # columns, which the table writes. epoch and loss are placeholders the
+    # run loop fills in.
     row = [t, 0, eta_t, p_power if adaptive else math.nan, math.nan, 0.0]
-    lemmas = None
-    batch = table.lemmas if adaptive and table is not None else None
+    rows = table if table is not None else TelemetryTable(
+        groups, hp.epsilon if adaptive else None, 1, reduced_rows=1)
     for grp, (g_raw, gnorm) in zip(groups, checked):
         name = grp.name
         theta = grp.values
@@ -202,23 +202,16 @@ def _step(
         if adaptive:
             # Release the full-size temporaries before the lemmas make theirs.
             del direction, q, base
-            if batch is not None:
-                batch.add_row(name, p_power, m, m_prev, state.v[name], g, theta, b1t,
-                              state.c1[name], theta_norm)
-            else:
-                found = _vector_lemmas(m, m_prev, state.v[name], g, b1t,
-                                       state.c1[name], hp.epsilon, p_power, theta,
-                                       theta_norm)
-                # The largest residual over groups, and the smallest of the rest.
-                lemmas = found if lemmas is None else fold_lemmas(lemmas, found)
+            rows.add_lemmas(name, p_power, m, m_prev, state.v[name], g, theta, b1t,
+                            state.c1[name], theta_norm)
 
-    if batch is None:
-        row += repeat(math.nan, len(LEMMA_COLUMNS)) if lemmas is None else lemmas[0].tolist()
-    if table is not None:
-        table.add_row(row)  # a full lemma block flushes here
+    rows.add_row(row)  # a full lemma block flushes here
     state.failed_step = None
-    return StepOutput(new_params, None if table is not None else
-                      dict(zip(step_columns(tuple(g.name for g in groups)), row)))
+    if table is not None:
+        return StepOutput(new_params, None)
+    record = rows[0]
+    del record["eval_grad_norm_sq"]  # the run loop's column
+    return StepOutput(new_params, record)
 
 
 # Each kind's settings for _step, (power, use_max, trigger). power "p" is
@@ -259,5 +252,6 @@ _STEP_FNS = {kind: _bind(kind, *settings) for kind, settings in _KINDS.items()}
 def make_step(kind: OptimizerKind) -> Callable:
     """The step function step(state, groups, grads, eta_t, p_now=None, *,
     table=None) of the given optimizer kind; the same object on every
-    call."""
+    call. A table is a TelemetryTable over the same groups, built with
+    hp.epsilon for an adaptive kind."""
     return _STEP_FNS[OptimizerKind(kind)]

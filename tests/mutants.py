@@ -78,12 +78,13 @@ MUTANTS = (
             "tests/test_optimizers.py::test_overflowing_lemma_slack_is_non_finite_without_a_warning")),
     # A lemma flush folds a block under its first row's p across a p_schedule decay.
     Mutant("flush_ignores_p_cut", "diagnostics.py",
-           "cuts = [0, *(np.flatnonzero(p[1:] != p[:-1]) + 1).tolist(), n]", "cuts = [0, n]",
+           "cuts = [0, *(np.flatnonzero(p[1:] != p[:-1]) + 1).tolist(), n - a]",
+           "cuts = [0, n - a]",
            ("tests/test_harness.py::test_batched_run_writes_what_unbatched_steps_write",)),
     # Small groups get the reductions block and large ones the inputs block.
     Mutant("hold_mode_inverted", "diagnostics.py",
-           "    if height >= 2:\n        return LemmaBatch(groups, eps, height)",
-           "    if height < 2:\n        return LemmaBatch(groups, eps, height)",
+           "hold_inputs = reduced_rows is None and height >= 2",
+           "hold_inputs = reduced_rows is None and height < 2",
            ("tests/test_harness.py::test_lemma_batch_holds_inputs_up_to_the_element_budget",)),
 )
 

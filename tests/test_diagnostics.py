@@ -19,7 +19,6 @@ from padamp.diagnostics import (
     DiagnosticsReport,
     NormGrowthTrace,
     _group_lemmas,
-    _vector_lemmas,
     fold_lemmas,
     momentum_norm_ratio_limit,
     simulate_norm_growth,
@@ -30,12 +29,7 @@ from padamp.geometry import norm
 from padamp.harness import build_config, run
 from padamp.optimizers import make_step
 
-
-def _one_step_lemmas(m, m_prev, v, g, beta1t, c1, eps, p, theta, theta_norm):
-    """One group's lemma columns for one step, as the step computes them
-    without a batch: _group_lemmas on 1-row views, as Python floats."""
-    return tuple(_vector_lemmas(m, m_prev, v, g, beta1t, c1, eps, p, theta,
-                                theta_norm)[0].tolist())
+from lemma_oracle import one_step_lemmas, vector_lemmas
 
 
 # ------------------------------------------------------------- norm growth
@@ -254,7 +248,7 @@ def test_momentum_limit_values():
 def _lemma2(m, m_prev, g, beta1t):
     # The lemma-2 residual of _group_lemmas, which is scaled by 1 + ||m||.
     ones = np.ones_like(m)
-    return _one_step_lemmas(m, m_prev, ones, g, beta1t, 1.0, 1e-8, 0.5, ones, norm(ones))[0]
+    return one_step_lemmas(m, m_prev, ones, g, beta1t, 1.0, 1e-8, 0.5, ones, norm(ones))[0]
 
 
 def test_lemma2_residual_is_rounding_level_for_consistent_inputs():
@@ -312,7 +306,7 @@ def test_monitor_tracks_live_optimizer_steps():
         grads = {"theta": rng.standard_normal(8)}
         theta = groups[0].values
         out = step(state, groups, grads, eta_t=1e-3)
-        lemmas = _one_step_lemmas(state.m["theta"], state.m_prev["theta"], state.v["theta"],
+        lemmas = one_step_lemmas(state.m["theta"], state.m_prev["theta"], state.v["theta"],
                                   grads["theta"], beta1_at(t, hp), state.c1["theta"],
                                   hp.epsilon, hp.p, theta, norm(theta))
         assert out.record["lemma2_residual"] < 1e-10
@@ -335,7 +329,7 @@ def test_lemma4_upper_slack_holds_once_v_underflows_eps(eps, p, dim, tiny):
     v = rng.uniform(0.0, 1.0, dim)
     v[rng.integers(dim)] = tiny * eps
     m, m_prev, g, theta = rng.standard_normal((4, dim))
-    lemmas = _one_step_lemmas(m, m_prev, v, g, 0.9, 1.0, eps, p, theta,
+    lemmas = one_step_lemmas(m, m_prev, v, g, 0.9, 1.0, eps, p, theta,
                               float(np.linalg.norm(theta)))
     assert lemmas[LEMMA_COLUMNS.index("lemma4_upper")] >= 0.0
 
@@ -399,7 +393,7 @@ def test_bound_slacks_match_the_out_of_place_oracle_bitwise(seed, dim, eps, p, t
     theta_norm = float(np.linalg.norm(theta))
     arrays = (m, m_prev, v, g, theta)
     copies = [np.copy(a) for a in arrays]
-    resid, margin, *slacks = _one_step_lemmas(m, m_prev, v, g, beta1t, c1, eps, p,
+    resid, margin, *slacks = one_step_lemmas(m, m_prev, v, g, beta1t, c1, eps, p,
                                               theta, theta_norm)
     assert _bits(resid) == _bits(_check_lemma2_oracle(m, m_prev, g, beta1t) / (1.0 + norm(m)))
     assert _bits(margin) == _bits(float(c1 ** 2 - np.max(v)))
@@ -449,7 +443,7 @@ def test_group_lemmas_rows_match_one_row_calls_bitwise(seed, k, dim, p, log_scal
     theta_norm = np.array([norm(row) for row in theta])
     rows = _group_lemmas(m, m_prev, v, g, beta1t, c1, 1e-8, p, theta, theta_norm)
     for i in range(k):
-        one = _vector_lemmas(m[i], m_prev[i], v[i], g[i], float(beta1t[i]), float(c1[i]),
+        one = vector_lemmas(m[i], m_prev[i], v[i], g[i], float(beta1t[i]), float(c1[i]),
                              1e-8, p, theta[i], float(theta_norm[i]))
         assert rows[i].tobytes() == one[0].tobytes(), i
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import padamp.harness
 from padamp.cli import _load_mapping, build_parser
 from padamp.core import HyperParams, ParamGroup
-from padamp.diagnostics import LEMMA_COLUMNS, LemmaBatch, TelemetryTable, lemma_batch
+from padamp.diagnostics import LEMMA_COLUMNS, TelemetryTable
 from padamp.harness import (
     _PARSERS,
     CONFIG_KEYS,
@@ -576,9 +576,9 @@ def test_telemetry_read_back_writes_the_same_bytes(tmp_path, name):
     assert q.read_bytes() == p.read_bytes()
 
 
-# Runs whose lemma columns a LemmaBatch fills in. The p schedule decays p at
-# step 21, inside a block of 8 rows (and of the default height); 61 steps
-# is no multiple of either height.
+# Runs whose lemma columns the table writes a block of rows at a time. The p
+# schedule decays p at step 21, inside a block of 8 rows (and of the
+# default height); 61 steps is no multiple of either height.
 _BATCHED_RUNS = {
     "padamp quadratic": {"objective.name": "quadratic", "objective.dim": "20",
                          "objective.condition": "100"},
@@ -593,32 +593,33 @@ _BATCHED_RUNS = {
     "padamp tiny_mlp p_schedule": {
         "objective.name": "tiny_mlp", "p_schedule.decay_epoch": "6",
         "p_schedule.new_p": "0.125"},
-    # Past LEMMA_BLOCK_ELEMENTS: the default batch holds reductions only.
+    # Past LEMMA_BLOCK_ELEMENTS: the default block holds reductions only.
     "padamp quadratic d=10000": {"objective.name": "quadratic", "objective.dim": "10000",
                                  "p_schedule.decay_epoch": "2", "p_schedule.new_p": "0.125",
                                  "run.steps_per_epoch": "20"},
-    # No batch either way: sgdm's steps write nan lemma columns to the table.
+    # No lemma block either way: sgdm's lemma columns stay nan.
     "sgdm quadratic": {"optimizer.kind": "sgdm", "objective.name": "quadratic",
                        "objective.dim": "20", "objective.condition": "100"},
 }
 
 
 def _set_lemma_batch(monkeypatch, height, hold_inputs=True):
-    """Make run's LemmaBatch `height` rows high, holding the steps' inputs or
-    only their reductions. None keeps the default batch; 0 gives run's table
-    no batch, so each step computes its lemma columns, as it does for a
-    direct caller."""
-    if height == 0:
-        monkeypatch.setattr(padamp.harness, "lemma_batch", lambda groups, eps: None)
-    elif height is not None:
-        monkeypatch.setattr(padamp.harness, "lemma_batch",
-                            lambda groups, eps: LemmaBatch(groups, eps, height, hold_inputs))
+    """Make the lemma block of run's table `height` rows high, holding the
+    steps' inputs or only their reductions. None keeps the default block;
+    1 holds one step's reductions, as a direct step's table does."""
+    def table(groups, eps, rows):
+        budget = height * sum(g.dim for g in groups) if hold_inputs and height > 1 else 0
+        monkeypatch.setattr(padamp.diagnostics, "LEMMA_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(padamp.diagnostics, "_REDUCED_ROWS", height)
+        return TelemetryTable(groups, eps, rows)
+    if height is not None:
+        monkeypatch.setattr(padamp.harness, "TelemetryTable", table)
 
 
 def test_lemma_batch_holds_inputs_up_to_the_element_budget():
     def blocks(dims):
-        return lemma_batch([ParamGroup(f"g{i}", np.zeros(d)) for i, d in enumerate(dims)],
-                           1e-8).blocks.values()
+        return TelemetryTable([ParamGroup(f"g{i}", np.zeros(d)) for i, d in enumerate(dims)],
+                              1e-8).blocks.values()
     # 16384 // 20 = 819 rows; two groups share the budget.
     assert [inputs.shape for inputs, _, _ in blocks([20])] == [(5, 819, 20)]
     assert [inputs.shape for inputs, _, _ in blocks([8000, 192])] == [(5, 2, 8000),
@@ -633,11 +634,13 @@ def test_lemma_batch_holds_inputs_up_to_the_element_budget():
 @pytest.mark.parametrize("name", list(_BATCHED_RUNS))
 def test_batched_run_writes_what_unbatched_steps_write(name, height, hold_inputs, tmp_path,
                                                        monkeypatch):
+    # The unbatched steps write through one-row blocks of reductions, as a
+    # direct step does.
     keys = dict(_BATCHED_RUNS[name], **{"run.steps": "61", "run.seed": "3"})
     results, paths = [], [tmp_path / "batched.csv", tmp_path / "unbatched.csv"]
-    for path, path_height in zip(paths, (height, 0)):
+    for path, block in zip(paths, ((height, hold_inputs), (1, False))):
         with monkeypatch.context() as patch:
-            _set_lemma_batch(patch, path_height, hold_inputs)
+            _set_lemma_batch(patch, *block)
             results.append(run(build_config(keys, {"run.out": str(path)})))
     batched, unbatched = results
     assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -709,11 +712,12 @@ def test_records_read_the_table_row_by_row():
 def test_aborted_batched_run_writes_what_unbatched_steps_write(eta0, error, message, height,
                                                                hold_inputs, tmp_path,
                                                                monkeypatch):
+    # The unbatched steps write through one-row blocks of reductions.
     keys = {"objective.name": "rosenbrock", "schedule.eta0": eta0, "run.steps": "40"}
     paths = [tmp_path / "batched.csv", tmp_path / "unbatched.csv"]
-    for path, path_height in zip(paths, (height, 0)):
+    for path, block in zip(paths, ((height, hold_inputs), (1, False))):
         with monkeypatch.context() as patch:
-            _set_lemma_batch(patch, path_height, hold_inputs)
+            _set_lemma_batch(patch, *block)
             with pytest.raises(error, match=message):
                 run(build_config(keys, {"run.out": str(path)}))
     assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -10,22 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padamp.core import HyperParams, ParamGroup, beta1_at, new_state
-from padamp.diagnostics import (LEMMA_COLUMNS, SLACK_COLUMNS, LemmaBatch, TelemetryTable,
-                                _vector_lemmas, step_columns)
+from padamp import diagnostics
+from padamp.diagnostics import LEMMA_COLUMNS, SLACK_COLUMNS, TelemetryTable, step_columns
 from padamp.geometry import norm
 from padamp.harness import build_config, run
 from padamp import optimizers
 from padamp.optimizers import OptimizerKind, StepOutput, make_step
 
+from lemma_oracle import one_step_lemmas
+
 padamp_step, adamp_step, padam_step, adam_step, amsgrad_step, sgdm_step = (
     make_step(k) for k in ("padamp", "adamp", "padam", "adam", "amsgrad", "sgdm"))
-
-
-def _one_step_lemmas(m, m_prev, v, g, beta1t, c1, eps, p, theta, theta_norm):
-    """One group's lemma columns for one step, as the step computes them
-    without a batch: _group_lemmas on 1-row views, as Python floats."""
-    return tuple(_vector_lemmas(m, m_prev, v, g, beta1t, c1, eps, p, theta,
-                                theta_norm)[0].tolist())
 
 
 def _one_group(values):
@@ -202,7 +197,7 @@ def test_step_slacks_use_the_gradients_the_moments_saw(fn):
         assert all(math.isnan(x) for x in lemmas)
         return
     # Under coupled decay the moments see g + wd * theta; so do the lemmas.
-    assert lemmas == _one_step_lemmas(
+    assert lemmas == one_step_lemmas(
         state.m["theta"], state.m_prev["theta"], state.v["theta"], g + 0.1 * theta,
         beta1_at(1, hp), state.c1["theta"], hp.epsilon, hp.p, theta, norm(theta))
 
@@ -418,7 +413,7 @@ def test_multi_group_step_records_each_group():
                 for t in (1, 2):
                     grads = {g.name: rng.standard_normal(g.values.size) for g in groups}
                     out = padamp_step(state, groups, grads, 1e-3)
-                    per_group = [_one_step_lemmas(
+                    per_group = [one_step_lemmas(
                         state.m[g.name], state.m_prev[g.name], state.v[g.name],
                         grads[g.name] + 0.1 * g.values if wd_mode == "coupled"
                         else grads[g.name], beta1_at(t, hp), state.c1[g.name],
@@ -523,12 +518,12 @@ def test_overflowing_lemma_slack_is_non_finite_without_a_warning():
 
 
 @pytest.mark.parametrize("hold_inputs", [True, False], ids=["inputs", "reductions"])
-def test_direct_caller_batch_fills_lemmas_under_any_error_state(hold_inputs):
-    # A caller that hands its steps a table holding a LemmaBatch gets in its
-    # rows what unbatched steps record, under np.errstate(all="raise") too:
-    # every row's radial slack overflows to -inf, and the batch flushes
-    # inside a step (full at 2 rows) and at the caller's own flush(). The
-    # table starts 3 rows high and grows.
+def test_direct_caller_batch_fills_lemmas_under_any_error_state(hold_inputs, monkeypatch):
+    # A caller that hands its steps a table gets in its rows what direct
+    # steps record, under np.errstate(all="raise") too: every row's radial
+    # slack overflows to -inf, and the table's lemma block flushes inside a
+    # step (full at 2 rows) and at the caller's own flush(). The table starts
+    # 3 rows high and grows.
     def steps(table):
         groups = _one_group([1e300] * 3)
         state, records = new_state(groups, HyperParams(weight_decay=0.0)), []
@@ -538,8 +533,12 @@ def test_direct_caller_batch_fills_lemmas_under_any_error_state(hold_inputs):
             records.append(out.record)
         return records
 
-    batch = LemmaBatch(_one_group([1e300] * 3), HyperParams().epsilon, 2, hold_inputs)
-    table = TelemetryTable(_one_group([0.0]), batch, rows=3)
+    # A block of 2 steps' inputs (3 elements each), or of 2 steps' reductions.
+    monkeypatch.setattr(diagnostics, "LEMMA_BLOCK_ELEMENTS", 6 if hold_inputs else 0)
+    monkeypatch.setattr(diagnostics, "_REDUCED_ROWS", 2)
+    table = TelemetryTable(_one_group([0.0] * 3), HyperParams().epsilon, rows=3)
+    inputs, _, _ = table.blocks["theta"]
+    assert (table.height, inputs is not None) == (2, hold_inputs)
     with np.errstate(all="raise"):
         assert steps(table) == [None] * 5
         table.flush()
