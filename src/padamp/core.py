@@ -119,7 +119,7 @@ class OptimizerState:
     moment: each step writes the new moment into it and swaps it with ``m``,
     so the two dicts exchange their arrays every step. ``c1`` is the running
     max of observed gradient norms per group (the empirical stand-in for the
-    bounded gradient constant).
+    bounded gradient constant); under coupled decay, of g + wd * theta.
     ``failed_step`` is the ``t`` of a step that raised after advancing
     ``t``, leaving the buffers part way through it; a state with one set
     refuses to step again.

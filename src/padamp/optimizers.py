@@ -150,13 +150,20 @@ def _step(
             raise FloatingPointError(
                 f"squared gradient norm of group {name!r} overflows (norm {gnorm!r})")
         row[5] += gnorm_sq
-        state.c1[name] = max(state.c1[name], gnorm)
         # Coupled decay folds wd * theta into the gradient seen by the
-        # moments; telemetry and the trigger keep the raw gradient.
+        # moments: the gradient of f + (wd/2)||theta||^2, which C1 then
+        # bounds. Telemetry and the trigger keep the raw gradient.
         if hp.wd_mode == "coupled" and hp.weight_decay > 0:
             g = g_raw + hp.weight_decay * theta
+            c1 = norm(g)
+            # A g that is not finite fails the new parameters' check below.
+            if adaptive and c1 < math.inf and not c1 * c1 < math.inf:
+                raise FloatingPointError(
+                    f"squared gradient norm of group {name!r} under coupled decay "
+                    f"overflows (norm {c1!r})")
         else:
-            g = g_raw
+            g, c1 = g_raw, gnorm
+        state.c1[name] = max(state.c1[name], c1)
 
         if adaptive:
             # The kernel writes the new moment over the stale m_prev, and

@@ -81,6 +81,12 @@ MUTANTS = (
            "cuts = [0, *(np.flatnonzero(p[1:] != p[:-1]) + 1).tolist(), n - a]",
            "cuts = [0, n - a]",
            ("tests/test_harness.py::test_batched_run_writes_what_unbatched_steps_write",)),
+    # Under coupled decay C1 bounds the raw gradient, not the one the moments see.
+    Mutant("c1_raw_gradient", "optimizers.py",
+           "state.c1[name] = max(state.c1[name], c1)",
+           "state.c1[name] = max(state.c1[name], gnorm)",
+           ("tests/test_harness.py::test_coupled_decay_c1_bounds_the_decayed_gradient",
+            "tests/test_optimizers.py::test_coupled_decay_c1_is_the_decayed_gradient_norm")),
     # Small groups get the reductions block and large ones the inputs block.
     Mutant("hold_mode_inverted", "diagnostics.py",
            "hold_inputs = reduced_rows is None and height >= 2",

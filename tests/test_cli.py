@@ -611,7 +611,10 @@ def _cli_run(args, cwd, command="run"):
     (["--set", "objective.name=logistic", "--set", "optimizer.kind=sgdm",
       "--set", "schedule.eta0=1e307"],
      r"error: non-finite parameters after step in group 'theta' at step 2"),
-], ids=["gradient_norm", "parameters"])
+    (["--set", "hp.wd_mode=coupled", "--set", "hp.weight_decay=1e300"],
+     r"error: squared gradient norm of group 'theta' under coupled decay overflows "
+     r"\(norm [0-9.e+]+\) at step 1"),
+], ids=["gradient_norm", "parameters", "coupled_gradient_norm"])
 def test_step_failure_is_one_error_line_naming_the_step(args, line, tmp_path):
     proc = _cli_run(args + ["--steps", "5"], tmp_path)
     assert proc.returncode == 2

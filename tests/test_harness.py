@@ -393,6 +393,19 @@ def test_run_with_coupled_weight_decay_passes_every_check():
     assert result.report.all_passed, str(result.report)
 
 
+@pytest.mark.parametrize("keys", [
+    {"hp.epsilon": "1"},
+    {"hp.beta2": "0.999999999"},
+    {"objective.name": "tiny_mlp", "hp.weight_decay": "1", "hp.epsilon": "1"},
+], ids=["epsilon1", "beta2", "tiny_mlp"])
+def test_coupled_decay_c1_bounds_the_decayed_gradient(keys):
+    # Under coupled decay the moments and the lemmas see g + wd * theta, and
+    # C1 bounds its norm. At eps = 1, or with v far below its bound, lemma
+    # 5's C1**2 / eps**(2p) no longer hides a C1 of the raw gradient.
+    result = run(build_config({}, dict(keys, **{"hp.wd_mode": "coupled", "run.steps": "200"})))
+    assert result.report.all_passed, str(result.report)
+
+
 def test_geometric_beta1t_survives_underflow_to_zero():
     # beta1 * 0.5**(t-1) underflows to 0.0 near t = 1075; the moment identity
     # still holds there (m_t = g_t), so the run completes and passes.
@@ -531,8 +544,8 @@ _PINNED_TELEMETRY = {
     "adamp scale_invariant coupled": (
         {"optimizer.kind": "adamp", "objective.name": "scale_invariant",
          "hp.wd_mode": "coupled"},
-        "efa91384f131cf7179c220a1c90f8d41a015f293f4a753629d54666357cbbdfa",
-        "879275cb0dd27e5dda686d450d88955124a6bfe9e62837cb692b38b307627dc9"),
+        "5f8e307fe0be65ea71f87b2558cd9415a8081ea949c6148c4abd3e2f223a5220",
+        "52e7177f72095d2dd89a917cddc1eed93c8c4a9b0cceefbd7b65999ee0eb8e39"),
     # A max-tracked v, and a decaying beta1,t that sets lemma 2's b / (1 - b).
     "padam quadratic lam": (
         {"optimizer.kind": "padam", "objective.name": "quadratic",
@@ -745,6 +758,9 @@ _STEP_FAILURES = {
     "parameters": ({"objective.name": "logistic", "optimizer.kind": "sgdm",
                     "schedule.eta0": "1e307"},
                    r"non-finite parameters after step in group 'theta' at step 2", 2),
+    "coupled_gradient_norm": ({"hp.wd_mode": "coupled", "hp.weight_decay": "1e300"},
+                              r"squared gradient norm of group 'theta' under coupled "
+                              r"decay overflows \(norm [0-9.e+]+\) at step 1", 1),
 }
 
 

@@ -185,6 +185,17 @@ def test_coupled_weight_decay_feeds_moments():
     assert state.m["theta"][0] == pytest.approx(0.1 * (1.0 + 0.1 * 2.0), rel=1e-15)
 
 
+def test_coupled_decay_c1_is_the_decayed_gradient_norm():
+    # C1 bounds the gradient the moments see, g + wd * theta, a running max
+    # over steps.
+    hp = HyperParams(weight_decay=0.5, wd_mode="coupled")
+    theta, state = np.array([2.0, -1.0]), new_state(_one_group([2.0, -1.0]), hp)
+    padamp_step(state, _one_group(theta), _grads([0.5, 0.25]), 1e-3)
+    assert state.c1["theta"] == norm(np.array([0.5, 0.25]) + 0.5 * theta)
+    padamp_step(state, _one_group(theta), _grads([-1.0, 0.5]), 1e-3)
+    assert state.c1["theta"] == norm(np.array([0.5, 0.25]) + 0.5 * theta)
+
+
 @pytest.mark.parametrize("fn", [padamp_step, sgdm_step])
 def test_step_slacks_use_the_gradients_the_moments_saw(fn):
     theta = np.array([2.0, -1.0])
