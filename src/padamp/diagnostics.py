@@ -6,11 +6,12 @@ bounds (with the empirical running gradient bound C1), learning-rate
 schedule assumptions, the running-min convergence tracker, and the run's
 telemetry table.
 
-_group_lemmas computes one adaptive group's LEMMA_COLUMNS for a block of k
-steps, one row per step: its full-size passes over (k, d) arrays
-(_lemma_passes) leave nine (k,) reductions, and elementwise arithmetic on
-those (_lemma_rows) gives the columns. fold_lemmas folds the groups' rows
-into the telemetry values.
+One adaptive group's LEMMA_COLUMNS for a block of k steps, one row per
+step, take two halves: full-size passes over (k, d) arrays (_lemma_passes)
+leave nine (k,) reductions, and elementwise arithmetic on those
+(_lemma_rows) gives the columns. _group_lemmas, both in one call, is the
+tests' reference. fold_lemmas folds the groups' rows into the telemetry
+values.
 
 A TelemetryTable writes every lemma column. harness.run hands each step the
 run's table, and a step called directly writes through a one-row table of
