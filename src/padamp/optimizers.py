@@ -111,6 +111,9 @@ def _step(
     adaptive = p_power is not None
     if adaptive and not 0 < p_power <= 0.5:
         raise ValueError(f"adaptivity power must lie in (0, 1/2], got {p_power}")
+    if adaptive and table is not None and table.eps is None:
+        raise ValueError(
+            "an adaptive step needs a table built with eps, to write its lemma columns")
     hp = state.hp
     state.t += 1
     t = state.t

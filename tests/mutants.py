@@ -51,21 +51,24 @@ MUTANTS = (
     # The lane scan weighs each block by beta^8 where a block is 16 steps.
     Mutant("scan_weight_beta8", "_kernels.py",
            "for _ in range(LANES.bit_length() - 1):", "for _ in range(LANES.bit_length() - 2):",
-           ("tests/test_kernels.py::test_norm_growth_lanes_match_step_loops_at_every_block_boundary",)),
+           ("tests/test_kernels.py::"
+            "test_norm_growth_lanes_match_step_loops_at_every_block_boundary",)),
     # The quadratic's zero test by value: a b of -0.0 drops its linear term.
     Mutant("linear_by_value", "objectives.py",
            "self._linear = bool(b.view(np.int64).any())", "self._linear = bool(b.any())",
            ("tests/test_objectives.py::test_quadratic_matches_its_explicit_expressions_bitwise",)),
     # An error the step raises no longer says at which step the run stopped.
     Mutant("step_outside_try", "harness.py",
-           "                params = step_fn(state, params, grads, eta_t, p_now, table=table).new_params\n"
+           "                params = step_fn(state, params, grads, eta_t, p_now, "
+           "table=table).new_params\n"
            "            except ArithmeticError as exc:\n"
            "                # An objective or a step that overflows says so; this says where.\n"
            '                raise type(exc)(f"{exc} at step {t}") from exc\n',
            "            except ArithmeticError as exc:\n"
            "                # An objective or a step that overflows says so; this says where.\n"
            '                raise type(exc)(f"{exc} at step {t}") from exc\n'
-           "            params = step_fn(state, params, grads, eta_t, p_now, table=table).new_params\n",
+           "            params = step_fn(state, params, grads, eta_t, p_now, "
+           "table=table).new_params\n",
            ("tests/test_harness.py::test_step_failure_names_the_step",)),
     # Constant CSV columns by value: a column of 0.0 and -0.0 writes 0.0 throughout.
     Mutant("texts_by_value", "harness.py",
@@ -74,8 +77,10 @@ MUTANTS = (
     # The step leaves numpy's error state to its caller.
     Mutant("step_without_errstate", "optimizers.py",
            '@np.errstate(over="ignore", invalid="ignore")\ndef _step(', "def _step(",
-           ("tests/test_optimizers.py::test_direct_caller_batch_fills_lemmas_under_any_error_state",
-            "tests/test_optimizers.py::test_overflowing_lemma_slack_is_non_finite_without_a_warning")),
+           ("tests/test_optimizers.py::"
+            "test_direct_caller_batch_fills_lemmas_under_any_error_state",
+            "tests/test_optimizers.py::"
+            "test_overflowing_lemma_slack_is_non_finite_without_a_warning")),
     # A lemma flush folds a block under its first row's p across a p_schedule decay.
     Mutant("flush_ignores_p_cut", "diagnostics.py",
            "cuts = [0, *(np.flatnonzero(p[1:] != p[:-1]) + 1).tolist(), n - a]",

@@ -560,6 +560,18 @@ def test_direct_caller_batch_fills_lemmas_under_any_error_state(hold_inputs, mon
     assert [r["lemma5_radial"] for r in got] == [-math.inf] * 5
 
 
+def test_adaptive_step_rejects_a_table_without_eps():
+    # The table writes an adaptive step's lemma columns, so it needs eps; the
+    # step says so before it touches the state.
+    groups, state = _one_group([1.0, 2.0]), new_state(_one_group([1.0, 2.0]), HyperParams())
+    with pytest.raises(ValueError, match="table built with eps"):
+        padamp_step(state, groups, _grads([0.5, -0.5]), 1e-3, table=TelemetryTable(groups))
+    assert state.t == 0 and state.failed_step is None
+    table = TelemetryTable(groups)
+    sgdm_step(state, groups, _grads([0.5, -0.5]), 1e-3, table=table)
+    assert len(table) == 1
+
+
 def _label(code):
     return code.co_filename, code.co_firstlineno, code.co_name
 
