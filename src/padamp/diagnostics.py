@@ -13,19 +13,19 @@ leave nine (k,) reductions, and elementwise arithmetic on those
 tests' reference. fold_lemmas folds the groups' rows into the telemetry
 values.
 
-A TelemetryTable writes every lemma column. harness.run hands each step the
-run's table, and a step called directly writes through a one-row table of
-its own. An adaptive table takes the steps' lemma inputs and writes the
-lemma columns of a block of rows at once. Up to LEMMA_BLOCK_ELEMENTS the
-block holds the steps' inputs and makes the passes per block; above, and in
-a direct step's table, each step makes the passes on 1-row views and the
-block keeps their reductions, so only the arithmetic waits for the flush.
+A TelemetryTable holds a run's telemetry and writes every lemma column.
+Every step writes its row to a table its caller built (harness.run builds
+one per run); the caller flushes it and reads it as columns(). An adaptive
+table takes the steps' lemma inputs and writes the lemma columns of a block
+of rows at once. Up to LEMMA_BLOCK_ELEMENTS the block holds the steps'
+inputs and makes the passes per block; above, each step makes the passes on
+1-row views and the block keeps their reductions, so only the arithmetic
+waits for the flush.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import abc
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -360,11 +360,12 @@ def is_int_column(name: str) -> bool:
     return name in ("t", "epoch") or name.endswith("_projected")
 
 
-class TelemetryTable(abc.Sequence):
+class TelemetryTable:
     """A run's telemetry: a float64 row per step in step_columns and then
     eval_grad_norm_sq (CSV order), `rows` high and doubling when full, nan
-    where nothing wrote. It is also the read-only sequence of its completed
-    rows, each built when asked (int t and epoch, bool flags, Python floats).
+    where nothing wrote. len() counts the completed rows and columns() reads
+    them. groups lists the (name, dim) pairs, in order, of the steps that
+    may write here.
 
     Given eps (an adaptive run's hp.epsilon; None for sgdm), the table
     writes the lemma columns of its last pending rows a block at a time: when
@@ -372,12 +373,13 @@ class TelemetryTable(abc.Sequence):
     adaptive step hands over each group's lemma inputs (add_lemmas). Up to
     LEMMA_BLOCK_ELEMENTS the block copies the inputs and makes the full-size
     passes at the flush; above, add_lemmas makes them at once on 1-row views
-    and the block keeps their nine reductions, for _REDUCED_ROWS steps or
-    for reduced_rows (a direct step's one-row table).
+    and the block keeps their nine reductions, for _REDUCED_ROWS steps.
     """
 
-    def __init__(self, groups: Sequence, eps: Optional[float] = None,
-                 rows: int = TABLE_ROWS, reduced_rows: Optional[int] = None):
+    def __init__(self, groups: Sequence, eps: Optional[float] = None, rows: int = TABLE_ROWS):
+        if rows < 1:
+            raise ValueError(f"rows must be >= 1, got {rows}")
+        self.groups = [(g.name, g.dim) for g in groups]
         self.names = step_columns(tuple(g.name for g in groups)) + ("eval_grad_norm_sq",)
         self.data = np.full((rows, len(self.names)), math.nan)
         self.n = 0
@@ -386,9 +388,9 @@ class TelemetryTable(abc.Sequence):
         self.eps = eps
         if eps is not None:
             height = LEMMA_BLOCK_ELEMENTS // sum(g.dim for g in groups)
-            hold_inputs = reduced_rows is None and height >= 2
+            hold_inputs = height >= 2
             if not hold_inputs:
-                height = reduced_rows or _REDUCED_ROWS
+                height = _REDUCED_ROWS
             self.height = height
             # Per group: the rows of m, m_prev, v, g and theta (None when the
             # block holds reductions); of beta1_t, C1 and ||theta||; and of
@@ -461,11 +463,6 @@ class TelemetryTable(abc.Sequence):
 
     def __len__(self) -> int:
         return self.n
-
-    def __getitem__(self, i: int) -> dict:
-        values = self.data[:self.n][operator.index(i)].tolist()  # IndexError outside [-n, n)
-        return {name: (bool(x) if name.endswith("_projected") else int(x))
-                if is_int_column(name) else x for name, x in zip(self.names, values)}
 
     def columns(self) -> Dict[str, np.ndarray]:
         """Read-only float64 views of the rows' columns; int64 copies where is_int_column."""

@@ -316,7 +316,7 @@ def run(config: ExperimentConfig) -> RunResult:
                             total = g if total is None else {k: total[k] + g[k]
                                                              for k in total}
                         estimate = _grad_norm_sq(total) / config.eval_window ** 2
-                params = step_fn(state, params, grads, eta_t, p_now, table=table).new_params
+                params = step_fn(state, params, grads, eta_t, p_now, table=table)
             except ArithmeticError as exc:
                 # An objective or a step that overflows says so; this says where.
                 raise type(exc)(f"{exc} at step {t}") from exc

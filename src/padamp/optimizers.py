@@ -3,8 +3,8 @@
 The six optimizers are one rule with three settings, listed per kind in the
 _KINDS table: the adaptivity power, max tracking of the second moment, and
 the projection trigger. make_step(kind) returns the kind's step function,
-step(state, groups, grads, eta_t, p_now=None, *, table=None) ->
-StepOutput, which calls the one body, _step, with those settings. sgdm
+step(state, groups, grads, eta_t, p_now=None, *, table) -> the new
+parameter groups, which calls the one body, _step, with those settings. sgdm
 takes its momentum buffer as the direction, the adaptive family the fused
 moment kernel; padamp and adamp may then project the direction onto the
 tangent space of the weight vector.
@@ -15,13 +15,12 @@ the pre-step weights), decoupled weight decay (skipped for projected groups
 by default), then the parameter update. This module is the only one that
 applies either decay rule.
 
-The step returns a StepOutput, a named tuple, and sets numpy's error state
-(over and invalid ignored) for each call by a decorator on _step.
+A decorator on _step sets numpy's error state (over and invalid ignored)
+for each call.
 
-A step writes its telemetry as the next row of a diagnostics.TelemetryTable,
-in step_columns order, the CSV's: harness.run passes the run's table, and a
-direct call writes through a one-row table of its own and returns the row
-as StepOutput.record, a dict. An adaptive step hands the table each group's
+A step writes its telemetry as the next row of the diagnostics.TelemetryTable
+it is given, in step_columns order, the CSV's; the caller flushes the table
+and reads it as columns(). An adaptive step hands the table each group's
 lemma inputs, and the table writes the eight lemma columns: the largest
 lemma-2 residual and the smallest of each other lemma quantity over the
 adaptive groups. sgdm's stay nan.
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,7 +53,6 @@ from .geometry import (
 
 __all__ = [
     "OptimizerKind",
-    "StepOutput",
     "make_step",
 ]
 
@@ -68,14 +66,6 @@ class OptimizerKind(str, Enum):
     SGDM = "sgdm"
 
 
-class StepOutput(NamedTuple):
-    """New parameter groups and the step's telemetry row keyed by CSV column
-    (None when the step wrote its row to a table)."""
-
-    new_params: List[ParamGroup]
-    record: Optional[Dict[str, float]]
-
-
 # A step that diverges overflows in here, silently: the finiteness check on
 # the new parameters reports it, and check_telemetry fails a lemma entry that
 # is not finite. A decorator sets the state on every call in about half the
@@ -87,18 +77,17 @@ def _step(
     grads: GradientSet,
     eta_t: float,
     p_power: Optional[float],
-    use_max: bool = False,
-    trigger: Optional[str] = None,
-    table: Optional[TelemetryTable] = None,
-) -> StepOutput:
+    use_max: bool,
+    trigger: Optional[str],
+    table: TelemetryTable,
+) -> List[ParamGroup]:
     """Shared body of all six optimizers.
 
     p_power is None for sgdm, whose direction is the momentum buffer and
     whose lemma fields are nan; otherwise the direction comes from the moment
     kernel. trigger is None for the never-projecting optimizers, otherwise
-    the trigger threshold family ("padamp" or "adamp"). Given a table, the
-    step writes its row there and returns no record; without, it writes a
-    one-row table and returns its row.
+    the trigger threshold family ("padamp" or "adamp"). The step writes its
+    row to table and returns the new parameter groups.
     """
     if state.failed_step is not None:
         raise ValueError(
@@ -111,10 +100,13 @@ def _step(
     adaptive = p_power is not None
     if adaptive and not 0 < p_power <= 0.5:
         raise ValueError(f"adaptivity power must lie in (0, 1/2], got {p_power}")
-    if adaptive and table is not None and table.eps is None:
-        raise ValueError(
-            "an adaptive step needs a table built with eps, to write its lemma columns")
     hp = state.hp
+    if table.eps != (hp.epsilon if adaptive else None):
+        raise ValueError("an adaptive step needs a table built with eps = hp.epsilon, to "
+                         f"write its lemma columns, and sgdm one without; got {table.eps}")
+    step_groups = [(g.name, g.values.size) for g in groups]
+    if table.groups != step_groups:
+        raise ValueError(f"table groups {table.groups} are not the step's {step_groups}")
     state.t += 1
     t = state.t
     # From here a raise leaves the buffers part way through step t; the
@@ -138,8 +130,6 @@ def _step(
     # columns, which the table writes. epoch and loss are placeholders the
     # run loop fills in.
     row = [t, 0, eta_t, p_power if adaptive else math.nan, math.nan, 0.0]
-    rows = table if table is not None else TelemetryTable(
-        groups, hp.epsilon if adaptive else None, 1, reduced_rows=1)
     for grp, (g_raw, gnorm) in zip(groups, checked):
         name = grp.name
         theta = grp.values
@@ -212,16 +202,12 @@ def _step(
         if adaptive:
             # Release the full-size temporaries before the lemmas make theirs.
             del direction, q, base
-            rows.add_lemmas(name, p_power, m, m_prev, state.v[name], g, theta, b1t,
-                            state.c1[name], theta_norm)
+            table.add_lemmas(name, p_power, m, m_prev, state.v[name], g, theta, b1t,
+                             state.c1[name], theta_norm)
 
-    rows.add_row(row)  # a full lemma block flushes here
+    table.add_row(row)  # a full lemma block flushes here
     state.failed_step = None
-    if table is not None:
-        return StepOutput(new_params, None)
-    record = rows[0]
-    del record["eval_grad_norm_sq"]  # the run loop's column
-    return StepOutput(new_params, record)
+    return new_params
 
 
 # Each kind's settings for _step, (power, use_max, trigger). power "p" is
@@ -246,7 +232,7 @@ _KINDS: Dict[OptimizerKind, Tuple[object, bool, Optional[str]]] = {
 def _bind(kind: OptimizerKind, power, use_max: bool, trigger: Optional[str]) -> Callable:
     def step(state: OptimizerState, groups: Sequence[ParamGroup], grads: GradientSet,
              eta_t: float, p_now: Optional[float] = None, *,
-             table: Optional[TelemetryTable] = None) -> StepOutput:
+             table: TelemetryTable) -> List[ParamGroup]:
         if power != "p":
             p = power
         else:
@@ -261,7 +247,7 @@ _STEP_FNS = {kind: _bind(kind, *settings) for kind, settings in _KINDS.items()}
 
 def make_step(kind: OptimizerKind) -> Callable:
     """The step function step(state, groups, grads, eta_t, p_now=None, *,
-    table=None) of the given optimizer kind; the same object on every
-    call. A table is a TelemetryTable over the same groups, built with
-    hp.epsilon for an adaptive kind."""
+    table) -> new groups of the given optimizer kind; the same object on
+    every call. table is a TelemetryTable over the same groups, built with
+    hp.epsilon for an adaptive kind; read it with flush() and columns()."""
     return _STEP_FNS[OptimizerKind(kind)]

@@ -59,16 +59,14 @@ MUTANTS = (
            ("tests/test_objectives.py::test_quadratic_matches_its_explicit_expressions_bitwise",)),
     # An error the step raises no longer says at which step the run stopped.
     Mutant("step_outside_try", "harness.py",
-           "                params = step_fn(state, params, grads, eta_t, p_now, "
-           "table=table).new_params\n"
+           "                params = step_fn(state, params, grads, eta_t, p_now, table=table)\n"
            "            except ArithmeticError as exc:\n"
            "                # An objective or a step that overflows says so; this says where.\n"
            '                raise type(exc)(f"{exc} at step {t}") from exc\n',
            "            except ArithmeticError as exc:\n"
            "                # An objective or a step that overflows says so; this says where.\n"
            '                raise type(exc)(f"{exc} at step {t}") from exc\n'
-           "            params = step_fn(state, params, grads, eta_t, p_now, "
-           "table=table).new_params\n",
+           "            params = step_fn(state, params, grads, eta_t, p_now, table=table)\n",
            ("tests/test_harness.py::test_step_failure_names_the_step",)),
     # Constant CSV columns by value: a column of 0.0 and -0.0 writes 0.0 throughout.
     Mutant("texts_by_value", "harness.py",
@@ -94,9 +92,23 @@ MUTANTS = (
             "tests/test_optimizers.py::test_coupled_decay_c1_is_the_decayed_gradient_norm")),
     # Small groups get the reductions block and large ones the inputs block.
     Mutant("hold_mode_inverted", "diagnostics.py",
-           "hold_inputs = reduced_rows is None and height >= 2",
-           "hold_inputs = reduced_rows is None and height < 2",
+           "hold_inputs = height >= 2", "hold_inputs = height < 2",
            ("tests/test_harness.py::test_lemma_batch_holds_inputs_up_to_the_element_budget",)),
+    # tiny_mlp takes a boolean mask, which take reads as the indices 0 and 1.
+    Mutant("mlp_batch_mask_unchecked", "objectives.py",
+           'if batch.dtype.kind == "b":', "if False:",
+           ("tests/test_objectives.py::test_mlp_layout_accuracy_and_batch_guard",)),
+    # A step writes to a table over other groups, and fails part way or
+    # writes under another group's columns.
+    Mutant("table_groups_unchecked", "optimizers.py",
+           "if table.groups != step_groups:", "if False:",
+           ("tests/test_optimizers.py::test_step_rejects_a_table_over_other_groups",)),
+    # A table built with another eps, or sgdm's with one, passes the step.
+    Mutant("table_eps_unchecked", "optimizers.py",
+           "if table.eps != (hp.epsilon if adaptive else None):",
+           "if adaptive and table.eps is None:",
+           ("tests/test_optimizers.py::test_adaptive_step_rejects_a_table_without_eps",
+            "tests/test_optimizers.py::test_sgdm_step_rejects_a_table_with_eps")),
 )
 
 

@@ -41,6 +41,7 @@ from padamp.objectives import (
     tiny_mlp,
 )
 from padamp.optimizers import OptimizerKind, make_step
+from table_step import table_step
 
 
 def _verdict(n: int, ok: bool, detail: str) -> None:
@@ -80,7 +81,8 @@ def test_criterion_02_moment_identity_residual_over_mlp_run():
         )
         result = run(cfg)
         rows = {name: value for name, value, _ in result.report.rows}
-        per_record = max(r["lemma2_residual"] for r in result.records)
+        # Python's max over the column, as over rows: a nan first propagates.
+        per_record = max(result.records.columns()["lemma2_residual"].tolist())
         residuals[lam] = max(rows["lemma2_max_scaled_residual"], per_record)
     elapsed = time.perf_counter() - started
     worst = max(residuals.values())
@@ -123,7 +125,7 @@ def test_criterion_03_bound_slacks_nonnegative_across_optimizers():
                     value, passed = rows[row]
                     worst_slack = min(worst_slack, value)
                     assert passed and value >= 0.0, (kind, objective, row, value)
-                margins = [r["lemma3_margin"] for r in result.records]
+                margins = result.records.columns()["lemma3_margin"].tolist()
                 assert min(margins) >= 0.0, (kind, objective)
     _verdict(3, True, f"min slack {worst_slack:.3e} over {n_runs} runs "
                       f"(6 optimizers x 3 objectives, 300 steps each)")
@@ -141,8 +143,8 @@ def test_criterion_04_reductions_to_adam_and_momentum():
     worst_adam = 0.0
     for _ in range(100):
         g = {"theta": rng.standard_normal(50)}
-        groups_a = pad(state_a, groups_a, g, 1e-3).new_params
-        groups_b = adam(state_b, groups_b, g, 1e-3).new_params
+        groups_a, _ = table_step(pad, state_a, groups_a, g, 1e-3)
+        groups_b, _ = table_step(adam, state_b, groups_b, g, 1e-3)
         diff = np.linalg.norm(groups_a[0].values - groups_b[0].values)
         worst_adam = max(worst_adam, diff / np.linalg.norm(groups_b[0].values))
 
@@ -155,7 +157,7 @@ def test_criterion_04_reductions_to_adam_and_momentum():
     for t in range(1, 101):
         g = {"theta": rng.standard_normal(50)}
         prev = groups[0].values.copy()
-        groups = pad(state, groups, g, 1e-3).new_params
+        groups, _ = table_step(pad, state, groups, g, 1e-3)
         direction = (prev - groups[0].values) / 1e-3
         m_hat = state.m["theta"] / (1.0 - hp0.beta1 ** t)
         worst_m = max(worst_m, float(

@@ -30,6 +30,7 @@ from padamp.harness import build_config, run
 from padamp.optimizers import make_step
 
 from lemma_oracle import one_step_lemmas, vector_lemmas
+from table_step import table_step
 
 
 # ------------------------------------------------------------- norm growth
@@ -289,9 +290,8 @@ def test_replay_constant_gradient_upper_slack_decays_like_beta2_power():
     steps = 200
     margins = []
     for _ in range(steps):
-        out = step(state, groups, {"theta": np.ones(1)}, eta_t=1e-3)
-        margins.append(out.record["lemma3_margin"])
-        groups = out.new_params
+        groups, cols = table_step(step, state, groups, {"theta": np.ones(1)}, eta_t=1e-3)
+        margins.append(cols["lemma3_margin"][0])
     # v_T = 1 - beta2^T and C1 = 1, so the tightest upper margin is beta2^T
     assert min(margins) == pytest.approx(0.999 ** steps, rel=1e-10)
 
@@ -305,19 +305,19 @@ def test_monitor_tracks_live_optimizer_steps():
     for t in range(1, 26):
         grads = {"theta": rng.standard_normal(8)}
         theta = groups[0].values
-        out = step(state, groups, grads, eta_t=1e-3)
+        groups, cols = table_step(step, state, groups, grads, eta_t=1e-3)
         lemmas = one_step_lemmas(state.m["theta"], state.m_prev["theta"], state.v["theta"],
                                   grads["theta"], beta1_at(t, hp), state.c1["theta"],
                                   hp.epsilon, hp.p, theta, norm(theta))
-        assert out.record["lemma2_residual"] < 1e-10
-        # The eight lemma columns close the step's record, each the group's value.
-        assert list(out.record)[-8:] == list(LEMMA_COLUMNS)
+        assert cols["lemma2_residual"][0] < 1e-10
+        # The eight lemma columns close the step's record, before the run
+        # loop's eval estimate, each the group's value.
+        assert list(cols)[-9:-1] == list(LEMMA_COLUMNS)
         for key, want in zip(LEMMA_COLUMNS, lemmas):
-            assert _bits(out.record[key]) == _bits(want), (t, key)
+            assert _bits(cols[key][0]) == _bits(want), (t, key)
         for key in SLACK_COLUMNS:
-            value = out.record[key]
+            value = cols[key][0]
             assert np.isfinite(value) and value >= 0.0, (t, key)
-        groups = out.new_params
 
 
 @settings(max_examples=300)
@@ -407,8 +407,9 @@ def test_bound_slacks_match_the_out_of_place_oracle_bitwise(seed, dim, eps, p, t
 
 @pytest.mark.parametrize("p", [0.25, 0.5])
 def test_group_lemmas_returns_python_floats(p):
-    # _group_lemmas returns a (k, 8) float64 array, and a record holds its
-    # entries as Python floats, from the step's own call and from a flush.
+    # _group_lemmas returns a (k, 8) float64 array, and a table holds its
+    # entries in float64 lemma columns, from a step's own table and from a
+    # run's, which read back as Python floats.
     rng = seeded_rng(5)
     m, m_prev, g, theta = rng.standard_normal((4, 3, 20))
     v = rng.uniform(0.0, 1.0, (3, 20))
@@ -416,10 +417,12 @@ def test_group_lemmas_returns_python_floats(p):
                          theta, np.linalg.norm(theta, axis=1))
     assert rows.shape == (3, len(LEMMA_COLUMNS)) and rows.dtype == np.float64
     groups = [ParamGroup("theta", theta[0])]
-    out = make_step("padamp")(new_state(groups, HyperParams(p=p)), groups,
-                              {"theta": g[0]}, 1e-3)
-    records = [out.record, *run(build_config({"hp.p": str(p), "run.steps": "3"})).records]
-    assert all(type(r[c]) is float for r in records for c in LEMMA_COLUMNS)
+    _, cols = table_step(make_step("padamp"), new_state(groups, HyperParams(p=p)), groups,
+                         {"theta": g[0]}, 1e-3)
+    run_cols = run(build_config({"hp.p": str(p), "run.steps": "3"})).records.columns()
+    for c in (cols, run_cols):
+        assert all(c[name].dtype == np.float64 for name in LEMMA_COLUMNS)
+        assert all(type(x) is float for name in LEMMA_COLUMNS for x in c[name].tolist())
 
 
 @settings(max_examples=200)

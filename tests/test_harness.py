@@ -269,13 +269,14 @@ def test_every_float_key_rejects_non_finite_values(key, value, monkeypatch):
 
 def test_run_counts_steps_and_epochs_analytic():
     result = run(_quad_config(steps=7, steps_per_epoch=3))
-    assert [r["t"] for r in result.records] == list(range(1, 8))
-    assert [r["epoch"] for r in result.records] == [1, 1, 1, 2, 2, 2, 3]
+    cols = result.records.columns()
+    assert cols["t"].tolist() == list(range(1, 8))
+    assert cols["epoch"].tolist() == [1, 1, 1, 2, 2, 2, 3]
     # only the final step is a checkpoint when eval_every exceeds the budget
-    estimates = [r["eval_grad_norm_sq"] for r in result.records]
+    estimates = cols["eval_grad_norm_sq"]
     assert np.isnan(estimates[:-1]).all() and not np.isnan(estimates[-1])
     assert np.isnan(result.summary["final_accuracy"])
-    assert result.summary["final_loss"] == result.records[-1]["loss"]
+    assert result.summary["final_loss"] == cols["loss"][-1]
 
 
 def test_run_epoch_budget_on_dataset_objective():
@@ -294,7 +295,7 @@ def test_run_epoch_budget_on_dataset_objective():
     result = run(cfg)
     # 512 examples / 128 per batch = 4 steps per epoch
     assert len(result.records) == 8
-    assert [r["epoch"] for r in result.records] == [1] * 4 + [2] * 4
+    assert result.records.columns()["epoch"].tolist() == [1] * 4 + [2] * 4
     assert 0.0 <= result.summary["final_accuracy"] <= 1.0
 
 
@@ -323,7 +324,7 @@ def test_eval_window_estimate_is_squared_norm_of_mean_gradient():
     flat = [np.concatenate([g[pg.name] for pg in params]) for g in window]
     mean_sq = float(np.sum(np.mean(flat, axis=0) ** 2))
     mean_of_sq = float(np.mean([np.sum(f * f) for f in flat]))
-    estimate = result.records[0]["eval_grad_norm_sq"]
+    estimate = result.records.columns()["eval_grad_norm_sq"][0]
     np.testing.assert_allclose(estimate, mean_sq, rtol=1e-12)
     assert estimate < mean_of_sq
 
@@ -616,10 +617,18 @@ _BATCHED_RUNS = {
 }
 
 
+def _assert_same_columns(table, other):
+    """Two tables' columns agree bit for bit."""
+    want = other.columns()
+    assert list(table.columns()) == list(want)
+    for name, col in table.columns().items():
+        assert col.tobytes() == want[name].tobytes(), name
+
+
 def _set_lemma_batch(monkeypatch, height, hold_inputs=True):
     """Make the lemma block of run's table `height` rows high, holding the
     steps' inputs or only their reductions. None keeps the default block;
-    1 holds one step's reductions, as a direct step's table does."""
+    1 holds one step's reductions, and so flushes at every step."""
     def table(groups, eps, rows):
         budget = height * sum(g.dim for g in groups) if hold_inputs and height > 1 else 0
         monkeypatch.setattr(padamp.diagnostics, "LEMMA_BLOCK_ELEMENTS", budget)
@@ -647,8 +656,8 @@ def test_lemma_batch_holds_inputs_up_to_the_element_budget():
 @pytest.mark.parametrize("name", list(_BATCHED_RUNS))
 def test_batched_run_writes_what_unbatched_steps_write(name, height, hold_inputs, tmp_path,
                                                        monkeypatch):
-    # The unbatched steps write through one-row blocks of reductions, as a
-    # direct step does.
+    # The unbatched steps write through one-row blocks of reductions, each
+    # flushed by its own step.
     keys = dict(_BATCHED_RUNS[name], **{"run.steps": "61", "run.seed": "3"})
     results, paths = [], [tmp_path / "batched.csv", tmp_path / "unbatched.csv"]
     for path, block in zip(paths, ((height, hold_inputs), (1, False))):
@@ -657,8 +666,7 @@ def test_batched_run_writes_what_unbatched_steps_write(name, height, hold_inputs
             results.append(run(build_config(keys, {"run.out": str(path)})))
     batched, unbatched = results
     assert paths[0].read_bytes() == paths[1].read_bytes()
-    assert repr([list(r.items()) for r in batched.records]) == repr(
-        [list(r.items()) for r in unbatched.records])
+    _assert_same_columns(batched.records, unbatched.records)
     assert batched.report.rows == unbatched.report.rows
     if "p_schedule" in name:
         assert len(set(batched.records.columns()["p_now"].tolist())) == 2
@@ -681,36 +689,22 @@ def test_table_grows_across_a_budget_that_is_no_power_of_two(height, tmp_path, m
             results.append(run(build_config(keys, {"run.out": str(path)})))
     grown, whole = results
     assert paths[0].read_bytes() == paths[1].read_bytes()
-    assert len(grown.records) == 61 and grown.records[-1]["t"] == 61
+    assert len(grown.records) == 61 and grown.records.columns()["t"][-1] == 61
     assert grown.records.data.shape == (64, 19) and whole.records.data.shape == (61, 19)
-    assert repr(list(grown.records)) == repr(list(whole.records))
+    _assert_same_columns(grown.records, whole.records)
 
 
 def test_records_read_the_table_row_by_row():
-    # tiny_mlp has two groups; padamp projects one of them.
+    # The records are read as columns: entry i of each is row i, one per
+    # completed step. tiny_mlp has two groups; padamp projects one of them.
     result = run(build_config({}, {"objective.name": "tiny_mlp", "run.steps": "5"}))
     rows, cols = result.records, result.records.columns()
-    assert len(rows) == 5 and [r["t"] for r in rows] == [1, 2, 3, 4, 5]
-    assert repr(rows[-1]) == repr(rows[4]) and repr(rows[-5]) == repr(rows[0])
-    for i in (5, -6):
-        with pytest.raises(IndexError):
-            rows[i]
-    with pytest.raises(TypeError):
-        rows[1:3]
-    assert any(r["w1_projected"] for r in rows) or any(r["w2_projected"] for r in rows)
-    for i, row in enumerate(rows):
-        assert list(row) == list(cols)
-        for name, value in row.items():
-            kind = (int if name in ("t", "epoch") else
-                    bool if name.endswith("_projected") else float)
-            assert type(value) is kind, name
-            assert np.array([value], cols[name].dtype).tobytes() == cols[name][i:i + 1].tobytes()
-    # Read-only: a row is a new dict, and the rows and the columns take no
-    # write.
-    rows[0]["loss"] = 5.0
-    assert rows[0]["loss"] == cols["loss"][0]
-    with pytest.raises(TypeError):
-        rows[0] = {}
+    assert len(rows) == 5 and cols["t"].tolist() == [1, 2, 3, 4, 5]
+    assert list(cols) == list(rows.names) and all(len(col) == 5 for col in cols.values())
+    assert cols["w1_projected"].any() or cols["w2_projected"].any()
+    for name, col in cols.items():
+        assert col.tobytes() == rows.data[:5, rows.names.index(name)].astype(col.dtype).tobytes()
+    # Read-only: the columns take no write.
     with pytest.raises(ValueError, match="read-only"):
         cols["loss"][0] = 1.0
 
@@ -799,7 +793,7 @@ def test_abort_at_step_1_writes_its_own_header_over_an_earlier_csv(keys, error, 
 def test_different_seeds_change_the_run(tmp_path):
     r1 = run(_quad_config(seed=0))
     r2 = run(_quad_config(seed=1))
-    assert r1.records[0]["loss"] != r2.records[0]["loss"]
+    assert r1.records.columns()["loss"][0] != r2.records.columns()["loss"][0]
 
 
 # ------------------------------------------------------------------- sweeps
@@ -874,8 +868,6 @@ def test_an_empty_table_has_its_columns_and_no_rows():
     assert all(col.size == 0 for col in cols.values())
     assert [cols[name].dtype for name in ("t", "w_projected", "loss")] == [
         np.int64, np.int64, np.float64]
-    with pytest.raises(IndexError):
-        table[0]
 
 
 @pytest.mark.parametrize("value", ["0.5", "nan", "inf", "1e19"])
@@ -975,8 +967,8 @@ def test_schedule_eta0_is_the_base_trigger_rate():
     # Under a constant schedule the step's rate is the base rate, so both
     # trigger modes make the same run.
     scheduled = run(build_config(keys, {"hp.trigger_lr_mode": "scheduled"}))
-    assert any(r["w1_projected"] for r in scheduled.records)
     want = scheduled.records.columns()
+    assert want["w1_projected"].any()
     for name, col in run(base).records.columns().items():
         assert col.tobytes() == want[name].tobytes(), name
     # There is no second rate to set.
@@ -994,13 +986,13 @@ def test_experiment_config_and_build_config_apply_the_same_defaults(kind):
 def test_experiment_config_defaults_are_table1():
     sgdm = ExperimentConfig(optimizer="sgdm", steps=3)
     assert (sgdm.hp.eta0, sgdm.hp.weight_decay) == (0.1, 5e-4)
-    assert run(sgdm).records[0]["eta_t"] == 0.1
+    assert run(sgdm).records.columns()["eta_t"][0] == 0.1
     assert ExperimentConfig(steps=2).hp.weight_decay == 1e-2
 
 
 def test_experiment_config_steps_at_hp_eta0():
     result = run(ExperimentConfig(hp=table1_defaults("padamp", eta0=0.05), steps=2))
-    assert [r["eta_t"] for r in result.records] == [0.05, 0.05]
+    assert result.records.columns()["eta_t"].tolist() == [0.05, 0.05]
 
 
 @pytest.mark.parametrize("keys, field", [

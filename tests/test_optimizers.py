@@ -1,6 +1,7 @@
 import cProfile
 import math
 import pstats
+import re
 import warnings
 from dataclasses import replace
 
@@ -11,13 +12,15 @@ from hypothesis import strategies as st
 
 from padamp.core import HyperParams, ParamGroup, beta1_at, new_state
 from padamp import diagnostics
-from padamp.diagnostics import LEMMA_COLUMNS, SLACK_COLUMNS, TelemetryTable, step_columns
+from padamp.diagnostics import (
+    LEMMA_COLUMNS, SLACK_COLUMNS, TelemetryTable, is_int_column, step_columns)
 from padamp.geometry import norm
 from padamp.harness import build_config, run
 from padamp import optimizers
-from padamp.optimizers import OptimizerKind, StepOutput, make_step
+from padamp.optimizers import OptimizerKind, make_step
 
 from lemma_oracle import one_step_lemmas
+from table_step import table_step
 
 padamp_step, adamp_step, padam_step, adam_step, amsgrad_step, sgdm_step = (
     make_step(k) for k in ("padamp", "adamp", "padam", "adam", "amsgrad", "sgdm"))
@@ -36,19 +39,19 @@ def test_padamp_first_step_scalar():
     # is eta / (1 + eps)^p regardless of beta values.
     hp = HyperParams(eta0=1e-3, p=0.5, weight_decay=0.0)
     state = new_state(_one_group([1.0]), hp)
-    out = padamp_step(state, _one_group([1.0]), _grads([1.0]), eta_t=1e-3)
+    new, cols = table_step(padamp_step, state, _one_group([1.0]), _grads([1.0]), eta_t=1e-3)
     expected = 1.0 - 1e-3 / np.sqrt(1.0 + 1e-8)
-    assert out.new_params[0].values[0] == pytest.approx(expected, rel=1e-15)
+    assert new[0].values[0] == pytest.approx(expected, rel=1e-15)
     assert state.t == 1
-    assert not out.record["theta_projected"]
-    assert out.record["p_now"] == 0.5
+    assert not cols["theta_projected"][0]
+    assert cols["p_now"][0] == 0.5
 
 
 def test_adam_first_step_scalar_is_almost_eta():
     hp = HyperParams(weight_decay=0.0)
     state = new_state(_one_group([1.0]), hp)
-    out = adam_step(state, _one_group([1.0]), _grads([1.0]), eta_t=1e-3)
-    assert out.new_params[0].values[0] == pytest.approx(0.999, abs=1e-6)
+    new, _ = table_step(adam_step, state, _one_group([1.0]), _grads([1.0]), eta_t=1e-3)
+    assert new[0].values[0] == pytest.approx(0.999, abs=1e-6)
 
 
 def test_padamp_with_trigger_disabled_matches_adam_bitwise():
@@ -62,8 +65,8 @@ def test_padamp_with_trigger_disabled_matches_adam_bitwise():
     ad = _one_group(theta0)
     for _ in range(20):
         g = rng.standard_normal(12)
-        pa = padamp_step(pa_state, pa, _grads(g), 1e-3, p_now=0.5).new_params
-        ad = adam_step(ad_state, ad, _grads(g), 1e-3).new_params
+        pa, _ = table_step(padamp_step, pa_state, pa, _grads(g), 1e-3, p_now=0.5)
+        ad, _ = table_step(adam_step, ad_state, ad, _grads(g), 1e-3)
         assert np.array_equal(pa[0].values, ad[0].values)
 
 
@@ -87,23 +90,23 @@ def test_padamp_at_half_power_without_trigger_is_adam_bitwise(hp, seed):
     pa = ad = _one_group(theta0)
     for _ in range(5):
         grads = _grads(rng.standard_normal(6))
-        out_pa = padamp_step(states[0], pa, grads, 1e-2, p_now=0.5)
-        out_ad = adam_step(states[1], ad, grads, 1e-2)
-        pa, ad = out_pa.new_params, out_ad.new_params
+        pa, cols_pa = table_step(padamp_step, states[0], pa, grads, 1e-2, p_now=0.5)
+        ad, cols_ad = table_step(adam_step, states[1], ad, grads, 1e-2)
         assert np.array_equal(pa[0].values, ad[0].values)
-        assert repr(out_pa.record) == repr(out_ad.record)
+        assert cols_pa.keys() == cols_ad.keys()
+        assert all(cols_pa[k].tobytes() == cols_ad[k].tobytes() for k in cols_pa)
 
 
 def test_projection_triggers_on_orthogonal_gradient():
     hp = HyperParams(weight_decay=0.0)
     theta = np.array([1.0, 0.0])
     state = new_state(_one_group(theta), hp)
-    out = padamp_step(state, _one_group(theta), _grads([0.0, 1.0]), eta_t=1e-3)
-    rec = out.record
-    assert rec["theta_projected"]
-    assert rec["theta_cos_sim"] == 0.0
+    new, cols = table_step(padamp_step, state, _one_group(theta), _grads([0.0, 1.0]),
+                           eta_t=1e-3)
+    assert cols["theta_projected"][0]
+    assert cols["theta_cos_sim"][0] == 0.0
     # the projected step leaves the radial coordinate untouched
-    step = out.new_params[0].values - theta
+    step = new[0].values - theta
     assert abs(step @ theta) < 1e-15
 
 
@@ -111,8 +114,9 @@ def test_projection_not_triggered_on_aligned_gradient():
     hp = HyperParams(weight_decay=0.0)
     theta = np.array([1.0, 0.0])
     state = new_state(_one_group(theta), hp)
-    out = padamp_step(state, _one_group(theta), _grads([1.0, 0.0]), eta_t=1e-3)
-    assert not out.record["theta_projected"]
+    _, cols = table_step(padamp_step, state, _one_group(theta), _grads([1.0, 0.0]),
+                         eta_t=1e-3)
+    assert not cols["theta_projected"][0]
 
 
 def test_adamp_trigger_ignores_learning_rate():
@@ -123,12 +127,12 @@ def test_adamp_trigger_ignores_learning_rate():
     hp = HyperParams(weight_decay=0.0)
 
     state = new_state(_one_group(theta), hp)
-    out = padamp_step(state, _one_group(theta), _grads(g), eta_t=1e-6)
-    assert not out.record["theta_projected"]
+    _, cols = table_step(padamp_step, state, _one_group(theta), _grads(g), eta_t=1e-6)
+    assert not cols["theta_projected"][0]
 
     state = new_state(_one_group(theta), hp)
-    out = adamp_step(state, _one_group(theta), _grads(g), eta_t=1e-6)
-    assert out.record["theta_projected"]
+    _, cols = table_step(adamp_step, state, _one_group(theta), _grads(g), eta_t=1e-6)
+    assert cols["theta_projected"][0]
 
 
 def test_trigger_lr_mode_base_uses_eta0():
@@ -140,23 +144,24 @@ def test_trigger_lr_mode_base_uses_eta0():
     g = g / np.linalg.norm(g) * 3.0
     hp = HyperParams(eta0=1.0, weight_decay=0.0, trigger_lr_mode="base")
     state = new_state(_one_group(theta), hp)
-    out = padamp_step(state, _one_group(theta), _grads(g), eta_t=1e-4)
-    assert out.record["theta_projected"]
+    _, cols = table_step(padamp_step, state, _one_group(theta), _grads(g), eta_t=1e-4)
+    assert cols["theta_projected"][0]
 
     hp2 = replace(hp, trigger_lr_mode="scheduled")
     state2 = new_state(_one_group(theta), hp2)
-    out2 = padamp_step(state2, _one_group(theta), _grads(g), eta_t=1e-4)
-    assert not out2.record["theta_projected"]
+    _, cols2 = table_step(padamp_step, state2, _one_group(theta), _grads(g), eta_t=1e-4)
+    assert not cols2["theta_projected"][0]
 
 
 def test_decoupled_weight_decay_applied_before_step():
     hp = HyperParams(weight_decay=0.1, eta0=1e-2)
     theta = np.array([2.0, 0.0])
     state = new_state(_one_group(theta), hp)
-    out = padamp_step(state, _one_group(theta), _grads([1.0, 0.0]), eta_t=1e-2)
+    new, _ = table_step(padamp_step, state, _one_group(theta), _grads([1.0, 0.0]),
+                        eta_t=1e-2)
     direction = 1.0 / (1.0 + 1e-8) ** hp.p  # scalar-like: all mass on coord 0
     expected0 = (1.0 - 1e-2 * 0.1) * 2.0 - 1e-2 * direction
-    assert out.new_params[0].values[0] == pytest.approx(expected0, rel=1e-12)
+    assert new[0].values[0] == pytest.approx(expected0, rel=1e-12)
 
 
 def test_weight_decay_skipped_for_projected_groups():
@@ -165,22 +170,22 @@ def test_weight_decay_skipped_for_projected_groups():
     g = np.array([0.0, 1.0])  # orthogonal -> projected
 
     state = new_state(_one_group(theta), hp)
-    out = padamp_step(state, _one_group(theta), _grads(g), eta_t=1e-3)
-    assert out.record["theta_projected"]
+    new, cols = table_step(padamp_step, state, _one_group(theta), _grads(g), eta_t=1e-3)
+    assert cols["theta_projected"][0]
     # no decay: radial coordinate unchanged
-    assert out.new_params[0].values[0] == 1.0
+    assert new[0].values[0] == 1.0
 
     hp2 = replace(hp, wd_skip_projected=False)
     state2 = new_state(_one_group(theta), hp2)
-    out2 = padamp_step(state2, _one_group(theta), _grads(g), eta_t=1e-3)
-    assert out2.new_params[0].values[0] == pytest.approx(1.0 - 1e-3 * 0.5)
+    new2, _ = table_step(padamp_step, state2, _one_group(theta), _grads(g), eta_t=1e-3)
+    assert new2[0].values[0] == pytest.approx(1.0 - 1e-3 * 0.5)
 
 
 def test_coupled_weight_decay_feeds_moments():
     hp = HyperParams(weight_decay=0.1, wd_mode="coupled")
     theta = np.array([2.0])
     state = new_state(_one_group(theta), hp)
-    padamp_step(state, _one_group(theta), _grads([1.0]), eta_t=1e-3)
+    table_step(padamp_step, state, _one_group(theta), _grads([1.0]), eta_t=1e-3)
     # m_1 = (1 - beta1) * (g + wd * theta)
     assert state.m["theta"][0] == pytest.approx(0.1 * (1.0 + 0.1 * 2.0), rel=1e-15)
 
@@ -190,9 +195,9 @@ def test_coupled_decay_c1_is_the_decayed_gradient_norm():
     # over steps.
     hp = HyperParams(weight_decay=0.5, wd_mode="coupled")
     theta, state = np.array([2.0, -1.0]), new_state(_one_group([2.0, -1.0]), hp)
-    padamp_step(state, _one_group(theta), _grads([0.5, 0.25]), 1e-3)
+    table_step(padamp_step, state, _one_group(theta), _grads([0.5, 0.25]), 1e-3)
     assert state.c1["theta"] == norm(np.array([0.5, 0.25]) + 0.5 * theta)
-    padamp_step(state, _one_group(theta), _grads([-1.0, 0.5]), 1e-3)
+    table_step(padamp_step, state, _one_group(theta), _grads([-1.0, 0.5]), 1e-3)
     assert state.c1["theta"] == norm(np.array([0.5, 0.25]) + 0.5 * theta)
 
 
@@ -202,8 +207,8 @@ def test_step_slacks_use_the_gradients_the_moments_saw(fn):
     g = np.array([0.5, 0.25])
     hp = HyperParams(weight_decay=0.1, wd_mode="coupled")
     state = new_state(_one_group(theta), hp)
-    out = fn(state, _one_group(theta), _grads(g), 1e-3)
-    lemmas = tuple(out.record[c] for c in LEMMA_COLUMNS)
+    _, cols = table_step(fn, state, _one_group(theta), _grads(g), 1e-3)
+    lemmas = tuple(cols[c][0] for c in LEMMA_COLUMNS)
     if fn is sgdm_step:
         assert all(math.isnan(x) for x in lemmas)
         return
@@ -223,8 +228,8 @@ def test_amsgrad_uses_max_buffer():
     adam = _one_group(theta)
     # large gradient then small ones: v decays but max_v holds the peak
     for g in ([4.0], [0.1], [0.1], [0.1]):
-        ams = amsgrad_step(ams_state, ams, _grads(g), 1e-2).new_params
-        adam = adam_step(adam_state, adam, _grads(g), 1e-2).new_params
+        ams, _ = table_step(amsgrad_step, ams_state, ams, _grads(g), 1e-2)
+        adam, _ = table_step(adam_step, adam_state, adam, _grads(g), 1e-2)
     assert ams_state.max_v["theta"][0] > ams_state.v["theta"][0]
     # the max buffer makes amsgrad's denominator larger -> smaller steps
     assert ams[0].values[0] > adam[0].values[0]
@@ -234,21 +239,22 @@ def test_padam_power_and_max_tracking():
     hp = HyperParams(p=0.125, weight_decay=0.0)
     theta = np.array([1.0])
     state = new_state(_one_group(theta), hp)
-    out = padam_step(state, _one_group(theta), _grads([2.0]), eta_t=1e-3)
+    new, cols = table_step(padam_step, state, _one_group(theta), _grads([2.0]), eta_t=1e-3)
     # uncorrected max_v = v = (1-beta2) g^2; direction = m_hat / (v_max + eps)^p
     v = (1 - 0.999) * 4.0
     expected = 1.0 - 1e-3 * (2.0 / (v + 1e-8) ** 0.125)
-    assert out.new_params[0].values[0] == pytest.approx(expected, rel=1e-12)
-    assert out.record["p_now"] == 0.125
+    assert new[0].values[0] == pytest.approx(expected, rel=1e-12)
+    assert cols["p_now"][0] == 0.125
 
 
 def test_p_now_overrides_hyperparameter():
     hp = HyperParams(p=0.25, weight_decay=0.0)
     state = new_state(_one_group([1.0]), hp)
-    out = padamp_step(state, _one_group([1.0]), _grads([1.0]), 1e-3, p_now=0.125)
-    assert out.record["p_now"] == 0.125
+    _, cols = table_step(padamp_step, state, _one_group([1.0]), _grads([1.0]), 1e-3,
+                         p_now=0.125)
+    assert cols["p_now"][0] == 0.125
     with pytest.raises(ValueError):
-        padamp_step(state, _one_group([1.0]), _grads([1.0]), 1e-3, p_now=0.75)
+        table_step(padamp_step, state, _one_group([1.0]), _grads([1.0]), 1e-3, p_now=0.75)
 
 
 def test_geometric_beta1t_keeps_base_bias_correction():
@@ -256,8 +262,8 @@ def test_geometric_beta1t_keeps_base_bias_correction():
     state = new_state(_one_group([1.0]), hp)
     params = _one_group([1.0])
     g1, g2 = 1.0, 2.0
-    params = padamp_step(state, params, _grads([g1]), 1e-3).new_params
-    out = padamp_step(state, params, _grads([g2]), 1e-3)
+    params, _ = table_step(padamp_step, state, params, _grads([g1]), 1e-3)
+    new, _ = table_step(padamp_step, state, params, _grads([g2]), 1e-3)
 
     m1 = 0.1 * g1
     m2 = 0.45 * m1 + 0.55 * g2       # beta1 * lam at t=2
@@ -266,20 +272,20 @@ def test_geometric_beta1t_keeps_base_bias_correction():
     m_hat = m2 / (1 - 0.9**2)        # correction uses base beta1 powers
     v_hat = v2 / (1 - 0.999**2)
     expected = params[0].values[0] - 1e-3 * m_hat / np.sqrt(v_hat + 1e-8)
-    assert out.new_params[0].values[0] == pytest.approx(expected, rel=1e-12)
+    assert new[0].values[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_sgdm_buffer_is_undamped_and_converges_to_inverse_gap():
     hp = HyperParams(momentum=0.9, weight_decay=0.0)
     state = new_state(_one_group([0.0]), hp)
     params = _one_group([0.0])
-    out = sgdm_step(state, params, _grads([1.0]), 1e-3)
+    new, _ = table_step(sgdm_step, state, params, _grads([1.0]), 1e-3)
     # undamped: first buffer equals the raw gradient, not (1 - momentum) * g
     assert state.m["theta"][0] == 1.0
-    assert out.new_params[0].values[0] == pytest.approx(-1e-3)
+    assert new[0].values[0] == pytest.approx(-1e-3)
 
     for _ in range(400):
-        sgdm_step(state, params, _grads([1.0]), 1e-3)
+        table_step(sgdm_step, state, params, _grads([1.0]), 1e-3)
     assert state.m["theta"][0] == pytest.approx(10.0, rel=1e-12)
 
 
@@ -287,13 +293,12 @@ def test_sgdm_decoupled_weight_decay():
     hp = HyperParams(momentum=0.9, weight_decay=0.5)
     theta = np.array([2.0])
     state = new_state(_one_group(theta), hp)
-    out = sgdm_step(state, _one_group(theta), _grads([1.0]), 1e-2)
-    assert out.new_params[0].values[0] == pytest.approx(
+    new, cols = table_step(sgdm_step, state, _one_group(theta), _grads([1.0]), 1e-2)
+    assert new[0].values[0] == pytest.approx(
         (1 - 1e-2 * 0.5) * 2.0 - 1e-2 * 1.0)
-    rec = out.record
-    assert np.isnan(rec["p_now"])
-    assert np.isnan(rec["lemma2_residual"])
-    assert np.isnan(rec["lemma3_margin"])
+    assert np.isnan(cols["p_now"][0])
+    assert np.isnan(cols["lemma2_residual"][0])
+    assert np.isnan(cols["lemma3_margin"][0])
 
 
 def test_step_does_not_mutate_inputs():
@@ -304,9 +309,9 @@ def test_step_does_not_mutate_inputs():
     for fn in (padamp_step, adamp_step, padam_step, adam_step, amsgrad_step,
                sgdm_step):
         state = new_state(params, hp)
-        out = fn(state, params, _grads([0.3, -0.1]), 1e-3)
+        new, _ = table_step(fn, state, params, _grads([0.3, -0.1]), 1e-3)
         assert np.array_equal(params[0].values, before)
-        assert out.new_params[0].values is not params[0].values
+        assert new[0].values is not params[0].values
 
 
 @pytest.mark.parametrize("fn", [padamp_step, padam_step])
@@ -319,7 +324,7 @@ def test_adaptive_step_swaps_the_first_moment_buffers(fn):
     for _ in range(3):
         m_was, m_prev_was = state.m["theta"], state.m_prev["theta"]
         m_bits = m_was.tobytes()
-        params = fn(state, params, _grads(rng.standard_normal(6)), 1e-3).new_params
+        params, _ = table_step(fn, state, params, _grads(rng.standard_normal(6)), 1e-3)
         assert state.m_prev["theta"] is m_was and state.m["theta"] is m_prev_was
         assert state.m_prev["theta"].tobytes() == m_bits
 
@@ -328,7 +333,7 @@ def test_sgdm_step_swaps_no_buffers():
     params = _one_group([1.0, 2.0])
     state = new_state(params, HyperParams())
     m_was, m_prev_was = state.m["theta"], state.m_prev["theta"]
-    sgdm_step(state, params, _grads([0.3, -0.1]), 1e-3)
+    table_step(sgdm_step, state, params, _grads([0.3, -0.1]), 1e-3)
     assert state.m["theta"] is m_was and state.m_prev["theta"] is m_prev_was
     assert not m_prev_was.any()
 
@@ -337,11 +342,11 @@ def test_step_validation_errors():
     hp = HyperParams()
     state = new_state(_one_group([1.0]), hp)
     with pytest.raises(ValueError):
-        padamp_step(state, _one_group([1.0]), _grads([1.0]), eta_t=0.0)
+        table_step(padamp_step, state, _one_group([1.0]), _grads([1.0]), eta_t=0.0)
     with pytest.raises(ValueError):
-        padamp_step(state, _one_group([1.0]), {}, eta_t=1e-3)
+        table_step(padamp_step, state, _one_group([1.0]), {}, eta_t=1e-3)
     with pytest.raises(FloatingPointError):
-        padamp_step(state, _one_group([1.0]), _grads([np.inf]), eta_t=1e-3)
+        table_step(padamp_step, state, _one_group([1.0]), _grads([np.inf]), eta_t=1e-3)
 
 
 def test_step_that_raises_part_way_marks_the_state():
@@ -351,19 +356,19 @@ def test_step_that_raises_part_way_marks_the_state():
     grads = {"a": np.ones(3), "b": np.ones(3)}
     state = new_state(groups, HyperParams())
     with pytest.raises(FloatingPointError, match="non-finite parameters after step in group 'b'"):
-        adam_step(state, groups, grads, eta_t=1e308)
+        table_step(adam_step, state, groups, grads, eta_t=1e308)
     assert state.t == 1 and state.failed_step == 1
     with pytest.raises(ValueError, match="part way through step 1,"):
-        adam_step(state, groups, grads, eta_t=1e-3)
+        table_step(adam_step, state, groups, grads, eta_t=1e-3)
     assert state.t == 1
 
 
 def test_step_that_raises_before_advancing_leaves_the_state_usable():
     state = new_state(_one_group([1.0]), HyperParams())
     with pytest.raises(ValueError, match="eta_t"):
-        adam_step(state, _one_group([1.0]), _grads([1.0]), eta_t=0.0)
+        table_step(adam_step, state, _one_group([1.0]), _grads([1.0]), eta_t=0.0)
     assert state.t == 0 and state.failed_step is None
-    adam_step(state, _one_group([1.0]), _grads([1.0]), eta_t=1e-3)
+    table_step(adam_step, state, _one_group([1.0]), _grads([1.0]), eta_t=1e-3)
     assert state.t == 1 and state.failed_step is None
 
 
@@ -372,7 +377,7 @@ def test_non_finite_parameters_abort():
     hp = HyperParams(weight_decay=0.0)
     state = new_state(_one_group([1e308]), hp)
     with pytest.raises(FloatingPointError, match="non-finite"):
-        sgdm_step(state, _one_group([1e308]), _grads([1e308]), eta_t=1e3)
+        table_step(sgdm_step, state, _one_group([1e308]), _grads([1e308]), eta_t=1e3)
 
 
 def test_lemma_telemetry_on_random_stream():
@@ -381,10 +386,10 @@ def test_lemma_telemetry_on_random_stream():
     params = _one_group(rng.standard_normal(16))
     state = new_state(params, hp)
     for _ in range(200):
-        out = padamp_step(state, params, _grads(rng.standard_normal(16)), 1e-3)
-        assert out.record["lemma2_residual"] < 1e-10
-        assert out.record["lemma3_margin"] >= 0.0
-        params = out.new_params
+        params, cols = table_step(padamp_step, state, params,
+                                  _grads(rng.standard_normal(16)), 1e-3)
+        assert cols["lemma2_residual"][0] < 1e-10
+        assert cols["lemma3_margin"][0] >= 0.0
 
 
 def test_make_step_dispatch():
@@ -400,16 +405,16 @@ def test_multi_group_step_records_each_group():
               ParamGroup("w2", np.array([3.0]))]
     state = new_state(groups, hp)
     grads = {"w1": np.array([0.0, 1.0]), "w2": np.array([0.5])}
-    out = padamp_step(state, groups, grads, 1e-3)
-    assert list(out.record) == [
+    _, cols = table_step(padamp_step, state, groups, grads, 1e-3)
+    assert list(cols) == [
         "t", "epoch", "eta_t", "p_now", "loss", "grad_norm_sq",
         "w1_param_norm", "w1_cos_sim", "w1_projected", "w1_effective_step_norm",
         "w2_param_norm", "w2_cos_sim", "w2_projected", "w2_effective_step_norm",
-        "lemma2_residual", "lemma3_margin", *SLACK_COLUMNS]
-    assert out.record["w1_projected"]
-    assert not out.record["w2_projected"]
-    assert out.record["grad_norm_sq"] == pytest.approx(1.0 + 0.25)
-    assert out.record["lemma3_lower"] == min(state.v["w1"].min(), state.v["w2"][0])
+        "lemma2_residual", "lemma3_margin", *SLACK_COLUMNS, "eval_grad_norm_sq"]
+    assert cols["w1_projected"][0]
+    assert not cols["w2_projected"][0]
+    assert cols["grad_norm_sq"][0] == pytest.approx(1.0 + 0.25)
+    assert cols["lemma3_lower"][0] == min(state.v["w1"].min(), state.v["w2"][0])
     # The lemma columns are the largest lemma-2 residual over groups and the
     # smallest of every other lemma quantity, bit for bit, after groups of
     # 1-3 arrays, at p = 1/4 and 1/2, and under either decay rule.
@@ -423,7 +428,7 @@ def test_multi_group_step_records_each_group():
                 state = new_state(groups, hp)
                 for t in (1, 2):
                     grads = {g.name: rng.standard_normal(g.values.size) for g in groups}
-                    out = padamp_step(state, groups, grads, 1e-3)
+                    new, cols = table_step(padamp_step, state, groups, grads, 1e-3)
                     per_group = [one_step_lemmas(
                         state.m[g.name], state.m_prev[g.name], state.v[g.name],
                         grads[g.name] + 0.1 * g.values if wd_mode == "coupled"
@@ -431,51 +436,40 @@ def test_multi_group_step_records_each_group():
                         hp.epsilon, p, g.values, norm(g.values)) for g in groups]
                     columns = list(zip(*per_group))
                     want = [max(columns[0]), *map(min, columns[1:])]
-                    assert list(out.record)[-8:] == list(LEMMA_COLUMNS)
-                    got = [out.record[c] for c in LEMMA_COLUMNS]
+                    got = [cols[c][0] for c in LEMMA_COLUMNS]
                     assert np.array(got).tobytes() == np.array(want).tobytes(), (
                         n_groups, p, wd_mode, t)
-                    groups = out.new_params
+                    groups = new
     # sgdm computes no lemma quantity and writes nan to all eight columns.
-    plain = sgdm_step(new_state(groups, hp), groups, grads, 1e-3)
-    assert list(plain.record)[-8:] == list(LEMMA_COLUMNS)
-    assert all(math.isnan(plain.record[c]) for c in LEMMA_COLUMNS)
+    _, plain = table_step(sgdm_step, new_state(groups, hp), groups, grads, 1e-3)
+    assert all(math.isnan(plain[c][0]) for c in LEMMA_COLUMNS)
 
 
 @pytest.mark.parametrize("fn", [padamp_step, sgdm_step])
 def test_direct_record_keys_order_and_types(fn):
-    # A step called without a table returns its row as a dict: int t and
-    # epoch, bool projected flags, and Python floats, epoch and loss being
-    # the run loop's placeholders. A run's row holds the same keys and types,
-    # and the eval estimate last.
+    # A step called outside a run writes its record to the table it is given,
+    # read as columns in CSV order: int64 t, epoch and projected flags,
+    # float64 elsewhere, with epoch and loss left as the run loop's
+    # placeholders and the eval estimate last. A run's table holds the same
+    # columns and types.
     groups = [ParamGroup("w1", np.array([1.0, 0.0])), ParamGroup("w2", np.array([3.0]))]
     grads = {"w1": np.array([0.0, 1.0]), "w2": np.array([0.5])}
-    record = fn(new_state(groups, HyperParams()), groups, grads, 1e-3).record
-    assert tuple(record) == step_columns(("w1", "w2"))
-    assert list(record) == [
+    new, cols = table_step(fn, new_state(groups, HyperParams()), groups, grads, 1e-3)
+    assert [g.name for g in new] == ["w1", "w2"]
+    assert tuple(cols) == step_columns(("w1", "w2")) + ("eval_grad_norm_sq",)
+    assert list(cols) == [
         "t", "epoch", "eta_t", "p_now", "loss", "grad_norm_sq",
         "w1_param_norm", "w1_cos_sim", "w1_projected", "w1_effective_step_norm",
         "w2_param_norm", "w2_cos_sim", "w2_projected", "w2_effective_step_norm",
-        *LEMMA_COLUMNS]
-    assert (record["t"], record["epoch"]) == (1, 0) and math.isnan(record["loss"])
-    row = run(build_config({}, {"optimizer.kind": fn.__name__[:-5], "run.steps": "1",
-                                "objective.name": "tiny_mlp"})).records[0]
-    assert list(row)[-1] == "eval_grad_norm_sq"
-    for rec in (record, row):
-        assert [type(v).__name__ for k, v in rec.items()] == [
-            "bool" if k.endswith("_projected") else "int" if k in ("t", "epoch")
-            else "float" for k in rec]
-
-
-def test_step_output_is_an_immutable_named_tuple():
-    groups = _one_group([1.0, 2.0])
-    out = padamp_step(new_state(groups, HyperParams()), groups, _grads([0.5, -0.5]), 1e-3)
-    assert StepOutput._fields == ("new_params", "record")
-    new_params, record = out
-    assert (new_params, record) == (out.new_params, out.record)
-    assert [g.name for g in new_params] == ["theta"] and record["t"] == 1
-    with pytest.raises(AttributeError):
-        out.record = None
+        *LEMMA_COLUMNS, "eval_grad_norm_sq"]
+    assert (cols["t"].tolist(), cols["epoch"].tolist()) == ([1], [0])
+    assert math.isnan(cols["loss"][0])
+    run_cols = run(build_config({}, {"optimizer.kind": fn.__name__[:-5], "run.steps": "1",
+                                     "objective.name": "tiny_mlp"})).records.columns()
+    assert list(run_cols)[-1] == "eval_grad_norm_sq"
+    for table_cols in (cols, run_cols):
+        assert [col.dtype for col in table_cols.values()] == [
+            np.int64 if is_int_column(k) else np.float64 for k in table_cols]
 
 
 @pytest.mark.parametrize("fn", [padamp_step, adam_step, sgdm_step])
@@ -486,12 +480,13 @@ def test_step_norms_and_cosine_stay_exact_at_large_scale(fn):
     theta = base * 1e200
     g = 0.3 * base / np.linalg.norm(base) + rng.standard_normal(16)
     state = new_state(_one_group(theta), HyperParams(weight_decay=0.0))
-    rec = fn(state, _one_group(theta), _grads(g), 1e-3).record
-    assert rec["theta_param_norm"] == pytest.approx(math.hypot(*theta), rel=1e-14, abs=0.0)
+    _, cols = table_step(fn, state, _one_group(theta), _grads(g), 1e-3)
+    assert cols["theta_param_norm"][0] == pytest.approx(math.hypot(*theta), rel=1e-14,
+                                                         abs=0.0)
     small = theta * 2.0 ** -664
     expected = abs(small @ g) / (np.linalg.norm(small) * np.linalg.norm(g))
-    assert rec["theta_cos_sim"] == pytest.approx(expected, rel=1e-14, abs=0.0)
-    assert math.isfinite(rec["theta_effective_step_norm"])
+    assert cols["theta_cos_sim"][0] == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert math.isfinite(cols["theta_effective_step_norm"][0])
 
 
 @pytest.mark.parametrize("fn", [padamp_step, adam_step])
@@ -500,7 +495,7 @@ def test_overflowing_gradient_norm_names_the_group(fn):
     # float.
     state = new_state(_one_group(np.ones(4)), HyperParams(weight_decay=0.0))
     with pytest.raises(FloatingPointError, match="theta"):
-        fn(state, _one_group(np.ones(4)), _grads(np.full(4, 1e160)), 1e-3)
+        table_step(fn, state, _one_group(np.ones(4)), _grads(np.full(4, 1e160)), 1e-3)
 
 
 @pytest.mark.parametrize("hp, theta", [
@@ -514,35 +509,41 @@ def test_diverging_step_raises_without_a_warning(hp, theta):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="non-finite parameters"):
-            make_step("padamp")(state, _one_group([theta] * 4), _grads([1.0] * 4), 1e308)
+            table_step(padamp_step, state, _one_group([theta] * 4), _grads([1.0] * 4), 1e308)
 
 
-def test_overflowing_lemma_slack_is_non_finite_without_a_warning():
+def test_overflowing_lemma_slack_is_non_finite_without_a_warning(monkeypatch):
     # theta . (m / denom) overflows: the radial slack is -inf, which fails
-    # lemma5_radial_min in check_telemetry, and the step does not warn.
+    # lemma5_radial_min in check_telemetry, and the step does not warn. A
+    # block of reductions makes the lemma passes inside the step.
+    monkeypatch.setattr(diagnostics, "LEMMA_BLOCK_ELEMENTS", 0)
     state = new_state(_one_group([1e300] * 3), HyperParams(weight_decay=0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = padamp_step(state, _one_group([1e300] * 3), _grads([1e40] * 3), 1e-3)
-    assert out.record["lemma5_radial"] == -math.inf
-    assert all(math.isfinite(out.record[c]) for c in LEMMA_COLUMNS if c != "lemma5_radial")
+        _, cols = table_step(padamp_step, state, _one_group([1e300] * 3), _grads([1e40] * 3),
+                             1e-3)
+    assert cols["lemma5_radial"][0] == -math.inf
+    assert all(math.isfinite(cols[c][0]) for c in LEMMA_COLUMNS if c != "lemma5_radial")
 
 
 @pytest.mark.parametrize("hold_inputs", [True, False], ids=["inputs", "reductions"])
 def test_direct_caller_batch_fills_lemmas_under_any_error_state(hold_inputs, monkeypatch):
-    # A caller that hands its steps a table gets in its rows what direct
-    # steps record, under np.errstate(all="raise") too: every row's radial
-    # slack overflows to -inf, and the table's lemma block flushes inside a
-    # step (full at 2 rows) and at the caller's own flush(). The table starts
-    # 3 rows high and grows.
+    # A caller that hands all its steps one table gets in its rows what steps
+    # with a one-row table each write, under np.errstate(all="raise") too:
+    # every row's radial slack overflows to -inf, and the shared table's
+    # lemma block flushes inside a step (full at 2 rows) and at the caller's
+    # own flush(). The shared table starts 3 rows high and grows.
     def steps(table):
+        # With no table, each step writes a table of its own.
         groups = _one_group([1e300] * 3)
-        state, records = new_state(groups, HyperParams(weight_decay=0.0)), []
+        state, one_row = new_state(groups, HyperParams(weight_decay=0.0)), []
         for _ in range(5):
-            out = padamp_step(state, groups, _grads([1e40] * 3), 1e-3, table=table)
-            groups = out.new_params
-            records.append(out.record)
-        return records
+            if table is None:
+                groups, cols = table_step(padamp_step, state, groups, _grads([1e40] * 3), 1e-3)
+                one_row.append(cols)
+            else:
+                groups = padamp_step(state, groups, _grads([1e40] * 3), 1e-3, table=table)
+        return one_row
 
     # A block of 2 steps' inputs (3 elements each), or of 2 steps' reductions.
     monkeypatch.setattr(diagnostics, "LEMMA_BLOCK_ELEMENTS", 6 if hold_inputs else 0)
@@ -551,25 +552,71 @@ def test_direct_caller_batch_fills_lemmas_under_any_error_state(hold_inputs, mon
     inputs, _, _ = table.blocks["theta"]
     assert (table.height, inputs is not None) == (2, hold_inputs)
     with np.errstate(all="raise"):
-        assert steps(table) == [None] * 5
+        steps(table)
         table.flush()
         want = steps(None)
-    # The table's last column, the eval estimate, is the run loop's to write.
-    got = [dict(list(row.items())[:-1]) for row in table]
-    assert repr(got) == repr(want)
-    assert [r["lemma5_radial"] for r in got] == [-math.inf] * 5
+    got = table.columns()
+    for name, col in got.items():
+        assert col.tobytes() == np.concatenate([w[name] for w in want]).tobytes(), name
+    assert got["lemma5_radial"].tolist() == [-math.inf] * 5
 
 
 def test_adaptive_step_rejects_a_table_without_eps():
-    # The table writes an adaptive step's lemma columns, so it needs eps; the
-    # step says so before it touches the state.
+    # The table writes an adaptive step's lemma columns, so it needs the
+    # step's eps; the step says so before it touches the state.
     groups, state = _one_group([1.0, 2.0]), new_state(_one_group([1.0, 2.0]), HyperParams())
-    with pytest.raises(ValueError, match="table built with eps"):
-        padamp_step(state, groups, _grads([0.5, -0.5]), 1e-3, table=TelemetryTable(groups))
-    assert state.t == 0 and state.failed_step is None
+    for eps in (None, 1e-6):
+        with pytest.raises(ValueError, match="table built with eps"):
+            padamp_step(state, groups, _grads([0.5, -0.5]), 1e-3,
+                        table=TelemetryTable(groups, eps))
+        assert state.t == 0 and state.failed_step is None
     table = TelemetryTable(groups)
     sgdm_step(state, groups, _grads([0.5, -0.5]), 1e-3, table=table)
     assert len(table) == 1
+
+
+def test_sgdm_step_rejects_a_table_with_eps():
+    # An eps table would write lemma columns from blocks sgdm never filled;
+    # sgdm's stay nan.
+    groups, state = _one_group([1.0, 2.0]), new_state(_one_group([1.0, 2.0]), HyperParams())
+    with pytest.raises(ValueError, match="sgdm one without; got 1e-08"):
+        sgdm_step(state, groups, _grads([0.5, -0.5]), 1e-3,
+                  table=TelemetryTable(groups, HyperParams().epsilon))
+    assert state.t == 0 and state.failed_step is None
+    _, cols = table_step(sgdm_step, state, groups, _grads([0.5, -0.5]), 1e-3)
+    assert all(math.isnan(cols[c][0]) for c in LEMMA_COLUMNS)
+
+
+@pytest.mark.parametrize("fn, table_groups", [
+    # Other names: the adaptive step's lemma inputs have no block to go to.
+    (padamp_step, [ParamGroup("w", np.zeros(2))]),
+    # Other dims: the block's rows do not take the step's vectors.
+    (padamp_step, [ParamGroup("theta", np.zeros(3))]),
+    # Other groups: sgdm's values would land under another group's columns.
+    (sgdm_step, [ParamGroup("w", np.zeros(2)), ParamGroup("theta", np.zeros(2))]),
+], ids=["names", "dims", "sgdm"])
+def test_step_rejects_a_table_over_other_groups(fn, table_groups):
+    # The step names both sets of groups before it advances the state, which
+    # can then step on a table that fits.
+    groups, state = _one_group([1.0, 2.0]), new_state(_one_group([1.0, 2.0]), HyperParams())
+    eps = None if fn is sgdm_step else HyperParams().epsilon
+    want = (f"table groups {[(g.name, g.dim) for g in table_groups]} are not the step's "
+            "[('theta', 2)]")
+    with pytest.raises(ValueError, match=re.escape(want)):
+        fn(state, groups, _grads([0.5, -0.5]), 1e-3, table=TelemetryTable(table_groups, eps))
+    assert state.t == 0 and state.failed_step is None
+    _, cols = table_step(fn, state, groups, _grads([0.5, -0.5]), 1e-3)
+    assert cols["t"].tolist() == [1] and state.failed_step is None
+
+
+def test_a_table_of_no_rows_is_rejected():
+    # A table starts with at least one row; it doubles when full.
+    groups, state = _one_group([1.0, 2.0]), new_state(_one_group([1.0, 2.0]), HyperParams())
+    for rows in (0, -1):
+        with pytest.raises(ValueError, match=f"rows must be >= 1, got {rows}"):
+            TelemetryTable(groups, HyperParams().epsilon, rows=rows)
+    _, cols = table_step(padamp_step, state, groups, _grads([0.5, -0.5]), 1e-3)
+    assert cols["t"].tolist() == [1] and state.failed_step is None
 
 
 def _label(code):
@@ -605,11 +652,12 @@ def test_small_d_step_call_budget():
     # Per step: (calls at 2000 steps - calls at 1000) / 1000, so the set-up
     # and the end-of-run report cancel out; a short run first pays the
     # process's one-time costs, which would otherwise fall on the 1000-step
-    # run alone. A step makes 49.29, the budget: each named-tuple result is
-    # two counted calls, its __new__ and tuple.__new__.
+    # run alone. A step makes 48.289, the budget: the step returns its list
+    # of groups, and its check of the table's groups is one counted call,
+    # the list comprehension.
     _calls_per_step(10)
     (calls_1k, sets_1k), (calls_2k, sets_2k) = _calls_per_step(1000), _calls_per_step(2000)
-    assert (calls_2k - calls_1k) / 1000 <= 49.29
+    assert (calls_2k - calls_1k) / 1000 <= 48.29
     # The floating-point state is set once per step, by the decorator on the
     # step body, and once for the whole run; the one errstate block entered
     # is the lemma batch's closing flush.
