@@ -246,8 +246,8 @@ _STEP_FNS = {kind: _bind(kind, *settings) for kind, settings in _KINDS.items()}
 
 
 def make_step(kind: OptimizerKind) -> Callable:
-    """The step function step(state, groups, grads, eta_t, p_now=None, *,
-    table) -> new groups of the given optimizer kind; the same object on
-    every call. table is a TelemetryTable over the same groups, built with
-    hp.epsilon for an adaptive kind; read it with flush() and columns()."""
+    """The kind's step(state, groups, grads, eta_t, p_now=None, *, table) ->
+    new groups; the same object on every call. table is a TelemetryTable
+    over the same groups, built with hp.epsilon for an adaptive kind and
+    without eps for sgdm; read it with flush() and columns()."""
     return _STEP_FNS[OptimizerKind(kind)]
