@@ -8,20 +8,40 @@ ufunc call advances one step of every LANES-step block, and none is BLAS.
 tests/test_kernels.py checks both kernels against explicit per-element and
 per-step loops, and bit for bit against the out-of-place array expressions
 they evaluate.
+
+in_halves runs an elementwise body over two halves of its arrays' last
+axis: the calling thread takes the first half and one worker thread the
+second, unless the caller finishes first and takes it back. moment_direction and the lemma pass's elementwise phase
+(diagnostics._lemma_vectors) hand it their arrays from SPLIT_ELEMENTS
+elements up; below that they run in one piece on the caller, with no
+thread. Each half makes the IEEE operations (and numpy's pow, whose
+vector loop rounds each element alone) that the whole array would, so the
+bits do not depend on the split. Reductions and BLAS calls stay on the
+caller, over whole arrays. numpy's error state is a context variable, so
+the worker runs each half in a copy of the caller's context.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from contextvars import copy_context
 
 import numpy as np
 
 # perfbench/run.py reads HAS_NUMBA and backend() for its report; padamp uses no numba.
 HAS_NUMBA = False
 
-__all__ = ["moment_direction", "norm_growth_arrays"]
+__all__ = ["moment_direction", "norm_growth_arrays", "in_halves"]
 
 # Steps per block of the norm-growth kernel's lane recursion. At T = 1e5 on an
 # AVX-512 Xeon, 16 timed best, ahead of 8, 32 and 64.
 LANES = 16
+
+# Arrays of at least this many elements are computed in two halves on two
+# threads. On 2 vCPUs (Intel Xeon, KVM) the split moment kernel took 1.17-1.22
+# times the one-piece time at 24576 elements and 0.81-0.87 times at 32768.
+SPLIT_ELEMENTS = 1 << 15
 
 
 def backend() -> str:
@@ -29,8 +49,90 @@ def backend() -> str:
     return "numpy"
 
 
+class _Half:
+    """The second half of one in_halves call, run once: by the worker, or by
+    the caller if the worker has not started it when the caller's half is done."""
+
+    __slots__ = ("context", "body", "half", "claim", "done", "error")
+
+    def __init__(self, body, half):
+        self.context, self.body, self.half = copy_context(), body, half
+        self.claim, self.done = threading.Lock(), threading.Lock()
+        self.done.acquire()
+        self.error = None
+
+    def run(self) -> bool:
+        """Run the half unless another thread took it; whether this one did."""
+        if not self.claim.acquire(False):
+            return False
+        try:
+            self.context.run(self.body, self.half)
+        except BaseException as exc:
+            self.error = exc
+        # The body holds the caller's buffers.
+        self.context = self.body = None
+        self.done.release()
+        return True
+
+    def wait(self) -> None:
+        try:
+            self.done.acquire()
+        except BaseException:
+            # Interrupted: the half still writes into the caller's arrays.
+            self.done.acquire()
+            raise
+
+
+def _serve(jobs) -> None:
+    while True:
+        jobs.get().run()
+
+
+# The worker's queue of _Half jobs, made with the worker at the first split.
+_jobs = None
+
+
+def _forget_worker() -> None:
+    # A forked child has no worker thread, only the parent's queue.
+    global _jobs
+    _jobs = None
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def in_halves(body, n: int) -> None:
+    """body(slice(0, n // 2)) on this thread, body(slice(n // 2, n)) on the worker.
+
+    The worker thread, started at the first call, runs its half under a copy
+    of this thread's context, so under its numpy error state. If the worker
+    has not started the second half by the time the first is done (it runs
+    another call's half, or its CPU is busy), this thread runs it, so a call
+    never waits for the worker to wake. in_halves returns or raises only once
+    both halves are done: the first half's exception if it raised, else the
+    second's.
+    """
+    global _jobs
+    if _jobs is None:
+        import queue
+
+        _jobs = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(_jobs,), name="padamp-half",
+                         daemon=True).start()
+    h = n // 2
+    second = _Half(body, slice(h, n))
+    _jobs.put(second)
+    try:
+        body(slice(0, h))
+    finally:
+        if not second.run():
+            second.wait()
+    if second.error is not None:
+        raise second.error
+
+
 def moment_direction(m, v, max_v, g, beta1t, beta2, bc1, bc2, eps, p,
-                     use_max=False, power_eps=True, m_out=None):
+                     use_max=False, power_eps=True, m_out=None, buf=None, direction=None):
     """One fused first/second-moment update plus preconditioned direction.
 
     Updates v (and max_v when use_max) in place and writes the new first
@@ -53,10 +155,20 @@ def moment_direction(m, v, max_v, g, beta1t, beta2, bc1, bc2, eps, p,
     its bits do not depend on numpy's SIMD dispatch, and the two take about
     half as long as numpy's AVX-512 pow. Every other p is `**=`, which takes
     numpy's scalar fast paths (0.5 is sqrt).
+
+    From SPLIT_ELEMENTS elements the call makes the two arrays and computes
+    each half of them with in_halves; a call given buf and direction (one
+    half's views) writes into them.
     """
     if m_out is None:
         m_out = m
-    buf = (1.0 - beta1t) * g
+    if buf is None and g.size >= SPLIT_ELEMENTS:
+        buf, direction = np.empty_like(g), np.empty_like(g)
+        in_halves(lambda s: moment_direction(
+            m[s], v[s], max_v[s], g[s], beta1t, beta2, bc1, bc2, eps, p, use_max,
+            power_eps, m_out[s], buf[s], direction[s]), g.size)
+        return direction
+    buf = np.multiply(g, 1.0 - beta1t, buf)
     np.multiply(m, beta1t, out=m_out)
     m_out += buf
     np.multiply(g, g, out=buf)
@@ -79,7 +191,7 @@ def moment_direction(m, v, max_v, g, beta1t, beta2, bc1, bc2, eps, p,
         buf **= p
     if not power_eps:
         buf += eps
-    direction = np.divide(m_out, bc1)
+    direction = np.divide(m_out, bc1, direction)
     direction /= buf
     return direction
 

@@ -79,6 +79,19 @@ class SyntheticDataset:
         """One uniform batch without replacement (for evaluation windows)."""
         return rng.choice(self.n, size=min(batch_size, self.n), replace=False)
 
+    def gather(self, batch: Optional[np.ndarray], objective: str):
+        """(features, labels) of a batch of example indices; every example when None.
+
+        take gathers in about a quarter of fancy indexing's time, but reads a
+        boolean mask as the indices 0 and 1, so a mask is refused.
+        """
+        if batch is None:
+            batch = np.arange(self.n)
+        batch = np.asarray(batch)
+        if batch.dtype.kind == "b":
+            raise ValueError(f"{objective} takes a batch of example indices, not a mask")
+        return self.features.take(batch, 0), self.labels[batch]
+
 
 class Objective:
     """Base interface: loss value and analytic per-group gradient."""
@@ -272,9 +285,8 @@ class _Logistic(Objective):
         self.group_layout = {"theta": d}
 
     def _batch(self, batch):
-        if batch is None:
-            batch = np.arange(self.dataset.n)
-        return self.dataset.features[batch], self.dataset.labels[batch].astype(np.float64)
+        X, y = self.dataset.gather(batch, "logistic")
+        return X, y.astype(np.float64)
 
     def eval(self, params, batch=None) -> float:
         th = self._check(params)["theta"]
@@ -343,15 +355,10 @@ class _TinyMLP(Objective):
         return w1, w2
 
     def _batch(self, batch):
-        if batch is None:
-            batch = np.arange(self.dataset.n)
-        batch = np.asarray(batch)
-        if batch.size < 2:
+        X, y = self.dataset.gather(batch, "tiny_mlp")
+        if len(y) < 2:
             raise ValueError("batch normalization needs batch size >= 2")
-        # take gathers in a third of an index's time, but reads a mask as 0s and 1s.
-        if batch.dtype.kind == "b":
-            raise ValueError("tiny_mlp takes a batch of example indices, not a mask")
-        return self.dataset.features.take(batch, 0), self.dataset.labels[batch]
+        return X, y
 
     def _forward(self, w1, w2, X):
         z = X @ w1.T

@@ -94,10 +94,12 @@ MUTANTS = (
     Mutant("hold_mode_inverted", "diagnostics.py",
            "hold_inputs = height >= 2", "hold_inputs = height < 2",
            ("tests/test_harness.py::test_lemma_batch_holds_inputs_up_to_the_element_budget",)),
-    # tiny_mlp takes a boolean mask, which take reads as the indices 0 and 1.
+    # tiny_mlp and logistic take a boolean mask, which take reads as the
+    # indices 0 and 1.
     Mutant("mlp_batch_mask_unchecked", "objectives.py",
            'if batch.dtype.kind == "b":', "if False:",
-           ("tests/test_objectives.py::test_mlp_layout_accuracy_and_batch_guard",)),
+           ("tests/test_objectives.py::test_mlp_layout_accuracy_and_batch_guard",
+            "tests/test_objectives.py::test_logistic_batch_gathers_indices_and_refuses_a_mask")),
     # A step writes to a table over other groups, and fails part way or
     # writes under another group's columns.
     Mutant("table_groups_unchecked", "optimizers.py",
@@ -109,6 +111,18 @@ MUTANTS = (
            "if adaptive and table.eps is None:",
            ("tests/test_optimizers.py::test_adaptive_step_rejects_a_table_without_eps",
             "tests/test_optimizers.py::test_sgdm_step_rejects_a_table_with_eps")),
+    # The worker runs its half outside the caller's context, under numpy's
+    # default error state: an overflow there warns.
+    Mutant("split_without_errstate", "_kernels.py",
+           "self.context.run(self.body, self.half)", "self.body(self.half)",
+           ("tests/test_split.py::test_the_worker_half_runs_under_the_callers_error_state",)),
+    # No thread computes the second half of a split call.
+    Mutant("split_second_half_skipped", "_kernels.py",
+           "second = _Half(body, slice(h, n))", "second = _Half(id, slice(h, n))",
+           ("tests/test_split.py::test_behaviour_matrix_under_forced_split",
+            "tests/test_split.py::test_pinned_digests_under_forced_split",
+            "tests/test_split.py::test_split_steps_at_odd_dims_match_the_one_piece_path",
+            "tests/test_split.py::test_split_lemma_blocks_match_the_one_piece_path")),
 )
 
 

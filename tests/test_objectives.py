@@ -201,6 +201,23 @@ def test_logistic_gradient_matches_finite_differences():
     np.testing.assert_allclose(an, fd, rtol=1e-6)
 
 
+def test_logistic_batch_gathers_indices_and_refuses_a_mask():
+    obj = logistic_regression(d=4, n=32, seed=4)
+    th = _theta(seeded_rng(2).standard_normal(4))
+    batch = np.array([3, 17, 5, 3, 31])
+    X, y = obj._batch(batch)
+    assert X.tobytes() == obj.dataset.features[batch].tobytes()
+    assert y.tobytes() == obj.dataset.labels[batch].astype(np.float64).tobytes()
+    # A list of indices is a batch too.
+    assert obj.eval(th, list(batch)) == obj.eval(th, batch)
+    # take would read a boolean mask as the indices 0 and 1.
+    mask = np.arange(32) < 16
+    for call in (obj.eval, obj.grad):
+        with pytest.raises(ValueError, match="^logistic takes a batch of example indices, "
+                                             "not a mask$"):
+            call(th, mask)
+
+
 def test_logistic_rejects_degenerate_sizes():
     with pytest.raises(ValueError, match="d >= 1"):
         logistic_regression(d=0, n=8, seed=0)
