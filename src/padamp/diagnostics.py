@@ -9,11 +9,9 @@ telemetry table.
 One adaptive group's LEMMA_COLUMNS for a block of k steps, one row per
 step, take two halves: full-size passes over (k, d) arrays (_lemma_passes)
 leave nine (k,) reductions, and elementwise arithmetic on those
-(_lemma_rows) gives the columns. From _kernels.SPLIT_ELEMENTS elements,
-the elementwise passes (_lemma_vectors) run over two halves of the columns
-on two threads; the reductions stay whole. _group_lemmas, both in one
-call, is the tests' reference. fold_lemmas folds the groups' rows into the
-telemetry values.
+(_lemma_rows) gives the columns. _group_lemmas, both in one call, is the
+tests' reference. fold_lemmas folds the groups' rows into the telemetry
+values.
 
 A TelemetryTable holds a run's telemetry and writes every lemma column.
 Every step writes its row to a table its caller built (harness.run builds
@@ -36,7 +34,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import _kernels
 from ._kernels import norm_growth_arrays
 from .geometry import _TINY, norm
 
@@ -218,39 +215,6 @@ def _row_norms(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lemma_vectors(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarray,
-                   coef: np.ndarray, eps: float, p: float, buf: Optional[np.ndarray] = None,
-                   rhs: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """The elementwise phase of _lemma_passes: returns (denom, rhs), with
-    denom = (v + eps)**p in the first full-size buffer and rhs = m - (g -
-    coef * (m - m_prev)), the residual vector's negation, in the second.
-    coef is the (k, 1) column b / (1 - b).
-
-    The call makes the two buffers, in that order; from SPLIT_ELEMENTS
-    elements it fills them in two halves of the columns with in_halves, and
-    a call given them (one half's views) writes into them.
-    """
-    if buf is None and m.size >= _kernels.SPLIT_ELEMENTS:
-        buf, rhs = np.empty_like(m), np.empty_like(m)
-        _kernels.in_halves(lambda s: _lemma_vectors(
-            m[:, s], m_prev[:, s], v[:, s], g[:, s], coef, eps, p, buf[:, s], rhs[:, s]),
-            m.shape[1])
-        return buf, rhs
-    buf = np.subtract(m, m_prev, out=buf)
-    buf *= coef  # (b / (1 - b)) * (m - m_prev)
-    # Rounding is symmetric in sign, so g - x and m - (g - x) are exactly
-    # -rhs and -(-m - rhs) for rhs = -g + x, and the squared norm is the same.
-    rhs = np.subtract(g, buf, out=rhs)
-    np.subtract(m, rhs, out=rhs)
-    denom = np.add(v, eps, out=buf)
-    if p == 0.25:
-        np.sqrt(denom, out=denom)
-        np.sqrt(denom, out=denom)
-    else:
-        denom **= p  # (v + eps) ** p
-    return denom, rhs
-
-
 def _lemma_passes(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarray,
                   beta1t: np.ndarray, eps: float, p: float, theta: np.ndarray,
                   theta_norm: np.ndarray, out: np.ndarray) -> None:
@@ -268,20 +232,28 @@ def _lemma_passes(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarra
     changed what later allocations in the process cost (perfbench's
     host-speed slice ran without its page faults).
 
-    The elementwise phase, the residual vector and the power (two square
-    roots at p = 1/4, as in the moment kernel), is _lemma_vectors, which
-    splits across two threads from SPLIT_ELEMENTS elements. Every reduction
-    here runs on this thread over the whole (k, d) arrays.
+    At p = 1/4 the power is two square roots, as in the moment kernel.
     """
     resid_sq, m_norm, v_max, v_min, inv_min, inv_max, radial, precond_sq, moment_diff = out
     coef = beta1t / (1.0 - beta1t)
-    denom, rhs = _lemma_vectors(m, m_prev, v, g, coef[:, None], eps, p)
+    buf = np.subtract(m, m_prev)
+    buf *= coef[:, None]  # (b / (1 - b)) * (m - m_prev)
+    # Rounding is symmetric in sign, so g - x and m - (g - x) are exactly
+    # -rhs and -(-m - rhs) for rhs = -g + x, and the squared norm is the same.
+    rhs = np.subtract(g, buf)
+    np.subtract(m, rhs, out=rhs)
     _row_dots(rhs, rhs, resid_sq)
     _row_norms(m, m_norm)
     np.maximum.reduce(v, axis=1, out=v_max)
     np.minimum.reduce(v, axis=1, out=v_min)
-    inv = np.divide(1.0, denom, out=rhs)
-    if p != 0.25:
+    denom = np.add(v, eps, out=buf)
+    if p == 0.25:
+        np.sqrt(denom, out=denom)
+        np.sqrt(denom, out=denom)
+        inv = np.divide(1.0, denom, out=rhs)
+    else:
+        denom **= p  # (v + eps) ** p
+        inv = np.divide(1.0, denom, out=rhs)
         np.minimum.reduce(inv, axis=1, out=inv_min)
         np.maximum.reduce(inv, axis=1, out=inv_max)
     pre_m = np.divide(m, denom, out=denom)
@@ -312,10 +284,9 @@ def _lemma_rows(found: np.ndarray, c1: np.ndarray, eps: float, p: float) -> np.n
     """
     resid_sq, m_norm, v_max, v_min, inv_min, inv_max, radial, precond_sq, moment_diff = found
     c1_sq = c1 * c1
-    zero = np.zeros_like(c1)
     if p == 0.25:
         # lo, hi, min(inv), max(inv) as rows of one array: 1 / sqrt(sqrt(x + eps))
-        ext = np.array([c1_sq, zero, v_max, v_min])
+        ext = np.array([c1_sq, np.zeros_like(c1), v_max, v_min])
         ext += eps
         np.sqrt(ext, out=ext)
         np.sqrt(ext, out=ext)
@@ -329,6 +300,7 @@ def _lemma_rows(found: np.ndarray, c1: np.ndarray, eps: float, p: float) -> np.n
     # Column j is bound[j] - took[j]: a bound less what the rows measured
     # against it, or (the residual, lemma3_lower) a quantity less 0, which
     # keeps its bits.
+    zero = np.zeros_like(c1)
     bound = np.array([np.sqrt(resid_sq) / (1.0 + m_norm), [c ** 2 for c in c1.tolist()],
                       v_min, inv_min, hi, c1, c1_sq, 2.0 * c1 * c1])
     took = np.array([zero, v_max, zero, lo, inv_max, radial, precond_sq, moment_diff])

@@ -122,7 +122,15 @@ MUTANTS = (
            ("tests/test_split.py::test_behaviour_matrix_under_forced_split",
             "tests/test_split.py::test_pinned_digests_under_forced_split",
             "tests/test_split.py::test_split_steps_at_odd_dims_match_the_one_piece_path",
-            "tests/test_split.py::test_split_lemma_blocks_match_the_one_piece_path")),
+            "tests/test_split.py::test_split_kernel_calls_match_the_one_piece_path")),
+    # A stalled split call does not make the next calls run in one piece.
+    Mutant("split_stall_ignored", "_kernels.py",
+           "_skip, _pause = _pause, min(2 * _pause, MAX_PAUSE)", "_skip, _pause = 0, 1",
+           ("tests/test_split.py::test_a_stall_runs_the_next_calls_in_one_piece",)),
+    # A process that may run on one CPU only splits, and starts the worker.
+    Mutant("split_on_one_cpu", "_kernels.py",
+           "return _cpus >= 2", "return True",
+           ("tests/test_split.py::test_a_process_on_one_cpu_starts_no_thread",)),
 )
 
 

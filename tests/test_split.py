@@ -1,9 +1,9 @@
-"""The two-thread path (padamp._kernels.in_halves) writes the bits of the one-piece path.
+"""The two-thread moment kernel (padamp._kernels._in_halves) writes the bits of the one-piece path.
 
-With SPLIT_ELEMENTS patched to 2, every moment-kernel call and every lemma
-block of two or more elements is computed in two halves, the second on the
-worker thread (or on the caller, when it finishes its half first); the byte
-gates and the one-piece path must not see it.
+With SPLIT_ELEMENTS patched to 2 and the CPU and stall checks off, every
+moment-kernel call of two or more elements is computed in two halves, the
+second on the worker thread (or on the caller, when it finishes its half
+first); the byte gates and the one-piece path must not see it.
 """
 
 import multiprocessing
@@ -26,8 +26,6 @@ import test_matrix
 import test_optimizers
 from padamp import _kernels
 from padamp.core import HyperParams, ParamGroup, new_state, seeded_rng
-from padamp.diagnostics import _REDUCTIONS, _lemma_passes
-from padamp.geometry import norm
 from padamp.optimizers import make_step
 from table_step import table_step
 
@@ -37,6 +35,7 @@ KINDS = ("padamp", "adamp", "padam", "adam", "amsgrad", "sgdm")
 @pytest.fixture
 def forced_split(monkeypatch):
     monkeypatch.setattr(_kernels, "SPLIT_ELEMENTS", 2)
+    monkeypatch.setattr(_kernels, "_splits", lambda: True)
 
 
 def _python(*argv, cwd=None):
@@ -88,27 +87,33 @@ def test_split_steps_at_odd_dims_match_the_one_piece_path(forced_split, kind, p_
 
 
 @settings(max_examples=150)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 41),
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 301), st.booleans(), st.booleans(),
        st.one_of(st.just(0.5), st.just(0.25), st.floats(0.0, 0.5, exclude_min=True)),
-       st.floats(-30.0, 30.0), st.sampled_from([None, np.nan, np.inf, 0.0]))
-def test_split_lemma_blocks_match_the_one_piece_path(seed, k, dim, p, log_scale, special):
-    # A (k, d) block splits along its columns; one column or none is a half too.
+       st.floats(-30.0, 30.0), st.sampled_from([None, np.nan, np.inf, -np.inf, 0.0]))
+def test_split_kernel_calls_match_the_one_piece_path(seed, dim, use_max, power_eps, p,
+                                                     log_scale, special):
+    # From 100 elements numpy's pow takes its vector loop; at odd dim the
+    # worker's half is one element longer.
     rng = seeded_rng(seed)
     scale = 2.0 ** log_scale
-    m, m_prev, g, theta = rng.standard_normal((4, k, dim)) * scale
-    v = rng.uniform(0.0, 1.0, (k, dim)) * scale * scale
+    m, g = rng.standard_normal((2, dim)) * scale
+    v, max_v = rng.uniform(0.0, 1.0, (2, dim)) * scale * scale
     if special is not None:
-        # A non-finite or zero entry somewhere in one of the inputs.
-        rng.choice([m, m_prev, g, theta])[rng.integers(k), rng.integers(dim)] = special
-    beta1t = rng.uniform(0.0, 1.0, k)
-    theta_norm = np.array([norm(row) for row in theta])
+        # A non-finite or zero entry in one of the inputs.
+        x = [m, g, v, max_v][rng.integers(4)]
+        x[rng.integers(dim)] = special
+        assert any(np.logical_or.reduce(~np.isfinite(a) | (a == 0.0)) for a in (m, g, v, max_v))
+    beta1t, beta2 = rng.uniform(0.0, 1.0, 2)
     found = []
     for threshold in (2, 1 << 62):
-        out = np.full((len(_REDUCTIONS), k), -1.0)
+        state = [a.copy() for a in (m, v, max_v)]
+        m_out = np.empty_like(m)
         with mock.patch.object(_kernels, "SPLIT_ELEMENTS", threshold), \
-                np.errstate(over="ignore", invalid="ignore"):
-            _lemma_passes(m, m_prev, v, g, beta1t, 1e-8, p, theta, theta_norm, out)
-        found.append(out.tobytes())
+                mock.patch.object(_kernels, "_splits", lambda: True), \
+                np.errstate(all="ignore"):
+            d = _kernels.moment_direction(*state, g, beta1t, beta2, 0.1, 0.001, 1e-8, p,
+                                          use_max, power_eps, m_out)
+        found.append([a.tobytes() for a in (d, m_out, *state)])
     assert found[0] == found[1]
 
 
@@ -128,6 +133,7 @@ def test_diverging_split_step_raises_without_a_warning(forced_split, hp, theta):
 ], ids=["update", "coupled_decay"])
 def test_diverging_split_run_prints_exactly_one_error_line(args, tmp_path):
     code = ("import sys; from padamp import _kernels; _kernels.SPLIT_ELEMENTS = 2; "
+            "_kernels._splits = lambda: True; "
             "from padamp.cli import main; sys.exit(main(sys.argv[1:]))")
     proc = _python("-c", code, "run", *args, cwd=tmp_path)
     assert proc.returncode == 2
@@ -156,15 +162,15 @@ def test_the_worker_half_runs_under_the_callers_error_state():
     x = np.array([1.0, 1.0, 0.0])  # the zero is in the worker's half
     raising, ran_on = _on_the_worker(lambda s: np.divide(1.0, x[s]))
     with np.errstate(divide="raise"), pytest.raises(FloatingPointError, match="divide"):
-        _kernels.in_halves(raising, 3)
+        _kernels._in_halves(raising, 3)
     quiet, ran_too = _on_the_worker(lambda s: np.divide(1.0, x[s]))
     with np.errstate(divide="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        _kernels.in_halves(quiet, 3)
+        _kernels._in_halves(quiet, 3)
     assert len(ran_on + ran_too) == 2 and threading.get_ident() not in ran_on + ran_too
 
 
-def test_in_halves_returns_or_raises_only_once_both_halves_are_done():
+def test_a_split_call_returns_or_raises_only_once_both_halves_are_done():
     done = []
 
     def first_raises(s):
@@ -174,7 +180,7 @@ def test_in_halves_returns_or_raises_only_once_both_halves_are_done():
         done.append(s)
 
     with pytest.raises(ValueError, match="first half"):
-        _kernels.in_halves(first_raises, 3)
+        _kernels._in_halves(first_raises, 3)
     assert done == [slice(1, 3)]
 
     def second_raises(s):
@@ -183,31 +189,31 @@ def test_in_halves_returns_or_raises_only_once_both_halves_are_done():
         done.append(s)
 
     with pytest.raises(KeyError, match="second half"):
-        _kernels.in_halves(second_raises, 3)
+        _kernels._in_halves(second_raises, 3)
     assert done[1:] == [slice(0, 1)]
     # A later call runs both halves.
-    _kernels.in_halves(done.append, 4)
+    _kernels._in_halves(done.append, 4)
     assert sorted(done[2:], key=lambda s: s.start) == [slice(0, 2), slice(2, 4)]
 
 
 def test_a_call_made_while_the_worker_is_busy_runs_both_halves_itself():
     # A call from inside the worker's half.
     inner = []
-    nested, _ = _on_the_worker(lambda s: _kernels.in_halves(inner.append, 5))
-    _kernels.in_halves(nested, 4)
+    nested, _ = _on_the_worker(lambda s: _kernels._in_halves(inner.append, 5))
+    _kernels._in_halves(nested, 4)
     assert sorted(inner, key=lambda s: s.start) == [slice(0, 2), slice(2, 5)]
 
     # A call from this thread while the worker runs another thread's half.
     release = threading.Event()
     held, ran_on = _on_the_worker(lambda s: release.wait(30))
-    other = threading.Thread(target=_kernels.in_halves, args=(held, 4))
+    other = threading.Thread(target=_kernels._in_halves, args=(held, 4))
     other.start()
     seen = []
     try:
         deadline = time.monotonic() + 30
         while not ran_on and time.monotonic() < deadline:
             time.sleep(0.001)
-        _kernels.in_halves(lambda s: seen.append((s.start, threading.get_ident())), 6)
+        _kernels._in_halves(lambda s: seen.append((s.start, threading.get_ident())), 6)
         assert other.is_alive()
     finally:
         release.set()
@@ -219,7 +225,8 @@ def test_a_call_made_while_the_worker_is_busy_runs_both_halves_itself():
 def _moment(threshold):
     rng = seeded_rng(11)
     m, v, max_v, g = rng.standard_normal((4, 9))
-    with mock.patch.object(_kernels, "SPLIT_ELEMENTS", threshold):
+    with mock.patch.object(_kernels, "SPLIT_ELEMENTS", threshold), \
+            mock.patch.object(_kernels, "_cpus", 2):
         d = _kernels.moment_direction(m, np.abs(v), max_v, g, 0.9, 0.999, 0.1, 0.001,
                                       1e-8, 0.25)
     return d.tobytes() + m.tobytes()
@@ -227,15 +234,18 @@ def _moment(threshold):
 
 def _split_in_child(want):
     # The child has none of its parent's threads; the fork handler dropped the
-    # parent's worker, so the split call starts one.
-    assert _kernels._jobs is None
+    # parent's worker, CPU count and pause, so the split call starts a worker.
+    assert (_kernels._jobs, _kernels._cpus, _kernels._skip, _kernels._pause) == (None, None, 0, 1)
     assert _moment(2) == want
     assert _kernels._jobs is not None
 
 
-def test_a_forked_child_starts_its_own_worker():
+def test_a_forked_child_starts_its_own_worker(monkeypatch):
+    monkeypatch.setattr(_kernels, "_skip", 0)
     want = _moment(1 << 62)
     assert _moment(2) == want and _kernels._jobs is not None
+    monkeypatch.setattr(_kernels, "_skip", 7)
+    monkeypatch.setattr(_kernels, "_pause", 8)
     child = multiprocessing.get_context("fork").Process(target=_split_in_child, args=(want,))
     child.start()
     child.join(timeout=60)
@@ -243,6 +253,57 @@ def test_a_forked_child_starts_its_own_worker():
         child.kill()
         child.join()
     assert child.exitcode == 0
+
+
+def test_a_stall_runs_the_next_calls_in_one_piece(monkeypatch):
+    # A half that sleeps blocks the caller 20 ms: a stall. The calls after a
+    # stall run in one piece, twice as many after each stall up to
+    # MAX_PAUSE, and a split call that computes 20 ms on the caller and
+    # waits for nothing halves the pause.
+    for name, value in (("_cpus", 2), ("_skip", 0), ("_pause", 1), ("MAX_PAUSE", 4)):
+        monkeypatch.setattr(_kernels, name, value)
+
+    def stalls(s):
+        if s.start:
+            time.sleep(0.02)
+
+    def computes(s):
+        if s.start == 0:
+            end = time.thread_time() + 0.02
+            while time.thread_time() < end:
+                pass
+
+    def splits(n):
+        return [_kernels._splits() for _ in range(n)]
+
+    assert splits(2) == [True, True]
+    _kernels._in_halves(stalls, 4)
+    assert splits(2) == [False, True]
+    _kernels._in_halves(stalls, 4)
+    assert splits(3) == [False, False, True]
+    _kernels._in_halves(stalls, 4)
+    _kernels._in_halves(stalls, 4)
+    assert splits(5) == [False] * 4 + [True]
+    _kernels._in_halves(computes, 4)
+    assert _kernels._pause == 2
+    _kernels._in_halves(stalls, 4)
+    assert splits(3) == [False, False, True]
+
+
+def test_a_process_on_one_cpu_starts_no_thread():
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no sched_setaffinity on this platform")
+    code = """
+import os, threading
+import numpy as np
+from padamp import _kernels
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+m, v, max_v, g = np.ones((4, 2 * _kernels.SPLIT_ELEMENTS))
+_kernels.moment_direction(m, v, max_v, g, 0.9, 0.999, 0.1, 0.001, 1e-8, 0.25)
+assert _kernels._cpus == 1 and _kernels._jobs is None and threading.active_count() == 1
+"""
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_a_small_run_starts_no_thread_and_imports_nothing_more():
