@@ -26,10 +26,8 @@ waits for the flush.
 from __future__ import annotations
 
 import math
-from collections import abc
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,20 +60,12 @@ class NormGrowthTrace(NamedTuple):
     ratio: float
 
 
-def _rows(ts, gd, gdm, ratio):
-    # tolist() gives the floats float(gd[i]) gives. tuple.__new__ builds each
-    # row in C, where NormGrowthTrace(...) and _make run Python per row.
-    return map(tuple.__new__, repeat(NormGrowthTrace),
-               zip(ts, gd.tolist(), gdm.tolist(), ratio.tolist()))
-
-
 @dataclass(frozen=True, eq=False)
-class NormGrowthColumns(abc.Sequence):
+class NormGrowthColumns:
     """The norm-growth trace: three read-only float64 columns of length T.
 
-    It is also the sequence of its T rows. trace[i] (negative i and slices
-    too) builds step i + 1's NormGrowthTrace only when asked, and iterating
-    builds every row in C; the values equal the columns' bit for bit.
+    len(trace) is T, and trace[i] (negative i too) builds step i + 1's
+    NormGrowthTrace, whose values equal the columns' bit for bit.
     """
 
     norm_sq_gd: np.ndarray
@@ -89,16 +79,10 @@ class NormGrowthColumns(abc.Sequence):
     def __len__(self) -> int:
         return self.ratio.size
 
-    def __getitem__(self, i):
+    def __getitem__(self, i: int) -> NormGrowthTrace:
         t = range(1, len(self) + 1)[i]  # IndexError outside [-T, T)
-        cols = (self.norm_sq_gd, self.norm_sq_gdm, self.ratio)
-        if isinstance(i, slice):
-            return list(_rows(t, *(c[i] for c in cols)))
-        return NormGrowthTrace(t, *(float(c[t - 1]) for c in cols))
-
-    def __iter__(self):
-        return _rows(range(1, len(self) + 1), self.norm_sq_gd, self.norm_sq_gdm,
-                     self.ratio)
+        return NormGrowthTrace(t, float(self.norm_sq_gd[t - 1]),
+                               float(self.norm_sq_gdm[t - 1]), float(self.ratio[t - 1]))
 
 
 def momentum_norm_ratio_limit(beta: float) -> float:

@@ -6,13 +6,16 @@ second on the worker thread (or on the caller, when it finishes its half
 first); the byte gates and the one-piece path must not see it.
 """
 
+import gc
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
 import time
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -222,6 +225,118 @@ def test_a_call_made_while_the_worker_is_busy_runs_both_halves_itself():
     assert sorted(seen) == [(0, me), (3, me)] and not other.is_alive()
 
 
+def _writer(x):
+    # The body holds x through this scope's cell, which the caller cannot clear.
+    def body(s):
+        x[s] += 1.0
+    return body
+
+
+def test_a_taken_back_half_holds_no_array_once_the_call_returns():
+    # With the worker held by another thread's half, this thread takes its
+    # second half back. The executor keeps the cancelled work item queued
+    # until the worker is free; the item must not keep the call's array.
+    release = threading.Event()
+    held, ran_on = _on_the_worker(lambda s: release.wait(30))
+    other = threading.Thread(target=_kernels._in_halves, args=(held, 4))
+    other.start()
+    try:
+        deadline = time.monotonic() + 30
+        while not ran_on and time.monotonic() < deadline:
+            time.sleep(0.001)
+        x = np.zeros(4)
+        body, ref = _writer(x), weakref.ref(x)
+        _kernels._in_halves(body, 4)
+        assert x.tolist() == [1.0] * 4 and other.is_alive()
+        del x, body
+        gc.collect()
+        assert ref() is None
+    finally:
+        release.set()
+        other.join(30)
+    assert not other.is_alive()
+
+
+def _waits_in_halves(ident):
+    """Whether thread ident is blocked in a Condition.wait that _in_halves called."""
+    frame = sys._current_frames().get(ident)
+    if frame is None or frame.f_code is not threading.Condition.wait.__code__:
+        return False
+    while frame is not None and frame.f_code is not _kernels._in_halves.__code__:
+        frame = frame.f_back
+    return frame is not None
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="no pthread_kill")
+def test_an_interrupted_wait_raises_only_once_the_workers_half_is_done(monkeypatch):
+    # Ctrl-C while the caller waits for the worker's half: the half still
+    # writes into the call's arrays, so the KeyboardInterrupt must wait for
+    # it. _thread.interrupt_main() only sets the flag, which a thread blocked
+    # on a lock reads once the lock is released; a real SIGINT wakes it. The
+    # call is the first split, which starts the worker: a wait for the thread
+    # to start must not be one that ends with the half queued and running.
+    monkeypatch.setattr(_kernels, "_pool", None)
+    main, started, finished = threading.get_ident(), threading.Event(), []
+
+    def body(s):
+        if s.start == 0:
+            # Spins, so that the caller's only wait is _in_halves's own.
+            deadline = time.monotonic() + 30
+            while not started.is_set() and time.monotonic() < deadline:
+                pass
+            return
+        started.set()
+        deadline = time.monotonic() + 30
+        while not _waits_in_halves(main) and time.monotonic() < deadline:
+            time.sleep(0.001)
+        signal.pthread_kill(main, signal.SIGINT)
+        time.sleep(0.2)
+        finished.append(s)
+
+    assert threading.current_thread() is threading.main_thread()
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            _kernels._in_halves(body, 2)
+        assert finished == [slice(1, 2)]
+    finally:
+        signal.signal(signal.SIGINT, handler)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["first_split_at_exit", "after_a_split"])
+def test_a_split_call_at_interpreter_shutdown_runs_in_one_piece(warm):
+    # From interpreter shutdown on, concurrent.futures.thread refuses to be
+    # imported and an executor refuses work; an atexit handler's call must
+    # still return the one-piece bits.
+    code = f"""
+import atexit, hashlib
+import numpy as np
+from padamp import _kernels
+
+def call():
+    m, v, max_v, g = np.linspace(0.5, 2.0, 4 << 17).reshape(4, -1)
+    d = _kernels.moment_direction(m, v, max_v, g, 0.9, 0.999, 0.1, 0.001, 1e-8, 0.25)
+    return hashlib.sha256(d.tobytes() + m.tobytes() + v.tobytes()).hexdigest()
+
+def at_exit():
+    _kernels._skip = 0
+    print(call(), _kernels._pool, _kernels._cpus)
+
+_kernels.SPLIT_ELEMENTS = 1 << 62
+print(call())
+_kernels.SPLIT_ELEMENTS = 1 << 16
+_kernels._cpus = 2  # split even where this process may run on one CPU only
+if {warm}:
+    call()
+    assert _kernels._pool is not None
+atexit.register(at_exit)
+"""
+    proc = _python("-c", code)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    want, got = proc.stdout.splitlines()
+    assert got == f"{want} None 1"
+
+
 def _moment(threshold):
     rng = seeded_rng(11)
     m, v, max_v, g = rng.standard_normal((4, 9))
@@ -235,15 +350,15 @@ def _moment(threshold):
 def _split_in_child(want):
     # The child has none of its parent's threads; the fork handler dropped the
     # parent's worker, CPU count and pause, so the split call starts a worker.
-    assert (_kernels._jobs, _kernels._cpus, _kernels._skip, _kernels._pause) == (None, None, 0, 1)
+    assert (_kernels._pool, _kernels._cpus, _kernels._skip, _kernels._pause) == (None, None, 0, 1)
     assert _moment(2) == want
-    assert _kernels._jobs is not None
+    assert _kernels._pool is not None
 
 
 def test_a_forked_child_starts_its_own_worker(monkeypatch):
     monkeypatch.setattr(_kernels, "_skip", 0)
     want = _moment(1 << 62)
-    assert _moment(2) == want and _kernels._jobs is not None
+    assert _moment(2) == want and _kernels._pool is not None
     monkeypatch.setattr(_kernels, "_skip", 7)
     monkeypatch.setattr(_kernels, "_pause", 8)
     child = multiprocessing.get_context("fork").Process(target=_split_in_child, args=(want,))
@@ -300,7 +415,7 @@ from padamp import _kernels
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 m, v, max_v, g = np.ones((4, 2 * _kernels.SPLIT_ELEMENTS))
 _kernels.moment_direction(m, v, max_v, g, 0.9, 0.999, 0.1, 0.001, 1e-8, 0.25)
-assert _kernels._cpus == 1 and _kernels._jobs is None and threading.active_count() == 1
+assert _kernels._cpus == 1 and _kernels._pool is None and threading.active_count() == 1
 """
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
@@ -313,7 +428,7 @@ import sys, threading
 from padamp import _kernels
 from padamp.harness import build_config, run
 run(build_config({}, {"objective.dim": "20", "run.steps": "50"}))
-assert _kernels._jobs is None and threading.active_count() == 1
+assert _kernels._pool is None and threading.active_count() == 1
 assert not {m for m in sys.modules if m.startswith(("queue", "concurrent"))}
 """
     proc = _python("-c", code)
