@@ -10,22 +10,22 @@ per-step loops, and bit for bit against the out-of-place array expressions
 they evaluate.
 
 From SPLIT_ELEMENTS elements moment_direction runs in two halves of its
-arrays (_in_halves): the calling thread takes the first half and a one-thread
-concurrent.futures executor the second, unless the caller finishes first and
-takes it back (Future.cancel). Below that, with fewer than two CPUs in this
-process's affinity mask, or from interpreter shutdown on, it runs in one
-piece on the caller, with no thread. Each half makes the IEEE operations
-(and numpy's pow, whose vector loop rounds each element alone) that the
-whole array would, so the bits do not depend on the split. numpy's error
-state is a context variable, so the worker runs each half in a copy of the
-caller's context. A split call whose caller was blocked longer than it
-computed (the host did not run the worker's CPU, say) makes the next calls
-run in one piece, more of them after each such stall.
+arrays (_in_halves): the calling thread takes the first half and one worker
+thread the second, unless the caller finishes first and takes it back.
+Below that, or with fewer than two CPUs in this process's affinity mask, it
+runs in one piece on the caller, with no thread. Each half makes the IEEE
+operations (and numpy's pow, whose vector loop rounds each element alone)
+that the whole array would, so the bits do not depend on the split.
+numpy's error state is a context variable, so the worker runs each half in
+a copy of the caller's context. A split call whose caller was blocked
+longer than it computed (the host did not run the worker's CPU, say) makes
+the next calls run in one piece, more of them after each such stall.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from contextvars import copy_context
 
@@ -62,18 +62,60 @@ def backend() -> str:
     return "numpy"
 
 
-# The worker's executor, made at the first split; the number of CPUs this
-# process may run on, read at the first call that reaches SPLIT_ELEMENTS; how
-# many more such calls run in one piece; and the pause the next stall sets.
-_pool = _cpus = None
-_skip, _pause = 0, 1
+class _Half:
+    """The second half of one _in_halves call, run once: by the worker, or by
+    the caller if the worker has not started it when the caller's half is done."""
+
+    __slots__ = ("context", "body", "half", "claim", "done", "error")
+
+    def __init__(self, body, half):
+        self.context, self.body, self.half = copy_context(), body, half
+        self.claim, self.done = threading.Lock(), threading.Lock()
+        self.done.acquire()
+        self.error = None
+
+    def run(self) -> bool:
+        """Run the half unless another thread took it; whether this one did."""
+        if not self.claim.acquire(False):
+            return False
+        try:
+            self.context.run(self.body, self.half)
+        except BaseException as exc:
+            self.error = exc
+        # The body holds the caller's buffers.
+        self.context = self.body = None
+        self.done.release()
+        return True
+
+    def wait(self) -> None:
+        try:
+            self.done.acquire()
+        except BaseException:
+            # Interrupted: the half still writes into the caller's arrays.
+            self.done.acquire()
+            raise
+
+
+def _serve(jobs) -> None:
+    while True:
+        jobs.get().run()
+
+
+# The worker's queue of _Half jobs, made with the worker at the first split;
+# the number of CPUs this process may run on, read at the first call that
+# reaches SPLIT_ELEMENTS; how many more such calls run in one piece; and the
+# pause the next stall sets.
+_jobs = None
+_cpus = None
+_skip = 0
+_pause = 1
 
 
 def _forget_worker() -> None:
-    # A forked child has no worker thread, only the parent's executor, and it
+    # A forked child has no worker thread, only the parent's queue, and it
     # may run on other CPUs.
-    global _pool, _cpus, _skip, _pause
-    _pool = _cpus = None
+    global _jobs, _cpus, _skip, _pause
+    _jobs = _cpus = None
     _skip, _pause = 0, 1
 
 
@@ -92,64 +134,46 @@ def _splits() -> bool:
     return _cpus >= 2
 
 
-def _run_half(job) -> None:
-    # job is [body, half], emptied first: the executor keeps a cancelled work
-    # item queued until the worker takes it, and it must hold no array.
-    body, half = job
-    job.clear()
-    body(half)
-
-
 def _in_halves(body, n: int) -> None:
     """body(slice(0, n // 2)) on this thread, body(slice(n // 2, n)) on the worker.
 
-    The worker is a one-thread ThreadPoolExecutor, made at the first call,
-    which runs the second half under a copy of this thread's context (so its
-    numpy error state). If it has not started that half when the first is
-    done (it runs another call's half, or its CPU is busy), this thread takes
-    it back and runs it, so a call never waits for the worker to wake. The
-    call returns or raises only once both halves are done, even when a
-    KeyboardInterrupt ends its wait: the first half's exception if it raised,
-    else the second's (a taken-back half's replaces the first's). After a
-    stall (see STALL_S) the next calls of moment_direction run in one piece;
-    from interpreter shutdown on, when no executor takes work, all of them do.
+    The worker thread, started at the first call, runs its half under a copy
+    of this thread's context, so under its numpy error state. If the worker
+    has not started the second half by the time the first is done (it runs
+    another call's half, or its CPU is busy), this thread runs it, so a call
+    never waits for the worker to wake. A half drops the call's arrays once
+    it has run: a taken-back half that stays queued holds none. _in_halves
+    returns or raises only once both halves are done, even when a
+    KeyboardInterrupt ends its wait: the first half's exception if it
+    raised, else the second's. The worker is a daemon, so it never holds up
+    the interpreter's exit, and it still serves calls from atexit handlers,
+    which run before daemon threads stop. After a call that stalled (see
+    STALL_S: the host did not run the worker's CPU, or ran something else
+    there), the next calls of moment_direction run in one piece.
     """
-    global _pool, _cpus, _skip, _pause
-    h = n // 2
-    job = [body, slice(h, n)]
-    try:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
+    global _jobs, _skip, _pause
+    if _jobs is None:
+        import queue
 
-            _pool = ThreadPoolExecutor(1, "padamp-half")
-            _pool.submit(int)  # an interrupt while the thread starts strands no half
-        second = _pool.submit(copy_context().run, _run_half, job)
-    except RuntimeError:
-        # Shutdown (the module refuses to import, an executor refuses work),
-        # or the worker's thread could not start.
-        _pool, _cpus = None, 1
-        body(slice(0, n))
-        return
+        _jobs = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(_jobs,), name="padamp-half",
+                         daemon=True).start()
+    h = n // 2
+    second = _Half(body, slice(h, n))
     wall, cpu = time.perf_counter(), time.thread_time()
+    _jobs.put(second)
     try:
         body(slice(0, h))
     finally:
-        if second.cancel():
-            _run_half(job)
-        else:
-            try:
-                second.exception()
-            except BaseException:
-                # Interrupted: the worker still writes into the caller's arrays.
-                second.exception()
-                raise
+        if not second.run():
+            second.wait()
     cpu = time.thread_time() - cpu
     if time.perf_counter() - wall - cpu > max(cpu, STALL_S):
         _skip, _pause = _pause, min(2 * _pause, MAX_PAUSE)
     else:
         _pause = max(_pause // 2, 1)
-    if not second.cancelled():
-        second.result()
+    if second.error is not None:
+        raise second.error
 
 
 def moment_direction(m, v, max_v, g, beta1t, beta2, bc1, bc2, eps, p,

@@ -114,12 +114,11 @@ MUTANTS = (
     # The worker runs its half outside the caller's context, under numpy's
     # default error state: an overflow there warns.
     Mutant("split_without_errstate", "_kernels.py",
-           "_pool.submit(copy_context().run, _run_half, job)", "_pool.submit(_run_half, job)",
+           "self.context.run(self.body, self.half)", "self.body(self.half)",
            ("tests/test_split.py::test_the_worker_half_runs_under_the_callers_error_state",)),
-    # No thread computes the second half of a split call, on the worker or
-    # taken back.
+    # No thread computes the second half of a split call.
     Mutant("split_second_half_skipped", "_kernels.py",
-           "job = [body, slice(h, n)]", "job = [id, slice(h, n)]",
+           "second = _Half(body, slice(h, n))", "second = _Half(id, slice(h, n))",
            ("tests/test_split.py::test_behaviour_matrix_under_forced_split",
             "tests/test_split.py::test_pinned_digests_under_forced_split",
             "tests/test_split.py::test_split_steps_at_odd_dims_match_the_one_piece_path",
@@ -131,24 +130,14 @@ MUTANTS = (
     # A KeyboardInterrupt in the caller's wait returns while the worker still
     # writes into the call's arrays.
     Mutant("split_interrupt_not_rewaited", "_kernels.py",
-           "                second.exception()\n                raise\n",
-           "                raise\n",
+           "            self.done.acquire()\n            raise\n",
+           "            raise\n",
            ("tests/test_split.py::"
             "test_an_interrupted_wait_raises_only_once_the_workers_half_is_done",)),
-    # The first split starts the worker with its half queued: a
-    # KeyboardInterrupt while the thread starts leaves the half running.
-    Mutant("split_worker_started_with_a_half", "_kernels.py",
-           "            _pool.submit(int)", "            pass",
-           ("tests/test_split.py::"
-            "test_an_interrupted_wait_raises_only_once_the_workers_half_is_done",)),
-    # A taken-back half leaves the call's arrays to the cancelled work item.
+    # A taken-back half keeps the call's arrays in the worker's queue.
     Mutant("split_take_back_keeps_arrays", "_kernels.py",
-           "    job.clear()\n", "",
+           "        self.context = self.body = None\n", "",
            ("tests/test_split.py::test_a_taken_back_half_holds_no_array_once_the_call_returns",)),
-    # A split call at interpreter shutdown raises where it would run in one piece.
-    Mutant("split_fails_at_shutdown", "_kernels.py",
-           "    except RuntimeError:\n", "    except ImportError:\n",
-           ("tests/test_split.py::test_a_split_call_at_interpreter_shutdown_runs_in_one_piece",)),
     # A process that may run on one CPU only splits, and starts the worker.
     Mutant("split_on_one_cpu", "_kernels.py",
            "return _cpus >= 2", "return True",

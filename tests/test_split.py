@@ -234,8 +234,8 @@ def _writer(x):
 
 def test_a_taken_back_half_holds_no_array_once_the_call_returns():
     # With the worker held by another thread's half, this thread takes its
-    # second half back. The executor keeps the cancelled work item queued
-    # until the worker is free; the item must not keep the call's array.
+    # second half back. The worker's queue keeps the taken-back half until the
+    # worker is free; the half must not keep the call's array.
     release = threading.Event()
     held, ran_on = _on_the_worker(lambda s: release.wait(30))
     other = threading.Thread(target=_kernels._in_halves, args=(held, 4))
@@ -258,13 +258,9 @@ def test_a_taken_back_half_holds_no_array_once_the_call_returns():
 
 
 def _waits_in_halves(ident):
-    """Whether thread ident is blocked in a Condition.wait that _in_halves called."""
+    """Whether thread ident is blocked in an _in_halves call's wait for the worker."""
     frame = sys._current_frames().get(ident)
-    if frame is None or frame.f_code is not threading.Condition.wait.__code__:
-        return False
-    while frame is not None and frame.f_code is not _kernels._in_halves.__code__:
-        frame = frame.f_back
-    return frame is not None
+    return frame is not None and frame.f_code is _kernels._Half.wait.__code__
 
 
 @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="no pthread_kill")
@@ -273,9 +269,8 @@ def test_an_interrupted_wait_raises_only_once_the_workers_half_is_done(monkeypat
     # writes into the call's arrays, so the KeyboardInterrupt must wait for
     # it. _thread.interrupt_main() only sets the flag, which a thread blocked
     # on a lock reads once the lock is released; a real SIGINT wakes it. The
-    # call is the first split, which starts the worker: a wait for the thread
-    # to start must not be one that ends with the half queued and running.
-    monkeypatch.setattr(_kernels, "_pool", None)
+    # call is the first split, so it also starts the worker.
+    monkeypatch.setattr(_kernels, "_jobs", None)
     main, started, finished = threading.get_ident(), threading.Event(), []
 
     def body(s):
@@ -304,10 +299,10 @@ def test_an_interrupted_wait_raises_only_once_the_workers_half_is_done(monkeypat
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["first_split_at_exit", "after_a_split"])
-def test_a_split_call_at_interpreter_shutdown_runs_in_one_piece(warm):
-    # From interpreter shutdown on, concurrent.futures.thread refuses to be
-    # imported and an executor refuses work; an atexit handler's call must
-    # still return the one-piece bits.
+def test_a_split_call_at_interpreter_shutdown_returns_the_one_piece_bits(warm):
+    # An atexit handler runs after threading._shutdown: a split call there,
+    # the first of the process or not, must return the one-piece bits and
+    # let the process exit.
     code = f"""
 import atexit, hashlib
 import numpy as np
@@ -320,7 +315,7 @@ def call():
 
 def at_exit():
     _kernels._skip = 0
-    print(call(), _kernels._pool, _kernels._cpus)
+    print(call(), _kernels._jobs is not None)
 
 _kernels.SPLIT_ELEMENTS = 1 << 62
 print(call())
@@ -328,13 +323,13 @@ _kernels.SPLIT_ELEMENTS = 1 << 16
 _kernels._cpus = 2  # split even where this process may run on one CPU only
 if {warm}:
     call()
-    assert _kernels._pool is not None
+    assert _kernels._jobs is not None
 atexit.register(at_exit)
 """
     proc = _python("-c", code)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     want, got = proc.stdout.splitlines()
-    assert got == f"{want} None 1"
+    assert got == f"{want} True"
 
 
 def _moment(threshold):
@@ -350,15 +345,15 @@ def _moment(threshold):
 def _split_in_child(want):
     # The child has none of its parent's threads; the fork handler dropped the
     # parent's worker, CPU count and pause, so the split call starts a worker.
-    assert (_kernels._pool, _kernels._cpus, _kernels._skip, _kernels._pause) == (None, None, 0, 1)
+    assert (_kernels._jobs, _kernels._cpus, _kernels._skip, _kernels._pause) == (None, None, 0, 1)
     assert _moment(2) == want
-    assert _kernels._pool is not None
+    assert _kernels._jobs is not None
 
 
 def test_a_forked_child_starts_its_own_worker(monkeypatch):
     monkeypatch.setattr(_kernels, "_skip", 0)
     want = _moment(1 << 62)
-    assert _moment(2) == want and _kernels._pool is not None
+    assert _moment(2) == want and _kernels._jobs is not None
     monkeypatch.setattr(_kernels, "_skip", 7)
     monkeypatch.setattr(_kernels, "_pause", 8)
     child = multiprocessing.get_context("fork").Process(target=_split_in_child, args=(want,))
@@ -415,7 +410,7 @@ from padamp import _kernels
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 m, v, max_v, g = np.ones((4, 2 * _kernels.SPLIT_ELEMENTS))
 _kernels.moment_direction(m, v, max_v, g, 0.9, 0.999, 0.1, 0.001, 1e-8, 0.25)
-assert _kernels._cpus == 1 and _kernels._pool is None and threading.active_count() == 1
+assert _kernels._cpus == 1 and _kernels._jobs is None and threading.active_count() == 1
 """
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
@@ -428,7 +423,7 @@ import sys, threading
 from padamp import _kernels
 from padamp.harness import build_config, run
 run(build_config({}, {"objective.dim": "20", "run.steps": "50"}))
-assert _kernels._pool is None and threading.active_count() == 1
+assert _kernels._jobs is None and threading.active_count() == 1
 assert not {m for m in sys.modules if m.startswith(("queue", "concurrent"))}
 """
     proc = _python("-c", code)
