@@ -8,26 +8,9 @@ ufunc call advances one step of every LANES-step block, and none is BLAS.
 tests/test_kernels.py checks both kernels against explicit per-element and
 per-step loops, and bit for bit against the out-of-place array expressions
 they evaluate.
-
-From SPLIT_ELEMENTS elements moment_direction runs in two halves of its
-arrays (_in_halves): the calling thread takes the first half and one worker
-thread the second, unless the caller finishes first and takes it back.
-Below that, or with fewer than two CPUs in this process's affinity mask, it
-runs in one piece on the caller, with no thread. Each half makes the IEEE
-operations (and numpy's pow, whose vector loop rounds each element alone)
-that the whole array would, so the bits do not depend on the split.
-numpy's error state is a context variable, so the worker runs each half in
-a copy of the caller's context. A split call whose caller was blocked
-longer than it computed (the host did not run the worker's CPU, say) makes
-the next calls run in one piece, more of them after each such stall.
 """
 
 from __future__ import annotations
-
-import os
-import threading
-import time
-from contextvars import copy_context
 
 import numpy as np
 
@@ -40,144 +23,14 @@ __all__ = ["moment_direction", "norm_growth_arrays"]
 # AVX-512 Xeon, 16 timed best, ahead of 8, 32 and 64.
 LANES = 16
 
-# Arrays of at least this many elements are computed in two halves on two
-# threads. On 2 vCPUs (Intel Xeon, KVM) the split kernel alone took 1.17-1.22
-# times the one-piece time at 24576 elements and 0.81-0.87 times at 32768,
-# but the step's later passes then read the worker's half from the other
-# core's cache: a padamp quadratic step took 1.13 times as long at 32768,
-# 1.02 at 49152, 0.99-1.05 at 65536, 0.97-0.99 at 1e5 and 0.93 at 131072.
-SPLIT_ELEMENTS = 1 << 16
-
-# A split call stalls when its caller spends longer blocked (on the worker's
-# half, or on the GIL the worker holds) than computing, and at least STALL_S:
-# it took longer than the one-piece call would have. The calls after a stall
-# run in one piece, as many as the pause, which doubles with each stall up to
-# MAX_PAUSE and halves with each split call that does not stall.
-STALL_S = 2e-4
-MAX_PAUSE = 1024
-
 
 def backend() -> str:
     """Name of the kernel backend, always 'numpy'."""
     return "numpy"
 
 
-class _Half:
-    """The second half of one _in_halves call, run once: by the worker, or by
-    the caller if the worker has not started it when the caller's half is done."""
-
-    __slots__ = ("context", "body", "half", "claim", "done", "error")
-
-    def __init__(self, body, half):
-        self.context, self.body, self.half = copy_context(), body, half
-        self.claim, self.done = threading.Lock(), threading.Lock()
-        self.done.acquire()
-        self.error = None
-
-    def run(self) -> bool:
-        """Run the half unless another thread took it; whether this one did."""
-        if not self.claim.acquire(False):
-            return False
-        try:
-            self.context.run(self.body, self.half)
-        except BaseException as exc:
-            self.error = exc
-        # The body holds the caller's buffers.
-        self.context = self.body = None
-        self.done.release()
-        return True
-
-    def wait(self) -> None:
-        try:
-            self.done.acquire()
-        except BaseException:
-            # Interrupted: the half still writes into the caller's arrays.
-            self.done.acquire()
-            raise
-
-
-def _serve(jobs) -> None:
-    while True:
-        jobs.get().run()
-
-
-# The worker's queue of _Half jobs, made with the worker at the first split;
-# the number of CPUs this process may run on, read at the first call that
-# reaches SPLIT_ELEMENTS; how many more such calls run in one piece; and the
-# pause the next stall sets.
-_jobs = None
-_cpus = None
-_skip = 0
-_pause = 1
-
-
-def _forget_worker() -> None:
-    # A forked child has no worker thread, only the parent's queue, and it
-    # may run on other CPUs.
-    global _jobs, _cpus, _skip, _pause
-    _jobs = _cpus = None
-    _skip, _pause = 0, 1
-
-
-os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _splits() -> bool:
-    """Whether a call that reaches SPLIT_ELEMENTS runs in two halves."""
-    global _cpus, _skip
-    if _skip:
-        _skip -= 1
-        return False
-    if _cpus is None:
-        _cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                 else os.cpu_count() or 1)
-    return _cpus >= 2
-
-
-def _in_halves(body, n: int) -> None:
-    """body(slice(0, n // 2)) on this thread, body(slice(n // 2, n)) on the worker.
-
-    The worker thread, started at the first call, runs its half under a copy
-    of this thread's context, so under its numpy error state. If the worker
-    has not started the second half by the time the first is done (it runs
-    another call's half, or its CPU is busy), this thread runs it, so a call
-    never waits for the worker to wake. A half drops the call's arrays once
-    it has run: a taken-back half that stays queued holds none. _in_halves
-    returns or raises only once both halves are done, even when a
-    KeyboardInterrupt ends its wait: the first half's exception if it
-    raised, else the second's. The worker is a daemon, so it never holds up
-    the interpreter's exit, and it still serves calls from atexit handlers,
-    which run before daemon threads stop. After a call that stalled (see
-    STALL_S: the host did not run the worker's CPU, or ran something else
-    there), the next calls of moment_direction run in one piece.
-    """
-    global _jobs, _skip, _pause
-    if _jobs is None:
-        import queue
-
-        _jobs = queue.SimpleQueue()
-        threading.Thread(target=_serve, args=(_jobs,), name="padamp-half",
-                         daemon=True).start()
-    h = n // 2
-    second = _Half(body, slice(h, n))
-    wall, cpu = time.perf_counter(), time.thread_time()
-    _jobs.put(second)
-    try:
-        body(slice(0, h))
-    finally:
-        if not second.run():
-            second.wait()
-    cpu = time.thread_time() - cpu
-    if time.perf_counter() - wall - cpu > max(cpu, STALL_S):
-        _skip, _pause = _pause, min(2 * _pause, MAX_PAUSE)
-    else:
-        _pause = max(_pause // 2, 1)
-    if second.error is not None:
-        raise second.error
-
-
 def moment_direction(m, v, max_v, g, beta1t, beta2, bc1, bc2, eps, p,
-                     use_max=False, power_eps=True, m_out=None, *, _half=None):
+                     use_max=False, power_eps=True, m_out=None):
     """One fused first/second-moment update plus preconditioned direction.
 
     Updates v (and max_v when use_max) in place and writes the new first
@@ -200,22 +53,10 @@ def moment_direction(m, v, max_v, g, beta1t, beta2, bc1, bc2, eps, p,
     its bits do not depend on numpy's SIMD dispatch, and the two take about
     half as long as numpy's AVX-512 pow. Every other p is `**=`, which takes
     numpy's scalar fast paths (0.5 is sqrt).
-
-    From SPLIT_ELEMENTS elements, with two CPUs for this process, the call
-    makes the two arrays and computes them in two halves on two threads
-    (_in_halves). Each half is a call given _half, that half's views of the
-    scratch buffer and the direction, which it writes into.
     """
     if m_out is None:
         m_out = m
-    if _half is not None:
-        buf, direction = _half
-        np.multiply(g, 1.0 - beta1t, out=buf)
-    elif g.size >= SPLIT_ELEMENTS and _splits():
-        return _split_moment(m, v, max_v, g, beta1t, beta2, bc1, bc2, eps, p, use_max,
-                             power_eps, m_out)
-    else:
-        buf, direction = (1.0 - beta1t) * g, None
+    buf = (1.0 - beta1t) * g
     np.multiply(m, beta1t, out=m_out)
     m_out += buf
     np.multiply(g, g, out=buf)
@@ -238,22 +79,8 @@ def moment_direction(m, v, max_v, g, beta1t, beta2, bc1, bc2, eps, p,
         buf **= p
     if not power_eps:
         buf += eps
-    direction = np.divide(m_out, bc1, direction)
+    direction = np.divide(m_out, bc1)
     direction /= buf
-    return direction
-
-
-def _split_moment(m, v, max_v, g, beta1t, beta2, bc1, bc2, eps, p, use_max, power_eps,
-                  m_out):
-    """moment_direction in two halves on two threads.
-
-    A function of its own: the lambda's closure would make every local of
-    moment_direction a cell, which cost a d = 20 call about 0.5 us.
-    """
-    buf, direction = np.empty_like(g), np.empty_like(g)
-    _in_halves(lambda s: moment_direction(
-        m[s], v[s], max_v[s], g[s], beta1t, beta2, bc1, bc2, eps, p, use_max,
-        power_eps, m_out[s], _half=(buf[s], direction[s])), g.size)
     return direction
 
 

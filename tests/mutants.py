@@ -111,37 +111,43 @@ MUTANTS = (
            "if adaptive and table.eps is None:",
            ("tests/test_optimizers.py::test_adaptive_step_rejects_a_table_without_eps",
             "tests/test_optimizers.py::test_sgdm_step_rejects_a_table_with_eps")),
-    # The worker runs its half outside the caller's context, under numpy's
-    # default error state: an overflow there warns.
-    Mutant("split_without_errstate", "_kernels.py",
-           "self.context.run(self.body, self.half)", "self.body(self.half)",
-           ("tests/test_split.py::test_the_worker_half_runs_under_the_callers_error_state",)),
-    # No thread computes the second half of a split call.
-    Mutant("split_second_half_skipped", "_kernels.py",
-           "second = _Half(body, slice(h, n))", "second = _Half(id, slice(h, n))",
-           ("tests/test_split.py::test_behaviour_matrix_under_forced_split",
-            "tests/test_split.py::test_pinned_digests_under_forced_split",
-            "tests/test_split.py::test_split_steps_at_odd_dims_match_the_one_piece_path",
-            "tests/test_split.py::test_split_kernel_calls_match_the_one_piece_path")),
-    # A stalled split call does not make the next calls run in one piece.
-    Mutant("split_stall_ignored", "_kernels.py",
-           "_skip, _pause = _pause, min(2 * _pause, MAX_PAUSE)", "_skip, _pause = 0, 1",
-           ("tests/test_split.py::test_a_stall_runs_the_next_calls_in_one_piece",)),
-    # A KeyboardInterrupt in the caller's wait returns while the worker still
-    # writes into the call's arrays.
-    Mutant("split_interrupt_not_rewaited", "_kernels.py",
-           "            self.done.acquire()\n            raise\n",
-           "            raise\n",
-           ("tests/test_split.py::"
-            "test_an_interrupted_wait_raises_only_once_the_workers_half_is_done",)),
-    # A taken-back half keeps the call's arrays in the worker's queue.
-    Mutant("split_take_back_keeps_arrays", "_kernels.py",
-           "        self.context = self.body = None\n", "",
-           ("tests/test_split.py::test_a_taken_back_half_holds_no_array_once_the_call_returns",)),
-    # A process that may run on one CPU only splits, and starts the worker.
-    Mutant("split_on_one_cpu", "_kernels.py",
-           "return _cpus >= 2", "return True",
-           ("tests/test_split.py::test_a_process_on_one_cpu_starts_no_thread",)),
+    # A table that grows drops the rows it held.
+    Mutant("table_growth_drops_rows", "diagnostics.py",
+           "self.data = np.concatenate([self.data, np.full_like(self.data, math.nan)])",
+           "self.data = np.full((2 * n, len(self.names)), math.nan)",
+           ("tests/test_harness.py::test_table_grows_across_a_budget_that_is_no_power_of_two",)),
+    # A full lemma block flushes inside the step through flush(), which
+    # enters its own error state on every block.
+    Mutant("step_flush_enters_errstate", "diagnostics.py",
+           "        if n - self.done == self.height:\n            self._flush()\n",
+           "        if n - self.done == self.height:\n            self.flush()\n",
+           ("tests/test_optimizers.py::test_small_d_step_call_budget",)),
+    # The columns a run's table hands out take writes into the table.
+    Mutant("columns_writable", "diagnostics.py",
+           "        data.flags.writeable = False\n", "",
+           ("tests/test_harness.py::test_records_read_the_table_row_by_row",)),
+    # The projected flags are float64 columns: the CSV writes 1.0 and 0.0.
+    Mutant("projected_flags_float", "diagnostics.py",
+           'return name in ("t", "epoch") or name.endswith("_projected")',
+           'return name in ("t", "epoch")',
+           ("tests/test_harness.py::test_telemetry_bytes_match_pinned_digests",)),
+    # A run that aborts before its first step completes writes no CSV, not
+    # the header alone.
+    Mutant("abort_without_header", "harness.py",
+           "        if config.output_path is not None:\n"
+           "            write_telemetry(table.columns(), config.output_path)\n"
+           "        raise\n",
+           "        if config.output_path is not None and len(table):\n"
+           "            write_telemetry(table.columns(), config.output_path)\n"
+           "        raise\n",
+           ("tests/test_harness.py::test_aborted_run_writes_the_steps_before_the_abort",
+            "tests/test_harness.py::"
+            "test_abort_at_step_1_writes_its_own_header_over_an_earlier_csv")),
+    # run leaves the loss column of every row nan.
+    Mutant("loss_not_written", "harness.py",
+           "            row[4] = loss\n", "",
+           ("tests/test_harness.py::test_telemetry_bytes_match_pinned_digests",
+            "tests/test_matrix.py::test_behaviour_matrix_matches_its_recording")),
 )
 
 

@@ -1,5 +1,9 @@
 """The vectorized kernels against explicit per-element and per-step loops."""
 
+import contextlib
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import padamp
 from padamp import _kernels
 
 
@@ -163,27 +168,37 @@ def test_moment_direction_matches_loop(dim, use_max, power_eps, data, seed, beta
 
 
 # numpy's vector pow differs from libm on about 5% of entries from 100
-# elements up, so only dims 1000 and 1e5 exercise that path.
+# elements up, so only dims 1000 and 1e5 exercise that path. A special value
+# goes into one entry of m, v, max_v or the first step's g, and from there
+# into the state of the later steps; the cases without one keep their ids.
 @pytest.mark.parametrize("dim", [1, 7, 20, 1000, 100_000])
 @pytest.mark.parametrize("use_max", [False, True])
 @pytest.mark.parametrize("power_eps", [False, True])
 @pytest.mark.parametrize("p", [0.5, 0.25, "drawn"])
-def test_moment_direction_matches_its_expressions_bit_for_bit(dim, use_max, power_eps, p):
+@pytest.mark.parametrize("special", [pytest.param(None, id=pytest.HIDDEN_PARAM),
+                                     np.nan, np.inf, -np.inf, 0.0])
+def test_moment_direction_matches_its_expressions_bit_for_bit(dim, use_max, power_eps, p,
+                                                              special):
     rng = np.random.default_rng([dim, use_max, power_eps, [0.5, 0.25, "drawn"].index(p)])
     m_a, v_a, max_a, _, _, _ = _random_inputs(dim, seed=int(rng.integers(2 ** 32)))
+    g = rng.standard_normal(dim) * 2.0 ** int(rng.integers(-30, 31))
+    if special is not None:
+        (m_a, v_a, max_a, g)[rng.integers(4)][rng.integers(dim)] = special
     m_b, v_b, max_b = m_a.copy(), v_a.copy(), max_a.copy()
     # Three consecutive steps on the same state, as a run makes them.
-    for t in (1, 2, 3):
-        g = rng.standard_normal(dim) * 2.0 ** int(rng.integers(-30, 31))
-        beta1t = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
-        beta2 = rng.uniform(0.9, 0.9999)
-        args = (beta1t, beta2, 1.0 - 0.9 ** t, 1.0 - beta2 ** t,
-                10.0 ** rng.uniform(-16, -2), rng.uniform(0.01, 0.5) if p == "drawn" else p,
-                use_max, power_eps)
-        d_a = _kernels.moment_direction(m_a, v_a, max_a, g, *args)
-        d_b = _moment_direction_expr(m_b, v_b, max_b, g, *args)
-        for a, b in ((d_a, d_b), (m_a, m_b), (v_a, v_b), (max_a, max_b)):
-            assert a.tobytes() == b.tobytes()
+    with np.errstate(all="ignore") if special is not None else contextlib.nullcontext():
+        for t in (1, 2, 3):
+            if t > 1:
+                g = rng.standard_normal(dim) * 2.0 ** int(rng.integers(-30, 31))
+            beta1t = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+            beta2 = rng.uniform(0.9, 0.9999)
+            args = (beta1t, beta2, 1.0 - 0.9 ** t, 1.0 - beta2 ** t,
+                    10.0 ** rng.uniform(-16, -2),
+                    rng.uniform(0.01, 0.5) if p == "drawn" else p, use_max, power_eps)
+            d_a = _kernels.moment_direction(m_a, v_a, max_a, g, *args)
+            d_b = _moment_direction_expr(m_b, v_b, max_b, g, *args)
+            for a, b in ((d_a, d_b), (m_a, m_b), (v_a, v_b), (max_a, max_b)):
+                assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("use_max", [False, True])
@@ -255,6 +270,28 @@ def test_moment_direction_eps_modes_differ():
                                        0.9, 0.999, bc1, bc2, 1e-2, 0.25,
                                        power_eps=False)
     assert not np.allclose(d_pow, d_post, rtol=1e-6)
+
+
+def test_padamp_starts_no_thread_and_imports_no_pool():
+    # A kernel call at 2**17 elements and a run at d = 1e5 stay on the
+    # calling thread.
+    src = os.path.dirname(os.path.dirname(padamp.__file__))
+    code = """
+import sys, threading
+import numpy as np
+from padamp import _kernels
+from padamp.harness import build_config, run
+m, v, max_v, g = np.linspace(0.5, 2.0, 4 << 17).reshape(4, -1)
+_kernels.moment_direction(m, v, max_v, g, 0.9, 0.999, 0.1, 0.001, 1e-8, 0.25)
+run(build_config({}, {"objective.dim": "100000", "run.steps": "3"}))
+assert threading.active_count() == 1, threading.enumerate()
+assert not {m for m in sys.modules if m.startswith(("queue", "concurrent"))}
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 0.99, 0.999])
