@@ -17,7 +17,7 @@ A TelemetryTable holds a run's telemetry and writes every lemma column.
 Every step writes its row to a table its caller built (harness.run builds
 one per run); the caller flushes it and reads it as columns(). An adaptive
 table takes the steps' lemma inputs and writes the lemma columns of a block
-of rows at once. Up to LEMMA_BLOCK_ELEMENTS the block holds the steps'
+of rows at once; the block holds steps of one p. Up to LEMMA_BLOCK_ELEMENTS the block holds the steps'
 inputs and makes the passes per block; above, each step makes the passes on
 1-row views and the block keeps their reductions, so only the arithmetic
 waits for the flush.
@@ -353,11 +353,13 @@ class TelemetryTable:
 
     Given eps (an adaptive run's hp.epsilon; None for sgdm), the table
     writes the lemma columns of its last pending rows a block at a time: when
-    the block fills (in add_row) and at flush(). Before it writes its row, an
-    adaptive step hands over each group's lemma inputs (add_lemmas). Up to
-    LEMMA_BLOCK_ELEMENTS the block copies the inputs and makes the full-size
-    passes at the flush; above, add_lemmas makes them at once on 1-row views
-    and the block keeps their nine reductions, for _REDUCED_ROWS steps.
+    the block fills (in add_row), when a step's p differs from the block's
+    (in add_lemmas) and at flush(), so the block holds one p. Before it
+    writes its row, an adaptive step hands over each group's lemma inputs
+    (add_lemmas). Up to LEMMA_BLOCK_ELEMENTS the block copies the inputs and
+    makes the full-size passes at the flush; above, add_lemmas makes them at
+    once on 1-row views and the block keeps their nine reductions, for
+    _REDUCED_ROWS steps.
     """
 
     def __init__(self, groups: Sequence, eps: Optional[float] = None, rows: int = TABLE_ROWS):
@@ -370,6 +372,8 @@ class TelemetryTable:
         # The rows before `done` have their lemma columns; sgdm's block is 0 rows.
         self.done = self.height = 0
         self.eps = eps
+        # The p of the pending rows' steps.
+        self.p = None
         if eps is not None:
             height = LEMMA_BLOCK_ELEMENTS // sum(g.dim for g in groups)
             hold_inputs = height >= 2
@@ -387,8 +391,12 @@ class TelemetryTable:
                    v: np.ndarray, g: np.ndarray, theta: np.ndarray, beta1t: float,
                    c1: float, theta_norm: float) -> None:
         """Take one group's lemma inputs for the row add_row writes next: the
-        post-step moments, the gradient they saw (after coupled decay), the
-        pre-step weights, beta1_t, C1 and ||theta||."""
+        step's p, the post-step moments, the gradient they saw (after coupled
+        decay), the pre-step weights, beta1_t, C1 and ||theta||."""
+        if p != self.p:
+            # A p_schedule decay: the pending rows keep the p they were taken under.
+            self._flush()
+            self.p = p
         inputs, scalars, found = self.blocks[name]
         i = self.n - self.done
         scalars[0, i] = beta1t
@@ -421,29 +429,23 @@ class TelemetryTable:
             self._flush()
 
     def _flush(self) -> None:
-        """Fold the pending rows' lemma columns over groups, under each row's p."""
+        """Fold the pending rows' lemma columns over groups, under the block's p."""
         a, n = self.done, self.n
         if self.eps is None or a == n:
             return
         self.done = n
-        # p_now is column 3; the lemma columns come last but one.
-        rows = self.data[a:n]
-        p, out = rows[:, 3], rows[:, -1 - len(LEMMA_COLUMNS):-1]
-        # A p_schedule decay can fall inside the pending rows.
-        cuts = [0, *(np.flatnonzero(p[1:] != p[:-1]) + 1).tolist(), n - a]
-        for lo, hi in zip(cuts, cuts[1:]):
-            p_run = float(p[lo])
-            folded = None
-            for inputs, scalars, found in self.blocks.values():
-                beta1t, c1, theta_norm = scalars[:, lo:hi]
-                if inputs is not None:
-                    m, m_prev, v, g, theta = inputs[:, lo:hi]
-                    _lemma_passes(m, m_prev, v, g, beta1t, self.eps, p_run, theta,
-                                  theta_norm, found[:, lo:hi])
-                lemmas = _lemma_rows(found[:, lo:hi], c1, self.eps, p_run)
-                # The largest residual over groups, and the smallest of the rest.
-                folded = lemmas if folded is None else fold_lemmas(folded, lemmas)
-            out[lo:hi] = folded
+        k, folded = n - a, None
+        for inputs, scalars, found in self.blocks.values():
+            beta1t, c1, theta_norm = scalars[:, :k]
+            if inputs is not None:
+                m, m_prev, v, g, theta = inputs[:, :k]
+                _lemma_passes(m, m_prev, v, g, beta1t, self.eps, self.p, theta,
+                              theta_norm, found[:, :k])
+            lemmas = _lemma_rows(found[:, :k], c1, self.eps, self.p)
+            # The largest residual over groups, and the smallest of the rest.
+            folded = lemmas if folded is None else fold_lemmas(folded, lemmas)
+        # The lemma columns come last but one.
+        self.data[a:n, -1 - len(LEMMA_COLUMNS):-1] = folded
 
     def __len__(self) -> int:
         return self.n

@@ -79,10 +79,10 @@ MUTANTS = (
             "test_direct_caller_batch_fills_lemmas_under_any_error_state",
             "tests/test_optimizers.py::"
             "test_overflowing_lemma_slack_is_non_finite_without_a_warning")),
-    # A lemma flush folds a block under its first row's p across a p_schedule decay.
+    # The table keeps the first step's p: after a p_schedule decay, its blocks
+    # fold under the old p.
     Mutant("flush_ignores_p_cut", "diagnostics.py",
-           "cuts = [0, *(np.flatnonzero(p[1:] != p[:-1]) + 1).tolist(), n - a]",
-           "cuts = [0, n - a]",
+           "if p != self.p:", "if self.p is None:",
            ("tests/test_harness.py::test_batched_run_writes_what_unbatched_steps_write",)),
     # Under coupled decay C1 bounds the raw gradient, not the one the moments see.
     Mutant("c1_raw_gradient", "optimizers.py",
