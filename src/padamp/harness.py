@@ -242,7 +242,8 @@ class RunResult:
 
 
 def _grad_norm_sq(grads: Dict[str, np.ndarray]) -> float:
-    # An overflow gives inf; the record's grad_norm_sq reports it.
+    # The eval window's total gradient; an overflow gives inf, which
+    # check_telemetry's eval_grad_norm_sq_valid row fails.
     return float(sum(np.sum(g * g) for g in grads.values()))
 
 
@@ -301,30 +302,29 @@ def run(config: ExperimentConfig) -> RunResult:
                 grads = objective.grad(params, batch)
 
                 estimate = math.nan  # off the eval window
-                if t % config.eval_every == 0 or t == budget:
-                    # For datasets, square the window's mean gradient: its bias
+                at_eval = t % config.eval_every == 0 or t == budget
+                if at_eval and dataset is not None:
+                    # Square the window's mean gradient: its bias
                     # tr(Sigma)/(batch_size * eval_window) shrinks with the
                     # window, while a mean of squared norms keeps
                     # tr(Sigma)/batch_size.
-                    if dataset is None:
-                        estimate = _grad_norm_sq(grads)
-                    else:
-                        total = None
-                        for _ in range(config.eval_window):
-                            idx = dataset.sample(config.batch_size, eval_rng)
-                            g = objective.grad(params, idx)
-                            total = g if total is None else {k: total[k] + g[k]
-                                                             for k in total}
-                        estimate = _grad_norm_sq(total) / config.eval_window ** 2
+                    total = None
+                    for _ in range(config.eval_window):
+                        idx = dataset.sample(config.batch_size, eval_rng)
+                        g = objective.grad(params, idx)
+                        total = g if total is None else {k: total[k] + g[k]
+                                                         for k in total}
+                    estimate = _grad_norm_sq(total) / config.eval_window ** 2
                 params = step_fn(state, params, grads, eta_t, p_now, table=table)
             except ArithmeticError as exc:
                 # An objective or a step that overflows says so; this says where.
                 raise type(exc)(f"{exc} at step {t}") from exc
-            # The step's row: step_columns puts epoch at 1 and loss at 4.
+            # The step's row: step_columns puts epoch at 1, loss at 4 and
+            # grad_norm_sq, the estimate without a dataset, at 5.
             row = table.data[table.n - 1]
             row[1] = epoch
             row[4] = loss
-            row[-1] = estimate
+            row[-1] = row[5] if at_eval and dataset is None else estimate
         table.flush()
     except Exception:
         # A diverging run keeps the steps it completed, lemma columns

@@ -143,6 +143,11 @@ MUTANTS = (
            ("tests/test_harness.py::test_aborted_run_writes_the_steps_before_the_abort",
             "tests/test_harness.py::"
             "test_abort_at_step_1_writes_its_own_header_over_an_earlier_csv")),
+    # Without a dataset, an eval point's estimate reads the loss column, not
+    # the step's squared gradient norm.
+    Mutant("estimate_reads_loss", "harness.py",
+           "row[-1] = row[5] if at_eval", "row[-1] = row[4] if at_eval",
+           ("tests/test_harness.py::test_estimate_without_a_dataset_is_the_rows_grad_norm_sq",)),
     # run leaves the loss column of every row nan.
     Mutant("loss_not_written", "harness.py",
            "            row[4] = loss\n", "",

@@ -279,6 +279,25 @@ def test_run_counts_steps_and_epochs_analytic():
     assert result.summary["final_loss"] == cols["loss"][-1]
 
 
+@pytest.mark.parametrize("kind", ["padamp", "sgdm"])
+@pytest.mark.parametrize("objective", ["quadratic", "scale_invariant", "rosenbrock"])
+def test_estimate_without_a_dataset_is_the_rows_grad_norm_sq(objective, kind):
+    # Without a dataset, an eval point's estimate is the squared gradient
+    # norm its step already wrote, bit for bit; off the eval points it is nan.
+    keys = {"optimizer.kind": kind, "objective.name": objective, "run.steps": "60",
+            "run.eval_every": "7", "run.seed": "3"}
+    if objective == "quadratic":
+        keys["objective.condition"] = "100"
+    if kind == "sgdm":
+        keys["schedule.eta0"] = "1e-3"  # 0.1 diverges on rosenbrock
+    cols = run(build_config({}, keys)).records.columns()
+    at_eval = (cols["t"] % 7 == 0) | (cols["t"] == 60)
+    assert np.count_nonzero(at_eval) == 9
+    est = cols["eval_grad_norm_sq"]
+    assert np.isnan(est[~at_eval]).all()
+    assert est[at_eval].tobytes() == cols["grad_norm_sq"][at_eval].tobytes()
+
+
 def test_run_epoch_budget_on_dataset_objective():
     cfg = ExperimentConfig(
         optimizer="padamp",
@@ -533,7 +552,7 @@ _PINNED_TELEMETRY = {
         {"objective.name": "quadratic", "objective.dim": "20",
          "objective.condition": "100"},
         "c13c87decfa914eb75b7be822f66624f76dc96714d88228700e3378620419cb6",
-        "baa189981cd4b7a4d74f8076480350b7b75f78d52dc5284d788c34876d12c9c6"),
+        "3c2b828a0dc32c08666b8e2cfe5761ad94294aa9b7664351421e7361d4258fcc"),
     "padamp tiny_mlp": (
         {"objective.name": "tiny_mlp"},
         "4e8abc3268b7a98c4825825c1ff2981bdc83e0f5fe102ef900606c12b9087ef6",
@@ -546,13 +565,13 @@ _PINNED_TELEMETRY = {
         {"optimizer.kind": "adamp", "objective.name": "scale_invariant",
          "hp.wd_mode": "coupled"},
         "5f8e307fe0be65ea71f87b2558cd9415a8081ea949c6148c4abd3e2f223a5220",
-        "52e7177f72095d2dd89a917cddc1eed93c8c4a9b0cceefbd7b65999ee0eb8e39"),
+        "2968885367a3a9bb853133b4bba225c60873b1eb580373afa02c0ff1fb11f492"),
     # A max-tracked v, and a decaying beta1,t that sets lemma 2's b / (1 - b).
     "padam quadratic lam": (
         {"optimizer.kind": "padam", "objective.name": "quadratic",
          "objective.condition": "100", "hp.lam": "0.99"},
         "fd71eee572fb0a119b528f49d2eb285ca8f5d92246901fdab5b9ae9ac02b1b6d",
-        "04d878f16ca4cc9796c266d89f8a7df5e9e3dc314ea0020659351c1f5ee31919"),
+        "bcdf13e6cf903fc9c71a0cb970ce9f7a6b8cf1ce92deef1eadd9f6835733f578"),
     "amsgrad tiny_mlp post": (
         {"optimizer.kind": "amsgrad", "objective.name": "tiny_mlp", "hp.eps_mode": "post"},
         "47bc103195406f4407f1cd32a650bb9f767bebba6d6eada962704c373d0a50bd",
