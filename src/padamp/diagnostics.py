@@ -9,18 +9,17 @@ telemetry table.
 One adaptive group's LEMMA_COLUMNS for a block of k steps, one row per
 step, take two halves: full-size passes over (k, d) arrays (_lemma_passes)
 leave nine (k,) reductions, and elementwise arithmetic on those
-(_lemma_rows) gives the columns. _group_lemmas, both in one call, is the
-tests' reference. fold_lemmas folds the groups' rows into the telemetry
-values.
+(_lemma_rows) gives the columns. fold_lemmas folds the groups' rows into
+the telemetry values.
 
 A TelemetryTable holds a run's telemetry and writes every lemma column.
 Every step writes its row to a table its caller built (harness.run builds
 one per run); the caller flushes it and reads it as columns(). An adaptive
 table takes the steps' lemma inputs and writes the lemma columns of a block
-of rows at once; the block holds steps of one p. Up to LEMMA_BLOCK_ELEMENTS the block holds the steps'
-inputs and makes the passes per block; above, each step makes the passes on
-1-row views and the block keeps their reductions, so only the arithmetic
-waits for the flush.
+of rows at once, all of one p. Up to LEMMA_BLOCK_ELEMENTS the block holds
+the steps' inputs and makes the passes per block; above, each step makes
+the passes on 1-row views and the block keeps their reductions, so only
+the arithmetic waits for the flush.
 """
 
 from __future__ import annotations
@@ -202,8 +201,14 @@ def _row_norms(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _lemma_passes(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarray,
                   beta1t: np.ndarray, eps: float, p: float, theta: np.ndarray,
                   theta_norm: np.ndarray, out: np.ndarray) -> None:
-    """The full-size passes of _group_lemmas over k steps: writes their (k,)
-    reductions, the _REDUCTIONS in order, to the rows of the (9, k) out.
+    """The full-size passes of one adaptive group's lemma quantities over k
+    steps: writes their (k,) reductions, the _REDUCTIONS in order, to the
+    rows of the (9, k) out. Row i of the (k, d) inputs is step i's; its
+    reductions are the same bit for bit whatever the other rows hold.
+
+    resid_sq is the squared difference of the two sides of -m = -g + b/(1-b)
+    (m - m_prev), which rearranges m = b m_prev + (1-b) g: pure rounding for
+    consistent inputs.
 
     At p = 1/4 it leaves inv_min and inv_max as they are: _lemma_rows takes
     them from v_max and v_min. radial is theta . pre_m / ||theta||, or
@@ -292,34 +297,6 @@ def _lemma_rows(found: np.ndarray, c1: np.ndarray, eps: float, p: float) -> np.n
     eps_p = eps ** p
     bound[5:] /= [[eps_p], [eps ** (2 * p)], [eps_p]]
     return np.subtract(bound, took, out=bound).T
-
-
-def _group_lemmas(m: np.ndarray, m_prev: np.ndarray, v: np.ndarray, g: np.ndarray,
-                  beta1t: np.ndarray, c1: np.ndarray, eps: float, p: float,
-                  theta: np.ndarray, theta_norm: np.ndarray) -> np.ndarray:
-    """One adaptive group's lemma quantities over k steps, one row per step.
-
-    m, m_prev, v, g and theta are (k, d) arrays: row i holds step i's
-    post-step moments, the gradient the moments saw and the pre-step
-    weights. beta1t, c1 and theta_norm are (k,) arrays; eps and p are the
-    block's. Returns the LEMMA_COLUMNS as a (k, 8) float64 array: the
-    full-size passes (_lemma_passes) leave nine (k,) reductions, and the
-    per-row arithmetic (_lemma_rows) turns them into the columns. Row i is
-    the same bit for bit whatever the other rows hold: every reduction runs
-    along a row, each row dot is the vector dot (_row_dots), and the
-    arithmetic is elementwise.
-
-    m = b m_prev + (1-b) g rearranges to -m = -g + b/(1-b) (m - m_prev); the
-    residual is the norm of the two sides' difference over 1 + ||m||, pure
-    rounding for consistent inputs. The slacks use the uncorrected buffers.
-
-    Callers run this inside errstate(over="ignore", invalid="ignore"), so
-    an overflow gives a non-finite value, which fails its check_telemetry
-    row, and no warning.
-    """
-    found = np.empty((len(_REDUCTIONS), len(m)))
-    _lemma_passes(m, m_prev, v, g, beta1t, eps, p, theta, theta_norm, found)
-    return _lemma_rows(found, c1, eps, p)
 
 
 def fold_lemmas(acc: np.ndarray, found: np.ndarray) -> np.ndarray:

@@ -89,7 +89,8 @@ MUTANTS = (
            "state.c1[name] = max(state.c1[name], c1)",
            "state.c1[name] = max(state.c1[name], gnorm)",
            ("tests/test_harness.py::test_coupled_decay_c1_bounds_the_decayed_gradient",
-            "tests/test_optimizers.py::test_coupled_decay_c1_is_the_decayed_gradient_norm")),
+            "tests/test_optimizers.py::test_coupled_decay_c1_is_the_decayed_gradient_norm",
+            "tests/test_optimizers.py::test_coupled_decay_is_l2_regularisation_bitwise")),
     # Small groups get the reductions block and large ones the inputs block.
     Mutant("hold_mode_inverted", "diagnostics.py",
            "hold_inputs = height >= 2", "hold_inputs = height < 2",

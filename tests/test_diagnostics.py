@@ -18,7 +18,6 @@ from padamp.diagnostics import (
     SLACK_COLUMNS,
     DiagnosticsReport,
     NormGrowthTrace,
-    _group_lemmas,
     fold_lemmas,
     momentum_norm_ratio_limit,
     simulate_norm_growth,
@@ -29,7 +28,7 @@ from padamp.geometry import norm
 from padamp.harness import build_config, run
 from padamp.optimizers import make_step
 
-from lemma_oracle import one_step_lemmas, vector_lemmas
+from lemma_oracle import group_lemmas, one_step_lemmas, vector_lemmas
 from table_step import table_step
 
 
@@ -241,7 +240,7 @@ def test_momentum_limit_values():
 # ---------------------------------------------------- moment identity check
 
 def _lemma2(m, m_prev, g, beta1t):
-    # The lemma-2 residual of _group_lemmas, which is scaled by 1 + ||m||.
+    # The lemma-2 residual of group_lemmas, which is scaled by 1 + ||m||.
     ones = np.ones_like(m)
     return one_step_lemmas(m, m_prev, ones, g, beta1t, 1.0, 1e-8, 0.5, ones, norm(ones))[0]
 
@@ -330,15 +329,15 @@ def test_lemma4_upper_slack_holds_once_v_underflows_eps(eps, p, dim, tiny):
 
 def _check_lemma2_oracle(m_t, m_prev, g_t, beta1t):
     # The out-of-place body of check_lemma2, the public lemma-2 check the
-    # step called before _group_lemmas.
+    # step called before the lemma passes (_lemma_passes).
     rhs = -g_t + (beta1t / (1.0 - beta1t)) * (m_t - m_prev)
     return float(np.linalg.norm(-m_t - rhs))
 
 
 def _bound_slacks_oracle(m, m_prev, v, g, c1, eps, p, theta, theta_norm):
     # The out-of-place body of _bound_slacks, which computed the slacks
-    # before _group_lemmas.
-    # At p = 1/4 _group_lemmas' power is two square roots; every other p is **.
+    # before the lemma passes.
+    # At p = 1/4 _lemma_passes' power is two square roots; every other p is **.
     power = (lambda x: np.sqrt(np.sqrt(x))) if p == 0.25 else (lambda x: x ** p)
     denom = power(v + eps)
     inv = 1.0 / denom
@@ -374,7 +373,7 @@ def _bits(x):
        st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)))
 def test_bound_slacks_match_the_out_of_place_oracle_bitwise(seed, dim, eps, p, tiny,
                                                             zero_theta, log_scale, beta1t):
-    # _group_lemmas against the three out-of-place forms it replaced: the
+    # group_lemmas against the three out-of-place forms it replaced: the
     # check_lemma2 body, the step's inline lemma-3 margin and _bound_slacks.
     rng = seeded_rng(seed)
     scale = 2.0 ** log_scale
@@ -401,13 +400,13 @@ def test_bound_slacks_match_the_out_of_place_oracle_bitwise(seed, dim, eps, p, t
 
 @pytest.mark.parametrize("p", [0.25, 0.5])
 def test_group_lemmas_returns_python_floats(p):
-    # _group_lemmas returns a (k, 8) float64 array, and a table holds its
+    # group_lemmas returns a (k, 8) float64 array, and a table holds its
     # entries in float64 lemma columns, from a step's own table and from a
     # run's, which read back as Python floats.
     rng = seeded_rng(5)
     m, m_prev, g, theta = rng.standard_normal((4, 3, 20))
     v = rng.uniform(0.0, 1.0, (3, 20))
-    rows = _group_lemmas(m, m_prev, v, g, np.full(3, 0.9), np.full(3, 2.0), 1e-8, p,
+    rows = group_lemmas(m, m_prev, v, g, np.full(3, 0.9), np.full(3, 2.0), 1e-8, p,
                          theta, np.linalg.norm(theta, axis=1))
     assert rows.shape == (3, len(LEMMA_COLUMNS)) and rows.dtype == np.float64
     groups = [ParamGroup("theta", theta[0])]
@@ -438,7 +437,7 @@ def test_group_lemmas_rows_match_one_row_calls_bitwise(seed, k, dim, p, log_scal
     beta1t = rng.uniform(0.0, 1.0, k)
     c1 = np.sqrt(v.max(axis=1)) + rng.uniform(0.0, 1.0, k)
     theta_norm = np.array([norm(row) for row in theta])
-    rows = _group_lemmas(m, m_prev, v, g, beta1t, c1, 1e-8, p, theta, theta_norm)
+    rows = group_lemmas(m, m_prev, v, g, beta1t, c1, 1e-8, p, theta, theta_norm)
     for i in range(k):
         one = vector_lemmas(m[i], m_prev[i], v[i], g[i], float(beta1t[i]), float(c1[i]),
                              1e-8, p, theta[i], float(theta_norm[i]))
